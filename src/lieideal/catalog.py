@@ -313,7 +313,7 @@ def _build_sum_entry(name: str, left: str, right: str, expected: dict[str, objec
     from .liealg import direct_sum
 
     g, _, _ = direct_sum(get(left).algebra, get(right).algebra)
-    g = LieAlgebra(g.c, name=name)
+    g = LieAlgebra.from_brackets(g.dim, g.brackets(), name=name)
     return CatalogEntry(name=name, algebra=g, expected=expected)
 
 
@@ -382,12 +382,8 @@ def dumps(g: LieAlgebra) -> str:
     lines = [f"dim {g.dim}"]
     if g.name:
         lines.append(f"name {g.name}")
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(g.dim):
-                v = g.c[i][j][k]
-                if v:
-                    lines.append(f"bracket {i} {j} {k} {v}")
+    for (i, j), row in g.brackets().items():
+        lines += [f"bracket {i} {j} {k} {v}" for k, v in row.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -424,7 +420,7 @@ def loads(text: str) -> LieAlgebra:
             try:
                 i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
                 v = rat(parts[4])
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad bracket record: {exc}", lineno) from None
             if not (0 <= i < j < dim):
                 raise ParseError(

@@ -87,7 +87,7 @@ def _parse_basis_spec(spec: str, dim: int) -> list[list[Fraction]]:
             continue
         try:
             v = [rat(x.strip()) for x in chunk.split(",")]
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad coordinate in basis spec: {exc}") from None
         if len(v) != dim:
             raise InputError(

@@ -113,15 +113,15 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
             raise InternalCheckError("derivation commutator escaped the solution span")
         return c
 
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    brackets = {}
     for a in range(d):
         for b in range(a + 1, d):
             comm = mats[a] * mats[b] - mats[b] * mats[a]
-            w = coords(comm)
-            c[a][b] = list(w)
-            c[b][a] = [-x for x in w]
+            brackets[(a, b)] = dict(enumerate(coords(comm)))
     algebra = validate_or_raise(
-        LieAlgebra(c, name=None if g.name is None else f"D({g.name})")
+        LieAlgebra.from_brackets(
+            d, brackets, name=None if g.name is None else f"D({g.name})"
+        )
     )
     inner_rows = []
     for i in range(n):
@@ -170,29 +170,15 @@ def holomorph(h: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinMap]:
     da = derivation_algebra(h)
     n, d = h.dim, da.dim
     N = n + d
-    c = [[[Fraction(0)] * N for _ in range(N)] for _ in range(N)]
-    for i in range(n):
+    brackets = h.brackets()
+    for a, f in enumerate(da.realization):
         for j in range(n):
-            row = h.c[i][j]
-            for k in range(n):
-                if row[k]:
-                    c[i][j][k] = row[k]
-    for a in range(d):
-        mat = da.realization[a].matrix
-        for j in range(n):
-            col = mat.column(j)
-            for k in range(n):
-                if col[k]:
-                    c[n + a][j][k] = col[k]
-                    c[j][n + a][k] = -col[k]
-    for a in range(d):
-        for b in range(d):
-            row = da.algebra.c[a][b]
-            for k in range(d):
-                if row[k]:
-                    c[n + a][n + b][n + k] = row[k]
+            # [f, e_j] = f(e_j); from_brackets fills [e_j, f] = -f(e_j)
+            brackets[(n + a, j)] = dict(enumerate(f.matrix.column(j)))
+    for (a, b), row in da.algebra.brackets().items():
+        brackets[(n + a, n + b)] = {n + k: v for k, v in row.items()}
     name = None if h.name is None else f"H({h.name})"
-    g = validate_or_raise(LieAlgebra(c, name=name))
+    g = validate_or_raise(LieAlgebra.from_brackets(N, brackets, name=name))
     embed_h = LinMap(h, g, Mat([[1 if i == j else 0 for j in range(n)] for i in range(N)], cols=n))
     embed_d = LinMap(
         da.algebra,

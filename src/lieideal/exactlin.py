@@ -200,11 +200,29 @@ def _int_row(coeffs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     den = 1
     for _, v in items:
         den = den * v.denominator // gcd(den, v.denominator)
-    nums = [(c, int(v * den)) for c, v in items]
-    g = 0
-    for _, n in nums:
-        g = gcd(g, n)
-    return {c: n // g for c, n in nums}
+    return _primitive({c: int(v * den) for c, v in items})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide out the gcd of the entries."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """Integer combination of row and prow whose entry at col is zero."""
+    a, b = prow[col], row[col]
+    new: dict[int, int] = {}
+    for c, v in row.items():
+        w = v * a - prow.get(c, 0) * b
+        if w:
+            new[c] = w
+    for c, v in prow.items():
+        if c not in row:
+            w = -v * b
+            if w:
+                new[c] = w
+    return new
 
 
 def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
@@ -213,24 +231,8 @@ def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[
         lead = min(row)
         prow = pivots.get(lead)
         if prow is None:
-            g = 0
-            for v in row.values():
-                g = gcd(g, v)
-            if g > 1:
-                row = {c: v // g for c, v in row.items()}
-            return row
-        a, b = prow[lead], row[lead]
-        new: dict[int, int] = {}
-        for c, v in row.items():
-            w = v * a - prow.get(c, 0) * b
-            if w:
-                new[c] = w
-        for c, v in prow.items():
-            if c not in row:
-                w = -v * b
-                if w:
-                    new[c] = w
-        row = new
+            return _primitive(row)
+        row = _eliminate(row, prow, lead)
     return {}
 
 
@@ -255,28 +257,11 @@ class Echelon:
         piv_cols = sorted(self.pivots)
         reduced: dict[int, dict[int, int]] = {}
         for c in reversed(piv_cols):
-            row = dict(self.pivots[c])
+            row = self.pivots[c]
             for c2 in list(row):
                 if c2 != c and c2 in reduced:
-                    prow = reduced[c2]
-                    a, b = prow[c2], row[c2]
-                    new: dict[int, int] = {}
-                    for cc, v in row.items():
-                        w = v * a - prow.get(cc, 0) * b
-                        if w:
-                            new[cc] = w
-                    for cc, v in prow.items():
-                        if cc not in row:
-                            w = -v * b
-                            if w:
-                                new[cc] = w
-                    row = new
-            g = 0
-            for v in row.values():
-                g = gcd(g, v)
-            if g > 1:
-                row = {cc: v // g for cc, v in row.items()}
-            reduced[c] = row
+                    row = _eliminate(row, reduced[c2], c2)
+            reduced[c] = _primitive(row)
         out = []
         for c in piv_cols:
             row = reduced[c]
@@ -525,8 +510,3 @@ def _dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
             acc += a * b
     return acc
 
-
-def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    if len(x) != len(y):
-        raise ValueError("length mismatch")
-    return _dot(x, y)

@@ -1,7 +1,10 @@
 """Lie algebras over Q by structure constants.
 
-An algebra is its dimension plus the dense tensor c[i][j][k] with
-[e_i, e_j] = sum_k c[i][j][k] e_k.  Both (i,j) and (j,i) slots are populated.
+An algebra is its dimension plus its nonzero structure constants: _nz[i][j]
+holds the pairs (k, c_ijk) with c_ijk != 0 in increasing k, where
+[e_i, e_j] = sum_k c_ijk e_k.  Both (i,j) and (j,i) are stored, and memory
+grows with the number of nonzero constants, not with dim^3.  Every builder
+hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
@@ -32,32 +35,37 @@ class InternalCheckError(AssertionError):
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra given by its structure tensor."""
+    """Finite-dimensional Lie algebra given by its nonzero structure constants."""
 
-    __slots__ = ("dim", "c", "name", "_nz", "_hash")
+    __slots__ = ("dim", "name", "_nz", "_hash")
 
     def __init__(
         self,
         c: Sequence[Sequence[Sequence[Scalar]]],
         name: str | None = None,
     ):
+        """Take a dense tensor c[i][j][k] as given, antisymmetric or not.
+
+        validate() reports what is wrong with it; from_brackets is the
+        constructor for data known to be antisymmetric.
+        """
         dim = len(c)
-        tensor = tuple(
-            tuple(tuple(rat(x) for x in row) for row in plane) for plane in c
-        )
-        for plane in tensor:
+        nz = []
+        for plane in c:
             if len(plane) != dim or any(len(row) != dim for row in plane):
                 raise ValueError("structure tensor is not dim x dim x dim")
-        self.dim = dim
-        self.c = tensor
-        self.name = name
-        # sparse view: _nz[i][j] = ((k, c_ijk), ...) over nonzero entries
-        self._nz = tuple(
-            tuple(
-                tuple((k, v) for k, v in enumerate(row) if v) for row in plane
+            nz.append(
+                tuple(
+                    tuple((k, q) for k, x in enumerate(row) if (q := rat(x)))
+                    for row in plane
+                )
             )
-            for plane in tensor
-        )
+        self._init(dim, tuple(nz), name)
+
+    def _init(self, dim: int, nz: tuple, name: str | None) -> None:
+        self.dim = dim
+        self.name = name
+        self._nz = nz
         self._hash: int | None = None
 
     @staticmethod
@@ -66,23 +74,59 @@ class LieAlgebra:
         brackets: Mapping[tuple[int, int], Mapping[int, Scalar]],
         name: str | None = None,
     ) -> "LieAlgebra":
-        """Build from sparse [e_i, e_j] data, filling (j, i) by antisymmetry."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        """Build from sparse [e_i, e_j] data, filling (j, i) by antisymmetry.
+
+        Values for the same (i, j, k) add up, and zeros are dropped.
+        """
+        acc: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), row in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index ({i},{j}) out of range")
+            fwd = acc.setdefault((i, j), {})
+            bwd = acc.setdefault((j, i), {})
             for k, v in row.items():
+                if not 0 <= k < dim:
+                    raise ValueError(f"bracket output index {k} out of range")
                 q = rat(v)
-                c[i][j][k] += q
-                c[j][i][k] -= q
-        return LieAlgebra(c, name=name)
+                if q:
+                    fwd[k] = fwd.get(k, 0) + q
+                    bwd[k] = bwd.get(k, 0) - q
+        empty: dict[int, Fraction] = {}
+        nz = tuple(
+            tuple(
+                tuple(sorted((k, v) for k, v in acc.get((i, j), empty).items() if v))
+                for j in range(dim)
+            )
+            for i in range(dim)
+        )
+        g = LieAlgebra.__new__(LieAlgebra)
+        g._init(dim, nz, name)
+        return g
+
+    def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero [e_i, e_j] with i < j, in the form from_brackets takes."""
+        nz = self._nz
+        return {
+            (i, j): dict(nz[i][j])
+            for i in range(self.dim)
+            for j in range(i + 1, self.dim)
+            if nz[i][j]
+        }
+
+    @property
+    def c(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense tensor c[i][j][k], built on each access."""
+        n = self.dim
+        return tuple(
+            tuple(self.bracket_basis(i, j) for j in range(n)) for i in range(n)
+        )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LieAlgebra) and self.c == other.c
+        return isinstance(other, LieAlgebra) and self._nz == other._nz
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.c)
+            self._hash = hash(self._nz)
         return self._hash
 
     def __repr__(self) -> str:
@@ -107,7 +151,10 @@ class LieAlgebra:
         return tuple(out)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
+        out = [Fraction(0)] * self.dim
+        for k, v in self._nz[i][j]:
+            out[k] = v
+        return tuple(out)
 
     def adjoint_matrix(self, x: Sequence[Fraction]) -> "LinMap":
         """ad_x as a linear map y -> [x, y]."""
@@ -146,13 +193,14 @@ class ValidationReport:
 def validate(g: LieAlgebra) -> ValidationReport:
     """Check antisymmetry and the Jacobi identity on all basis triples."""
     n = g.dim
-    c = g.c
+    nz = g._nz
     for i in range(n):
         for j in range(i, n):
-            for k in range(n):
-                if c[i][j][k] != -c[j][i][k]:
-                    return ValidationReport(False, antisymmetry_failure=(i, j, k))
-    nz = g._nz
+            fwd, bwd = nz[i][j], nz[j][i]
+            if fwd != tuple((k, -v) for k, v in bwd):
+                a, b = dict(fwd), dict(bwd)
+                k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
+                return ValidationReport(False, antisymmetry_failure=(i, j, k))
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -484,12 +532,14 @@ def quotient(g: LieAlgebra, ideal: Subalgebra) -> tuple[LieAlgebra, LinMap]:
     def project(v: Sequence[Fraction]) -> Vector:
         return proj.apply(v)
 
-    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    brackets = {}
     for a in range(m):
-        for b in range(m):
+        for b in range(a + 1, m):
             w = project(g.bracket(g.basis_vector(coords[a]), g.basis_vector(coords[b])))
-            c[a][b] = list(w)
-    q = LieAlgebra(c, name=None if g.name is None else f"{g.name}/ideal")
+            brackets[(a, b)] = dict(enumerate(w))
+    q = LieAlgebra.from_brackets(
+        m, brackets, name=None if g.name is None else f"{g.name}/ideal"
+    )
     validate_or_raise(q)
     return q, LinMap(g, q, proj)
 
@@ -498,23 +548,13 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinM
     """Block sum with zero cross-brackets, plus the two embeddings."""
     n1, n2 = g1.dim, g2.dim
     n = n1 + n2
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            row = g1.c[i][j]
-            for k in range(n1):
-                if row[k]:
-                    c[i][j][k] = row[k]
-    for i in range(n2):
-        for j in range(n2):
-            row = g2.c[i][j]
-            for k in range(n2):
-                if row[k]:
-                    c[n1 + i][n1 + j][n1 + k] = row[k]
+    brackets = g1.brackets()
+    for (i, j), row in g2.brackets().items():
+        brackets[(n1 + i, n1 + j)] = {n1 + k: v for k, v in row.items()}
     name = None
     if g1.name and g2.name:
         name = f"{g1.name}+{g2.name}"
-    g = LieAlgebra(c, name=name)
+    g = LieAlgebra.from_brackets(n, brackets, name=name)
     e1 = Mat([[1 if i == j else 0 for j in range(n1)] for i in range(n)], cols=n1)
     e2 = Mat(
         [[1 if i == n1 + j else 0 for j in range(n2)] for i in range(n)], cols=n2
@@ -548,17 +588,15 @@ def sub_to_algebra(h: Subalgebra) -> tuple[LieAlgebra, LinMap]:
     parent = h.parent
     rows = h.basis_vectors()
     r = len(rows)
-    c = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
+    brackets = {}
     for a in range(r):
-        for b in range(r):
-            if a == b:
-                continue
+        for b in range(a + 1, r):
             v = parent.bracket(rows[a], rows[b])
             coords = h.space.coordinates(v)
             if coords is None:
                 raise InternalCheckError("closed subalgebra bracket escaped the span")
-            c[a][b] = list(coords)
-    algebra = LieAlgebra(c)
+            brackets[(a, b)] = dict(enumerate(coords))
+    algebra = LieAlgebra.from_brackets(r, brackets)
     incl = Mat.from_columns([list(row) for row in rows], rows=parent.dim)
     return algebra, LinMap(algebra, parent, incl)
 

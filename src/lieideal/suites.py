@@ -38,6 +38,7 @@ from .liealg import (
     LinMap,
     Subalgebra,
     SymForm,
+    bracket_spaces,
     center,
     direct_sum,
     full_subalgebra,
@@ -94,10 +95,6 @@ def _run_check(suite: str, name: str, fn) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _basis(g: LieAlgebra) -> list:
-    return [g.basis_vector(i) for i in range(g.dim)]
-
-
 @dataclass(frozen=True)
 class ChainInstance:
     """An embedding h <| k <| g with both subalgebras in g's coordinates."""
@@ -152,8 +149,7 @@ def chain_instances(h_label: str, h: LieAlgebra) -> list[ChainInstance]:
         partner = catalog.get(pname).algebra
         k, emb_h, _ = direct_sum(h, partner)
         g, emb_k, _ = holomorph(k)
-        h_vecs = [emb_k.apply(emb_h.apply(v)) for v in _basis(h)]
-        h_sub = Subalgebra(g, Subspace.span(g.dim, h_vecs))
+        h_sub = Subalgebra(g, emb_k.compose(emb_h).image())
         k_sub = Subalgebra(g, emb_k.image())
         out.append(ChainInstance(f"{h_label} in H({h_label}+{pname})", g, h_sub, k_sub))
     for p1name, p2name in _SUM_PARTNERS:
@@ -161,8 +157,7 @@ def chain_instances(h_label: str, h: LieAlgebra) -> list[ChainInstance]:
         p2 = catalog.get(p2name).algebra
         k, emb_h, _ = direct_sum(h, p1)
         g, emb_k, _ = direct_sum(k, p2)
-        h_vecs = [emb_k.apply(emb_h.apply(v)) for v in _basis(h)]
-        h_sub = Subalgebra(g, Subspace.span(g.dim, h_vecs))
+        h_sub = Subalgebra(g, emb_k.compose(emb_h).image())
         k_sub = Subalgebra(g, emb_k.image())
         out.append(
             ChainInstance(f"{h_label} in ({h_label}+{p1name})+{p2name}", g, h_sub, k_sub)
@@ -216,10 +211,7 @@ def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, LieAlgebr
         entry = catalog.get(name)
         g = entry.algebra
         full = Subspace.full(g.dim)
-        derived = Subspace.span(
-            g.dim,
-            [g.bracket(x, y) for x in _basis(g) for y in _basis(g)],
-        )
+        derived = bracket_spaces(g, full, full)
         candidates: list[tuple[str, Subspace]] = [
             ("full", full),
             ("derived", derived),
@@ -256,9 +248,7 @@ def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, LieAlgebr
             g, emb_base = base, None
             spaces = []
         full = Subspace.full(g.dim)
-        derived = Subspace.span(
-            g.dim, [g.bracket(x, y) for x in _basis(g) for y in _basis(g)]
-        )
+        derived = bracket_spaces(g, full, full)
         spaces += [("derived", derived), ("center", center(g).space), ("full", full)]
         coords = [rng.randint(-1, 1) for _ in range(g.dim)]
         if any(coords):
@@ -391,7 +381,7 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
         count = 0
         for label, g in lemma_algebras:
             da = derivation_algebra(g)
-            ads = [g.adjoint_matrix(v).matrix for v in _basis(g)]
+            ads = [g.adjoint_matrix(g.basis_vector(i)).matrix for i in range(g.dim)]
             for f in da.realization:
                 fm = f.matrix
                 for i, ad in enumerate(ads):
@@ -421,12 +411,7 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
                 partner = catalog.get(p_name).algebra
                 k, emb_h, _ = direct_sum(h, partner)
                 g, emb_k, _ = holomorph(k)
-                h_sub = Subalgebra(
-                    g,
-                    Subspace.span(
-                        g.dim, [emb_k.apply(emb_h.apply(v)) for v in _basis(h)]
-                    ),
-                )
+                h_sub = Subalgebra(g, emb_k.compose(emb_h).image())
                 k_sub = Subalgebra(g, emb_k.image())
                 report = check_complete_subideal(h_sub, k_sub, g)
                 assert report.ideal_in_g and report.decomposition_ok

@@ -238,9 +238,7 @@ def counterexample_extension(h: LieAlgebra) -> CounterexampleCertificate:
     )
     xo_in_big = emb_k.apply(emb_h.apply(h.basis_vector(xo_index)))
     f_in_big = emb_d.apply(f_coords)
-    h_in_big = Subalgebra(
-        big, Subspace.span(big.dim, [emb_k.apply(emb_h.apply(v)) for v in _basis(h)])
-    )
+    h_in_big = Subalgebra(big, emb_k.compose(emb_h).image())
     k_in_big = Subalgebra(big, emb_k.image())
     chain = IdealChain((h_in_big, k_in_big, full_subalgebra(big)))
     escaping = big.bracket(xo_in_big, f_in_big)
@@ -253,10 +251,6 @@ def counterexample_extension(h: LieAlgebra) -> CounterexampleCertificate:
     if not cert.verify():
         raise InternalCheckError("counterexample certificate failed verification")
     return cert
-
-
-def _basis(g: LieAlgebra) -> list[Vector]:
-    return [g.basis_vector(i) for i in range(g.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +498,21 @@ def cartan_eigenspaces(g: LieAlgebra, theta: LinMap) -> CartanDecomposition:
     return CartanDecomposition(usub, p, SymForm(g, twisted))
 
 
-def check_cartan_criterion(
-    g: LieAlgebra, theta: LinMap, h: Subalgebra, k: Subalgebra
-) -> EquivalenceReport:
-    """Subalgebras containing a Cartan eigenspace: subideal of k iff ideal of k."""
+def require_cartan_eigenspace(g: LieAlgebra, theta: LinMap, h: Subalgebra) -> None:
+    """Raise HypothesisError unless h contains an eigenspace of the involution."""
     decomp = cartan_eigenspaces(g, theta)
     if not (
         h.space.contains(decomp.compact_part.space)
         or h.space.contains(decomp.noncompact_part)
     ):
         raise HypothesisError("h contains neither Cartan eigenspace")
+
+
+def check_cartan_criterion(
+    g: LieAlgebra, theta: LinMap, h: Subalgebra, k: Subalgebra
+) -> EquivalenceReport:
+    """Subalgebras containing a Cartan eigenspace: subideal of k iff ideal of k."""
+    require_cartan_eigenspace(g, theta, h)
     if not k.space.contains(h.space):
         raise ValueError("h is not contained in k")
     sub = bool(subideal_chain(k, h))
@@ -556,9 +555,6 @@ class SelfNormalizingReport:
     self_normalizing: bool
 
 
-SELF_NORM_TAGS = ("perfect", "central_radical", "skew_form", "compact", "compactly_embedded", "cartan")
-
-
 def check_self_normalizing_theorem(
     g: LieAlgebra,
     h: Subalgebra,
@@ -585,33 +581,24 @@ def check_self_normalizing_theorem(
         if form is None:
             raise ValueError("skew_form hypothesis needs a form")
         verify_skew_form_hypotheses(g, form, h)
-    elif hypothesis == "compact":
+    elif hypothesis in ("compact", "compactly_embedded"):
         if form is None:
-            raise ValueError("compact hypothesis needs a form")
+            raise ValueError(f"{hypothesis} hypothesis needs a form")
         full_inertia = form.inertia_on()
         if not (full_inertia.is_positive_definite() and full_inertia.dim == g.dim):
             raise HypothesisError("supplied form is not positive definite")
-        for i in range(g.dim):
-            if not adjoint_is_skew(g, form, g.basis_vector(i)):
-                raise HypothesisError("algebra is not compact type for the supplied form")
-    elif hypothesis == "compactly_embedded":
-        if form is None:
-            raise ValueError("compactly_embedded hypothesis needs a form")
-        full_inertia = form.inertia_on()
-        if not (full_inertia.is_positive_definite() and full_inertia.dim == g.dim):
-            raise HypothesisError("supplied form is not positive definite")
-        for x in h.basis_vectors():
-            if not adjoint_is_skew(g, form, x):
-                raise HypothesisError("h is not compactly embedded for the supplied form")
+        if hypothesis == "compact":
+            skew = Subspace.full(g.dim).basis_vectors()
+            failure = "algebra is not compact type for the supplied form"
+        else:
+            skew = h.basis_vectors()
+            failure = "h is not compactly embedded for the supplied form"
+        if not all(adjoint_is_skew(g, form, x) for x in skew):
+            raise HypothesisError(failure)
     elif hypothesis == "cartan":
         if involution is None:
             raise ValueError("cartan hypothesis needs an involution")
-        decomp = cartan_eigenspaces(g, involution)
-        if not (
-            h.space.contains(decomp.compact_part.space)
-            or h.space.contains(decomp.noncompact_part)
-        ):
-            raise HypothesisError("h contains neither Cartan eigenspace")
+        require_cartan_eigenspace(g, involution, h)
     else:
         raise ValueError(f"unknown hypothesis tag {hypothesis!r}")
     n_h = normalizer(g, h)
@@ -746,14 +733,14 @@ def random_solvable_algebra(
         space = grown
     basis = [unflatten(row) for row in space.basis.entries]
     d = len(basis)
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    brackets = {}
     for a in range(d):
-        for b in range(d):
-            if a == b:
-                continue
+        for b in range(a + 1, d):
             comm = basis[a] * basis[b] - basis[b] * basis[a]
             coords = space.coordinates(flatten(comm))
             if coords is None:
                 raise InternalCheckError("matrix closure bracket escaped its own span")
-            c[a][b] = list(coords)
-    return validate_or_raise(LieAlgebra(c, name=f"solvable(dim {d})"))
+            brackets[(a, b)] = dict(enumerate(coords))
+    return validate_or_raise(
+        LieAlgebra.from_brackets(d, brackets, name=f"solvable(dim {d})")
+    )

@@ -115,6 +115,19 @@ def test_bad_basis_spec_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_zero_denominator_in_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "z.lie"
+    path.write_text("dim 2\nbracket 0 1 1 1/0\n")
+    assert run(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "Traceback" not in err
+
+
+def test_zero_denominator_in_basis_spec_exits_two(capsys):
+    assert run(["ideal", "catalog:sl2", "--sub", "1,1/0,0"]) == 2
+    assert "bad coordinate" in capsys.readouterr().err
+
+
 def test_non_subalgebra_spec_exits_two(capsys):
     assert run(["ideal", "catalog:sl2", "--sub", "0,1,0;0,0,1"]) == 2
     capsys.readouterr()

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieideal import catalog
 from lieideal.exactlin import Mat, Subspace, inertia
@@ -75,6 +77,56 @@ def test_validate_jacobi_violation():
     report = validate(g)
     assert not report.ok
     assert report.jacobi_failure == (0, 1, 2)
+
+
+# --- sparse storage ---------------------------------------------------------
+
+
+@st.composite
+def two_step_brackets(draw):
+    """Random sparse bracket data for an algebra with [g, g] central.
+
+    Generators 0..p-1 bracket into the central coordinates p..n-1, so Jacobi
+    holds whatever the values.  Pairs come in any order, (i, i) included, and
+    values may be zero or cancel against the reversed pair.
+    """
+    n = draw(st.integers(2, 7))
+    p = draw(st.integers(1, n - 1))
+    index = st.integers(0, p - 1)
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = st.dictionaries(st.integers(p, n - 1), values, max_size=3)
+    brackets = draw(st.dictionaries(st.tuples(index, index), rows, max_size=8))
+    return n, brackets
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_step_brackets())
+def test_sparse_table_roundtrips(data):
+    n, brackets = data
+    g = LieAlgebra.from_brackets(n, brackets, name="random")
+    for plane in g._nz:
+        for terms in plane:
+            assert all(v for _, v in terms), "a stored term is zero"
+            ks = [k for k, _ in terms]
+            assert ks == sorted(set(ks))
+    dense = LieAlgebra(g.c)
+    assert dense == g and hash(dense) == hash(g)
+    assert LieAlgebra.from_brackets(n, g.brackets()) == g
+    assert catalog.loads(catalog.dumps(g)) == g
+
+
+def test_from_brackets_rejects_output_index_out_of_range():
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            LieAlgebra.from_brackets(3, {(0, 1): {k: 1}})
+
+
+def test_large_sparse_algebra_stores_only_nonzero_terms():
+    g = LieAlgebra.from_brackets(200, {(0, 1): {2: 1}})
+    assert validate(g).ok
+    terms = [t for plane in g._nz for row in plane for t in row]
+    assert terms == [(2, 1), (2, -1)]
+    assert g.bracket_basis(1, 0)[2] == -1
 
 
 # --- brackets ---------------------------------------------------------------
