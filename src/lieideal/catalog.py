@@ -10,6 +10,7 @@ Each ``bracket i j k v`` line sets [e_i, e_j] += v e_k with 0 <= i < j < dim,
 0 <= k < dim and v a rational like ``-3/2``.  The (j, i) entries are implied
 by antisymmetry and are rejected if written out.  Omitted pairs are zero.
 Loading validates antisymmetry and Jacobi and reports the first violation.
+A ``dim`` above MAX_DIM is rejected at its line, before anything is built.
 """
 
 from __future__ import annotations
@@ -18,10 +19,16 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .exactlin import Mat, Subspace, rat
 from .liealg import LieAlgebra, LinMap, SymForm, validate
+
+
+# Above every algebra the suites build (at most 72), and small enough that
+# validate's dim^3/6 Jacobi triples finish within seconds.
+MAX_DIM = 256
 
 
 class CatalogError(KeyError):
@@ -36,14 +43,24 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
+    """A cached catalog record; get() hands the same one to every caller.
+
+    The mapping fields are read-only views of private copies, so no caller
+    can change what a later caller sees.
+    """
+
     name: str
     algebra: LieAlgebra
-    tagged_subalgebras: dict[str, Subspace] = field(default_factory=dict)
-    tagged_forms: dict[str, SymForm] = field(default_factory=dict)
-    tagged_maps: dict[str, LinMap] = field(default_factory=dict)
-    expected: dict[str, object] = field(default_factory=dict)
+    tagged_subalgebras: Mapping[str, Subspace] = field(default_factory=dict)
+    tagged_forms: Mapping[str, SymForm] = field(default_factory=dict)
+    tagged_maps: Mapping[str, LinMap] = field(default_factory=dict)
+    expected: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for f in ("tagged_subalgebras", "tagged_forms", "tagged_maps", "expected"):
+            object.__setattr__(self, f, MappingProxyType(dict(getattr(self, f))))
 
 
 def _alg(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], name: str) -> LieAlgebra:
@@ -408,6 +425,8 @@ def loads(text: str) -> LieAlgebra:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError("dim needs one integer argument", lineno)
             dim = int(parts[1])
+            if dim > MAX_DIM:
+                raise ParseError(f"dim {dim} exceeds the maximum {MAX_DIM}", lineno)
         elif parts[0] == "name":
             if len(parts) < 2:
                 raise ParseError("name needs an argument", lineno)

@@ -137,15 +137,16 @@ def cmd_validate(args, report: RunReport) -> None:
 def cmd_info(args, report: RunReport) -> None:
     g = _load_source(args.source)
     full = full_subalgebra(g)
+    dim_radical = radical(g).dim
     info = {
         "name": g.name,
         "dim": g.dim,
         "dim_center": center(g).dim,
         "dim_derived": derived_subalgebra(full).dim,
-        "dim_radical": radical(g).dim,
+        "dim_radical": dim_radical,
         "perfect": is_perfect(full),
         "complete": is_complete(g),
-        "semisimple": radical(g).dim == 0,
+        "semisimple": dim_radical == 0,
     }
     report.payload.update(info)
     report.add("info", "pass")
@@ -159,12 +160,13 @@ def cmd_derivations(args, report: RunReport) -> None:
     report.payload["dim"] = g.dim
     report.payload["dim_derivations"] = da.dim
     report.payload["dim_inner"] = da.inner.dim
-    report.payload["complete"] = is_complete(g)
+    complete = is_complete(g)
+    report.payload["complete"] = complete
     report.payload["basis"] = [
         [_fmt_vector(row) for row in f.matrix.entries] for f in da.realization
     ]
     report.add("derivations", "pass")
-    print(f"dim D(g) = {da.dim}, inner = {da.inner.dim}, complete = {is_complete(g)}")
+    print(f"dim D(g) = {da.dim}, inner = {da.inner.dim}, complete = {complete}")
 
 
 def cmd_tower(args, report: RunReport) -> None:
@@ -228,10 +230,11 @@ def cmd_counterexample(args, report: RunReport) -> None:
         _fmt_vector(cert.witness_pair[1]),
     ]
     report.payload["escaping_value"] = _fmt_vector(cert.escaping_value)
-    report.payload["verified"] = cert.verify()
+    verified = cert.verify()
+    report.payload["verified"] = verified
     report.add(
         "counterexample",
-        "pass" if cert.verify() else "fail",
+        "pass" if verified else "fail",
         f"ambient dim {cert.ambient.dim}",
     )
     print(

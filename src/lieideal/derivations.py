@@ -4,16 +4,18 @@ A derivation of g is an endomorphism f with f([x,y]) = [f(x),y] + [x,f(y)].
 The solver treats the n^2 matrix entries of f (row-major) as unknowns and
 takes the exact kernel of the stacked Leibniz constraints over all basis
 pairs.  The canonical RREF kernel basis fixes the structure constants of
-D(g) deterministically.
+D(g) deterministically: liealg.span_algebra reads them off the kernel, with
+exactlin.commutator on the flattened matrices as the bracket, and checks
+that every commutator stays in the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .exactlin import Echelon, Mat, Subspace, Vector
+from .exactlin import Echelon, Mat, Subspace, Vector, commutator
 from .liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -21,6 +23,7 @@ from .liealg import (
     Subalgebra,
     center,
     is_ideal,
+    span_algebra,
     validate_or_raise,
 )
 
@@ -94,40 +97,30 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     """Solve the Leibniz system and package D(g).
 
     The abstract bracket is the commutator of the realization matrices,
-    re-expressed in the canonical kernel basis; the inner subspace is the
-    span of the adjoint maps' coordinates.
+    taken on the flattened kernel basis and re-expressed in it; the inner
+    subspace is the span of the adjoint maps' coordinates.
     """
     n = g.dim
     kernel = Subspace.span(n * n, _leibniz_kernel(g))
-    d = kernel.dim
-    mats = [
-        Mat([row[a * n : (a + 1) * n] for a in range(n)], cols=n)
+    realization = tuple(
+        LinMap(g, g, Mat([row[a * n : (a + 1) * n] for a in range(n)], cols=n))
         for row in kernel.basis.entries
-    ]
-    realization = tuple(LinMap(g, g, m) for m in mats)
-
-    def coords(mat: Mat) -> Vector:
-        flat = tuple(mat.entries[a][b] for a in range(n) for b in range(n))
-        c = kernel.coordinates(flat)
-        if c is None:
-            raise InternalCheckError("derivation commutator escaped the solution span")
-        return c
-
-    brackets = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            comm = mats[a] * mats[b] - mats[b] * mats[a]
-            brackets[(a, b)] = dict(enumerate(coords(comm)))
+    )
     algebra = validate_or_raise(
-        LieAlgebra.from_brackets(
-            d, brackets, name=None if g.name is None else f"D({g.name})"
+        span_algebra(
+            kernel,
+            partial(commutator, n),
+            name=None if g.name is None else f"D({g.name})",
         )
     )
     inner_rows = []
     for i in range(n):
         ad = g.adjoint_matrix(g.basis_vector(i)).matrix
-        inner_rows.append(coords(ad))
-    inner = Subspace.span(d, inner_rows)
+        coords = kernel.coordinates(tuple(x for row in ad.entries for x in row))
+        if coords is None:
+            raise InternalCheckError("inner derivation escaped the solution span")
+        inner_rows.append(coords)
+    inner = Subspace.span(kernel.dim, inner_rows)
     return DerivationAlgebra(
         base=g, algebra=algebra, realization=realization, inner=inner, span=kernel
     )

@@ -394,6 +394,20 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def commutator(n: int, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+    """XY - YX for n x n matrices flattened row-major, visiting only nonzero entries."""
+    out = [Fraction(0)] * (n * n)
+    for left, right, sign in ((x, y, 1), (y, x, -1)):
+        rows = [[(j, b) for j in range(n) if (b := right[k * n + j])] for k in range(n)]
+        for idx, a in enumerate(left):
+            if a:
+                i, k = divmod(idx, n)
+                a *= sign
+                for j, b in rows[k]:
+                    out[i * n + j] += a * b
+    return tuple(out)
+
+
 def nullspace(m: Mat) -> Subspace:
     """Exact kernel {v : m v = 0} as a canonical subspace."""
     ech = Echelon(m.cols)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactlin import (
-    Echelon,
     Inertia,
     Mat,
     Scalar,
@@ -297,13 +296,15 @@ class Subalgebra:
         if space.ambient_dim != parent.dim:
             raise ValueError("subspace ambient dimension != algebra dimension")
         rows = space.basis.entries
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                v = parent.bracket(rows[a], rows[b])
-                if not space.contains_vector(v):
-                    raise ValueError(
-                        f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
-                    )
+        # every bracket lies in Q^n, so only a proper subspace can fail
+        if space.dim < parent.dim:
+            for a in range(len(rows)):
+                for b in range(a + 1, len(rows)):
+                    v = parent.bracket(rows[a], rows[b])
+                    if not space.contains_vector(v):
+                        raise ValueError(
+                            f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
+                        )
         self.parent = parent
         self.space = space
 
@@ -340,20 +341,46 @@ def zero_subalgebra(g: LieAlgebra) -> Subalgebra:
     return Subalgebra(g, Subspace.zero(g.dim))
 
 
-def generated_subalgebra(parent: LieAlgebra, vectors: Iterable[Sequence[Scalar]]) -> Subalgebra:
-    """Smallest bracket-closed subspace containing the given vectors."""
-    space = Subspace.span(parent.dim, vectors)
+Bracket = Callable[[Sequence[Fraction], Sequence[Fraction]], Vector]
+
+
+def closure(space: Subspace, bracket: Bracket) -> Subspace:
+    """Smallest subspace containing space and closed under bracket."""
     while True:
         rows = space.basis.entries
         new = [
-            parent.bracket(rows[a], rows[b])
+            bracket(rows[a], rows[b])
             for a in range(len(rows))
             for b in range(a + 1, len(rows))
         ]
-        grown = Subspace.span(parent.dim, list(rows) + new)
+        grown = Subspace.span(space.ambient_dim, list(rows) + new)
         if grown.dim == space.dim:
-            return Subalgebra(parent, space)
+            return space
         space = grown
+
+
+def span_algebra(space: Subspace, bracket: Bracket, name: str | None = None) -> LieAlgebra:
+    """The bracket-closed span as an abstract algebra in its RREF basis.
+
+    Every [b_a, b_b], a < b, is re-expressed in the basis; a bracket that
+    leaves the span is a bug in the caller's closure, not a property of
+    the input.
+    """
+    rows = space.basis.entries
+    r = len(rows)
+    brackets = {}
+    for a in range(r):
+        for b in range(a + 1, r):
+            coords = space.coordinates(bracket(rows[a], rows[b]))
+            if coords is None:
+                raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
+            brackets[(a, b)] = dict(enumerate(coords))
+    return LieAlgebra.from_brackets(r, brackets, name=name)
+
+
+def generated_subalgebra(parent: LieAlgebra, vectors: Iterable[Sequence[Scalar]]) -> Subalgebra:
+    """Smallest bracket-closed subspace containing the given vectors."""
+    return Subalgebra(parent, closure(Subspace.span(parent.dim, vectors), parent.bracket))
 
 
 def bracket_spaces(g: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -392,26 +419,25 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
     return h.space.contains(image)
 
 
+def _common_kernel(g: LieAlgebra, mats: Iterable[Mat]) -> Subalgebra:
+    """{x : m x = 0 for every m}, one stacked nullspace solve."""
+    rows = [row for m in mats for row in m.entries]
+    return Subalgebra(g, nullspace(Mat(rows, cols=g.dim)))
+
+
 def center(g: LieAlgebra) -> Subalgebra:
     """Kernel of all adjoint maps at once."""
-    ech = Echelon(g.dim)
-    for i in range(g.dim):
-        ad = g.adjoint_matrix(g.basis_vector(i)).matrix
-        for row in ad.entries:
-            ech.add(enumerate(row))
-    return Subalgebra(g, Subspace.span(g.dim, ech.nullspace_rows()))
+    return _common_kernel(
+        g, (g.adjoint_matrix(g.basis_vector(i)).matrix for i in range(g.dim))
+    )
 
 
 def centralizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
-    """{x : [x, y] = 0 for all y in h}, one stacked nullspace solve."""
+    """{x : [x, y] = 0 for all y in h}."""
     if h.parent != g:
         raise ValueError("subalgebra of a different algebra")
-    ech = Echelon(g.dim)
-    for y in h.basis_vectors():
-        ad = g.adjoint_matrix(y).matrix  # [x, y] = -ad_y x; same kernel
-        for row in ad.entries:
-            ech.add(enumerate(row))
-    return Subalgebra(g, Subspace.span(g.dim, ech.nullspace_rows()))
+    # [x, y] = -ad_y x; same kernel
+    return _common_kernel(g, (g.adjoint_matrix(y).matrix for y in h.basis_vectors()))
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
@@ -419,13 +445,10 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
     if h.parent != g:
         raise ValueError("subalgebra of a different algebra")
     constraint = h.space.constraint_matrix()
-    ech = Echelon(g.dim)
-    for y in h.basis_vectors():
-        ad = g.adjoint_matrix(y).matrix
-        residual = constraint * ad  # rows: membership defect of [x, y]
-        for row in residual.entries:
-            ech.add(enumerate(row))
-    return Subalgebra(g, Subspace.span(g.dim, ech.nullspace_rows()))
+    # rows of constraint * ad_y: membership defect of [x, y]
+    return _common_kernel(
+        g, (constraint * g.adjoint_matrix(y).matrix for y in h.basis_vectors())
+    )
 
 
 def killing_form(g: LieAlgebra) -> SymForm:
@@ -585,20 +608,9 @@ def is_automorphism(f: LinMap) -> bool:
 
 def sub_to_algebra(h: Subalgebra) -> tuple[LieAlgebra, LinMap]:
     """The subalgebra as an abstract algebra in its RREF basis, with inclusion."""
-    parent = h.parent
-    rows = h.basis_vectors()
-    r = len(rows)
-    brackets = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            v = parent.bracket(rows[a], rows[b])
-            coords = h.space.coordinates(v)
-            if coords is None:
-                raise InternalCheckError("closed subalgebra bracket escaped the span")
-            brackets[(a, b)] = dict(enumerate(coords))
-    algebra = LieAlgebra.from_brackets(r, brackets)
-    incl = Mat.from_columns([list(row) for row in rows], rows=parent.dim)
-    return algebra, LinMap(algebra, parent, incl)
+    algebra = span_algebra(h.space, h.parent.bracket)
+    incl = Mat.from_columns(h.basis_vectors(), rows=h.parent.dim)
+    return algebra, LinMap(algebra, h.parent, incl)
 
 
 def sub_radical(h: Subalgebra) -> Subspace:
@@ -622,6 +634,7 @@ __all__ = [
     "bracket_spaces",
     "center",
     "centralizer",
+    "closure",
     "derived_series",
     "derived_subalgebra",
     "direct_sum",
@@ -638,6 +651,7 @@ __all__ = [
     "normalizer",
     "quotient",
     "radical",
+    "span_algebra",
     "sub_radical",
     "sub_to_algebra",
     "subalgebra",

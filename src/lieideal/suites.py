@@ -78,6 +78,16 @@ class CheckResult:
         return self.status in ("pass", "hypothesis-not-satisfied")
 
 
+class CheckFailure(AssertionError):
+    """A suite check came out false."""
+
+
+def check(cond: object, msg: str) -> None:
+    """Fail the current check unless cond holds; unlike assert, kept under -O."""
+    if not cond:
+        raise CheckFailure(msg)
+
+
 def _run_check(suite: str, name: str, fn) -> CheckResult:
     try:
         detail = fn()
@@ -281,11 +291,11 @@ def suite_perfect(seed: int = 0) -> list[CheckResult]:
         all_instances.extend(instances)
 
         def run(instances=instances, label=label):
-            assert len(instances) >= 20, f"only {len(instances)} chains for {label}"
+            check(len(instances) >= 20, f"only {len(instances)} chains for {label}")
             for inst in instances:
                 chain = check_perfect_transitivity(inst.g, inst.h_sub)
-                assert is_ideal(inst.g, inst.h_sub), inst.label
-                assert chain.verify(), inst.label
+                check(is_ideal(inst.g, inst.h_sub), inst.label)
+                check(chain.verify(), inst.label)
             return f"{len(instances)} chains, all ideals"
 
         results.append(_run_check("perfect", f"forward transitivity [{label}]", run))
@@ -294,10 +304,13 @@ def suite_perfect(seed: int = 0) -> list[CheckResult]:
 
         def run(name=name):
             cert = counterexample_extension(catalog.get(name).algebra)
-            assert cert.verify(), "certificate failed re-verification"
-            assert cert.chain.verify(), "chain failed re-verification"
+            check(cert.verify(), "certificate failed re-verification")
+            check(cert.chain.verify(), "chain failed re-verification")
             h_space = cert.chain.links[0].space
-            assert not h_space.contains_vector(cert.escaping_value)
+            check(
+                not h_space.contains_vector(cert.escaping_value),
+                "witness bracket value lies in h",
+            )
             return (
                 f"ambient dim {cert.ambient.dim}, chain dims {cert.chain.dims()}"
             )
@@ -306,7 +319,7 @@ def suite_perfect(seed: int = 0) -> list[CheckResult]:
 
     def run_characteristic():
         for inst in all_instances:
-            assert is_characteristic(inst.g, inst.h_sub), inst.label
+            check(is_characteristic(inst.g, inst.h_sub), inst.label)
         return f"{len(all_instances)} ambient algebras, derivations preserve h"
 
     results.append(_run_check("perfect", "characteristic ideals", run_characteristic))
@@ -316,8 +329,8 @@ def suite_perfect(seed: int = 0) -> list[CheckResult]:
         ab1 = catalog.get("abelian(1)").algebra
         k, emb_aff, _ = direct_sum(aff1, ab1)
         h = Subalgebra(k, emb_aff.image())
-        assert is_ideal(k, h)
-        assert not is_characteristic(k, h), "expected a derivation moving aff1 out"
+        check(is_ideal(k, h), "aff1 factor is not an ideal")
+        check(not is_characteristic(k, h), "expected a derivation moving aff1 out")
         return "aff1+abelian(1) has a derivation moving the aff1 factor"
 
     results.append(
@@ -360,15 +373,16 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
     for label, g in corpus:
 
         def run(g=g):
-            check = theorem_derived_check(g)
-            assert check.consistent, (
-                f"tower theorem sides disagree: complete={check.lhs_complete}, "
-                f"ideal={check.rhs_ideal}"
+            sides = theorem_derived_check(g)
+            check(
+                sides.consistent,
+                f"tower theorem sides disagree: complete={sides.lhs_complete}, "
+                f"ideal={sides.rhs_ideal}",
             )
             tower = derivation_tower(g)
-            assert not tower.exceeded_budget, "tower did not stabilize in budget"
+            check(not tower.exceeded_budget, "tower did not stabilize in budget")
             return (
-                f"complete(D)={check.lhs_complete}, stabilized at stage "
+                f"complete(D)={sides.lhs_complete}, stabilized at stage "
                 f"{tower.stabilized_at}, dims {tuple(s.dim for s in tower.stages)}"
             )
 
@@ -387,7 +401,7 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
                 for i, ad in enumerate(ads):
                     lhs = fm * ad - ad * fm
                     rhs = g.adjoint_matrix(fm.column(i)).matrix
-                    assert lhs == rhs, f"[f, ad_X] != ad_f(X) on {label}"
+                    check(lhs == rhs, f"[f, ad_X] != ad_f(X) on {label}")
                     count += 1
         return f"{count} matrix identities verified"
 
@@ -414,10 +428,16 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
                 h_sub = Subalgebra(g, emb_k.compose(emb_h).image())
                 k_sub = Subalgebra(g, emb_k.image())
                 report = check_complete_subideal(h_sub, k_sub, g)
-                assert report.ideal_in_g and report.decomposition_ok
-                assert report.centralizer_in_k.dim == k_sub.dim - h_sub.dim
+                check(
+                    report.ideal_in_g and report.decomposition_ok,
+                    f"h not an ideal of g, or k != h (+) c_k(h), for {h_name} + {p_name}",
+                )
+                check(
+                    report.centralizer_in_k.dim == k_sub.dim - h_sub.dim,
+                    f"dim c_k(h) != dim k - dim h for {h_name} + {p_name}",
+                )
                 count += 1
-        assert count >= 10
+        check(count >= 10, f"only {count} instances")
         return f"{count} instances: ideal and k = h (+) c_k(h) verified"
 
     results.append(_run_check("complete", "complete subideals", run_complete_subideal))
@@ -436,7 +456,7 @@ def suite_radical(seed: int = 0, min_random: int = 50) -> list[CheckResult]:
     def run_intersection():
         for label, g, h in corpus:
             report = check_radical_intersection(g, h)
-            assert report.ok, label
+            check(report.ok, label)
         return f"{len(corpus)} subideal pairs (seed {seed})"
 
     results.append(_run_check("radical", "radical intersection identity", run_intersection))
@@ -444,7 +464,7 @@ def suite_radical(seed: int = 0, min_random: int = 50) -> list[CheckResult]:
     def run_levi():
         for label, g, h in corpus:
             report = levi_criterion(g, h)
-            assert report.agree, label
+            check(report.agree, label)
         return f"{len(corpus)} subideal pairs, three-way agreement"
 
     results.append(_run_check("radical", "radical ideal criteria", run_levi))
@@ -507,10 +527,10 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
             try:
                 report = check_skew_form_criterion(g, form, h, k)
             except HypothesisError:
-                assert not should_hold, "hypotheses unexpectedly failed"
+                check(not should_hold, "hypotheses unexpectedly failed")
                 raise
-            assert should_hold, "hypotheses unexpectedly verified"
-            assert report.consistent
+            check(should_hold, "hypotheses unexpectedly verified")
+            check(report.consistent, "subideal and ideal verdicts disagree")
             return f"subideal={report.subideal}, ideal={report.ideal}"
 
         results.append(_run_check("forms", f"definite form [{label}]", run))
@@ -520,18 +540,24 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
         g = entry.algebra
         theta = entry.tagged_maps["cartan_involution"]
         decomp = cartan_eigenspaces(g, theta)
-        assert decomp.compact_part.space == Subspace.span(3, [[0, 1, -1]])
-        assert decomp.noncompact_part == Subspace.span(3, [[1, 0, 0], [0, 1, 1]])
+        check(
+            decomp.compact_part.space == Subspace.span(3, [[0, 1, -1]]),
+            "u != span(E-F)",
+        )
+        check(
+            decomp.noncompact_part == Subspace.span(3, [[1, 0, 0], [0, 1, 1]]),
+            "p != span(H, E+F)",
+        )
         killing = entry.tagged_forms["killing"]
         on_u = killing.inertia_on(decomp.compact_part.space)
         on_p = killing.inertia_on(decomp.noncompact_part)
-        assert (on_u.n_plus, on_u.n_minus, on_u.n_zero) == (0, 1, 0)
-        assert (on_p.n_plus, on_p.n_minus, on_p.n_zero) == (2, 0, 0)
+        check((on_u.n_plus, on_u.n_minus, on_u.n_zero) == (0, 1, 0), f"inertia on u is {on_u}")
+        check((on_p.n_plus, on_p.n_minus, on_p.n_zero) == (2, 0, 0), f"inertia on p is {on_p}")
         full = full_subalgebra(g)
         rep = check_cartan_criterion(g, theta, decomp.compact_part, full)
-        assert rep.consistent and not rep.ideal
+        check(rep.consistent and not rep.ideal, "u must be a non-ideal, consistently")
         rep2 = check_cartan_criterion(g, theta, full, full)
-        assert rep2.consistent and rep2.ideal
+        check(rep2.consistent and rep2.ideal, "sl2 must be an ideal of itself, consistently")
         return "u = span(E-F), p = span(H, E+F), inertias (0,1,0)/(2,0,0)"
 
     results.append(_run_check("forms", "cartan eigenspaces [sl2]", run_cartan_sl2))
@@ -543,7 +569,7 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
             cartan_eigenspaces(g, ident)
         except HypothesisError:
             return "identity on sl2 rejected: twisted form indefinite"
-        raise AssertionError("identity involution on sl2 was not rejected")
+        raise CheckFailure("identity involution on sl2 was not rejected")
 
     results.append(
         _run_check("forms", "cartan involution rejection [sl2]", run_cartan_identity_rejected)
@@ -554,7 +580,10 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
         g = entry.algebra
         theta = entry.tagged_maps["cartan_involution"]
         decomp = cartan_eigenspaces(g, theta)
-        assert decomp.compact_part.dim == 3 and decomp.noncompact_part.dim == 0
+        check(
+            decomp.compact_part.dim == 3 and decomp.noncompact_part.dim == 0,
+            "so3 must be all compact part",
+        )
         return "compact form: u = so3, p = 0"
 
     results.append(_run_check("forms", "cartan eigenspaces [so3]", run_cartan_so3))
@@ -575,7 +604,10 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
         )
         h = Subalgebra(g, h_space)
         rep = check_cartan_criterion(g, theta, h, full_subalgebra(g))
-        assert rep.consistent and not rep.subideal
+        check(
+            rep.consistent and not rep.subideal,
+            "u-containing subalgebra must be a non-subideal, consistently",
+        )
         return "u-containing subalgebra of sl2+so3: neither subideal nor ideal"
 
     results.append(_run_check("forms", "cartan criterion [sl2+so3]", run_cartan_mixed))
@@ -693,10 +725,10 @@ def suite_selfnorm(seed: int = 0) -> list[CheckResult]:
             try:
                 report = check_self_normalizing_theorem(**kwargs)
             except HypothesisError:
-                assert not should_hold, "hypothesis unexpectedly failed"
+                check(not should_hold, "hypothesis unexpectedly failed")
                 raise
-            assert should_hold, "hypothesis unexpectedly verified"
-            assert report.self_normalizing
+            check(should_hold, "hypothesis unexpectedly verified")
+            check(report.self_normalizing, "normalizer is not self-normalizing")
             verified_tags.add(kwargs["hypothesis"])
             return (
                 f"N has dim {report.normalizer_of_h.dim}; self-normalizing"
@@ -707,7 +739,7 @@ def suite_selfnorm(seed: int = 0) -> list[CheckResult]:
     def run_coverage():
         needed = {"perfect", "central_radical", "compactly_embedded", "cartan"}
         missing = needed - verified_tags
-        assert not missing, f"no verifying instance for tags {sorted(missing)}"
+        check(not missing, f"no verifying instance for tags {sorted(missing)}")
         return f"verified tags: {sorted(verified_tags)}"
 
     results.append(_run_check("selfnorm", "hypothesis tag coverage", run_coverage))
@@ -746,8 +778,9 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
                     for link in verdict.chain.links:
                         extra.extend(link.space.basis.entries)
                 oracle = subideal_oracle(g, h, extra)
-                assert bool(verdict) == oracle, (
-                    f"verdict {bool(verdict)} != oracle {oracle} at dim {h.dim}"
+                check(
+                    bool(verdict) == oracle,
+                    f"verdict {bool(verdict)} != oracle {oracle} at dim {h.dim}",
                 )
                 count += 1
             return f"{count} subalgebras, verdicts agree"
@@ -765,7 +798,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
         }
         for name, dim in expected.items():
             da = derivation_algebra(catalog.get(name).algebra)
-            assert da.dim == dim, f"dim D({name}) = {da.dim}, expected {dim}"
+            check(da.dim == dim, f"dim D({name}) = {da.dim}, expected {dim}")
         return f"{len(expected)} frozen derivation dimensions match"
 
     results.append(_run_check("oracle", "derivation dimensions", run_derivation_dims))

@@ -19,8 +19,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .exactlin import Inertia, Mat, Subspace, Vector, intersect, subspace_sum
+from .exactlin import Inertia, Mat, Subspace, Vector, commutator, intersect, subspace_sum
 from .liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -31,6 +32,7 @@ from .liealg import (
     bracket_spaces,
     center,
     centralizer,
+    closure,
     direct_sum,
     derived_subalgebra,
     full_subalgebra,
@@ -40,6 +42,7 @@ from .liealg import (
     killing_form,
     normalizer,
     quotient,
+    span_algebra,
     sub_radical,
     validate_or_raise,
 )
@@ -694,53 +697,24 @@ def subideal_oracle(
 
 
 def random_solvable_algebra(
-    rng: random.Random, matrix_size: int = 3, generators: int = 2, entry_bound: int = 2
+    rng: random.Random, matrix_size: int = 3, generators: int = 2
 ) -> LieAlgebra:
     """Bracket closure of random upper-triangular matrices.
 
     Upper-triangular matrices form a solvable matrix Lie algebra, so the
     closure is solvable and Jacobi holds for free; the structure constants
-    are read off in the closure's canonical basis.
+    are read off in the closure's canonical basis.  Matrices are handled
+    flattened row-major throughout, with entries drawn from [-2, 2].
     """
     n = matrix_size
-
-    def random_upper() -> Mat:
-        rows = [
-            [
-                Fraction(rng.randint(-entry_bound, entry_bound)) if j >= i else Fraction(0)
-                for j in range(n)
-            ]
+    mats = [
+        [
+            Fraction(rng.randint(-2, 2)) if j >= i else Fraction(0)
             for i in range(n)
+            for j in range(n)
         ]
-        return Mat(rows, cols=n)
-
-    def flatten(m: Mat) -> Vector:
-        return tuple(m.entries[i][j] for i in range(n) for j in range(n))
-
-    def unflatten(v) -> Mat:
-        return Mat([list(v[i * n : (i + 1) * n]) for i in range(n)], cols=n)
-
-    mats = [random_upper() for _ in range(generators)]
-    space = Subspace.span(n * n, [flatten(m) for m in mats])
-    while True:
-        basis = [unflatten(row) for row in space.basis.entries]
-        products = [
-            flatten(a * b - b * a) for a in basis for b in basis
-        ]
-        grown = subspace_sum(space, Subspace.span(n * n, products))
-        if grown.dim == space.dim:
-            break
-        space = grown
-    basis = [unflatten(row) for row in space.basis.entries]
-    d = len(basis)
-    brackets = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            comm = basis[a] * basis[b] - basis[b] * basis[a]
-            coords = space.coordinates(flatten(comm))
-            if coords is None:
-                raise InternalCheckError("matrix closure bracket escaped its own span")
-            brackets[(a, b)] = dict(enumerate(coords))
-    return validate_or_raise(
-        LieAlgebra.from_brackets(d, brackets, name=f"solvable(dim {d})")
-    )
+        for _ in range(generators)
+    ]
+    bracket = partial(commutator, n)
+    space = closure(Subspace.span(n * n, mats), bracket)
+    return validate_or_raise(span_algebra(space, bracket, name=f"solvable(dim {space.dim})"))

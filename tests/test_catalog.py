@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from lieideal import catalog
+from lieideal.exactlin import Subspace
 from lieideal.derivations import derivation_algebra, is_complete
 from lieideal.liealg import (
     center,
@@ -128,3 +131,23 @@ def test_bracket_before_dim_rejected():
 def test_index_out_of_range_rejected():
     with pytest.raises(catalog.ParseError):
         catalog.loads("dim 2\nbracket 0 1 5 1\n")
+
+
+def test_dim_above_cap_rejected_at_its_line():
+    with pytest.raises(catalog.ParseError) as exc:
+        catalog.loads("name big\ndim 257\nbracket 0 1 2 1\n")
+    assert exc.value.line == 2
+    assert catalog.MAX_DIM == 256
+
+
+def test_cached_entries_are_frozen():
+    entry = catalog.get("sl2")
+    with pytest.raises(TypeError):
+        entry.tagged_subalgebras["cartan"] = Subspace.zero(3)
+    with pytest.raises(TypeError):
+        entry.expected["dim"] = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.expected = {}
+    again = catalog.get("sl2")
+    assert again.expected["dim"] == 3
+    assert again.tagged_subalgebras["cartan"] == Subspace.span(3, [[1, 0, 0]])

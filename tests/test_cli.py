@@ -123,6 +123,14 @@ def test_zero_denominator_in_file_exits_two(capsys, tmp_path):
     assert "line 2" in err and "Traceback" not in err
 
 
+def test_dim_above_cap_in_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "big.lie"
+    path.write_text("dim 257\nbracket 0 1 2 1\n")
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "Traceback" not in err
+
+
 def test_zero_denominator_in_basis_spec_exits_two(capsys):
     assert run(["ideal", "catalog:sl2", "--sub", "1,1/0,0"]) == 2
     assert "bad coordinate" in capsys.readouterr().err

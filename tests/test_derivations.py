@@ -210,6 +210,20 @@ def test_derivations_of_derivation_algebra_vanishing_on_inner_are_zero():
         assert len(ech.nullspace_rows()) == 0
 
 
+@pytest.mark.parametrize("name", catalog.list_names() + ["H(heisenberg3)"])
+def test_derivation_brackets_match_dense_commutators(name):
+    if name == "H(heisenberg3)":
+        g, _, _ = holomorph(catalog.get("heisenberg3").algebra)
+    else:
+        g = catalog.get(name).algebra
+    da = derivation_algebra(g)
+    mats = [f.matrix for f in da.realization]
+    for a in range(da.dim):
+        for b in range(da.dim):
+            ref = da.coordinates_of(mats[a] * mats[b] - mats[b] * mats[a])
+            assert da.algebra.bracket_basis(a, b) == ref
+
+
 # --- characteristic ideals ---------------------------------------------------
 
 

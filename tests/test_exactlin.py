@@ -8,6 +8,7 @@ from lieideal.exactlin import (
     Inertia,
     Mat,
     Subspace,
+    commutator,
     inertia,
     intersect,
     nullspace,
@@ -244,3 +245,26 @@ def test_subspace_canonical_equality():
     v = Subspace.span(3, [[1, 1, 1], [3, 1, 5], [1, 0, 2]])
     assert u == v
     assert hash(u) == hash(v)
+
+
+def square_pairs(max_n=4):
+    # small integers with many zeros, as in structure constants and derivations
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(entry, min_size=n * n, max_size=n * n),
+            st.lists(entry, min_size=n * n, max_size=n * n),
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_pairs())
+def test_commutator_matches_dense_products(case):
+    n, xs, ys = case
+    x = Mat([xs[i * n : (i + 1) * n] for i in range(n)])
+    y = Mat([ys[i * n : (i + 1) * n] for i in range(n)])
+    ref = x * y - y * x
+    flat = commutator(n, tuple(map(Fraction, xs)), tuple(map(Fraction, ys)))
+    assert flat == tuple(v for row in ref.entries for v in row)

@@ -29,6 +29,7 @@ from lieideal.liealg import (
     normalizer,
     quotient,
     radical,
+    span_algebra,
     sub_radical,
     sub_to_algebra,
     subalgebra,
@@ -387,6 +388,12 @@ def test_sub_to_algebra_roundtrip(sl2):
     assert validate(algebra).ok
     assert is_homomorphism(incl)
     assert incl.image() == h.space
+
+
+def test_span_algebra_rejects_unclosed_span(sl2):
+    e_f = Subspace.span(3, [[0, 1, 0], [0, 0, 1]])  # [E, F] = H escapes
+    with pytest.raises(InternalCheckError):
+        span_algebra(e_f, sl2.bracket)
 
 
 def test_sub_radical_of_factor():
