@@ -26,8 +26,10 @@ from .exactlin import Mat, Subspace, rat
 from .liealg import LieAlgebra, LinMap, SymForm, validate
 
 
-# Above every algebra the suites build (at most 72), and small enough that
-# validate's dim^3/6 Jacobi triples finish within seconds.
+# Above every algebra the suites build (at most 72).  validate still walks
+# all dim^3/6 Jacobi triples, but does arithmetic only on those with a nonzero
+# bracket among their three pairs, so a sparse file at the cap loads in well
+# under a second; a dense one costs what its structure constants cost.
 MAX_DIM = 256
 
 

@@ -28,10 +28,6 @@ def rat(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-def vec(*coords: Scalar) -> Vector:
-    return tuple(rat(c) for c in coords)
-
-
 def zero_vec(n: int) -> Vector:
     return (Fraction(0),) * n
 
@@ -75,9 +71,6 @@ class Mat:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
@@ -116,9 +109,6 @@ class Mat:
             ],
             cols=self.cols,
         )
-
-    def __neg__(self) -> "Mat":
-        return Mat([[-a for a in r] for r in self.entries], cols=self.cols)
 
     def scale(self, s: Scalar) -> "Mat":
         s = rat(s)

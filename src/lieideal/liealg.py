@@ -202,11 +202,15 @@ def validate(g: LieAlgebra) -> ValidationReport:
                 return ValidationReport(False, antisymmetry_failure=(i, j, k))
     for i in range(n):
         for j in range(i + 1, n):
+            ij, nz_j = nz[i][j], nz[j]
             for k in range(j + 1, n):
+                jk, ki = nz_j[k], nz[k][i]
+                if not (ij or jk or ki):
+                    continue  # every term of the sum below is zero
                 acc: dict[int, Fraction] = {}
-                for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
+                for ab, cc in ((ij, k), (jk, i), (ki, j)):
                     # [[e_a, e_b], e_c]
-                    for m, v in nz[a][b]:
+                    for m, v in ab:
                         for t, w in nz[m][cc]:
                             acc[t] = acc.get(t, Fraction(0)) + v * w
                 if any(acc.values()):

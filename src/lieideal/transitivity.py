@@ -10,7 +10,9 @@ The remaining operations package the structural criteria under which a
 subideal is forced to be an honest ideal (perfectness, completeness of the
 subalgebra with centerless middle, radical placement, skew-symmetry with
 respect to a definite form, Cartan eigenspace containment) together with the
-self-normalizing-normalizer consequence.
+self-normalizing-normalizer consequence.  The subideal oracle at the end
+searches for a chain of ideals among an explicit list of candidate
+subalgebras; it does not run the closure series it cross-checks.
 """
 
 from __future__ import annotations
@@ -619,36 +621,25 @@ def check_self_normalizing_theorem(
 
 
 def _grid_lines(n: int) -> list[Vector]:
-    """One representative per {-1,0,1}-direction in Q^n."""
-    lines = []
-    seen: set[Vector] = set()
-    for coords in itertools.product((-1, 0, 1), repeat=n):
-        if not any(coords):
-            continue
-        vec = tuple(Fraction(x) for x in coords)
-        first = next(x for x in vec if x)
-        if first < 0:
-            vec = tuple(-x for x in vec)
-        if vec not in seen:
-            seen.add(vec)
-            lines.append(vec)
-    return lines
+    """One representative per {-1,0,1}-direction in Q^n: first nonzero entry 1."""
+    return [
+        tuple(Fraction(x) for x in coords)
+        for coords in itertools.product((-1, 0, 1), repeat=n)
+        if next((x for x in coords if x), 0) == 1
+    ]
 
 
-def enumerate_grid_subalgebras(
-    g: LieAlgebra, extra_vectors: list[Vector] | None = None
-) -> list[Subalgebra]:
+def enumerate_grid_subalgebras(g: LieAlgebra) -> list[Subalgebra]:
     """All bracket-closed spans of <= 2 grid directions, plus 0 and g itself.
 
     The grid is every +-1/0 coordinate direction; suitable only for dim <= 3
     where subalgebras relevant to small structure constants are spanned this
-    way.  Extra candidate generators may be supplied.
+    way.  Callers enumerate once per algebra and hand the list to
+    subideal_oracle.
     """
     if g.dim > 3:
         raise ValueError("grid enumeration is limited to dimension <= 3")
     lines = _grid_lines(g.dim)
-    if extra_vectors:
-        lines = lines + [tuple(v) for v in extra_vectors]
     spaces: set[Subspace] = {Subspace.zero(g.dim), Subspace.full(g.dim)}
     for r in (1, 2):
         for combo in itertools.combinations(lines, r):
@@ -662,32 +653,29 @@ def enumerate_grid_subalgebras(
     return out
 
 
-def subideal_oracle(
-    g: LieAlgebra, h: Subalgebra, extra_vectors: list[Vector] | None = None
-) -> bool:
-    """Chain-existence search over enumerated subalgebras, for dim <= 3.
+def subideal_oracle(candidates: list[Subalgebra], h: Subalgebra) -> bool:
+    """Is there a chain of ideals from h up to its parent through the candidates?
 
-    Breadth-first over 'is an ideal of' edges from h up to g; independent of
-    the closure-series decision procedure.
+    Depth-first over 'is an ideal of' edges, each step to a strictly larger
+    candidate containing the current link; the whole algebra is reached when a
+    link has full dimension.  The search enumerates nothing itself and does
+    not run the closure series, so it is an independent check exactly as far
+    as the candidate list reaches.
     """
-    candidates = enumerate_grid_subalgebras(g, extra_vectors)
-    full = Subspace.full(g.dim)
-    frontier = [h]
+    stack = [h]
     seen = {h.space}
-    while frontier:
-        current = frontier.pop()
-        if current.space == full:
+    while stack:
+        current = stack.pop()
+        if current.dim == current.parent.dim:
             return True
         for cand in candidates:
             if cand.space in seen:
                 continue
-            if not cand.space.contains(current.space):
-                continue
-            if cand.space.dim <= current.space.dim:
+            if cand.dim <= current.dim or not cand.space.contains(current.space):
                 continue
             if is_ideal(cand, current):
                 seen.add(cand.space)
-                frontier.append(cand)
+                stack.append(cand)
     return False
 
 

@@ -80,6 +80,21 @@ def test_validate_jacobi_violation():
     assert report.jacobi_failure == (0, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "brackets",
+    [
+        # [[e250, e251], e252] = -e250, the other two terms vanish
+        {(250, 251): {252: 1}, (250, 252): {250: 1}},
+        # [e250, e251] = 0, so only the other two pairs carry the failure
+        {(251, 252): {250: 1}, (250, 252): {252: -1}},
+    ],
+)
+def test_validate_finds_planted_jacobi_failure_in_sparse_dim_256(brackets):
+    report = validate(LieAlgebra.from_brackets(256, brackets))
+    assert not report.ok
+    assert report.jacobi_failure == (250, 251, 252)
+
+
 # --- sparse storage ---------------------------------------------------------
 
 

@@ -26,7 +26,9 @@ from lieideal.transitivity import (
     check_radical_intersection,
     check_self_normalizing_theorem,
     check_skew_form_criterion,
+    _grid_lines,
     counterexample_extension,
+    enumerate_grid_subalgebras,
     ideal_closure,
     is_self_normalizing,
     levi_criterion,
@@ -426,9 +428,38 @@ def test_self_normalizing_theorem_unknown_tag(sl2):
 # --- oracle and random corpus -----------------------------------------------------
 
 
+SMALL_CATALOG = [name for name in catalog.list_names() if catalog.get(name).algebra.dim <= 3]
+
+
 def test_oracle_examples(heis, sl2):
-    assert subideal_oracle(heis, subalgebra(heis, [[1, 0, 0]]))
-    assert not subideal_oracle(sl2, subalgebra(sl2, [[0, 1, 0]]))
+    assert subideal_oracle(enumerate_grid_subalgebras(heis), subalgebra(heis, [[1, 0, 0]]))
+    assert not subideal_oracle(enumerate_grid_subalgebras(sl2), subalgebra(sl2, [[0, 1, 0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_lines_are_one_per_direction(n):
+    lines = _grid_lines(n)
+    assert len(lines) == (3**n - 1) // 2
+    assert all(next(x for x in v if x) == 1 for v in lines)
+    assert len({Subspace.span(n, [v]) for v in lines}) == len(lines)
+
+
+@pytest.mark.parametrize("name", SMALL_CATALOG)
+def test_oracle_searches_only_its_candidates(name):
+    g = catalog.get(name).algebra
+    for h in enumerate_grid_subalgebras(g):
+        assert subideal_oracle([], h) == (h.dim == g.dim)
+        assert subideal_oracle([full_subalgebra(g)], h) == is_ideal(g, h)
+
+
+@pytest.mark.parametrize("name", SMALL_CATALOG)
+def test_oracle_with_chain_links_matches_decision(name):
+    g = catalog.get(name).algebra
+    grid = enumerate_grid_subalgebras(g)
+    for h in grid:
+        verdict = subideal_chain(g, h)
+        links = list(verdict.chain.links) if verdict else []
+        assert subideal_oracle(grid + links, h) == bool(verdict)
 
 
 def test_zero_subalgebra_edge_cases():
