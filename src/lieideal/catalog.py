@@ -1,5 +1,11 @@
 """Named reference algebras, tagged subobjects, and the bracket file format.
 
+The catalog is one table, ``_TABLE``: each row gives an algebra's structure
+(its dimension and [e_i, e_j] brackets, or the two entries it is the direct
+sum of), its frozen facts in ``FACTS`` order, and its tagged subalgebras,
+forms and maps.  Adding an algebra means adding one row.  ``abelian(n)`` is
+the one parametric family.
+
 File format (strict, UTF-8, one field per line; '#' starts a comment):
 
     dim 3
@@ -20,17 +26,29 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exactlin import Mat, Subspace, rat
 from .liealg import LieAlgebra, LinMap, SymForm, validate
 
 
-# Above every algebra the suites build (at most 72).  validate still walks
-# all dim^3/6 Jacobi triples, but does arithmetic only on those with a nonzero
-# bracket among their three pairs, so a sparse file at the cap loads in well
-# under a second; a dense one costs what its structure constants cost.
+# Above every algebra the suites build (at most 72); it bounds files and
+# abelian(n) alike.  validate visits only the Jacobi triples with a nonzero
+# bracket among their three pairs, so a sparse algebra at the cap loads in
+# about a tenth of a second; a dense one costs what its constants cost.
 MAX_DIM = 256
+
+# the keys of every entry's expected facts, in this order
+FACTS = (
+    "dim",
+    "dim_center",
+    "dim_derived",
+    "dim_radical",
+    "dim_derivations",
+    "perfect",
+    "complete",
+    "semisimple",
+)
 
 
 class CatalogError(KeyError):
@@ -65,6 +83,103 @@ class CatalogEntry:
             object.__setattr__(self, f, MappingProxyType(dict(getattr(self, f))))
 
 
+class _Row(NamedTuple):
+    # (dim, {(i, j): {k: v}}) for [e_i, e_j] = sum v e_k, or the names of the
+    # two rows this one is the direct sum of
+    structure: tuple
+    facts: tuple  # in FACTS order
+    subalgebras: Mapping[str, list] = {}  # tag -> spanning vectors
+    forms: Mapping[str, list] = {}  # tag -> Gram matrix
+    maps: Mapping[str, list] = {}  # tag -> matrix of an endomorphism
+
+
+_SL2 = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+
+# facts: dim, center, derived, radical, derivations, perfect, complete, semisimple
+_TABLE: dict[str, _Row] = {
+    # [x, y] = z
+    "heisenberg3": _Row(
+        (3, {(0, 1): {2: 1}}),
+        (3, 1, 1, 3, 6, False, False, False),
+        subalgebras={
+            "x_line": [[1, 0, 0]],
+            "center": [[0, 0, 1]],
+            "xz_plane": [[1, 0, 0], [0, 0, 1]],
+        },
+    ),
+    # [x, y] = y: the nonabelian 2-dimensional algebra
+    "aff1": _Row(
+        (2, {(0, 1): {1: 1}}),
+        (2, 0, 1, 2, 2, False, True, False),
+        subalgebras={"y_line": [[0, 1]]},
+    ),
+    # basis (H, E, F): [H,E] = 2E, [H,F] = -2F, [E,F] = H
+    "sl2": _Row(
+        (3, _SL2),
+        (3, 0, 3, 0, 3, True, True, True),
+        subalgebras={
+            "cartan": [[1, 0, 0]],
+            "e_line": [[0, 1, 0]],
+            "borel": [[1, 0, 0], [0, 1, 0]],
+            "compact_line": [[0, 1, -1]],
+        },
+        forms={
+            "killing": [[8, 0, 0], [0, 0, 4], [0, 4, 0]],
+            # the form with orthonormal basis (E-F, H, E+F); makes ad_{E-F} skew
+            "compact_embedding": [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1, 2)]],
+        },
+        # negative transpose: H -> -H, E -> -F, F -> -E
+        maps={"cartan_involution": [[-1, 0, 0], [0, 0, -1], [0, -1, 0]]},
+    ),
+    # cyclic basis: [e1,e2] = e3, [e2,e3] = e1, [e3,e1] = e2
+    "so3": _Row(
+        (3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}),
+        (3, 0, 3, 0, 3, True, True, True),
+        subalgebras={"axis": [[0, 0, 1]]},
+        forms={"minus_killing": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]},
+        maps={"cartan_involution": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    ),
+    # basis (H, E, F, I) with I central
+    "gl2": _Row(
+        (4, _SL2),
+        (4, 1, 3, 1, 4, False, False, False),
+        subalgebras={
+            "sl2": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+            "identity_line": [[0, 0, 0, 1]],
+        },
+    ),
+    # basis (d1, d2, d3, e12, e13, e23) of 3x3 upper triangular matrices
+    "upper_triangular(3)": _Row(
+        (
+            6,
+            {
+                (0, 3): {3: 1},   # [d1, e12] = e12
+                (0, 4): {4: 1},   # [d1, e13] = e13
+                (1, 3): {3: -1},  # [d2, e12] = -e12
+                (1, 5): {5: 1},   # [d2, e23] = e23
+                (2, 4): {4: -1},  # [d3, e13] = -e13
+                (2, 5): {5: -1},  # [d3, e23] = -e23
+                (3, 5): {4: 1},   # [e12, e23] = e13
+            },
+        ),
+        (6, 1, 3, 6, 8, False, False, False),
+    ),
+    # sl2 acting on Q^2 by the defining representation; basis (H,E,F,v1,v2)
+    "sl2_rad2": _Row(
+        (5, {**_SL2, (0, 3): {3: 1}, (0, 4): {4: -1}, (1, 4): {3: 1}, (2, 3): {4: 1}}),
+        (5, 0, 5, 2, 6, True, False, False),
+        subalgebras={
+            "sl2": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]],
+            "radical": [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+        },
+    ),
+    "sl2_sum_aff1": _Row(("sl2", "aff1"), (5, 0, 4, 2, 5, False, True, False)),
+    "so3_sum_so3": _Row(("so3", "so3"), (6, 0, 6, 0, 6, True, True, True)),
+}
+
+_ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
+
+
 def _alg(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], name: str) -> LieAlgebra:
     g = LieAlgebra.from_brackets(dim, brackets, name=name)
     report = validate(g)
@@ -73,323 +188,51 @@ def _alg(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], nam
     return g
 
 
+def _structure(name: str) -> tuple[int, dict]:
+    """A row's (dim, brackets); a direct sum shifts its right summand's indices."""
+    spec = _TABLE[name].structure
+    if isinstance(spec[0], int):
+        return spec
+    (n1, left), (n2, right) = (_structure(s) for s in spec)
+    shifted = {
+        (n1 + i, n1 + j): {n1 + k: v for k, v in row.items()} for (i, j), row in right.items()
+    }
+    return n1 + n2, {**left, **shifted}
+
+
 def abelian(n: int) -> LieAlgebra:
     if n < 1:
         raise CatalogError("abelian(n) needs n >= 1")
+    if n > MAX_DIM:
+        raise CatalogError(f"abelian({n}) exceeds the maximum dim {MAX_DIM}")
     return _alg(n, {}, f"abelian({n})")
-
-
-def heisenberg3() -> LieAlgebra:
-    # [x, y] = z
-    return _alg(3, {(0, 1): {2: 1}}, "heisenberg3")
-
-
-def aff1() -> LieAlgebra:
-    # [x, y] = y: the nonabelian 2-dimensional algebra
-    return _alg(2, {(0, 1): {1: 1}}, "aff1")
-
-
-def sl2() -> LieAlgebra:
-    # basis (H, E, F): [H,E] = 2E, [H,F] = -2F, [E,F] = H
-    return _alg(
-        3,
-        {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
-        "sl2",
-    )
-
-
-def so3() -> LieAlgebra:
-    # cyclic basis: [e1,e2] = e3, [e2,e3] = e1, [e3,e1] = e2
-    return _alg(
-        3,
-        {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}},
-        "so3",
-    )
-
-
-def gl2() -> LieAlgebra:
-    # basis (H, E, F, I) with I central
-    return _alg(
-        4,
-        {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
-        "gl2",
-    )
-
-
-def upper_triangular3() -> LieAlgebra:
-    # basis (d1, d2, d3, e12, e13, e23) of 3x3 upper triangular matrices
-    br: dict[tuple[int, int], dict[int, int]] = {
-        (0, 3): {3: 1},   # [d1, e12] = e12
-        (0, 4): {4: 1},   # [d1, e13] = e13
-        (1, 3): {3: -1},  # [d2, e12] = -e12
-        (1, 5): {5: 1},   # [d2, e23] = e23
-        (2, 4): {4: -1},  # [d3, e13] = -e13
-        (2, 5): {5: -1},  # [d3, e23] = -e23
-        (3, 5): {4: 1},   # [e12, e23] = e13
-    }
-    return _alg(6, br, "upper_triangular(3)")
-
-
-def sl2_rad2() -> LieAlgebra:
-    # sl2 acting on Q^2 by the defining representation; basis (H,E,F,v1,v2)
-    br = {
-        (0, 1): {1: 2},
-        (0, 2): {2: -2},
-        (1, 2): {0: 1},
-        (0, 3): {3: 1},
-        (0, 4): {4: -1},
-        (1, 4): {3: 1},
-        (2, 3): {4: 1},
-    }
-    return _alg(5, br, "sl2_rad2")
-
-
-_FIXED_BUILDERS = {
-    "heisenberg3": heisenberg3,
-    "aff1": aff1,
-    "sl2": sl2,
-    "so3": so3,
-    "gl2": gl2,
-    "upper_triangular(3)": upper_triangular3,
-    "sl2_rad2": sl2_rad2,
-}
-
-_ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
-
-
-def _sl2_entry(g: LieAlgebra) -> CatalogEntry:
-    # negative transpose: H -> -H, E -> -F, F -> -E
-    theta = LinMap(g, g, Mat([[-1, 0, 0], [0, 0, -1], [0, -1, 0]]))
-    killing = SymForm(g, Mat([[8, 0, 0], [0, 0, 4], [0, 4, 0]]))
-    # the form with orthonormal basis (E-F, H, E+F); makes ad_{E-F} skew
-    compact_line_form = SymForm(
-        g, Mat([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1, 2)]])
-    )
-    return CatalogEntry(
-        name="sl2",
-        algebra=g,
-        tagged_subalgebras={
-            "cartan": Subspace.span(3, [[1, 0, 0]]),
-            "e_line": Subspace.span(3, [[0, 1, 0]]),
-            "borel": Subspace.span(3, [[1, 0, 0], [0, 1, 0]]),
-            "compact_line": Subspace.span(3, [[0, 1, -1]]),
-        },
-        tagged_forms={"killing": killing, "compact_embedding": compact_line_form},
-        tagged_maps={"cartan_involution": theta},
-        expected={
-            "dim": 3,
-            "dim_center": 0,
-            "dim_derived": 3,
-            "dim_radical": 0,
-            "dim_derivations": 3,
-            "perfect": True,
-            "complete": True,
-            "semisimple": True,
-        },
-    )
-
-
-def _so3_entry(g: LieAlgebra) -> CatalogEntry:
-    minus_killing = SymForm(g, Mat([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
-    return CatalogEntry(
-        name="so3",
-        algebra=g,
-        tagged_subalgebras={"axis": Subspace.span(3, [[0, 0, 1]])},
-        tagged_forms={"minus_killing": minus_killing},
-        tagged_maps={"cartan_involution": LinMap(g, g, Mat.identity(3))},
-        expected={
-            "dim": 3,
-            "dim_center": 0,
-            "dim_derived": 3,
-            "dim_radical": 0,
-            "dim_derivations": 3,
-            "perfect": True,
-            "complete": True,
-            "semisimple": True,
-        },
-    )
-
-
-def _build_entry(name: str) -> CatalogEntry:
-    m = _ABELIAN_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        g = abelian(n)
-        return CatalogEntry(
-            name=name,
-            algebra=g,
-            expected={
-                "dim": n,
-                "dim_center": n,
-                "dim_derived": 0,
-                "dim_radical": n,
-                "dim_derivations": n * n,
-                "perfect": False,
-                "complete": False,
-                "semisimple": False,
-            },
-        )
-    if name not in _FIXED_BUILDERS:
-        raise CatalogError(f"unknown catalog algebra {name!r}")
-    g = _FIXED_BUILDERS[name]()
-    if name == "sl2":
-        return _sl2_entry(g)
-    if name == "so3":
-        return _so3_entry(g)
-    if name == "heisenberg3":
-        return CatalogEntry(
-            name=name,
-            algebra=g,
-            tagged_subalgebras={
-                "x_line": Subspace.span(3, [[1, 0, 0]]),
-                "center": Subspace.span(3, [[0, 0, 1]]),
-                "xz_plane": Subspace.span(3, [[1, 0, 0], [0, 0, 1]]),
-            },
-            expected={
-                "dim": 3,
-                "dim_center": 1,
-                "dim_derived": 1,
-                "dim_radical": 3,
-                "dim_derivations": 6,
-                "perfect": False,
-                "complete": False,
-                "semisimple": False,
-            },
-        )
-    if name == "aff1":
-        return CatalogEntry(
-            name=name,
-            algebra=g,
-            tagged_subalgebras={"y_line": Subspace.span(2, [[0, 1]])},
-            expected={
-                "dim": 2,
-                "dim_center": 0,
-                "dim_derived": 1,
-                "dim_radical": 2,
-                "dim_derivations": 2,
-                "perfect": False,
-                "complete": True,
-                "semisimple": False,
-            },
-        )
-    if name == "gl2":
-        return CatalogEntry(
-            name=name,
-            algebra=g,
-            tagged_subalgebras={
-                "sl2": Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
-                "identity_line": Subspace.span(4, [[0, 0, 0, 1]]),
-            },
-            expected={
-                "dim": 4,
-                "dim_center": 1,
-                "dim_derived": 3,
-                "dim_radical": 1,
-                "dim_derivations": 4,
-                "perfect": False,
-                "complete": False,
-                "semisimple": False,
-            },
-        )
-    if name == "upper_triangular(3)":
-        return CatalogEntry(
-            name=name,
-            algebra=g,
-            expected={
-                "dim": 6,
-                "dim_center": 1,
-                "dim_derived": 3,
-                "dim_radical": 6,
-                "dim_derivations": 8,
-                "perfect": False,
-                "complete": False,
-                "semisimple": False,
-            },
-        )
-    if name == "sl2_rad2":
-        return CatalogEntry(
-            name=name,
-            algebra=g,
-            tagged_subalgebras={
-                "sl2": Subspace.span(5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]),
-                "radical": Subspace.span(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
-            },
-            expected={
-                "dim": 5,
-                "dim_center": 0,
-                "dim_derived": 5,
-                "dim_radical": 2,
-                "dim_derivations": 6,
-                "perfect": True,
-                "complete": False,
-                "semisimple": False,
-            },
-        )
-    raise CatalogError(f"unknown catalog algebra {name!r}")
-
-
-def _build_sum_entry(name: str, left: str, right: str, expected: dict[str, object]) -> CatalogEntry:
-    from .liealg import direct_sum
-
-    g, _, _ = direct_sum(get(left).algebra, get(right).algebra)
-    g = LieAlgebra.from_brackets(g.dim, g.brackets(), name=name)
-    return CatalogEntry(name=name, algebra=g, expected=expected)
 
 
 @lru_cache(maxsize=None)
 def get(name: str) -> CatalogEntry:
     """Catalog lookup; unknown names raise CatalogError."""
-    if name == "sl2_sum_aff1":
-        return _build_sum_entry(
-            name,
-            "sl2",
-            "aff1",
-            expected={
-                "dim": 5,
-                "dim_center": 0,
-                "dim_derived": 4,
-                "dim_radical": 2,
-                "dim_derivations": 5,
-                "perfect": False,
-                "complete": True,
-                "semisimple": False,
-            },
-        )
-    if name == "so3_sum_so3":
-        return _build_sum_entry(
-            name,
-            "so3",
-            "so3",
-            expected={
-                "dim": 6,
-                "dim_center": 0,
-                "dim_derived": 6,
-                "dim_radical": 0,
-                "dim_derivations": 6,
-                "perfect": True,
-                "complete": True,
-                "semisimple": True,
-            },
-        )
-    return _build_entry(name)
+    m = _ABELIAN_RE.match(name)
+    if m:
+        n = int(m.group(1))
+        g = abelian(n)
+        facts = (n, n, 0, n, n * n, False, False, False)
+        return CatalogEntry(name=name, algebra=g, expected=dict(zip(FACTS, facts)))
+    if name not in _TABLE:
+        raise CatalogError(f"unknown catalog algebra {name!r}")
+    row = _TABLE[name]
+    g = _alg(*_structure(name), name)
+    return CatalogEntry(
+        name=name,
+        algebra=g,
+        tagged_subalgebras={t: Subspace.span(g.dim, v) for t, v in row.subalgebras.items()},
+        tagged_forms={t: SymForm(g, Mat(m)) for t, m in row.forms.items()},
+        tagged_maps={t: LinMap(g, g, Mat(m)) for t, m in row.maps.items()},
+        expected=dict(zip(FACTS, row.facts)),
+    )
 
 
 def list_names() -> list[str]:
-    return [
-        "abelian(1)",
-        "abelian(2)",
-        "abelian(3)",
-        "abelian(4)",
-        "heisenberg3",
-        "aff1",
-        "sl2",
-        "so3",
-        "gl2",
-        "upper_triangular(3)",
-        "sl2_rad2",
-        "sl2_sum_aff1",
-        "so3_sum_so3",
-    ]
+    return [f"abelian({n})" for n in range(1, 5)] + list(_TABLE)
 
 
 # ---------------------------------------------------------------------------

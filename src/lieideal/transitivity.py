@@ -107,7 +107,9 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     g = amb.parent
     space = h.space
     while True:
-        grown = subspace_sum(space, bracket_spaces(g, amb.space, space))
+        rows = space.basis.entries
+        brackets = [g.bracket(x, y) for x in amb.space.basis.entries for y in rows]
+        grown = Subspace.span(g.dim, rows + tuple(brackets))
         if grown.dim == space.dim:
             return Subalgebra(g, space)
         space = grown

@@ -31,6 +31,12 @@ def test_abelian_parametric():
     assert catalog.get("abelian(4)").algebra.dim == 4
     with pytest.raises(catalog.CatalogError):
         catalog.abelian(0)
+    # capped like a file's dim, before anything is built
+    assert catalog.abelian(catalog.MAX_DIM).dim == catalog.MAX_DIM
+    with pytest.raises(catalog.CatalogError):
+        catalog.abelian(catalog.MAX_DIM + 1)
+    with pytest.raises(catalog.CatalogError):
+        catalog.get(f"abelian({catalog.MAX_DIM + 1})")
 
 
 @pytest.mark.parametrize("name", catalog.list_names())
@@ -151,3 +157,13 @@ def test_cached_entries_are_frozen():
     again = catalog.get("sl2")
     assert again.expected["dim"] == 3
     assert again.tagged_subalgebras["cartan"] == Subspace.span(3, [[1, 0, 0]])
+
+
+def test_expected_keys_are_the_facts_in_order():
+    for name in catalog.list_names():
+        assert tuple(catalog.get(name).expected) == catalog.FACTS
+
+
+def test_list_names_has_no_duplicates():
+    names = catalog.list_names()
+    assert len(set(names)) == len(names)

@@ -198,3 +198,9 @@ def test_verify_reproducible_bit_for_bit(capsys):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_abelian_above_cap_exits_two(capsys):
+    assert run(["validate", "catalog:abelian(257)"]) == 2
+    err = capsys.readouterr().err
+    assert "abelian(257)" in err and "Traceback" not in err

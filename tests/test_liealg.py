@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieideal import catalog
@@ -417,3 +417,40 @@ def test_sub_radical_of_factor():
     h = Subalgebra(g, e1.image())
     assert sub_radical(h).dim == 0
     assert sub_radical(full_subalgebra(g)) == e2.image()
+
+
+def _first_jacobi_failure(g):
+    """Reference: the first basis triple i < j < k, in order, breaking Jacobi."""
+    e = g.basis_vector
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                terms = [
+                    g.bracket(g.bracket(e(a), e(b)), e(c))
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                ]
+                if any(sum(col) for col in zip(*terms)):
+                    return (i, j, k)
+    return None
+
+
+@st.composite
+def sparse_brackets(draw):
+    """Random sparse [e_i, e_j] data, Jacobi or not, with many zero pairs."""
+    n = draw(st.integers(3, 7))
+    index = st.integers(0, n - 1)
+    rows = st.dictionaries(index, st.sampled_from([-1, 1, 2]), min_size=1, max_size=2)
+    pairs = st.tuples(index, index).filter(lambda p: p[0] < p[1])
+    return n, draw(st.dictionaries(pairs, rows, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_brackets())
+# fails at (0, 1, 2), where of the three pairs only [e_0, e_2] is nonzero
+@example((4, {(0, 2): {3: 1}, (1, 3): {3: 1}}))
+def test_validate_reports_the_first_failing_triple(data):
+    n, brackets = data
+    g = LieAlgebra.from_brackets(n, brackets)
+    report = validate(g)
+    assert report.jacobi_failure == _first_jacobi_failure(g)
+    assert report.ok == (report.jacobi_failure is None)

@@ -5,17 +5,21 @@ import pytest
 
 from lieideal import catalog
 from lieideal.derivations import holomorph
-from lieideal.exactlin import Echelon, Mat, Subspace
+from lieideal.exactlin import Echelon, Mat, Subspace, subspace_sum
 from lieideal.liealg import (
     LieAlgebra,
     LinMap,
     Subalgebra,
+    bracket_spaces,
+    center,
+    derived_subalgebra,
     direct_sum,
     full_subalgebra,
     is_ideal,
     is_solvable_space,
     subalgebra,
     validate,
+    zero_subalgebra,
 )
 from lieideal.transitivity import (
     HypothesisError,
@@ -479,3 +483,36 @@ def test_random_solvable_is_solvable_and_deterministic():
     assert g1.c == g2.c
     assert validate(g1).ok
     assert is_solvable_space(g1, Subspace.full(g1.dim))
+
+
+# --- ideal membership and closure against a span-based reference -------------
+
+
+def _reference_is_ideal(amb, h):
+    return h.space.contains(bracket_spaces(amb.parent, amb.space, h.space))
+
+
+def _reference_ideal_closure(amb, h):
+    space = h.space
+    while True:
+        grown = subspace_sum(space, bracket_spaces(amb.parent, amb.space, space))
+        if grown == space:
+            return space
+        space = grown
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_is_ideal_and_ideal_closure_match_span_reference(name):
+    entry = catalog.get(name)
+    g = entry.algebra
+    full = full_subalgebra(g)
+    subs = [full, zero_subalgebra(g), center(g), derived_subalgebra(full)]
+    subs += [Subalgebra(g, s) for s in entry.tagged_subalgebras.values()]
+    if g.dim <= 3:
+        subs += enumerate_grid_subalgebras(g)
+    for amb in subs:
+        for h in subs:
+            if not amb.space.contains(h.space):
+                continue
+            assert is_ideal(amb, h) == _reference_is_ideal(amb, h)
+            assert ideal_closure(amb, h).space == _reference_ideal_closure(amb, h)
