@@ -29,13 +29,14 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .exactlin import Mat, Subspace, rat
-from .liealg import LieAlgebra, LinMap, SymForm, validate
+from .liealg import LieAlgebra, LinMap, SymForm, direct_sum, validate
 
 
 # Above every algebra the suites build (at most 72); it bounds files and
-# abelian(n) alike.  validate visits only the Jacobi triples with a nonzero
-# bracket among their three pairs, so a sparse algebra at the cap loads in
-# about a tenth of a second; a dense one costs what its constants cost.
+# abelian(n) alike.  validate still walks all dim^3/6 Jacobi triples, but does
+# arithmetic only on those with a nonzero bracket among their three pairs, so
+# a sparse file at the cap loads in well under a second; a dense one costs
+# what its structure constants cost.
 MAX_DIM = 256
 
 # the keys of every entry's expected facts, in this order
@@ -84,10 +85,10 @@ class CatalogEntry:
 
 
 class _Row(NamedTuple):
-    # (dim, {(i, j): {k: v}}) for [e_i, e_j] = sum v e_k, or the names of the
-    # two rows this one is the direct sum of
-    structure: tuple
+    # (dim, {(i, j): {k: v}}) for [e_i, e_j] = sum v e_k; None for a direct sum
+    structure: tuple | None
     facts: tuple  # in FACTS order
+    summands: tuple[str, str] = ()  # the two rows a direct sum is made of
     subalgebras: Mapping[str, list] = {}  # tag -> spanning vectors
     forms: Mapping[str, list] = {}  # tag -> Gram matrix
     maps: Mapping[str, list] = {}  # tag -> matrix of an endomorphism
@@ -95,7 +96,6 @@ class _Row(NamedTuple):
 
 _SL2 = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
 
-# facts: dim, center, derived, radical, derivations, perfect, complete, semisimple
 _TABLE: dict[str, _Row] = {
     # [x, y] = z
     "heisenberg3": _Row(
@@ -173,8 +173,12 @@ _TABLE: dict[str, _Row] = {
             "radical": [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
         },
     ),
-    "sl2_sum_aff1": _Row(("sl2", "aff1"), (5, 0, 4, 2, 5, False, True, False)),
-    "so3_sum_so3": _Row(("so3", "so3"), (6, 0, 6, 0, 6, True, True, True)),
+    "sl2_sum_aff1": _Row(
+        None, (5, 0, 4, 2, 5, False, True, False), summands=("sl2", "aff1")
+    ),
+    "so3_sum_so3": _Row(
+        None, (6, 0, 6, 0, 6, True, True, True), summands=("so3", "so3")
+    ),
 }
 
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
@@ -186,18 +190,6 @@ def _alg(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], nam
     if not report.ok:
         raise AssertionError(f"catalog algebra {name} is invalid: {report.message()}")
     return g
-
-
-def _structure(name: str) -> tuple[int, dict]:
-    """A row's (dim, brackets); a direct sum shifts its right summand's indices."""
-    spec = _TABLE[name].structure
-    if isinstance(spec[0], int):
-        return spec
-    (n1, left), (n2, right) = (_structure(s) for s in spec)
-    shifted = {
-        (n1 + i, n1 + j): {n1 + k: v for k, v in row.items()} for (i, j), row in right.items()
-    }
-    return n1 + n2, {**left, **shifted}
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -220,7 +212,11 @@ def get(name: str) -> CatalogEntry:
     if name not in _TABLE:
         raise CatalogError(f"unknown catalog algebra {name!r}")
     row = _TABLE[name]
-    g = _alg(*_structure(name), name)
+    if row.summands:
+        s = direct_sum(*(get(t).algebra for t in row.summands))[0]
+        g = _alg(s.dim, s.brackets(), name)
+    else:
+        g = _alg(*row.structure, name)
     return CatalogEntry(
         name=name,
         algebra=g,

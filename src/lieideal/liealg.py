@@ -200,19 +200,13 @@ def validate(g: LieAlgebra) -> ValidationReport:
                 a, b = dict(fwd), dict(bwd)
                 k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
                 return ValidationReport(False, antisymmetry_failure=(i, j, k))
-    # indices k with [e_i, e_k] != 0, so also [e_k, e_i] != 0
-    partners = [[k for k, row in enumerate(nz_i) if row] for nz_i in nz]
     for i in range(n):
         for j in range(i + 1, n):
             ij, nz_j = nz[i][j], nz[j]
-            if ij:
-                ks = range(j + 1, n)
-            else:
-                # every term below is zero unless e_k brackets nontrivially
-                # with e_i or e_j; increasing k keeps the first failure first
-                ks = sorted({k for k in partners[i] + partners[j] if k > j})
-            for k in ks:
+            for k in range(j + 1, n):
                 jk, ki = nz_j[k], nz[k][i]
+                if not (ij or jk or ki):
+                    continue  # every term of the sum below is zero
                 acc: dict[int, Fraction] = {}
                 for ab, cc in ((ij, k), (jk, i), (ki, j)):
                     # [[e_a, e_b], e_c]
