@@ -206,6 +206,9 @@ def get(name: str) -> CatalogEntry:
     m = _ABELIAN_RE.match(name)
     if m:
         n = int(m.group(1))
+        if m.group(1) != str(n):
+            # one spelling per algebra, so one cache entry and one name
+            raise CatalogError(f"catalog name {name!r}: write n without leading zeros")
         g = abelian(n)
         facts = (n, n, 0, n, n * n, False, False, False)
         return CatalogEntry(name=name, algebra=g, expected=dict(zip(FACTS, facts)))

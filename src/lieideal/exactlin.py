@@ -1,22 +1,32 @@
 """Exact linear algebra over the rationals.
 
-Everything in here is exact: scalars are ``fractions.Fraction``, matrices are
-dense grids of them, and subspaces are kept in reduced row-echelon form so
-that equality of subspaces is literal equality of their basis matrices.  The
-row-reduction engine works on gcd-normalized integer rows internally, which
-keeps entries small and avoids per-operation rational normalization in the
-hot paths.
+Everything in here is exact: scalars are ``fractions.Fraction`` and matrices
+are dense grids of them.  A subspace is stored as its reduced row-echelon rows,
+each a tuple of (column, nonzero value) pairs in increasing column order, so
+equality of subspaces is literal equality of those rows; ``Subspace.basis`` is
+a dense view of them, built on first use, for formatting, forms and maps.
+Sparse vectors are dicts from index to nonzero value; the kernels that take
+them (``Subspace.span``, the membership test ``Subspace.residual`` and
+``commutator``) never scan zeros.  The row-reduction engine works on
+gcd-normalized integer rows internally, which keeps entries small and avoids
+per-operation rational normalization in the hot paths.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
 Vector = tuple[Fraction, ...]
+# nonzero (index, value) pairs in increasing index order
+SparseRow = tuple[tuple[int, Fraction], ...]
+# (index, nonzero value) pairs, re-iterable: a SparseRow or a dict's items()
+SparseItems = Iterable[tuple[int, Fraction]]
 
 Scalar = Union[Fraction, int, str]
 
@@ -30,6 +40,26 @@ def rat(x: Scalar) -> Fraction:
 
 def zero_vec(n: int) -> Vector:
     return (Fraction(0),) * n
+
+
+def sparse_vector(n: int, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction]:
+    """The nonzero entries of a dense or sparse (index -> value) vector of Q^n."""
+    if isinstance(v, Mapping):
+        out = {j: q for j, x in v.items() if (q := rat(x))}
+        if out and not (0 <= min(out) and max(out) < n):
+            raise ValueError(f"sparse vector index outside [0, {n})")
+        return out
+    if len(v) != n:
+        raise ValueError(f"vector length {len(v)} != ambient {n}")
+    return {j: q for j, x in enumerate(v) if (q := rat(x))}
+
+
+def dense_vector(n: int, v: SparseItems) -> Vector:
+    """The vector of Q^n with the given (index, value) entries, zero elsewhere."""
+    out = [Fraction(0)] * n
+    for j, x in v:
+        out[j] = x
+    return tuple(out)
 
 
 class Mat:
@@ -242,8 +272,8 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def rref_rows(self) -> tuple[list[int], list[dict[int, Fraction]]]:
-        """Back-substitute and normalize: pivot columns and Fraction rows."""
+    def rref_rows(self) -> tuple[list[int], list[SparseRow]]:
+        """Back-substitute and normalize: pivot columns and sparse Fraction rows."""
         piv_cols = sorted(self.pivots)
         reduced: dict[int, dict[int, int]] = {}
         for c in reversed(piv_cols):
@@ -256,24 +286,19 @@ class Echelon:
         for c in piv_cols:
             row = reduced[c]
             p = row[c]
-            out.append({cc: Fraction(v, p) for cc, v in row.items()})
+            out.append(tuple(sorted((cc, Fraction(v, p)) for cc, v in row.items())))
         return piv_cols, out
 
-    def nullspace_rows(self) -> list[Vector]:
-        """Basis vectors of the solution space, one per free column."""
+    def nullspace_rows(self) -> list[dict[int, Fraction]]:
+        """Sparse basis vectors of the solution space, one per free column."""
         piv_cols, rows = self.rref_rows()
-        piv_index = {c: i for i, c in enumerate(piv_cols)}
-        free = [c for c in range(self.ncols) if c not in piv_index]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for c in piv_cols:
-                coeff = rows[piv_index[c]].get(f)
-                if coeff:
-                    v[c] = -coeff
-            basis.append(tuple(v))
-        return basis
+        pivots = set(piv_cols)
+        basis = {f: {f: Fraction(1)} for f in range(self.ncols) if f not in pivots}
+        for p, row in zip(piv_cols, rows):
+            for c, v in row:
+                if c != p:  # in RREF every other column of a row is free
+                    basis[c][p] = -v
+        return list(basis.values())
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -282,9 +307,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     for r in m.entries:
         ech.add(enumerate(r))
     piv_cols, rows = ech.rref_rows()
-    out = []
-    for row in rows:
-        out.append([row.get(j, Fraction(0)) for j in range(m.cols)])
+    out = [dense_vector(m.cols, row) for row in rows]
     while len(out) < m.rows:
         out.append([Fraction(0)] * m.cols)
     return Mat(out, cols=m.cols), tuple(piv_cols)
@@ -299,103 +322,111 @@ def rank(m: Mat) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, held as its unique RREF basis.
+    """A subspace of Q^n, held as its unique RREF rows.
 
-    Two subspaces are equal iff they are the same set of vectors, which by
-    canonicality is iff their basis matrices compare equal.
+    rows[i] is the i-th RREF basis vector as a SparseRow: 1 at pivots[i], 0 at
+    every other pivot.  Two subspaces are equal iff they are the same set of
+    vectors, which by canonicality is iff their rows compare equal.
     """
 
     ambient_dim: int
-    basis: Mat
     pivots: tuple[int, ...]
+    rows: tuple[SparseRow, ...]
 
     @staticmethod
-    def span(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
+    def span(
+        ambient_dim: int, vectors: Iterable[Sequence[Scalar] | Mapping[int, Scalar]]
+    ) -> "Subspace":
+        """Span of dense vectors or sparse index -> value mappings, in any mix."""
         ech = Echelon(ambient_dim)
         for v in vectors:
-            row = [rat(x) for x in v]
-            if len(row) != ambient_dim:
-                raise ValueError(f"vector length {len(row)} != ambient {ambient_dim}")
-            ech.add(enumerate(row))
+            ech.add(sparse_vector(ambient_dim, v).items())
         piv_cols, rows = ech.rref_rows()
-        basis = Mat(
-            [[r.get(j, Fraction(0)) for j in range(ambient_dim)] for r in rows],
-            cols=ambient_dim,
-        )
-        return Subspace(ambient_dim, basis, tuple(piv_cols))
+        return Subspace(ambient_dim, tuple(piv_cols), tuple(rows))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat([], cols=ambient_dim), ())
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.identity(ambient_dim), tuple(range(ambient_dim)))
+        one = Fraction(1)
+        return Subspace(
+            ambient_dim, tuple(range(ambient_dim)), tuple(((i, one),) for i in range(ambient_dim))
+        )
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> Mat:
+        """The rows as a dense matrix, built on first use."""
+        return Mat([dense_vector(self.ambient_dim, r) for r in self.rows], cols=self.ambient_dim)
 
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
-    def residual(self, v: Sequence[Fraction]) -> Vector:
-        """v minus its unique combination of basis rows; zero iff v is a member."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        work = list(v)
-        for i, p in enumerate(self.pivots):
-            c = work[p]
+    def residual(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction]:
+        """Nonzero entries of v minus its combination of the rows; empty iff v is a member.
+
+        The one membership kernel.  In RREF the coefficient of row i is v's
+        entry at pivots[i], because no other row touches that column.
+        """
+        work = sparse_vector(self.ambient_dim, v)
+        for p, row in zip(self.pivots, self.rows):
+            c = work.get(p)
             if c:
-                brow = self.basis.entries[i]
-                for j in range(self.ambient_dim):
-                    if brow[j]:
-                        work[j] -= c * brow[j]
-        return tuple(work)
+                for j, b in row:
+                    work[j] = work.get(j, 0) - c * b
+        return {j: w for j, w in work.items() if w}
 
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        return not any(self.residual(v))
+    def contains_vector(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
+        return not self.residual(v)
 
-    def coordinates(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coefficients of v in the RREF basis, or None if v is not a member."""
-        if any(self.residual(v)):
+    def coordinates(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction] | None:
+        """Nonzero coefficients of v by row index, or None if v is not a member."""
+        v = sparse_vector(self.ambient_dim, v)
+        if self.residual(v):
             return None
-        return tuple(v[p] for p in self.pivots)
+        return {i: c for i, p in enumerate(self.pivots) if (c := v.get(p))}
 
     def contains(self, other: "Subspace | Sequence[Fraction]") -> bool:
         if isinstance(other, Subspace):
             if other.ambient_dim != self.ambient_dim:
                 raise ValueError("ambient dimension mismatch")
-            return all(self.contains_vector(r) for r in other.basis.entries)
+            return all(self.contains_vector(dict(r)) for r in other.rows)
         return self.contains_vector(other)
 
     def constraint_matrix(self) -> Mat:
         """A matrix whose kernel is exactly this subspace (the residual map)."""
         n = self.ambient_dim
         rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for i, p in enumerate(self.pivots):
-            brow = self.basis.entries[i]
-            for r in range(n):
-                if brow[r]:
-                    rows[r][p] -= brow[r]
+        for p, row in zip(self.pivots, self.rows):
+            for r, b in row:
+                rows[r][p] -= b
         return Mat(rows, cols=n)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def commutator(n: int, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    """XY - YX for n x n matrices flattened row-major, visiting only nonzero entries."""
-    out = [Fraction(0)] * (n * n)
+def commutator(n: int, x: SparseItems, y: SparseItems) -> dict[int, Fraction]:
+    """XY - YX for sparse n x n matrices flattened row-major; nonzero entries only."""
+    out: dict[int, Fraction] = {}
     for left, right, sign in ((x, y, 1), (y, x, -1)):
-        rows = [[(j, b) for j in range(n) if (b := right[k * n + j])] for k in range(n)]
-        for idx, a in enumerate(left):
-            if a:
-                i, k = divmod(idx, n)
+        by_row: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        for idx, b in right:
+            k, j = divmod(idx, n)
+            by_row[k].append((j, b))
+        for idx, a in left:
+            i, k = divmod(idx, n)
+            if by_row[k]:
                 a *= sign
-                for j, b in rows[k]:
-                    out[i * n + j] += a * b
-    return tuple(out)
+                base = i * n
+                for j, b in by_row[k]:
+                    out[base + j] = out.get(base + j, 0) + a * b
+    return {idx: v for idx, v in out.items() if v}
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -409,7 +440,7 @@ def nullspace(m: Mat) -> Subspace:
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(u.ambient_dim, u.basis.entries + v.basis.entries)
+    return Subspace.span(u.ambient_dim, [dict(r) for r in u.rows + v.rows])
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

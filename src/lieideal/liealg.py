@@ -5,6 +5,10 @@ holds the pairs (k, c_ijk) with c_ijk != 0 in increasing k, where
 [e_i, e_j] = sum_k c_ijk e_k.  Both (i,j) and (j,i) are stored, and memory
 grows with the number of nonzero constants, not with dim^3.  Every builder
 hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.
+LieAlgebra.sparse_bracket is the one bracket kernel: it takes and returns
+sparse vectors, and the routines that bracket subspace rows (closure,
+span_algebra, is_ideal, bracket_spaces, the closure check on Subalgebra) feed
+it RREF rows directly; bracket on dense tuples is a wrapper over it.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
@@ -19,12 +23,15 @@ from .exactlin import (
     Inertia,
     Mat,
     Scalar,
+    SparseItems,
     Subspace,
     Vector,
+    dense_vector,
     inertia,
     nullspace,
     orthogonal_complement,
     rat,
+    sparse_vector,
     zero_vec,
 )
 
@@ -102,6 +109,12 @@ class LieAlgebra:
         g._init(dim, nz, name)
         return g
 
+    def renamed(self, name: str | None) -> "LieAlgebra":
+        """The same structure under another name, as a new object."""
+        g = LieAlgebra.__new__(LieAlgebra)
+        g._init(self.dim, self._nz, name)
+        return g
+
     def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The nonzero [e_i, e_j] with i < j, in the form from_brackets takes."""
         nz = self._nz
@@ -132,40 +145,36 @@ class LieAlgebra:
         label = self.name or "LieAlgebra"
         return f"<{label} dim={self.dim}>"
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector dimension mismatch")
-        out = [Fraction(0)] * self.dim
+    def sparse_bracket(self, x: SparseItems, y: SparseItems) -> dict[int, Fraction]:
+        """[x, y] for sparse vectors, as its nonzero entries by index."""
+        out: dict[int, Fraction] = {}
         nz = self._nz
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        for i, xi in x:
             nzi = nz[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                s = xi * yj
-                for k, v in nzi[j]:
-                    out[k] += s * v
-        return tuple(out)
+            for j, yj in y:
+                terms = nzi[j]
+                if terms:
+                    s = xi * yj
+                    for k, v in terms:
+                        out[k] = out.get(k, 0) + s * v
+        return {k: v for k, v in out.items() if v}
+
+    def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
+        """[x, y] for dense coordinate tuples."""
+        n = self.dim
+        xs, ys = sparse_vector(n, x).items(), sparse_vector(n, y).items()
+        return dense_vector(n, self.sparse_bracket(xs, ys).items())
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for k, v in self._nz[i][j]:
-            out[k] = v
-        return tuple(out)
+        return dense_vector(self.dim, self._nz[i][j])
 
     def adjoint_matrix(self, x: Sequence[Fraction]) -> "LinMap":
         """ad_x as a linear map y -> [x, y]."""
-        cols = []
         n = self.dim
-        for j in range(n):
-            col = [Fraction(0)] * n
-            for i, xi in enumerate(x):
-                if xi:
-                    for k, v in self._nz[i][j]:
-                        col[k] += xi * v
-            cols.append(col)
+        xs = sparse_vector(n, x).items()
+        cols = [
+            dense_vector(n, self.sparse_bracket(xs, ((j, Fraction(1)),)).items()) for j in range(n)
+        ]
         return LinMap(self, self, Mat.from_columns(cols, rows=n))
 
     def zero_vector(self) -> Vector:
@@ -299,12 +308,12 @@ class Subalgebra:
     def __init__(self, parent: LieAlgebra, space: Subspace):
         if space.ambient_dim != parent.dim:
             raise ValueError("subspace ambient dimension != algebra dimension")
-        rows = space.basis.entries
+        rows = space.rows
         # every bracket lies in Q^n, so only a proper subspace can fail
         if space.dim < parent.dim:
             for a in range(len(rows)):
                 for b in range(a + 1, len(rows)):
-                    v = parent.bracket(rows[a], rows[b])
+                    v = parent.sparse_bracket(rows[a], rows[b])
                     if not space.contains_vector(v):
                         raise ValueError(
                             f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
@@ -345,19 +354,20 @@ def zero_subalgebra(g: LieAlgebra) -> Subalgebra:
     return Subalgebra(g, Subspace.zero(g.dim))
 
 
-Bracket = Callable[[Sequence[Fraction], Sequence[Fraction]], Vector]
+# a sparse bracket: two SparseItems in, the nonzero entries of the result out
+Bracket = Callable[[SparseItems, SparseItems], dict[int, Fraction]]
 
 
 def closure(space: Subspace, bracket: Bracket) -> Subspace:
     """Smallest subspace containing space and closed under bracket."""
     while True:
-        rows = space.basis.entries
+        rows = space.rows
         new = [
             bracket(rows[a], rows[b])
             for a in range(len(rows))
             for b in range(a + 1, len(rows))
         ]
-        grown = Subspace.span(space.ambient_dim, list(rows) + new)
+        grown = Subspace.span(space.ambient_dim, [*map(dict, rows), *new])
         if grown.dim == space.dim:
             return space
         space = grown
@@ -370,7 +380,7 @@ def span_algebra(space: Subspace, bracket: Bracket, name: str | None = None) -> 
     leaves the span is a bug in the caller's closure, not a property of
     the input.
     """
-    rows = space.basis.entries
+    rows = space.rows
     r = len(rows)
     brackets = {}
     for a in range(r):
@@ -378,22 +388,20 @@ def span_algebra(space: Subspace, bracket: Bracket, name: str | None = None) -> 
             coords = space.coordinates(bracket(rows[a], rows[b]))
             if coords is None:
                 raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
-            brackets[(a, b)] = dict(enumerate(coords))
+            brackets[(a, b)] = coords
     return LieAlgebra.from_brackets(r, brackets, name=name)
 
 
 def generated_subalgebra(parent: LieAlgebra, vectors: Iterable[Sequence[Scalar]]) -> Subalgebra:
     """Smallest bracket-closed subspace containing the given vectors."""
-    return Subalgebra(parent, closure(Subspace.span(parent.dim, vectors), parent.bracket))
+    return Subalgebra(parent, closure(Subspace.span(parent.dim, vectors), parent.sparse_bracket))
 
 
 def bracket_spaces(g: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all [x, y] with x in u, y in v."""
     if u.ambient_dim != g.dim or v.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension != algebra dimension")
-    products = [
-        g.bracket(x, y) for x in u.basis.entries for y in v.basis.entries
-    ]
+    products = [g.sparse_bracket(x, y) for x in u.rows for y in v.rows]
     return Subspace.span(g.dim, products)
 
 
@@ -420,10 +428,8 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
     # stop at the first [x, y] that escapes h
-    g, contains = amb.parent, h.space.contains_vector
-    return all(
-        contains(g.bracket(x, y)) for x in amb.space.basis.entries for y in h.space.basis.entries
-    )
+    bracket, contains = amb.parent.sparse_bracket, h.space.contains_vector
+    return all(contains(bracket(x, y)) for x in amb.space.rows for y in h.space.rows)
 
 
 def _common_kernel(g: LieAlgebra, mats: Iterable[Mat]) -> Subalgebra:
@@ -556,7 +562,7 @@ def quotient(g: LieAlgebra, ideal: Subalgebra) -> tuple[LieAlgebra, LinMap]:
     proj_rows = []
     for j in range(n):
         resid = ideal.space.residual(g.basis_vector(j))
-        proj_rows.append([resid[c] for c in coords])
+        proj_rows.append([resid.get(c, 0) for c in coords])
     proj = Mat(proj_rows, cols=m).transpose()  # m x n
 
     def project(v: Sequence[Fraction]) -> Vector:
@@ -615,7 +621,7 @@ def is_automorphism(f: LinMap) -> bool:
 
 def sub_to_algebra(h: Subalgebra) -> tuple[LieAlgebra, LinMap]:
     """The subalgebra as an abstract algebra in its RREF basis, with inclusion."""
-    algebra = span_algebra(h.space, h.parent.bracket)
+    algebra = span_algebra(h.space, h.parent.sparse_bracket)
     incl = Mat.from_columns(h.basis_vectors(), rows=h.parent.dim)
     return algebra, LinMap(algebra, h.parent, incl)
 

@@ -107,9 +107,9 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     g = amb.parent
     space = h.space
     while True:
-        rows = space.basis.entries
-        brackets = [g.bracket(x, y) for x in amb.space.basis.entries for y in rows]
-        grown = Subspace.span(g.dim, rows + tuple(brackets))
+        rows = space.rows
+        brackets = [g.sparse_bracket(x, y) for x in amb.space.rows for y in rows]
+        grown = Subspace.span(g.dim, [*map(dict, rows), *brackets])
         if grown.dim == space.dim:
             return Subalgebra(g, space)
         space = grown

@@ -55,7 +55,10 @@ def test_printed_chain_reverifies_with_ideal_calls(capsys, tmp_path):
                 outer_sub.space.coordinates([Fraction(x) for x in row])
                 for row in inner["basis"]
             ]
-            spec = ";".join(",".join(str(c) for c in row) for row in moved)
+            # coordinates holds only the nonzero entries, by row index
+            spec = ";".join(
+                ",".join(str(c.get(i, 0)) for i in range(outer_sub.dim)) for c in moved
+            )
             code, _, verdict = invoke(capsys, "ideal", str(path), "--sub", spec)
         assert code == 0
         assert verdict["payload"]["ideal"] is True
@@ -204,3 +207,13 @@ def test_abelian_above_cap_exits_two(capsys):
     assert run(["validate", "catalog:abelian(257)"]) == 2
     err = capsys.readouterr().err
     assert "abelian(257)" in err and "Traceback" not in err
+
+
+def test_catalog_name_with_leading_zeros_exits_two(capsys):
+    # one spelling per algebra: abelian(007) is not a second name for abelian(7)
+    for argv in (["catalog", "show", "abelian(007)"], ["validate", "catalog:abelian(07)"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "leading zeros" in err and "Traceback" not in err
+    assert run(["catalog", "show", "abelian(7)"]) == 0
+    assert "name abelian(7)" in capsys.readouterr().out

@@ -15,6 +15,7 @@ from lieideal.derivations import (
 )
 from lieideal.exactlin import Echelon, Mat, Subspace, nullspace
 from lieideal.liealg import (
+    LieAlgebra,
     Subalgebra,
     center,
     derived_subalgebra,
@@ -250,3 +251,21 @@ def test_is_characteristic_requires_ideal():
     g = catalog.get("heisenberg3").algebra
     with pytest.raises(ValueError):
         is_characteristic(g, subalgebra(g, [[1, 0, 0]]))
+
+
+def test_cache_hit_is_named_for_the_callers_algebra():
+    h = catalog.get("heisenberg3").algebra
+    first = derivation_algebra(h)
+    other = LieAlgebra.from_brackets(h.dim, h.brackets(), name="other")
+    before = derivation_algebra.cache_info()
+    da = derivation_algebra(other)
+    after = derivation_algebra.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert after.maxsize is not None
+    assert da.base is other and da.algebra.name == "D(other)"
+    assert da.algebra == first.algebra and da.span == first.span
+    assert all(f.source is other and f.target is other for f in da.realization)
+    # the cached value is left as it was
+    assert first.algebra.name == "D(heisenberg3)" and first.base is h
+    again = derivation_algebra(h)
+    assert again.algebra.name == "D(heisenberg3)" and again.base is h

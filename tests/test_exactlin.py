@@ -130,7 +130,8 @@ def test_membership_and_coordinates():
     assert u.contains_vector([1, 1, 3])
     assert not u.contains_vector([0, 0, 1])
     coords = u.coordinates((Fraction(2), Fraction(-1), Fraction(0)))
-    assert coords == (Fraction(2), Fraction(-1))
+    assert coords == {0: Fraction(2), 1: Fraction(-1)}
+    assert u.coordinates((Fraction(0), Fraction(1), Fraction(2))) == {1: Fraction(1)}
     assert u.coordinates((Fraction(0), Fraction(0), Fraction(1))) is None
 
 
@@ -266,5 +267,97 @@ def test_commutator_matches_dense_products(case):
     x = Mat([xs[i * n : (i + 1) * n] for i in range(n)])
     y = Mat([ys[i * n : (i + 1) * n] for i in range(n)])
     ref = x * y - y * x
-    flat = commutator(n, tuple(map(Fraction, xs)), tuple(map(Fraction, ys)))
-    assert flat == tuple(v for row in ref.entries for v in row)
+    sparse_x = {i: Fraction(v) for i, v in enumerate(xs) if v}
+    sparse_y = {i: Fraction(v) for i, v in enumerate(ys) if v}
+    flat = commutator(n, sparse_x.items(), sparse_y.items())
+    dense_ref = [v for row in ref.entries for v in row]
+    assert flat == {i: v for i, v in enumerate(dense_ref) if v}
+    # entries that cancel are dropped, not kept as zeros
+    assert all(flat.values())
+
+
+def test_commutator_drops_cancelled_entries():
+    # X = E_01 + E_10 against the identity and itself: XY and YX are both
+    # nonzero and every entry of XY - YX cancels
+    x = {1: Fraction(1), 2: Fraction(1)}
+    identity = {0: Fraction(1), 3: Fraction(1)}
+    assert commutator(2, x.items(), identity.items()) == {}
+    assert commutator(2, x.items(), x.items()) == {}
+
+
+# --- sparse RREF rows ----------------------------------------------------------
+
+
+@st.composite
+def spanning_sets(draw, max_n=5):
+    """A small ambient dim and up to five vectors, mostly zeros, some fractional."""
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.integers(-3, 3), rationals)
+    vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    return n, [[Fraction(x) for x in v] for v in vecs]
+
+
+def as_sparse(v):
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def sympy_rank(rows):
+    import sympy
+
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(spanning_sets(), st.randoms(use_true_random=False))
+def test_span_is_independent_of_form_and_order(case, rnd):
+    n, vecs = case
+    reference = Subspace.span(n, vecs)
+    mixed = [as_sparse(v) if rnd.random() < 0.5 else v for v in vecs]
+    rnd.shuffle(mixed)
+    again = Subspace.span(n, mixed)
+    assert again == reference
+    assert hash(again) == hash(reference)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spanning_sets())
+def test_rows_are_sparse_rref_and_basis_is_the_rref_view(case):
+    n, vecs = case
+    u = Subspace.span(n, map(as_sparse, vecs))
+    for row in u.rows:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(v for _, v in row), "a stored row holds a zero"
+    if vecs:
+        ref, pivots = rref(Mat(vecs))
+        assert u.basis.entries == ref.entries[: u.dim]
+        assert not any(any(r) for r in ref.entries[u.dim :])
+        assert u.pivots == pivots
+    else:
+        assert u == Subspace.zero(n) and u.basis == Mat([], cols=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spanning_sets(), st.data())
+def test_membership_kernel_against_rank(case, data):
+    n, vecs = case
+    u = Subspace.span(n, vecs)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(vecs), max_size=len(vecs)))
+    member = [sum((c * v[j] for c, v in zip(coeffs, vecs)), Fraction(0)) for j in range(n)]
+    other = [Fraction(x) for x in data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
+    for w in (member, other):
+        inside = sympy_rank(vecs + [w]) == sympy_rank(vecs)
+        for form in (w, as_sparse(w)):
+            assert (not u.residual(form)) == inside
+            assert u.contains_vector(form) == inside
+            coords = u.coordinates(form)
+            if not inside:
+                assert coords is None
+                continue
+            assert all(coords.values())
+            rebuilt = [Fraction(0)] * n
+            for i, c in coords.items():
+                for j, b in u.rows[i]:
+                    rebuilt[j] += c * b
+            assert rebuilt == w
+        assert all(u.residual(w).values())

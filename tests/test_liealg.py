@@ -408,7 +408,7 @@ def test_sub_to_algebra_roundtrip(sl2):
 def test_span_algebra_rejects_unclosed_span(sl2):
     e_f = Subspace.span(3, [[0, 1, 0], [0, 0, 1]])  # [E, F] = H escapes
     with pytest.raises(InternalCheckError):
-        span_algebra(e_f, sl2.bracket)
+        span_algebra(e_f, sl2.sparse_bracket)
 
 
 def test_sub_radical_of_factor():
@@ -454,3 +454,26 @@ def test_validate_reports_the_first_failing_triple(data):
     report = validate(g)
     assert report.jacobi_failure == _first_jacobi_failure(g)
     assert report.ok == (report.jacobi_failure is None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(catalog.list_names()), st.data())
+def test_dense_bracket_wraps_the_sparse_kernel(name, data):
+    g = catalog.get(name).algebra
+    entry = st.one_of(st.just(0), st.just(0), st.fractions(-3, 3, max_denominator=4))
+    x, y = (
+        tuple(Fraction(v) for v in data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim)))
+        for _ in range(2)
+    )
+    sparse = g.sparse_bracket(
+        [(i, v) for i, v in enumerate(x) if v], [(i, v) for i, v in enumerate(y) if v]
+    )
+    assert all(sparse.values())
+    assert g.bracket(x, y) == tuple(sparse.get(k, Fraction(0)) for k in range(g.dim))
+    # bilinear expansion over the basis brackets, independent of both
+    ref = [Fraction(0)] * g.dim
+    for i in range(g.dim):
+        for j in range(g.dim):
+            for k, c in enumerate(g.bracket_basis(i, j)):
+                ref[k] += x[i] * y[j] * c
+    assert g.bracket(x, y) == tuple(ref)
