@@ -3,11 +3,12 @@
 A derivation of g is an endomorphism f with f([x,y]) = [f(x),y] + [x,f(y)].
 The solver treats the n^2 matrix entries of f (row-major) as unknowns and
 takes the exact kernel of the stacked Leibniz constraints over all basis
-pairs.  The canonical RREF kernel rows fix the structure constants of D(g)
+pairs, assembled in integers from LieAlgebra.integer_constants.  The
+canonical RREF kernel rows fix the structure constants of D(g)
 deterministically: liealg.span_algebra reads them off the kernel, with the
-sparse exactlin.commutator on the flattened rows as the bracket, and checks
-that every commutator stays in the kernel.  Only the realization maps and
-the coordinates handed back to callers are dense.
+sparse exactlin.commutator on the integer-scaled flattened rows as the
+bracket, and checks that every commutator stays in the kernel.  Only the
+realization maps and the coordinates handed back to callers are dense.
 
 derivation_algebra caches the solve on the algebra's structure, which
 ignores names; a hit is handed back renamed for the caller's algebra.
@@ -79,27 +80,32 @@ class DerivationAlgebra:
 
 
 def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, Fraction]]:
-    """Kernel of the Leibniz system; unknowns f_ab at index a*n + b."""
+    """Kernel of the Leibniz system; unknowns f_ab at index a*n + b.
+
+    The system is homogeneous, so it is assembled from the integer
+    numerators of the structure constants: scaling every equation by their
+    common denominator leaves the kernel as it is.
+    """
     n = g.dim
-    nz = g._nz
+    nz = g.integer_constants[1]
     ech = Echelon(n * n)
     for i in range(n):
         for j in range(i + 1, n):
             # one equation per output coordinate k:
             #   sum_m c_ijm f_km - sum_a c_ajk f_ai - sum_b c_ibk f_bj = 0
-            rows: list[dict[int, Fraction]] = [dict() for _ in range(n)]
+            rows: list[dict[int, int]] = [dict() for _ in range(n)]
             for m, v in nz[i][j]:
                 for k in range(n):
                     key = k * n + m
-                    rows[k][key] = rows[k].get(key, Fraction(0)) + v
+                    rows[k][key] = rows[k].get(key, 0) + v
             for a in range(n):
                 for k, v in nz[a][j]:
                     key = a * n + i
-                    rows[k][key] = rows[k].get(key, Fraction(0)) - v
+                    rows[k][key] = rows[k].get(key, 0) - v
             for b in range(n):
                 for k, v in nz[i][b]:
                     key = b * n + j
-                    rows[k][key] = rows[k].get(key, Fraction(0)) - v
+                    rows[k][key] = rows[k].get(key, 0) - v
             for row in rows:
                 if row:
                     ech.add(row.items())

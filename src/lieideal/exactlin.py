@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Everything in here is exact: scalars are ``fractions.Fraction`` and matrices
-are dense grids of them.  A subspace is stored as its reduced row-echelon rows,
+Everything in here is exact: scalars at the interface are
+``fractions.Fraction`` and matrices are dense grids of them, while the inner
+loops run on integers.  A subspace is stored as its reduced row-echelon rows,
 each a tuple of (column, nonzero value) pairs in increasing column order, so
 equality of subspaces is literal equality of those rows; ``Subspace.basis`` is
-a dense view of them, built on first use, for formatting, forms and maps.
-Sparse vectors are dicts from index to nonzero value; the kernels that take
-them (``Subspace.span``, the membership test ``Subspace.residual`` and
-``commutator``) never scan zeros.  The row-reduction engine works on
-gcd-normalized integer rows internally, which keeps entries small and avoids
-per-operation rational normalization in the hot paths.
+a dense view of them, built on first use, for formatting, forms and maps, and
+``Subspace.integer_rows`` is the cached integer view: the rows scaled by the
+lcm of their denominators.  Sparse vectors are dicts from index to nonzero
+value; the kernels that take them (``Subspace.span``, the membership test
+``Subspace.residual`` and ``commutator``) never scan zeros.  The membership
+kernel eliminates on the integer view and converts back to Fractions only for
+the values it returns, and the row-reduction engine works on gcd-normalized
+integer rows, which keeps entries small and avoids per-operation rational
+normalization in the hot paths.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -212,15 +216,14 @@ class Mat:
 # few thousand sparse equations stays cheap.
 
 
-def _int_row(coeffs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
-    """Clear denominators and divide by the content, as a sparse dict."""
+def _int_row(coeffs: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
+    """Clear denominators and divide by the content, as a sparse dict.
+
+    Integer coefficients pass through with denominator 1.
+    """
     items = [(c, v) for c, v in coeffs if v]
-    if not items:
-        return {}
-    den = 1
-    for _, v in items:
-        den = den * v.denominator // gcd(den, v.denominator)
-    return _primitive({c: int(v * den) for c, v in items})
+    den = lcm(*(v.denominator for _, v in items))
+    return _primitive({c: v.numerator * (den // v.denominator) for c, v in items})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -263,7 +266,7 @@ class Echelon:
         self.ncols = ncols
         self.pivots: dict[int, dict[int, int]] = {}
 
-    def add(self, coeffs: Iterable[tuple[int, Fraction]]) -> None:
+    def add(self, coeffs: Iterable[tuple[int, Fraction | int]]) -> None:
         row = _reduce_row(_int_row(coeffs), self.pivots)
         if row:
             self.pivots[min(row)] = row
@@ -367,29 +370,51 @@ class Subspace:
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
+    @cached_property
+    def integer_rows(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(L, rows * L): the rows scaled by the lcm L of their denominators.
+
+        Every entry is an int and every pivot entry equals L.  Built on first use.
+        """
+        L = lcm(*(x.denominator for row in self.rows for _, x in row))
+        return L, tuple(
+            tuple((j, x.numerator * (L // x.denominator)) for j, x in row) for row in self.rows
+        )
+
     def residual(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction]:
         """Nonzero entries of v minus its combination of the rows; empty iff v is a member.
 
-        The one membership kernel.  In RREF the coefficient of row i is v's
-        entry at pivots[i], because no other row touches that column.
+        The one membership kernel, run in integers: with v = N / d and the
+        scaled rows R_i of integer_rows, it is (L*N - sum_i N[p_i] * R_i) / (L*d).
+        In RREF the coefficient of row i is the entry at pivots[i], because no
+        other row touches that column.
         """
-        work = sparse_vector(self.ambient_dim, v)
-        for p, row in zip(self.pivots, self.rows):
-            c = work.get(p)
+        q = sparse_vector(self.ambient_dim, v)
+        d = lcm(*(x.denominator for x in q.values()))
+        num = {j: x.numerator * (d // x.denominator) for j, x in q.items()}
+        L, rows = self.integer_rows
+        work = {j: L * x for j, x in num.items()}
+        for p, row in zip(self.pivots, rows):
+            c = num.get(p)
             if c:
                 for j, b in row:
                     work[j] = work.get(j, 0) - c * b
-        return {j: w for j, w in work.items() if w}
+        den = L * d
+        return {j: Fraction(w, den) for j, w in work.items() if w}
 
     def contains_vector(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         return not self.residual(v)
 
     def coordinates(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction] | None:
-        """Nonzero coefficients of v by row index, or None if v is not a member."""
-        v = sparse_vector(self.ambient_dim, v)
+        """Nonzero coefficients of v by row index, or None if v is not a member.
+
+        A member's coefficient of row i is its entry at pivots[i].
+        """
         if self.residual(v):
             return None
-        return {i: c for i, p in enumerate(self.pivots) if (c := v.get(p))}
+        if isinstance(v, Mapping):
+            return {i: q for i, p in enumerate(self.pivots) if (q := rat(v.get(p, 0)))}
+        return {i: q for i, p in enumerate(self.pivots) if (q := rat(v[p]))}
 
     def contains(self, other: "Subspace | Sequence[Fraction]") -> bool:
         if isinstance(other, Subspace):

@@ -4,11 +4,16 @@ An algebra is its dimension plus its nonzero structure constants: _nz[i][j]
 holds the pairs (k, c_ijk) with c_ijk != 0 in increasing k, where
 [e_i, e_j] = sum_k c_ijk e_k.  Both (i,j) and (j,i) are stored, and memory
 grows with the number of nonzero constants, not with dim^3.  Every builder
-hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.
+hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.  The constants are
+Fractions; LieAlgebra.integer_constants is a cached view of them as integer
+numerators over their lcm denominator, and the Jacobi loop of validate runs on
+it.
 LieAlgebra.sparse_bracket is the one bracket kernel: it takes and returns
 sparse vectors, and the routines that bracket subspace rows (closure,
 span_algebra, is_ideal, bracket_spaces, the closure check on Subalgebra) feed
 it RREF rows directly; bracket on dense tuples is a wrapper over it.
+span_algebra brackets the integer-scaled rows of Subspace.integer_rows and
+turns each coordinate into a Fraction once.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactlin import (
@@ -43,7 +49,7 @@ class InternalCheckError(AssertionError):
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its nonzero structure constants."""
 
-    __slots__ = ("dim", "name", "_nz", "_hash")
+    __slots__ = ("dim", "name", "_nz", "_hash", "_int")
 
     def __init__(
         self,
@@ -73,6 +79,7 @@ class LieAlgebra:
         self.name = name
         self._nz = nz
         self._hash: int | None = None
+        self._int: tuple | None = None
 
     @staticmethod
     def from_brackets(
@@ -113,7 +120,28 @@ class LieAlgebra:
         """The same structure under another name, as a new object."""
         g = LieAlgebra.__new__(LieAlgebra)
         g._init(self.dim, self._nz, name)
+        g._int = self._int
         return g
+
+    @property
+    def integer_constants(self) -> tuple[int, tuple]:
+        """(den, num): the structure constants as integers over their lcm denominator.
+
+        num[i][j] holds the pairs (k, c_ijk * den) in _nz's layout.  Built on
+        first use and kept, like _nz, as nested tuples.
+        """
+        if self._int is None:
+            nz = self._nz
+            den = lcm(*(v.denominator for row in nz for terms in row for _, v in terms))
+            num = tuple(
+                tuple(
+                    tuple((k, v.numerator * (den // v.denominator)) for k, v in terms)
+                    for terms in row
+                )
+                for row in nz
+            )
+            self._int = (den, num)
+        return self._int
 
     def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The nonzero [e_i, e_j] with i < j, in the form from_brackets takes."""
@@ -169,13 +197,15 @@ class LieAlgebra:
         return dense_vector(self.dim, self._nz[i][j])
 
     def adjoint_matrix(self, x: Sequence[Fraction]) -> "LinMap":
-        """ad_x as a linear map y -> [x, y]."""
+        """ad_x as a linear map y -> [x, y], every column in one pass over x."""
         n = self.dim
-        xs = sparse_vector(n, x).items()
-        cols = [
-            dense_vector(n, self.sparse_bracket(xs, ((j, Fraction(1)),)).items()) for j in range(n)
-        ]
-        return LinMap(self, self, Mat.from_columns(cols, rows=n))
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, xi in sparse_vector(n, x).items():
+            # [e_i, e_j] fills column j
+            for j, terms in enumerate(self._nz[i]):
+                for k, v in terms:
+                    m[k][j] += xi * v
+        return LinMap(self, self, Mat(m, cols=n))
 
     def zero_vector(self) -> Vector:
         return zero_vec(self.dim)
@@ -209,6 +239,9 @@ def validate(g: LieAlgebra) -> ValidationReport:
                 a, b = dict(fwd), dict(bwd)
                 k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
                 return ValidationReport(False, antisymmetry_failure=(i, j, k))
+    # every Jacobi term is a product of two constants, so on the numerators
+    # over one common denominator a sum vanishes iff the rational one does
+    nz = g.integer_constants[1]
     for i in range(n):
         for j in range(i + 1, n):
             ij, nz_j = nz[i][j], nz[j]
@@ -216,12 +249,12 @@ def validate(g: LieAlgebra) -> ValidationReport:
                 jk, ki = nz_j[k], nz[k][i]
                 if not (ij or jk or ki):
                     continue  # every term of the sum below is zero
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for ab, cc in ((ij, k), (jk, i), (ki, j)):
                     # [[e_a, e_b], e_c]
                     for m, v in ab:
                         for t, w in nz[m][cc]:
-                            acc[t] = acc.get(t, Fraction(0)) + v * w
+                            acc[t] = acc.get(t, 0) + v * w
                 if any(acc.values()):
                     return ValidationReport(False, jacobi_failure=(i, j, k))
     return ValidationReport(True)
@@ -380,15 +413,23 @@ def span_algebra(space: Subspace, bracket: Bracket, name: str | None = None) -> 
     leaves the span is a bug in the caller's closure, not a property of
     the input.
     """
-    rows = space.rows
+    L, rows = space.integer_rows
+    L2 = L * L
+    pivots = space.pivots
     r = len(rows)
     brackets = {}
     for a in range(r):
         for b in range(a + 1, r):
-            coords = space.coordinates(bracket(rows[a], rows[b]))
-            if coords is None:
+            w = bracket(rows[a], rows[b])
+            if space.residual(w):
                 raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
-            brackets[(a, b)] = coords
+            # the basis is rows / L, so [b_a, b_b] = w / L^2, whose coordinate
+            # on b_i is its entry at pivots[i]
+            brackets[(a, b)] = {
+                i: Fraction(c.numerator, c.denominator * L2)
+                for i, p in enumerate(pivots)
+                if (c := w.get(p))
+            }
     return LieAlgebra.from_brackets(r, brackets, name=name)
 
 

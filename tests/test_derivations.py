@@ -269,3 +269,23 @@ def test_cache_hit_is_named_for_the_callers_algebra():
     assert first.algebra.name == "D(heisenberg3)" and first.base is h
     again = derivation_algebra(h)
     assert again.algebra.name == "D(heisenberg3)" and again.base is h
+
+
+def test_derivations_unchanged_by_fractional_rescaling():
+    # e'_i = d_i e_i gives the constants d_i d_j c_ijk / d_k; the Leibniz
+    # system is then assembled from numerators over a nontrivial denominator
+    for name in catalog.list_names():
+        g = catalog.get(name).algebra
+        d = [Fraction(i + 2, 2 * i + 3) for i in range(g.dim)]
+        brackets = {
+            (i, j): {k: d[i] * d[j] * c / d[k] for k, c in row.items()}
+            for (i, j), row in g.brackets().items()
+        }
+        h = LieAlgebra.from_brackets(g.dim, brackets, name=f"{name}'")
+        assert h.integer_constants[0] > 1 or not g.brackets()
+        da, db = derivation_algebra(g), derivation_algebra(h)
+        assert (db.dim, db.inner.dim) == (da.dim, da.inner.dim)
+        assert validate(db.algebra).ok
+        for f in db.realization:
+            assert is_derivation(h, f.matrix)
+            assert leibniz_holds(h, f)

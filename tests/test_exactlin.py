@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from lieideal.exactlin import (
     rank,
     rat,
     rref,
+    sparse_vector,
     subspace_sum,
 )
 
@@ -361,3 +363,60 @@ def test_membership_kernel_against_rank(case, data):
                     rebuilt[j] += c * b
             assert rebuilt == w
         assert all(u.residual(w).values())
+
+
+# --- integer views ------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(spanning_sets())
+def test_integer_rows_scale_the_rref_rows_by_their_lcm(case):
+    n, vecs = case
+    u = Subspace.span(n, vecs)
+    L, rows = u.integer_rows
+    assert L == math.lcm(*(x.denominator for row in u.rows for _, x in row))
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    assert len(rows) == u.dim
+    for p, row, irow in zip(u.pivots, u.rows, rows):
+        assert all(type(b) is int for _, b in irow)
+        assert dict(irow)[p] == L
+        assert tuple((j, Fraction(b, L)) for j, b in irow) == row
+    assert u.integer_rows is u.integer_rows
+
+
+def reference_residual(u, v):
+    """The Fraction elimination loop the integer kernel replaced."""
+    work = sparse_vector(u.ambient_dim, v)
+    for p, row in zip(u.pivots, u.rows):
+        c = work.get(p)
+        if c:
+            for j, b in row:
+                work[j] = work.get(j, 0) - c * b
+    return {j: w for j, w in work.items() if w}
+
+
+@settings(max_examples=80, deadline=None)
+@given(spanning_sets(), st.data())
+def test_residual_matches_the_fraction_loop(case, data):
+    n, vecs = case
+    u = Subspace.span(n, vecs)
+    # raw ints stay ints: the kernel sees int-valued, fractional and mixed input
+    entry = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+    raw = data.draw(st.lists(entry, min_size=n, max_size=n))
+    coeffs = data.draw(st.lists(rationals, min_size=len(vecs), max_size=len(vecs)))
+    member = [sum((c * v[j] for c, v in zip(coeffs, vecs)), Fraction(0)) for j in range(n)]
+    for w in (raw, member):
+        ref = reference_residual(u, w)
+        forms = (w, {j: x for j, x in enumerate(w) if x}, [str(x) for x in w])
+        for form in forms:
+            got = u.residual(form)
+            assert got == ref
+            assert all(type(x) is Fraction for x in got.values())
+            assert u.contains_vector(form) == (not ref)
+            coords = u.coordinates(form)
+            if ref:
+                assert coords is None
+            else:
+                want = {i: Fraction(w[p]) for i, p in enumerate(u.pivots) if w[p]}
+                assert coords == want
+                assert all(type(x) is Fraction for x in coords.values())

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -434,12 +435,37 @@ def _first_jacobi_failure(g):
     return None
 
 
+def rescaled_brackets(g, d):
+    """[e'_i, e'_j] for the basis e'_i = d_i e_i: c'_ijk = d_i d_j c_ijk / d_k."""
+    return {
+        (i, j): {k: d[i] * d[j] * c / d[k] for k, c in row.items()}
+        for (i, j), row in g.brackets().items()
+    }
+
+
+# sl2 acting on Q^2, in the basis (H/3, E/2, F/4, v1/5, v2/7): its Jacobi sums
+# vanish only by cancellation across denominators (at (1, 2, 3), for one),
+# so a check that dropped the denominators would fail there
+SL2_RAD2_RESCALED = rescaled_brackets(
+    catalog.get("sl2_rad2").algebra,
+    (Fraction(1, 3), Fraction(1, 2), Fraction(1, 4), Fraction(1, 5), Fraction(1, 7)),
+)
+# the same with [H', v1'] halved: the first failure is (0, 1, 4), and one
+# that dropped the denominators would report (1, 2, 3)
+SL2_RAD2_BROKEN = {**SL2_RAD2_RESCALED, (0, 3): {3: Fraction(1, 6)}}
+
+
 @st.composite
 def sparse_brackets(draw):
-    """Random sparse [e_i, e_j] data, Jacobi or not, with many zero pairs."""
+    """Random sparse [e_i, e_j] data, Jacobi or not, with many zero pairs.
+
+    The constants mix denominators, so the common denominator of the
+    integer view is rarely 1.
+    """
     n = draw(st.integers(3, 7))
     index = st.integers(0, n - 1)
-    rows = st.dictionaries(index, st.sampled_from([-1, 1, 2]), min_size=1, max_size=2)
+    constants = st.sampled_from([-1, 1, 2, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)])
+    rows = st.dictionaries(index, constants, min_size=1, max_size=2)
     pairs = st.tuples(index, index).filter(lambda p: p[0] < p[1])
     return n, draw(st.dictionaries(pairs, rows, max_size=4))
 
@@ -448,12 +474,41 @@ def sparse_brackets(draw):
 @given(sparse_brackets())
 # fails at (0, 1, 2), where of the three pairs only [e_0, e_2] is nonzero
 @example((4, {(0, 2): {3: 1}, (1, 3): {3: 1}}))
+@example((5, SL2_RAD2_RESCALED))
+@example((5, SL2_RAD2_BROKEN))
 def test_validate_reports_the_first_failing_triple(data):
     n, brackets = data
     g = LieAlgebra.from_brackets(n, brackets)
     report = validate(g)
     assert report.jacobi_failure == _first_jacobi_failure(g)
     assert report.ok == (report.jacobi_failure is None)
+
+
+def test_pinned_jacobi_examples():
+    good = LieAlgebra.from_brackets(5, SL2_RAD2_RESCALED)
+    assert validate(good).ok and good.integer_constants[0] == 840
+    assert _first_jacobi_failure(LieAlgebra.from_brackets(5, SL2_RAD2_BROKEN)) == (0, 1, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_brackets())
+@example((5, SL2_RAD2_RESCALED))
+def test_integer_constants_over_the_least_common_denominator(data):
+    n, brackets = data
+    g = LieAlgebra.from_brackets(n, brackets)
+    den, num = g.integer_constants
+    constants = [c for row in g._nz for terms in row for _, c in terms]
+    assert den == math.lcm(*(c.denominator for c in constants))
+    assert isinstance(num, tuple) and all(
+        isinstance(row, tuple) and all(isinstance(terms, tuple) for terms in row) for row in num
+    )
+    for row, nrow in zip(g._nz, num):
+        for terms, nterms in zip(row, nrow):
+            assert [k for k, _ in nterms] == [k for k, _ in terms]
+            for (_, c), (_, m) in zip(terms, nterms):
+                assert type(m) is int and m == c * den
+    assert g.integer_constants is g.integer_constants
+    assert g.renamed("other").integer_constants is g.integer_constants
 
 
 @settings(max_examples=80, deadline=None)
@@ -477,3 +532,16 @@ def test_dense_bracket_wraps_the_sparse_kernel(name, data):
             for k, c in enumerate(g.bracket_basis(i, j)):
                 ref[k] += x[i] * y[j] * c
     assert g.bracket(x, y) == tuple(ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(catalog.list_names()), st.data())
+def test_adjoint_matrix_columns_are_brackets_with_basis_vectors(name, data):
+    g = catalog.get(name).algebra
+    entry = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
+    x = tuple(Fraction(v) for v in data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim)))
+    ad = g.adjoint_matrix(x).matrix
+    xs = [(i, v) for i, v in enumerate(x) if v]
+    for j in range(g.dim):
+        col = g.sparse_bracket(xs, ((j, Fraction(1)),))
+        assert ad.column(j) == tuple(col.get(k, Fraction(0)) for k in range(g.dim))
