@@ -1,19 +1,21 @@
 """Exact linear algebra over the rationals.
 
 Everything in here is exact: scalars at the interface are
-``fractions.Fraction`` and matrices are dense grids of them, while the inner
-loops run on integers.  A subspace is stored as its reduced row-echelon rows,
-each a tuple of (column, nonzero value) pairs in increasing column order, so
-equality of subspaces is literal equality of those rows; ``Subspace.basis`` is
-a dense view of them, built on first use, for formatting, forms and maps, and
+``fractions.Fraction`` and the inner loops run on integers.  ``Mat``, a dense
+grid of Fractions, stays at the edges: maps, forms, inertia and formatting.  A
+subspace is stored as its reduced row-echelon rows, each a tuple of (column,
+nonzero value) pairs in increasing column order, so equality of subspaces is
+literal equality of those rows; ``Subspace.basis`` is a dense view of them,
+built on first use, for formatting, forms and maps, and
 ``Subspace.integer_rows`` is the cached integer view: the rows scaled by the
 lcm of their denominators.  Sparse vectors are dicts from index to nonzero
 value; the kernels that take them (``Subspace.span``, the membership test
-``Subspace.residual`` and ``commutator``) never scan zeros.  The membership
-kernel eliminates on the integer view and converts back to Fractions only for
-the values it returns, and the row-reduction engine works on gcd-normalized
-integer rows, which keeps entries small and avoids per-operation rational
-normalization in the hot paths.
+``Subspace.residual``, ``commutator`` and ``column_kernel``, the one kernel
+solve, behind ``nullspace`` and ``intersect``) never scan zeros.  The
+membership kernel eliminates on the integer view and converts back to
+Fractions only for the values it returns, and the row-reduction engine works
+on gcd-normalized integer rows, which keeps entries small and avoids
+per-operation rational normalization in the hot paths.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ def rat(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def sparse_vector(n: int, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction]:
@@ -181,11 +179,6 @@ class Mat:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
-
-    def stack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in stack")
-        return Mat(self.entries + other.entries, cols=self.cols)
 
     def is_zero(self) -> bool:
         return all(not x for r in self.entries for x in r)
@@ -423,15 +416,6 @@ class Subspace:
             return all(self.contains_vector(dict(r)) for r in other.rows)
         return self.contains_vector(other)
 
-    def constraint_matrix(self) -> Mat:
-        """A matrix whose kernel is exactly this subspace (the residual map)."""
-        n = self.ambient_dim
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for p, row in zip(self.pivots, self.rows):
-            for r, b in row:
-                rows[r][p] -= b
-        return Mat(rows, cols=n)
-
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
@@ -454,12 +438,24 @@ def commutator(n: int, x: SparseItems, y: SparseItems) -> dict[int, Fraction]:
     return {idx: v for idx, v in out.items() if v}
 
 
+def column_kernel(columns: Sequence[Mapping[int, Fraction]]) -> Subspace:
+    """{x : sum_a x_a * columns[a] = 0} in Q^len(columns), for sparse columns.
+
+    Their transposed rows, in row order, are the equations handed to Echelon.
+    """
+    rows: dict[int, list[tuple[int, Fraction]]] = {}
+    for a, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, []).append((a, v))
+    ech = Echelon(len(columns))
+    for r in sorted(rows):
+        ech.add(rows[r])
+    return Subspace.span(len(columns), ech.nullspace_rows())
+
+
 def nullspace(m: Mat) -> Subspace:
     """Exact kernel {v : m v = 0} as a canonical subspace."""
-    ech = Echelon(m.cols)
-    for r in m.entries:
-        ech.add(enumerate(r))
-    return Subspace.span(m.cols, ech.nullspace_rows())
+    return column_kernel([sparse_vector(m.rows, m.column(j)) for j in range(m.cols)])
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -469,11 +465,17 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection, via the kernel of the stacked membership constraints."""
+    """The sum_a x_a u_a over x in the kernel of the columns v.residual(u_a)."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    stacked = u.constraint_matrix().stack(v.constraint_matrix())
-    return nullspace(stacked)
+    vectors = []
+    for x in column_kernel([v.residual(dict(r)) for r in u.rows]).rows:
+        w: dict[int, Fraction] = {}
+        for a, xa in x:
+            for j, b in u.rows[a]:
+                w[j] = w.get(j, 0) + xa * b
+        vectors.append(w)
+    return Subspace.span(u.ambient_dim, vectors)
 
 
 def orthogonal_complement(b: Mat, u: Subspace) -> Subspace:

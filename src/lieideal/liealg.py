@@ -14,6 +14,9 @@ span_algebra, is_ideal, bracket_spaces, the closure check on Subalgebra) feed
 it RREF rows directly; bracket on dense tuples is a wrapper over it.
 span_algebra brackets the integer-scaled rows of Subspace.integer_rows and
 turns each coordinate into a Fraction once.
+center, centralizer and normalizer hand their equations to
+exactlin.column_kernel as sparse columns, center reading them off _nz;
+killing_form and quotient build no adjoint matrix either.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
@@ -32,13 +35,13 @@ from .exactlin import (
     SparseItems,
     Subspace,
     Vector,
+    column_kernel,
     dense_vector,
     inertia,
     nullspace,
     orthogonal_complement,
     rat,
     sparse_vector,
-    zero_vec,
 )
 
 
@@ -101,9 +104,10 @@ class LieAlgebra:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket output index {k} out of range")
                 q = rat(v)
-                if q:
-                    fwd[k] = fwd.get(k, 0) + q
-                    bwd[k] = bwd.get(k, 0) - q
+                if q and i != j:  # values given for [e_i, e_i] cancel
+                    if k in fwd:  # bwd[k] is -fwd[k]
+                        q += fwd[k]
+                    fwd[k], bwd[k] = q, -q
         empty: dict[int, Fraction] = {}
         nz = tuple(
             tuple(
@@ -206,9 +210,6 @@ class LieAlgebra:
                 for k, v in terms:
                     m[k][j] += xi * v
         return LinMap(self, self, Mat(m, cols=n))
-
-    def zero_vector(self) -> Vector:
-        return zero_vec(self.dim)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
@@ -473,57 +474,53 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
     return all(contains(bracket(x, y)) for x in amb.space.rows for y in h.space.rows)
 
 
-def _common_kernel(g: LieAlgebra, mats: Iterable[Mat]) -> Subalgebra:
-    """{x : m x = 0 for every m}, one stacked nullspace solve."""
-    rows = [row for m in mats for row in m.entries]
-    return Subalgebra(g, nullspace(Mat(rows, cols=g.dim)))
-
-
 def center(g: LieAlgebra) -> Subalgebra:
-    """Kernel of all adjoint maps at once."""
-    return _common_kernel(
-        g, (g.adjoint_matrix(g.basis_vector(i)).matrix for i in range(g.dim))
-    )
+    """{x : [x, e_j] = 0 for every j}: column i stacks the [e_i, e_j] of _nz."""
+    n = g.dim
+    columns = [{j * n + k: v for j, terms in enumerate(row) for k, v in terms} for row in g._nz]
+    return Subalgebra(g, column_kernel(columns))
+
+
+def _bracket_kernel(g: LieAlgebra, ys: Sequence[SparseItems], target: Subspace) -> Subalgebra:
+    """{x : [x, y] in target for every y}: column i stacks the residuals of the [e_i, y]."""
+    n = g.dim
+    columns = []
+    for i in range(n):
+        col: dict[int, Fraction] = {}
+        for t, y in enumerate(ys):
+            w = target.residual(g.sparse_bracket(((i, 1),), y))
+            col.update((t * n + k, v) for k, v in w.items())
+        columns.append(col)
+    return Subalgebra(g, column_kernel(columns))
 
 
 def centralizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
     """{x : [x, y] = 0 for all y in h}."""
     if h.parent != g:
         raise ValueError("subalgebra of a different algebra")
-    # [x, y] = -ad_y x; same kernel
-    return _common_kernel(g, (g.adjoint_matrix(y).matrix for y in h.basis_vectors()))
+    return _bracket_kernel(g, h.space.rows, Subspace.zero(g.dim))
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
     """{x : [x, h] inside h}; closure under brackets is checked on build."""
     if h.parent != g:
         raise ValueError("subalgebra of a different algebra")
-    constraint = h.space.constraint_matrix()
-    # rows of constraint * ad_y: membership defect of [x, y]
-    return _common_kernel(
-        g, (constraint * g.adjoint_matrix(y).matrix for y in h.basis_vectors())
-    )
+    return _bracket_kernel(g, h.space.rows, h.space)
 
 
 def killing_form(g: LieAlgebra) -> SymForm:
-    """B(x, y) = trace(ad_x ad_y)."""
+    """B(e_i, e_j) = trace(ad_i ad_j) = sum of c_iba * c_jab, on integer_constants."""
     n = g.dim
-    ads = [g.adjoint_matrix(g.basis_vector(i)).matrix for i in range(n)]
+    den, nz = g.integer_constants
+    # ad[i] holds c_iba and adt[j] holds c_jab, both at a * n + b
+    ad = [{a * n + b: v for b, terms in enumerate(row) for a, v in terms} for row in nz]
+    adt = [{a * n + b: v for a, terms in enumerate(row) for b, v in terms} for row in nz]
+    d2 = den * den
     K = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        ai = ads[i]
         for j in range(i, n):
-            aj = ads[j]
-            acc = Fraction(0)
-            for a in range(n):
-                ra = ai.entries[a]
-                for b in range(n):
-                    if ra[b]:
-                        w = aj.entries[b][a]
-                        if w:
-                            acc += ra[b] * w
-            K[i][j] = acc
-            K[j][i] = acc
+            t = adt[j]
+            K[i][j] = K[j][i] = Fraction(sum(v * t.get(ab, 0) for ab, v in ad[i].items()), d2)
     return SymForm(g, Mat(K, cols=n))
 
 
@@ -596,26 +593,20 @@ def quotient(g: LieAlgebra, ideal: Subalgebra) -> tuple[LieAlgebra, LinMap]:
         raise ValueError("ideal of a different algebra")
     if not is_ideal(g, ideal):
         raise ValueError("subalgebra is not an ideal; cannot form the quotient")
-    n = g.dim
-    pivots = set(ideal.space.pivots)
+    n, nz, space = g.dim, g._nz, ideal.space
+    pivots = set(space.pivots)
     coords = [j for j in range(n) if j not in pivots]
-    m = len(coords)
-    proj_rows = []
-    for j in range(n):
-        resid = ideal.space.residual(g.basis_vector(j))
-        proj_rows.append([resid.get(c, 0) for c in coords])
-    proj = Mat(proj_rows, cols=m).transpose()  # m x n
-
-    def project(v: Sequence[Fraction]) -> Vector:
-        return proj.apply(v)
-
-    brackets = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = project(g.bracket(g.basis_vector(coords[a]), g.basis_vector(coords[b])))
-            brackets[(a, b)] = dict(enumerate(w))
+    # the residual in the ideal is zero at its pivots, so it lives on coords
+    pos = {c: a for a, c in enumerate(coords)}
+    images = [space.residual({j: 1}) for j in range(n)]
+    proj = Mat([[w.get(c, 0) for w in images] for c in coords], cols=n)  # m x n
+    brackets = {
+        (a, b): {pos[k]: v for k, v in space.residual(dict(nz[ca][cb])).items()}
+        for a, ca in enumerate(coords)
+        for b, cb in enumerate(coords[a + 1 :], a + 1)
+    }
     q = LieAlgebra.from_brackets(
-        m, brackets, name=None if g.name is None else f"{g.name}/ideal"
+        len(coords), brackets, name=None if g.name is None else f"{g.name}/ideal"
     )
     validate_or_raise(q)
     return q, LinMap(g, q, proj)

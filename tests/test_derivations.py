@@ -203,8 +203,10 @@ def test_derivations_of_derivation_algebra_vanishing_on_inner_are_zero():
         da2 = derivation_algebra(d1)
         d = d1.dim
         ech = Echelon(d * d)
-        for row in da2.span.constraint_matrix().entries:
-            ech.add(enumerate(row))
+        # the residual map's matrix, column j the residual of e_j: its kernel is the span
+        cols = [da2.span.residual({j: 1}) for j in range(d * d)]
+        for r in range(d * d):
+            ech.add((j, col[r]) for j, col in enumerate(cols) if r in col)
         for v in da1.inner.basis_vectors():
             for r in range(d):
                 ech.add(((r * d + c, v[c]) for c in range(d) if v[c]))

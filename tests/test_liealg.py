@@ -132,6 +132,23 @@ def test_sparse_table_roundtrips(data):
     assert catalog.loads(catalog.dumps(g)) == g
 
 
+@settings(max_examples=60, deadline=None)
+@given(two_step_brackets())
+@example((3, {(0, 1): {2: 1}, (1, 0): {2: 3}}))
+@example((3, {(0, 1): {2: Fraction(1, 2)}, (1, 0): {2: Fraction(1, 2)}, (1, 1): {2: 5}}))
+def test_from_brackets_sums_repeats_and_reversed_pairs(data):
+    # reference: every value added at (i, j, k) and subtracted at (j, i, k);
+    # (i, i) data cancels, since [e_i, e_i] = 0
+    n, brackets = data
+    ref = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in brackets.items():
+        for k, v in row.items():
+            if i != j:
+                ref[i][j][k] += v
+                ref[j][i][k] -= v
+    assert LieAlgebra.from_brackets(n, brackets).c == tuple(tuple(map(tuple, p)) for p in ref)
+
+
 def test_from_brackets_rejects_output_index_out_of_range():
     for k in (-1, 3):
         with pytest.raises(ValueError):
@@ -151,7 +168,7 @@ def test_large_sparse_algebra_stores_only_nonzero_terms():
 
 def test_bracket_of_vector_with_itself_is_zero(sl2):
     x = (Fraction(1), Fraction(2), Fraction(-3))
-    assert sl2.bracket(x, x) == sl2.zero_vector()
+    assert sl2.bracket(x, x) == (Fraction(0),) * 3
 
 
 def test_heisenberg_defining_bracket(heis):
