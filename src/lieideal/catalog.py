@@ -16,7 +16,7 @@ Each ``bracket i j k v`` line sets [e_i, e_j] += v e_k with 0 <= i < j < dim,
 0 <= k < dim and v a rational like ``-3/2``.  The (j, i) entries are implied
 by antisymmetry and are rejected if written out.  Omitted pairs are zero.
 Loading validates antisymmetry and Jacobi and reports the first violation.
-A ``dim`` above MAX_DIM is rejected at its line, before anything is built.
+An oversized ``dim`` or ``v`` is rejected at its line, before anything is built.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .exactlin import Mat, Subspace, rat
+from .exactlin import Mat, Subspace, parse_rational
 from .liealg import LieAlgebra, LinMap, SymForm, direct_sum, validate
 
 
@@ -266,7 +266,7 @@ def loads(text: str) -> LieAlgebra:
         if parts[0] == "dim":
             if dim is not None:
                 raise ParseError("duplicate dim field", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise ParseError("dim needs one integer argument", lineno)
             dim = int(parts[1])
             if dim > MAX_DIM:
@@ -282,7 +282,7 @@ def loads(text: str) -> LieAlgebra:
                 raise ParseError("bracket needs i j k v", lineno)
             try:
                 i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
-                v = rat(parts[4])
+                v = parse_rational(parts[4])
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad bracket record: {exc}", lineno) from None
             if not (0 <= i < j < dim):

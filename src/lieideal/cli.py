@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import catalog
 from .derivations import derivation_algebra, derivation_tower, is_complete
-from .exactlin import Subspace, rat
+from .exactlin import Subspace, parse_rational
 from .liealg import (
     LieAlgebra,
     Subalgebra,
@@ -86,7 +86,7 @@ def _parse_basis_spec(spec: str, dim: int) -> list[list[Fraction]]:
         if not chunk:
             continue
         try:
-            v = [rat(x.strip()) for x in chunk.split(",")]
+            v = [parse_rational(x.strip()) for x in chunk.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad coordinate in basis spec: {exc}") from None
         if len(v) != dim:

@@ -3,12 +3,14 @@
 A derivation of g is an endomorphism f with f([x,y]) = [f(x),y] + [x,f(y)].
 The solver treats the n^2 matrix entries of f (row-major) as unknowns and
 takes the exact kernel of the stacked Leibniz constraints over all basis
-pairs, assembled in integers from LieAlgebra.integer_constants.  The
-canonical RREF kernel rows fix the structure constants of D(g)
-deterministically: liealg.span_algebra reads them off the kernel, with the
-sparse exactlin.commutator on the integer-scaled flattened rows as the
-bracket, and checks that every commutator stays in the kernel.  Only the
-realization maps and the coordinates handed back to callers are dense.
+pairs, assembled from the numerators in LieAlgebra.integer_constants and never
+divided by their denominator den: the system is homogeneous, and the inner
+derivations, taken as den * ad_{e_i}, span the same subspace.  The canonical
+RREF kernel rows fix the structure constants of D(g) deterministically:
+liealg.span_algebra reads them off the kernel, with the sparse
+exactlin.commutator on the integer-scaled flattened rows as the bracket, and
+checks that every commutator stays in the kernel.  Only the realization maps
+and the coordinates handed back to callers are dense.
 
 derivation_algebra caches the solve on the algebra's structure, which
 ignores names; a hit is handed back renamed for the caller's algebra.
@@ -80,12 +82,7 @@ class DerivationAlgebra:
 
 
 def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, Fraction]]:
-    """Kernel of the Leibniz system; unknowns f_ab at index a*n + b.
-
-    The system is homogeneous, so it is assembled from the integer
-    numerators of the structure constants: scaling every equation by their
-    common denominator leaves the kernel as it is.
-    """
+    """Kernel of the Leibniz system, in numerators; unknowns f_ab at index a*n + b."""
     n = g.dim
     nz = g.integer_constants[1]
     ech = Echelon(n * n)
@@ -131,8 +128,8 @@ def _solve(g: LieAlgebra) -> DerivationAlgebra:
     algebra = validate_or_raise(span_algebra(kernel, partial(commutator, n), name=_d_name(g)))
     inner_rows = []
     for i in range(n):
-        # ad_{e_i} sends e_j to [e_i, e_j]: entry (k, j) is c_ijk
-        ad = {k * n + j: v for j in range(n) for k, v in g._nz[i][j]}
+        # den * ad_{e_i} sends e_j to den * [e_i, e_j]: entry (k, j) is c_ijk * den
+        ad = {k * n + j: v for j, terms in enumerate(g.integer_constants[1][i]) for k, v in terms}
         coords = kernel.coordinates(ad)
         if coords is None:
             raise InternalCheckError("inner derivation escaped the solution span")

@@ -20,6 +20,7 @@ per-operation rational normalization in the hot paths.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,26 @@ def rat(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+# Fraction("1e999999999") builds 10**999999999 before anything sees the value,
+# so a literal's length plus its exponent is bounded first, as MAX_DIM bounds dim
+MAX_LITERAL_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """A literal from outside, like "-3/4" or "1.5e-3"; ValueError if malformed or too long."""
+    m = len(text) <= MAX_LITERAL_DIGITS and _EXPONENT.search(text)
+    if len(text) + (abs(int(m.group(1))) if m else 0) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"literal longer than {MAX_LITERAL_DIGITS} digits, exponent included")
+    return Fraction(text)
+
+
+def over_lcm(items: SparseItems) -> tuple[int, dict[int, int]]:
+    """(d, {i: v * d}) for the lcm d of the values' denominators; ints have d = 1."""
+    d = lcm(*(v.denominator for _, v in items))
+    return d, {i: v.numerator * (d // v.denominator) for i, v in items}
 
 
 def sparse_vector(n: int, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction]:
@@ -210,13 +231,8 @@ class Mat:
 
 
 def _int_row(coeffs: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
-    """Clear denominators and divide by the content, as a sparse dict.
-
-    Integer coefficients pass through with denominator 1.
-    """
-    items = [(c, v) for c, v in coeffs if v]
-    den = lcm(*(v.denominator for _, v in items))
-    return _primitive({c: v.numerator * (den // v.denominator) for c, v in items})
+    """Clear denominators and divide by the content, as a sparse dict."""
+    return _primitive(over_lcm([(c, v) for c, v in coeffs if v])[1])
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -382,9 +398,7 @@ class Subspace:
         In RREF the coefficient of row i is the entry at pivots[i], because no
         other row touches that column.
         """
-        q = sparse_vector(self.ambient_dim, v)
-        d = lcm(*(x.denominator for x in q.values()))
-        num = {j: x.numerator * (d // x.denominator) for j, x in q.items()}
+        d, num = over_lcm(sparse_vector(self.ambient_dim, v).items())
         L, rows = self.integer_rows
         work = {j: L * x for j, x in num.items()}
         for p, row in zip(self.pivots, rows):

@@ -1,13 +1,13 @@
 """Lie algebras over Q by structure constants.
 
-An algebra is its dimension plus its nonzero structure constants: _nz[i][j]
-holds the pairs (k, c_ijk) with c_ijk != 0 in increasing k, where
-[e_i, e_j] = sum_k c_ijk e_k.  Both (i,j) and (j,i) are stored, and memory
-grows with the number of nonzero constants, not with dim^3.  Every builder
-hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.  The constants are
-Fractions; LieAlgebra.integer_constants is a cached view of them as integer
-numerators over their lcm denominator, and the Jacobi loop of validate runs on
-it.
+An algebra is its dimension plus its nonzero structure constants, stored once as
+LieAlgebra.integer_constants = (den, num): den is the lcm of the denominators of
+the c_ijk, where [e_i, e_j] = sum_k c_ijk e_k, and num[i][j] holds the pairs
+(k, c_ijk * den) with c_ijk != 0 in increasing k.  Both (i,j) and (j,i) are
+stored, and memory grows with the number of nonzero constants, not with dim^3.
+Every builder hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.
+validate, center, killing_form and the Leibniz system of D(g) read the integers;
+sparse_bracket, bracket_basis, adjoint_matrix and brackets() divide by den once.
 LieAlgebra.sparse_bracket is the one bracket kernel: it takes and returns
 sparse vectors, and the routines that bracket subspace rows (closure,
 span_algebra, is_ideal, bracket_spaces, the closure check on Subalgebra) feed
@@ -15,14 +15,15 @@ it RREF rows directly; bracket on dense tuples is a wrapper over it.
 span_algebra brackets the integer-scaled rows of Subspace.integer_rows and
 turns each coordinate into a Fraction once.
 center, centralizer and normalizer hand their equations to
-exactlin.column_kernel as sparse columns, center reading them off _nz;
-killing_form and quotient build no adjoint matrix either.
+exactlin.column_kernel as sparse columns; killing_form and quotient build no
+adjoint matrix either.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -40,6 +41,7 @@ from .exactlin import (
     inertia,
     nullspace,
     orthogonal_complement,
+    over_lcm,
     rat,
     sparse_vector,
 )
@@ -52,7 +54,7 @@ class InternalCheckError(AssertionError):
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its nonzero structure constants."""
 
-    __slots__ = ("dim", "name", "_nz", "_hash", "_int")
+    __slots__ = ("dim", "name", "integer_constants", "_hash")
 
     def __init__(
         self,
@@ -65,24 +67,22 @@ class LieAlgebra:
         constructor for data known to be antisymmetric.
         """
         dim = len(c)
-        nz = []
+        rows = []
         for plane in c:
             if len(plane) != dim or any(len(row) != dim for row in plane):
                 raise ValueError("structure tensor is not dim x dim x dim")
-            nz.append(
-                tuple(
-                    tuple((k, q) for k, x in enumerate(row) if (q := rat(x)))
-                    for row in plane
-                )
-            )
-        self._init(dim, tuple(nz), name)
+            rows.append([[(k, q) for k, x in enumerate(row) if (q := rat(x))] for row in plane])
+        self._init(rows, name)
 
-    def _init(self, dim: int, nz: tuple, name: str | None) -> None:
-        self.dim = dim
-        self.name = name
-        self._nz = nz
+    def _init(self, rows: Sequence[Sequence[SparseItems]], name: str | None) -> None:
+        """Store rows[i][j], the nonzero (k, c_ijk) in increasing k, over their lcm."""
+        den = lcm(*(v.denominator for row in rows for terms in row for _, v in terms))
+        num = tuple(
+            tuple(tuple((k, v.numerator * (den // v.denominator)) for k, v in t) for t in row)
+            for row in rows
+        )
+        self.dim, self.name, self.integer_constants = len(rows), name, (den, num)
         self._hash: int | None = None
-        self._int: tuple | None = None
 
     @staticmethod
     def from_brackets(
@@ -109,52 +109,28 @@ class LieAlgebra:
                         q += fwd[k]
                     fwd[k], bwd[k] = q, -q
         empty: dict[int, Fraction] = {}
-        nz = tuple(
-            tuple(
-                tuple(sorted((k, v) for k, v in acc.get((i, j), empty).items() if v))
-                for j in range(dim)
-            )
+        rows = [
+            [sorted((k, v) for k, v in acc.get((i, j), empty).items() if v) for j in range(dim)]
             for i in range(dim)
-        )
+        ]
         g = LieAlgebra.__new__(LieAlgebra)
-        g._init(dim, nz, name)
+        g._init(rows, name)
         return g
 
     def renamed(self, name: str | None) -> "LieAlgebra":
-        """The same structure under another name, as a new object."""
-        g = LieAlgebra.__new__(LieAlgebra)
-        g._init(self.dim, self._nz, name)
-        g._int = self._int
+        """The same structure, its constants shared, under another name."""
+        g = copy(self)
+        g.name = name
         return g
-
-    @property
-    def integer_constants(self) -> tuple[int, tuple]:
-        """(den, num): the structure constants as integers over their lcm denominator.
-
-        num[i][j] holds the pairs (k, c_ijk * den) in _nz's layout.  Built on
-        first use and kept, like _nz, as nested tuples.
-        """
-        if self._int is None:
-            nz = self._nz
-            den = lcm(*(v.denominator for row in nz for terms in row for _, v in terms))
-            num = tuple(
-                tuple(
-                    tuple((k, v.numerator * (den // v.denominator)) for k, v in terms)
-                    for terms in row
-                )
-                for row in nz
-            )
-            self._int = (den, num)
-        return self._int
 
     def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The nonzero [e_i, e_j] with i < j, in the form from_brackets takes."""
-        nz = self._nz
+        den, num = self.integer_constants
         return {
-            (i, j): dict(nz[i][j])
+            (i, j): {k: Fraction(v, den) for k, v in num[i][j]}
             for i in range(self.dim)
             for j in range(i + 1, self.dim)
-            if nz[i][j]
+            if num[i][j]
         }
 
     @property
@@ -166,11 +142,11 @@ class LieAlgebra:
         )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LieAlgebra) and self._nz == other._nz
+        return isinstance(other, LieAlgebra) and self.integer_constants == other.integer_constants
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._nz)
+            self._hash = hash(self.integer_constants)
         return self._hash
 
     def __repr__(self) -> str:
@@ -178,18 +154,26 @@ class LieAlgebra:
         return f"<{label} dim={self.dim}>"
 
     def sparse_bracket(self, x: SparseItems, y: SparseItems) -> dict[int, Fraction]:
-        """[x, y] for sparse vectors, as its nonzero entries by index."""
+        """[x, y] for sparse vectors, as its nonzero entries by index.
+
+        If den > 1 the sum runs in integers, [X/dx, Y/dy] = [X, Y]/(dx * dy * den),
+        with one Fraction per entry, so integer inputs still give Fractions.
+        """
+        den, num = self.integer_constants
+        d = 1
+        if den > 1:
+            (dx, xs), (dy, ys) = over_lcm(x), over_lcm(y)
+            x, y, d = xs.items(), ys.items(), dx * dy * den
         out: dict[int, Fraction] = {}
-        nz = self._nz
         for i, xi in x:
-            nzi = nz[i]
+            numi = num[i]
             for j, yj in y:
-                terms = nzi[j]
+                terms = numi[j]
                 if terms:
                     s = xi * yj
                     for k, v in terms:
                         out[k] = out.get(k, 0) + s * v
-        return {k: v for k, v in out.items() if v}
+        return {k: v if d == 1 else Fraction(v, d) for k, v in out.items() if v}
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """[x, y] for dense coordinate tuples."""
@@ -198,17 +182,20 @@ class LieAlgebra:
         return dense_vector(n, self.sparse_bracket(xs, ys).items())
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        return dense_vector(self.dim, self._nz[i][j])
+        den, num = self.integer_constants
+        return dense_vector(self.dim, ((k, Fraction(v, den)) for k, v in num[i][j]))
 
     def adjoint_matrix(self, x: Sequence[Fraction]) -> "LinMap":
         """ad_x as a linear map y -> [x, y], every column in one pass over x."""
         n = self.dim
+        den, num = self.integer_constants
         m = [[Fraction(0)] * n for _ in range(n)]
         for i, xi in sparse_vector(n, x).items():
+            s = xi / den
             # [e_i, e_j] fills column j
-            for j, terms in enumerate(self._nz[i]):
+            for j, terms in enumerate(num[i]):
                 for k, v in terms:
-                    m[k][j] += xi * v
+                    m[k][j] += s * v
         return LinMap(self, self, Mat(m, cols=n))
 
     def basis_vector(self, i: int) -> Vector:
@@ -232,7 +219,7 @@ class ValidationReport:
 def validate(g: LieAlgebra) -> ValidationReport:
     """Check antisymmetry and the Jacobi identity on all basis triples."""
     n = g.dim
-    nz = g._nz
+    nz = g.integer_constants[1]
     for i in range(n):
         for j in range(i, n):
             fwd, bwd = nz[i][j], nz[j][i]
@@ -242,7 +229,6 @@ def validate(g: LieAlgebra) -> ValidationReport:
                 return ValidationReport(False, antisymmetry_failure=(i, j, k))
     # every Jacobi term is a product of two constants, so on the numerators
     # over one common denominator a sum vanishes iff the rational one does
-    nz = g.integer_constants[1]
     for i in range(n):
         for j in range(i + 1, n):
             ij, nz_j = nz[i][j], nz[j]
@@ -475,9 +461,9 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
 
 
 def center(g: LieAlgebra) -> Subalgebra:
-    """{x : [x, e_j] = 0 for every j}: column i stacks the [e_i, e_j] of _nz."""
-    n = g.dim
-    columns = [{j * n + k: v for j, terms in enumerate(row) for k, v in terms} for row in g._nz]
+    """{x : [x, e_j] = 0 for every j}: column i stacks the numerators of the [e_i, e_j]."""
+    n, num = g.dim, g.integer_constants[1]
+    columns = [{j * n + k: v for j, terms in enumerate(row) for k, v in terms} for row in num]
     return Subalgebra(g, column_kernel(columns))
 
 
@@ -593,7 +579,7 @@ def quotient(g: LieAlgebra, ideal: Subalgebra) -> tuple[LieAlgebra, LinMap]:
         raise ValueError("ideal of a different algebra")
     if not is_ideal(g, ideal):
         raise ValueError("subalgebra is not an ideal; cannot form the quotient")
-    n, nz, space = g.dim, g._nz, ideal.space
+    n, space, table = g.dim, ideal.space, g.brackets()
     pivots = set(space.pivots)
     coords = [j for j in range(n) if j not in pivots]
     # the residual in the ideal is zero at its pivots, so it lives on coords
@@ -601,7 +587,7 @@ def quotient(g: LieAlgebra, ideal: Subalgebra) -> tuple[LieAlgebra, LinMap]:
     images = [space.residual({j: 1}) for j in range(n)]
     proj = Mat([[w.get(c, 0) for w in images] for c in coords], cols=n)  # m x n
     brackets = {
-        (a, b): {pos[k]: v for k, v in space.residual(dict(nz[ca][cb])).items()}
+        (a, b): {pos[k]: v for k, v in space.residual(table.get((ca, cb), {})).items()}
         for a, ca in enumerate(coords)
         for b, cb in enumerate(coords[a + 1 :], a + 1)
     }

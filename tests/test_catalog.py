@@ -107,6 +107,16 @@ def test_parse_error_carries_line_number():
     with pytest.raises(catalog.ParseError) as exc:
         catalog.loads("dim 2\nbracket 0 1 1\n")
     assert exc.value.line == 2
+    # superscript two passes str.isdigit; 1e999999999 would build 10^999999999
+    # (1e5000 comes first, so a missing bound fails here instead of hanging)
+    for text, line in (
+        ("dim \u00b2\n", 1),
+        ("dim 3\nbracket 0 1 2 1e5000\n", 2),
+        ("dim 3\nbracket 0 1 2 1e999999999\n", 2),
+    ):
+        with pytest.raises(catalog.ParseError) as exc:
+            catalog.loads(text)
+        assert exc.value.line == line
 
 
 def test_lower_triangle_entries_forbidden():

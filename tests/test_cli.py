@@ -116,6 +116,11 @@ def test_missing_file_exits_two(capsys):
 def test_bad_basis_spec_exits_two(capsys):
     assert run(["ideal", "catalog:sl2", "--sub", "1,zebra,0"]) == 2
     capsys.readouterr()
+    # 1e5000 is refused before it is built; its RREF entry 1/10^5000 could
+    # not be printed within Python's int-to-str digit limit
+    assert run(["subideal", "catalog:heisenberg3", "--sub", "1e5000,1,0"]) == 2
+    err = capsys.readouterr().err
+    assert "bad coordinate" in err and "Traceback" not in err
 
 
 def test_zero_denominator_in_file_exits_two(capsys, tmp_path):
@@ -124,11 +129,21 @@ def test_zero_denominator_in_file_exits_two(capsys, tmp_path):
     assert run(["info", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "Traceback" not in err
+    # refused before Fraction builds 10^999999999
+    path.write_text("dim 3\nbracket 0 1 2 1e999999999\n")
+    assert run(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "Traceback" not in err
 
 
 def test_dim_above_cap_in_file_exits_two(capsys, tmp_path):
     path = tmp_path / "big.lie"
     path.write_text("dim 257\nbracket 0 1 2 1\n")
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "Traceback" not in err
+    # a digit to str.isdigit, but not to int()
+    path.write_text("dim \u00b2\n")
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "Traceback" not in err

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieideal.exactlin import (
+    MAX_LITERAL_DIGITS,
     Inertia,
     Mat,
     Subspace,
@@ -14,6 +15,7 @@ from lieideal.exactlin import (
     intersect,
     nullspace,
     orthogonal_complement,
+    parse_rational,
     rank,
     rat,
     rref,
@@ -41,6 +43,24 @@ def test_rat_parsing():
     assert rat("-7") == Fraction(-7)
     assert rat(Fraction(1, 2)) == Fraction(1, 2)
     assert str(rat("2/4")) == "1/2"
+    # parse_rational, for literals from outside, bounds their size first
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational("1.5e-3") == Fraction(3, 2000)
+    # the size is the literal's length plus its exponent: 5 + 995 is the cap
+    assert MAX_LITERAL_DIGITS == 1000
+    assert parse_rational("1e995") == 10**995
+    for text in (
+        "1e996",
+        "1e999999999",
+        "0E-999999999",
+        "1e5000",
+        "7" * (MAX_LITERAL_DIGITS + 1),
+        f"1/{'3' * MAX_LITERAL_DIGITS}",
+    ):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
 
 
 def test_rref_identity():

@@ -121,7 +121,7 @@ def two_step_brackets(draw):
 def test_sparse_table_roundtrips(data):
     n, brackets = data
     g = LieAlgebra.from_brackets(n, brackets, name="random")
-    for plane in g._nz:
+    for plane in g.integer_constants[1]:
         for terms in plane:
             assert all(v for _, v in terms), "a stored term is zero"
             ks = [k for k, _ in terms]
@@ -158,8 +158,9 @@ def test_from_brackets_rejects_output_index_out_of_range():
 def test_large_sparse_algebra_stores_only_nonzero_terms():
     g = LieAlgebra.from_brackets(200, {(0, 1): {2: 1}})
     assert validate(g).ok
-    terms = [t for plane in g._nz for row in plane for t in row]
-    assert terms == [(2, 1), (2, -1)]
+    den, num = g.integer_constants
+    terms = [t for plane in num for row in plane for t in row]
+    assert den == 1 and terms == [(2, 1), (2, -1)]
     assert g.bracket_basis(1, 0)[2] == -1
 
 
@@ -510,22 +511,41 @@ def test_pinned_jacobi_examples():
 @settings(max_examples=100, deadline=None)
 @given(sparse_brackets())
 @example((5, SL2_RAD2_RESCALED))
+# an unreduced string against its reduced value
+@example((3, {(0, 1): {2: "2/4"}, (0, 2): {1: "1/3"}}))
+# repeats whose sum cancels every denominator: 1/2 + 1/2 gives den 1
+@example((3, {(0, 1): {2: Fraction(1, 2)}, (1, 0): {2: Fraction(-1, 2)}, (1, 1): {0: "1/5"}}))
 def test_integer_constants_over_the_least_common_denominator(data):
+    # reference: the input accumulated densely in Fractions, as from_brackets
+    # documents it (repeats add up, (j, i) data is negated, (i, i) data cancels)
     n, brackets = data
+    ref = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in brackets.items():
+        for k, v in row.items():
+            if i != j:
+                ref[i][j][k] += Fraction(v)
+                ref[j][i][k] -= Fraction(v)
     g = LieAlgebra.from_brackets(n, brackets)
     den, num = g.integer_constants
-    constants = [c for row in g._nz for terms in row for _, c in terms]
-    assert den == math.lcm(*(c.denominator for c in constants))
-    assert isinstance(num, tuple) and all(
-        isinstance(row, tuple) and all(isinstance(terms, tuple) for terms in row) for row in num
-    )
-    for row, nrow in zip(g._nz, num):
-        for terms, nterms in zip(row, nrow):
-            assert [k for k, _ in nterms] == [k for k, _ in terms]
-            for (_, c), (_, m) in zip(terms, nterms):
-                assert type(m) is int and m == c * den
-    assert g.integer_constants is g.integer_constants
+    assert den == math.lcm(*(c.denominator for p in ref for r in p for c in r if c))
+    assert isinstance(num, tuple) and len(num) == n
+    for i, row in enumerate(num):
+        assert isinstance(row, tuple) and len(row) == n
+        for j, terms in enumerate(row):
+            assert isinstance(terms, tuple)
+            assert [k for k, _ in terms] == sorted({k for k, _ in terms})
+            assert all(type(m) is int and m for _, m in terms)
+            stored = dict(terms)
+            for k in range(n):
+                assert Fraction(stored.get(k, 0), den) == ref[i][j][k]
+    # equal structures, however they are written, store the same (den, num)
+    for same in (LieAlgebra(ref), LieAlgebra.from_brackets(n, g.brackets())):
+        assert same.integer_constants == g.integer_constants
+        assert same == g and hash(same) == hash(g)
     assert g.renamed("other").integer_constants is g.integer_constants
+    # halving every constant keeps num or den apart, so never gives an equal algebra
+    half = {p: {k: v / 2 for k, v in row.items()} for p, row in g.brackets().items()}
+    assert (LieAlgebra.from_brackets(n, half) == g) == (not half)
 
 
 @settings(max_examples=80, deadline=None)
