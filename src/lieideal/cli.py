@@ -79,6 +79,14 @@ def _load_source(src: str) -> LieAlgebra:
         raise InputError(f"{src}: {exc}") from None
 
 
+# Row reduction multiplies coordinates together, so the spec is bounded as a
+# whole.  Clear the denominators of rows with B_i bits of numerators and
+# denominators each: an RREF entry is a ratio of two r x r minors (Cramer), each
+# under 2^(sum B_i + r log2(r) / 2 + 1) by Hadamard's bound.  That is at most
+# 11,025 bits for r <= catalog.MAX_DIM = 256: under 3,320 digits, so it prints.
+MAX_SPEC_BITS = 10_000
+
+
 def _parse_basis_spec(spec: str, dim: int) -> list[list[Fraction]]:
     vectors = []
     for chunk in spec.split(";"):
@@ -96,6 +104,9 @@ def _parse_basis_spec(spec: str, dim: int) -> list[list[Fraction]]:
         vectors.append(v)
     if not vectors:
         raise InputError("empty basis spec")
+    bits = sum(q.numerator.bit_length() + q.denominator.bit_length() for v in vectors for q in v)
+    if bits > MAX_SPEC_BITS:
+        raise InputError(f"basis spec over {MAX_SPEC_BITS} bits of numerators and denominators")
     return vectors
 
 

@@ -10,7 +10,8 @@ RREF kernel rows fix the structure constants of D(g) deterministically:
 liealg.span_algebra reads them off the kernel, with the sparse
 exactlin.commutator on the integer-scaled flattened rows as the bracket, and
 checks that every commutator stays in the kernel.  Only the realization maps
-and the coordinates handed back to callers are dense.
+and the holomorph's constants read the kernel's Fraction rows, and only the
+realization maps and the coordinates handed back to callers are dense.
 
 derivation_algebra caches the solve on the algebra's structure, which
 ignores names; a hit is handed back renamed for the caller's algebra.
@@ -81,8 +82,8 @@ class DerivationAlgebra:
         return self.coordinates_of(self.base.adjoint_matrix(x).matrix)
 
 
-def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, Fraction]]:
-    """Kernel of the Leibniz system, in numerators; unknowns f_ab at index a*n + b."""
+def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
+    """Integer kernel of the Leibniz system, in numerators; unknowns f_ab at index a*n + b."""
     n = g.dim
     nz = g.integer_constants[1]
     ech = Echelon(n * n)
@@ -315,10 +316,10 @@ def is_characteristic(g: LieAlgebra, h: Subalgebra) -> bool:
     if not is_ideal(g, h):
         raise ValueError("is_characteristic needs an ideal")
     n = g.dim
-    for f in derivation_algebra(g).span.rows:
-        for u in map(dict, h.space.rows):
+    for f in derivation_algebra(g).span.integer_rows[1]:
+        for u in map(dict, h.space.integer_rows[1]):
             # f(u) from the flattened entries f_ab = f[a * n + b]
-            image: dict[int, Fraction] = {}
+            image: dict[int, int] = {}
             for idx, v in f:
                 a, b = divmod(idx, n)
                 if b in u:

@@ -3,19 +3,18 @@
 Everything in here is exact: scalars at the interface are
 ``fractions.Fraction`` and the inner loops run on integers.  ``Mat``, a dense
 grid of Fractions, stays at the edges: maps, forms, inertia and formatting.  A
-subspace is stored as its reduced row-echelon rows, each a tuple of (column,
-nonzero value) pairs in increasing column order, so equality of subspaces is
-literal equality of those rows; ``Subspace.basis`` is a dense view of them,
-built on first use, for formatting, forms and maps, and
-``Subspace.integer_rows`` is the cached integer view: the rows scaled by the
-lcm of their denominators.  Sparse vectors are dicts from index to nonzero
-value; the kernels that take them (``Subspace.span``, the membership test
-``Subspace.residual``, ``commutator`` and ``column_kernel``, the one kernel
-solve, behind ``nullspace`` and ``intersect``) never scan zeros.  The
-membership kernel eliminates on the integer view and converts back to
-Fractions only for the values it returns, and the row-reduction engine works
-on gcd-normalized integer rows, which keeps entries small and avoids
-per-operation rational normalization in the hot paths.
+subspace is stored once, as ``Subspace.integer_rows`` = (L, rows): its unique
+reduced row-echelon rows times the lcm L of their denominators, as (column,
+nonzero int) pairs, so equality of subspaces is literal equality of them.  One
+scale on every row leaves spans, kernels and membership as they are, so every
+kernel reads the integers; the views ``Subspace.rows`` (in Fractions) and
+``Subspace.basis`` (dense) serve formatting, forms, maps, D(g)'s realization
+and the holomorph.  Sparse vectors are dicts from index to nonzero value, ints
+kept as ints; the kernels that take them (``Subspace.span``, the membership
+test ``Subspace.residual``, ``commutator`` and ``column_kernel``, the one solve,
+behind ``nullspace`` and ``intersect``) never scan zeros, and hand back
+Fractions.  ``Echelon`` reduces gcd-normalized integer rows and builds no
+Fraction.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ Rat = Fraction
 Vector = tuple[Fraction, ...]
 # nonzero (index, value) pairs in increasing index order
 SparseRow = tuple[tuple[int, Fraction], ...]
-# (index, nonzero value) pairs, re-iterable: a SparseRow or a dict's items()
-SparseItems = Iterable[tuple[int, Fraction]]
+IntRow = tuple[tuple[int, int], ...]  # a SparseRow in integers
+# (index, nonzero value) pairs, re-iterable: a SparseRow, an IntRow or a dict's items()
+SparseItems = Iterable[tuple[int, Fraction | int]]
 
 Scalar = Union[Fraction, int, str]
 
@@ -65,23 +65,25 @@ def over_lcm(items: SparseItems) -> tuple[int, dict[int, int]]:
     return d, {i: v.numerator * (d // v.denominator) for i, v in items}
 
 
-def sparse_vector(n: int, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction]:
-    """The nonzero entries of a dense or sparse (index -> value) vector of Q^n."""
+def sparse_vector(n: int, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction | int]:
+    """The nonzero entries of a dense or sparse (index -> value) vector of Q^n; ints stay ints."""
     if isinstance(v, Mapping):
-        out = {j: q for j, x in v.items() if (q := rat(x))}
-        if out and not (0 <= min(out) and max(out) < n):
-            raise ValueError(f"sparse vector index outside [0, {n})")
-        return out
-    if len(v) != n:
+        items = v.items()
+    elif len(v) == n:
+        items = enumerate(v)
+    else:
         raise ValueError(f"vector length {len(v)} != ambient {n}")
-    return {j: q for j, x in enumerate(v) if (q := rat(x))}
+    out = {j: q for j, x in items if (q := x if isinstance(x, (int, Fraction)) else Fraction(x))}
+    if out and not (0 <= min(out) and max(out) < n):
+        raise ValueError(f"sparse vector index outside [0, {n})")
+    return out
 
 
 def dense_vector(n: int, v: SparseItems) -> Vector:
-    """The vector of Q^n with the given (index, value) entries, zero elsewhere."""
+    """The vector of Q^n with the given (index, value) entries, zero elsewhere, in Fractions."""
     out = [Fraction(0)] * n
     for j, x in v:
-        out[j] = x
+        out[j] = rat(x)
     return tuple(out)
 
 
@@ -280,12 +282,12 @@ class Echelon:
         if row:
             self.pivots[min(row)] = row
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def rref_rows(self) -> tuple[list[int], int, list[IntRow]]:
+        """Back-substitute: pivot columns, L and the RREF rows times L, in integers.
 
-    def rref_rows(self) -> tuple[list[int], list[SparseRow]]:
-        """Back-substitute and normalize: pivot columns and sparse Fraction rows."""
+        Row i is primitive, so its RREF row, row i over its pivot entry p_i, has
+        denominators with lcm |p_i|: L is the lcm of the |p_i|.
+        """
         piv_cols = sorted(self.pivots)
         reduced: dict[int, dict[int, int]] = {}
         for c in reversed(piv_cols):
@@ -294,18 +296,18 @@ class Echelon:
                 if c2 != c and c2 in reduced:
                     row = _eliminate(row, reduced[c2], c2)
             reduced[c] = _primitive(row)
+        L = lcm(*(reduced[c][c] for c in piv_cols))
         out = []
         for c in piv_cols:
             row = reduced[c]
-            p = row[c]
-            out.append(tuple(sorted((cc, Fraction(v, p)) for cc, v in row.items())))
-        return piv_cols, out
+            s = L // row[c]  # exact, and negative with the pivot entry
+            out.append(tuple(sorted((cc, v * s) for cc, v in row.items())))
+        return piv_cols, L, out
 
-    def nullspace_rows(self) -> list[dict[int, Fraction]]:
-        """Sparse basis vectors of the solution space, one per free column."""
-        piv_cols, rows = self.rref_rows()
-        pivots = set(piv_cols)
-        basis = {f: {f: Fraction(1)} for f in range(self.ncols) if f not in pivots}
+    def nullspace_rows(self) -> list[dict[int, int]]:
+        """Integer basis of the solution space: L times the vector that is 1 at free column f."""
+        piv_cols, L, rows = self.rref_rows()
+        basis = {f: {f: L} for f in range(self.ncols) if f not in self.pivots}
         for p, row in zip(piv_cols, rows):
             for c, v in row:
                 if c != p:  # in RREF every other column of a row is free
@@ -315,35 +317,27 @@ class Echelon:
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row-echelon form and pivot columns (increasing)."""
-    ech = Echelon(m.cols)
-    for r in m.entries:
-        ech.add(enumerate(r))
-    piv_cols, rows = ech.rref_rows()
-    out = [dense_vector(m.cols, row) for row in rows]
-    while len(out) < m.rows:
-        out.append([Fraction(0)] * m.cols)
-    return Mat(out, cols=m.cols), tuple(piv_cols)
+    u = Subspace.span(m.cols, m.entries)
+    zeros = [(Fraction(0),) * m.cols] * (m.rows - u.dim)
+    return Mat([*u.basis.entries, *zeros], cols=m.cols), u.pivots
 
 
 def rank(m: Mat) -> int:
-    ech = Echelon(m.cols)
-    for r in m.entries:
-        ech.add(enumerate(r))
-    return ech.rank
+    return Subspace.span(m.cols, m.entries).dim
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, held as its unique RREF rows.
+    """A subspace of Q^n, held once, as its unique RREF rows times one integer.
 
-    rows[i] is the i-th RREF basis vector as a SparseRow: 1 at pivots[i], 0 at
-    every other pivot.  Two subspaces are equal iff they are the same set of
-    vectors, which by canonicality is iff their rows compare equal.
+    integer_rows = (L, rows): L is the lcm of the RREF rows' denominators and
+    rows[i] is RREF row i times L, an IntRow with L at pivots[i] and 0 at every
+    other pivot.  By canonicality, equal subspaces have equal fields.
     """
 
     ambient_dim: int
     pivots: tuple[int, ...]
-    rows: tuple[SparseRow, ...]
+    integer_rows: tuple[int, tuple[IntRow, ...]]
 
     @staticmethod
     def span(
@@ -353,42 +347,35 @@ class Subspace:
         ech = Echelon(ambient_dim)
         for v in vectors:
             ech.add(sparse_vector(ambient_dim, v).items())
-        piv_cols, rows = ech.rref_rows()
-        return Subspace(ambient_dim, tuple(piv_cols), tuple(rows))
+        piv_cols, L, rows = ech.rref_rows()
+        return Subspace(ambient_dim, tuple(piv_cols), (L, tuple(rows)))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
+        return Subspace(ambient_dim, (), (1, ()))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        one = Fraction(1)
-        return Subspace(
-            ambient_dim, tuple(range(ambient_dim)), tuple(((i, one),) for i in range(ambient_dim))
-        )
+        rows = tuple(((i, 1),) for i in range(ambient_dim))
+        return Subspace(ambient_dim, tuple(range(ambient_dim)), (1, rows))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> tuple[SparseRow, ...]:
+        """The RREF rows in Fractions, 1 at each pivot; built on each access."""
+        L, rows = self.integer_rows
+        return tuple(tuple((j, Fraction(v, L)) for j, v in row) for row in rows)
 
     @cached_property
     def basis(self) -> Mat:
-        """The rows as a dense matrix, built on first use."""
+        """The RREF rows as a dense matrix, built on first use."""
         return Mat([dense_vector(self.ambient_dim, r) for r in self.rows], cols=self.ambient_dim)
 
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
-
-    @cached_property
-    def integer_rows(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """(L, rows * L): the rows scaled by the lcm L of their denominators.
-
-        Every entry is an int and every pivot entry equals L.  Built on first use.
-        """
-        L = lcm(*(x.denominator for row in self.rows for _, x in row))
-        return L, tuple(
-            tuple((j, x.numerator * (L // x.denominator)) for j, x in row) for row in self.rows
-        )
 
     def residual(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction]:
         """Nonzero entries of v minus its combination of the rows; empty iff v is a member.
@@ -417,17 +404,16 @@ class Subspace:
 
         A member's coefficient of row i is its entry at pivots[i].
         """
+        v = sparse_vector(self.ambient_dim, v)
         if self.residual(v):
             return None
-        if isinstance(v, Mapping):
-            return {i: q for i, p in enumerate(self.pivots) if (q := rat(v.get(p, 0)))}
-        return {i: q for i, p in enumerate(self.pivots) if (q := rat(v[p]))}
+        return {i: rat(v[p]) for i, p in enumerate(self.pivots) if p in v}
 
     def contains(self, other: "Subspace | Sequence[Fraction]") -> bool:
         if isinstance(other, Subspace):
             if other.ambient_dim != self.ambient_dim:
                 raise ValueError("ambient dimension mismatch")
-            return all(self.contains_vector(dict(r)) for r in other.rows)
+            return all(self.contains_vector(dict(r)) for r in other.integer_rows[1])
         return self.contains_vector(other)
 
     def __repr__(self) -> str:
@@ -475,18 +461,19 @@ def nullspace(m: Mat) -> Subspace:
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(u.ambient_dim, [dict(r) for r in u.rows + v.rows])
+    return Subspace.span(u.ambient_dim, [dict(r) for r in u.integer_rows[1] + v.integer_rows[1]])
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """The sum_a x_a u_a over x in the kernel of the columns v.residual(u_a)."""
+    """Sum of x_a u_a over x in the kernel of the columns v.residual(u_a); u_a: u's integer rows."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
+    rows = u.integer_rows[1]
     vectors = []
-    for x in column_kernel([v.residual(dict(r)) for r in u.rows]).rows:
-        w: dict[int, Fraction] = {}
+    for x in column_kernel([v.residual(dict(r)) for r in rows]).integer_rows[1]:
+        w: dict[int, int] = {}
         for a, xa in x:
-            for j, b in u.rows[a]:
+            for j, b in rows[a]:
                 w[j] = w.get(j, 0) + xa * b
         vectors.append(w)
     return Subspace.span(u.ambient_dim, vectors)

@@ -10,10 +10,10 @@ validate, center, killing_form and the Leibniz system of D(g) read the integers;
 sparse_bracket, bracket_basis, adjoint_matrix and brackets() divide by den once.
 LieAlgebra.sparse_bracket is the one bracket kernel: it takes and returns
 sparse vectors, and the routines that bracket subspace rows (closure,
-span_algebra, is_ideal, bracket_spaces, the closure check on Subalgebra) feed
-it RREF rows directly; bracket on dense tuples is a wrapper over it.
-span_algebra brackets the integer-scaled rows of Subspace.integer_rows and
-turns each coordinate into a Fraction once.
+span_algebra, is_ideal, bracket_spaces, centralizer, normalizer and the
+closure check on Subalgebra) feed it Subspace.integer_rows, never the Fraction
+view Subspace.rows; bracket on dense tuples wraps it and hands back Fractions.
+span_algebra turns each coordinate into a Fraction once.
 center, centralizer and normalizer hand their equations to
 exactlin.column_kernel as sparse columns; killing_form and quotient build no
 adjoint matrix either.
@@ -191,7 +191,7 @@ class LieAlgebra:
         den, num = self.integer_constants
         m = [[Fraction(0)] * n for _ in range(n)]
         for i, xi in sparse_vector(n, x).items():
-            s = xi / den
+            s = Fraction(xi, den)
             # [e_i, e_j] fills column j
             for j, terms in enumerate(num[i]):
                 for k, v in terms:
@@ -328,7 +328,7 @@ class Subalgebra:
     def __init__(self, parent: LieAlgebra, space: Subspace):
         if space.ambient_dim != parent.dim:
             raise ValueError("subspace ambient dimension != algebra dimension")
-        rows = space.rows
+        rows = space.integer_rows[1]
         # every bracket lies in Q^n, so only a proper subspace can fail
         if space.dim < parent.dim:
             for a in range(len(rows)):
@@ -381,7 +381,7 @@ Bracket = Callable[[SparseItems, SparseItems], dict[int, Fraction]]
 def closure(space: Subspace, bracket: Bracket) -> Subspace:
     """Smallest subspace containing space and closed under bracket."""
     while True:
-        rows = space.rows
+        rows = space.integer_rows[1]
         new = [
             bracket(rows[a], rows[b])
             for a in range(len(rows))
@@ -429,7 +429,7 @@ def bracket_spaces(g: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all [x, y] with x in u, y in v."""
     if u.ambient_dim != g.dim or v.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension != algebra dimension")
-    products = [g.sparse_bracket(x, y) for x in u.rows for y in v.rows]
+    products = [g.sparse_bracket(x, y) for x in u.integer_rows[1] for y in v.integer_rows[1]]
     return Subspace.span(g.dim, products)
 
 
@@ -456,8 +456,8 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
     # stop at the first [x, y] that escapes h
-    bracket, contains = amb.parent.sparse_bracket, h.space.contains_vector
-    return all(contains(bracket(x, y)) for x in amb.space.rows for y in h.space.rows)
+    bracket, contains, ys = amb.parent.sparse_bracket, h.space.contains_vector, h.space.integer_rows[1]
+    return all(contains(bracket(x, y)) for x in amb.space.integer_rows[1] for y in ys)
 
 
 def center(g: LieAlgebra) -> Subalgebra:
@@ -484,14 +484,14 @@ def centralizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
     """{x : [x, y] = 0 for all y in h}."""
     if h.parent != g:
         raise ValueError("subalgebra of a different algebra")
-    return _bracket_kernel(g, h.space.rows, Subspace.zero(g.dim))
+    return _bracket_kernel(g, h.space.integer_rows[1], Subspace.zero(g.dim))
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
     """{x : [x, h] inside h}; closure under brackets is checked on build."""
     if h.parent != g:
         raise ValueError("subalgebra of a different algebra")
-    return _bracket_kernel(g, h.space.rows, h.space)
+    return _bracket_kernel(g, h.space.integer_rows[1], h.space)
 
 
 def killing_form(g: LieAlgebra) -> SymForm:

@@ -107,8 +107,8 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     g = amb.parent
     space = h.space
     while True:
-        rows = space.rows
-        brackets = [g.sparse_bracket(x, y) for x in amb.space.rows for y in rows]
+        rows = space.integer_rows[1]
+        brackets = [g.sparse_bracket(x, y) for x in amb.space.integer_rows[1] for y in rows]
         grown = Subspace.span(g.dim, [*map(dict, rows), *brackets])
         if grown.dim == space.dim:
             return Subalgebra(g, space)

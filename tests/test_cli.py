@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,18 @@ def test_bad_basis_spec_exits_two(capsys):
     assert run(["subideal", "catalog:heisenberg3", "--sub", "1e5000,1,0"]) == 2
     err = capsys.readouterr().err
     assert "bad coordinate" in err and "Traceback" not in err
+    # every literal is under the literal bound, but the RREF of these five rows
+    # has entries too long to print; the spec as a whole is refused first
+    rnd = random.Random(0)
+    rows = [[str(rnd.randrange(10**990, 10**991)) for _ in range(6)] for _ in range(5)]
+    spec = ";".join(",".join(row) for row in rows)
+    for command in ("subideal", "ideal", "normalizer-tower"):
+        assert run([command, "catalog:abelian(6)", "--sub", spec]) == 2
+        err = capsys.readouterr().err
+        assert "basis spec over" in err and "Traceback" not in err
+    # one of those literals among small ones is within the bound, and prints
+    assert run(["subideal", "catalog:abelian(6)", "--sub", ",".join([rows[0][0]] + ["1"] * 5)]) == 0
+    capsys.readouterr()
 
 
 def test_zero_denominator_in_file_exits_two(capsys, tmp_path):

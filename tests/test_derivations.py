@@ -124,17 +124,29 @@ def test_holomorph_of_line_is_nonabelian_plane():
 
 
 def test_holomorph_bracket_formula_on_sl2():
-    h = catalog.get("sl2").algebra
-    g, emb_h, emb_d = holomorph(h)
-    assert g.dim == 6
-    da = derivation_algebra(h)
-    for a, f in enumerate(da.realization):
-        for i in range(h.dim):
-            x_emb = emb_h.apply(h.basis_vector(i))
-            f_emb = emb_d.apply(da.algebra.basis_vector(a))
-            # [(X,0),(0,f)] = (-f(X), 0)
-            expected = emb_h.apply(tuple(-v for v in f.apply(h.basis_vector(i))))
-            assert g.bracket(x_emb, f_emb) == expected
+    sl2 = catalog.get("sl2").algebra
+    # sl2 again in the basis (2 e_0, 3 e_1, 5 e_2): the RREF rows of its D(h)
+    # have denominators, so they differ from the stored integer rows
+    s = [Fraction(2), Fraction(3), Fraction(5)]
+    rescaled = LieAlgebra.from_brackets(
+        3,
+        {
+            (i, j): {k: s[i] * s[j] * v / s[k] for k, v in row.items()}
+            for (i, j), row in sl2.brackets().items()
+        },
+    )
+    assert derivation_algebra(rescaled).span.integer_rows[0] > 1
+    for h in (sl2, rescaled):
+        g, emb_h, emb_d = holomorph(h)
+        assert g.dim == 6
+        da = derivation_algebra(h)
+        for a, f in enumerate(da.realization):
+            for i in range(h.dim):
+                x_emb = emb_h.apply(h.basis_vector(i))
+                f_emb = emb_d.apply(da.algebra.basis_vector(a))
+                # [(X,0),(0,f)] = (-f(X), 0)
+                expected = emb_h.apply(tuple(-v for v in f.apply(h.basis_vector(i))))
+                assert g.bracket(x_emb, f_emb) == expected
 
 
 def test_holomorph_base_is_ideal_for_every_catalog_algebra():

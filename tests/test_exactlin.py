@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieideal.exactlin import (
@@ -341,8 +341,42 @@ def test_span_is_independent_of_form_and_order(case, rnd):
     assert hash(again) == hash(reference)
 
 
+def sympy_rref(vecs):
+    """Pivots and nonzero rows of sympy's RREF of vecs, as Fractions: an independent reference."""
+    import sympy
+
+    if not vecs:
+        return (), []
+    m, pivots = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in v] for v in vecs]
+    ).rref()
+    rows = [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(len(pivots))]
+    return tuple(pivots), rows
+
+
+F = Fraction
+V = [F(0), F(-7, 2), F(1, 3), F(0), F(5)]
+# pinned inputs: a primitive row whose pivot entry is negative; one span given
+# as v and as -3v/7; fractional rows whose RREF has entries off the pivots
+PINNED = (
+    (2, [[F(-2), F(1)]]),
+    (5, [V]),
+    (5, [[F(-3, 7) * x for x in V]]),
+    (3, [[F(1, 2), F(1, 3), F(5, 7)], [F(-3, 4), F(0), F(2, 9)]]),
+    (4, [[F(2, 3), F(0), F(-1, 6), F(4, 5)], [F(1, 3), F(0), F(1, 4), F(0)],
+         [F(1), F(0), F(1, 12), F(4, 5)]]),
+)
+
+
+def pinned(test):
+    for case in PINNED:
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None)
 @given(spanning_sets())
+@pinned
 def test_rows_are_sparse_rref_and_basis_is_the_rref_view(case):
     n, vecs = case
     u = Subspace.span(n, map(as_sparse, vecs))
@@ -350,13 +384,15 @@ def test_rows_are_sparse_rref_and_basis_is_the_rref_view(case):
         cols = [j for j, _ in row]
         assert cols == sorted(set(cols))
         assert all(v for _, v in row), "a stored row holds a zero"
-    if vecs:
-        ref, pivots = rref(Mat(vecs))
-        assert u.basis.entries == ref.entries[: u.dim]
-        assert not any(any(r) for r in ref.entries[u.dim :])
-        assert u.pivots == pivots
-    else:
+    pivots, ref = sympy_rref(vecs)
+    assert u.pivots == pivots
+    assert u.basis.entries == tuple(map(tuple, ref))
+    assert all(type(x) is Fraction for row in u.basis.entries for x in row)
+    if not vecs:
         assert u == Subspace.zero(n) and u.basis == Mat([], cols=n)
+    # the stored form is canonical: every vector times -3/7 spans the same rows
+    again = Subspace.span(n, [[F(-3, 7) * x for x in v] for v in vecs])
+    assert again == u and again.integer_rows == u.integer_rows and hash(again) == hash(u)
 
 
 @settings(max_examples=80, deadline=None)
@@ -390,17 +426,20 @@ def test_membership_kernel_against_rank(case, data):
 
 @settings(max_examples=80, deadline=None)
 @given(spanning_sets())
+@pinned
 def test_integer_rows_scale_the_rref_rows_by_their_lcm(case):
     n, vecs = case
     u = Subspace.span(n, vecs)
     L, rows = u.integer_rows
-    assert L == math.lcm(*(x.denominator for row in u.rows for _, x in row))
+    pivots, ref = sympy_rref(vecs)
+    assert type(L) is int
+    assert L == math.lcm(*(x.denominator for row in ref for x in row))
     assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
-    assert len(rows) == u.dim
-    for p, row, irow in zip(u.pivots, u.rows, rows):
-        assert all(type(b) is int for _, b in irow)
+    assert len(rows) == u.dim == len(ref)
+    for p, irow, want in zip(pivots, rows, ref):
+        assert all(type(b) is int and b for _, b in irow)
         assert dict(irow)[p] == L
-        assert tuple((j, Fraction(b, L)) for j, b in irow) == row
+        assert irow == tuple((j, x * L) for j, x in enumerate(want) if x)
     assert u.integer_rows is u.integer_rows
 
 

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieideal import catalog
-from lieideal.exactlin import Mat, Subspace, inertia
+from lieideal.derivations import derivation_algebra, is_characteristic
+from lieideal.exactlin import Mat, Subspace, inertia, intersect, subspace_sum
 from lieideal.liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -36,6 +37,7 @@ from lieideal.liealg import (
     subalgebra,
     validate,
 )
+from lieideal.transitivity import ideal_closure
 
 
 @pytest.fixture(scope="module")
@@ -582,3 +584,76 @@ def test_adjoint_matrix_columns_are_brackets_with_basis_vectors(name, data):
     for j in range(g.dim):
         col = g.sparse_bracket(xs, ((j, Fraction(1)),))
         assert ad.column(j) == tuple(col.get(k, Fraction(0)) for k in range(g.dim))
+
+
+# --- values handed back and the integer-row kernels ----------------------------
+
+F = Fraction
+SL2 = catalog.get("sl2").algebra
+# [e0, e1] = e2 / 3: an algebra with den > 1 (and 1 / 3 is no float)
+THIRD_HEIS = LieAlgebra.from_brackets(3, {(0, 1): {2: F(1, 3)}})
+
+
+def _span(q):
+    return Subspace.span(3, [[q(2), q(4), q(0)], [q(0), q(3), q(6)]])
+
+
+def _heis(q):
+    return LieAlgebra.from_brackets(3, {(0, 1): {2: q(1)}})
+
+
+# each builds a value from inputs made by q, given int and then Fraction
+HANDED_BACK = {
+    "bracket": lambda q: SL2.bracket((q(1), q(0), q(0)), (q(0), q(1), q(0))),
+    "bracket den > 1": lambda q: THIRD_HEIS.bracket((q(1), q(2), q(0)), (q(3), q(1), q(0))),
+    "sparse_bracket den > 1": lambda q: THIRD_HEIS.sparse_bracket(
+        {0: q(1)}.items(), {1: q(3)}.items()
+    ),
+    "adjoint_matrix den > 1": lambda q: THIRD_HEIS.adjoint_matrix((q(1), q(1), q(0))).matrix.entries,
+    "residual": lambda q: _span(q).residual([q(1), q(0), q(1)]),
+    "coordinates": lambda q: _span(q).coordinates({0: q(2), 1: q(7), 2: q(6)}),
+    "rows": lambda q: [v for row in _span(q).rows for _, v in row],
+    "basis": lambda q: _span(q).basis.entries,
+    "brackets()": lambda q: _heis(q).brackets(),
+    "realization": lambda q: [f.matrix.entries for f in derivation_algebra(_heis(q)).realization],
+}
+
+
+def _scalars(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in _scalars(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("name", list(HANDED_BACK))
+def test_values_handed_back_are_fractions_on_int_input(name):
+    got = _scalars(HANDED_BACK[name](int))
+    assert got and all(type(x) is Fraction for x in got)
+    assert got == _scalars(HANDED_BACK[name](Fraction))
+
+
+def test_integer_row_kernels_read_no_fraction_rows(monkeypatch):
+    # solvable, den > 1, and spans whose RREF rows have L > 1
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: F(3, 2)}, (0, 3): {3: F(1, 5)}})
+    vecs = [[1, F(1, 2), 0, F(1, 3)], [0, 0, F(2, 3), 1]]
+
+    def no_rows(self):
+        raise AssertionError("a kernel read the Fraction rows")
+
+    monkeypatch.setattr(Subspace, "rows", property(no_rows))
+    u = Subspace.span(4, vecs)
+    line = Subalgebra(g, Subspace.span(4, vecs[:1]))
+    ideal = Subalgebra(g, Subspace.span(4, [[0, 0, 1, F(1, 3)], [0, 0, 0, F(1, 7)]]))
+    closed = generated_subalgebra(g, vecs)
+    assert closed.space.contains(u) and not u.contains(closed.space)
+    assert is_ideal(g, ideal) and not is_ideal(g, line)
+    assert bracket_spaces(g, u, u) == Subspace.span(4, [[0, 0, 0, 1]])
+    assert normalizer(g, ideal).dim == 4 and centralizer(g, line).dim == 2
+    assert intersect(u, ideal.space) == Subspace.span(4, vecs[1:])
+    assert subspace_sum(u, ideal.space).dim == 3
+    assert ideal_closure(g, line).dim == 3
+    assert span_algebra(ideal.space, g.sparse_bracket).dim == 2
+    assert is_characteristic(g, ideal)
+    assert derivation_algebra(g).dim > 0
