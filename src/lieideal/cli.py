@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,10 +81,11 @@ def _load_source(src: str) -> LieAlgebra:
 
 
 # Row reduction multiplies coordinates together, so the spec is bounded as a
-# whole.  Clear the denominators of rows with B_i bits of numerators and
-# denominators each: an RREF entry is a ratio of two r x r minors (Cramer), each
-# under 2^(sum B_i + r log2(r) / 2 + 1) by Hadamard's bound.  That is at most
-# 11,025 bits for r <= catalog.MAX_DIM = 256: under 3,320 digits, so it prints.
+# whole.  Row i cleared by the lcm of its denominators has entries under 2^B_i,
+# B_i the bits of that lcm plus those of the largest numerator.  An RREF entry is
+# a ratio of two r x r minors (Cramer), each under 2^(sum B_i + r log2(r) / 2) by
+# Hadamard's bound: for r <= catalog.MAX_DIM = 256, 11,024 bits or 3,319 digits,
+# within Python's int-to-str limit of 4300 digits.
 MAX_SPEC_BITS = 10_000
 
 
@@ -104,9 +106,12 @@ def _parse_basis_spec(spec: str, dim: int) -> list[list[Fraction]]:
         vectors.append(v)
     if not vectors:
         raise InputError("empty basis spec")
-    bits = sum(q.numerator.bit_length() + q.denominator.bit_length() for v in vectors for q in v)
+    bits = sum(
+        math.lcm(*(q.denominator for q in v)).bit_length() + max(abs(q.numerator) for q in v).bit_length()
+        for v in vectors
+    )
     if bits > MAX_SPEC_BITS:
-        raise InputError(f"basis spec over {MAX_SPEC_BITS} bits of numerators and denominators")
+        raise InputError(f"basis spec over {MAX_SPEC_BITS} bits of row denominators and largest numerators")
     return vectors
 
 

@@ -4,17 +4,15 @@ Everything in here is exact: scalars at the interface are
 ``fractions.Fraction`` and the inner loops run on integers.  ``Mat``, a dense
 grid of Fractions, stays at the edges: maps, forms, inertia and formatting.  A
 subspace is stored once, as ``Subspace.integer_rows`` = (L, rows): its unique
-reduced row-echelon rows times the lcm L of their denominators, as (column,
-nonzero int) pairs, so equality of subspaces is literal equality of them.  One
-scale on every row leaves spans, kernels and membership as they are, so every
-kernel reads the integers; the views ``Subspace.rows`` (in Fractions) and
-``Subspace.basis`` (dense) serve formatting, forms, maps, D(g)'s realization
-and the holomorph.  Sparse vectors are dicts from index to nonzero value, ints
-kept as ints; the kernels that take them (``Subspace.span``, the membership
-test ``Subspace.residual``, ``commutator`` and ``column_kernel``, the one solve,
-behind ``nullspace`` and ``intersect``) never scan zeros, and hand back
-Fractions.  ``Echelon`` reduces gcd-normalized integer rows and builds no
-Fraction.
+reduced row-echelon rows times the lcm L of their denominators, so equal
+subspaces have equal fields.  One scale on every row changes no span, kernel or
+membership, so every kernel reads the integers; only formatting, forms, maps,
+D(g)'s realization and the holomorph read the views ``Subspace.rows``
+(Fractions) and ``Subspace.basis`` (dense).  Sparse vectors are dicts from
+index to nonzero value, ints kept as ints; the kernels that take them
+(``Subspace.span`` and ``Subspace.residual``, ``commutator`` and
+``column_kernel``, the one solve) never scan zeros and hand back Fractions.
+``Echelon`` reduces gcd-normalized integer rows and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -299,9 +297,8 @@ class Echelon:
         L = lcm(*(reduced[c][c] for c in piv_cols))
         out = []
         for c in piv_cols:
-            row = reduced[c]
-            s = L // row[c]  # exact, and negative with the pivot entry
-            out.append(tuple(sorted((cc, v * s) for cc, v in row.items())))
+            s = L // reduced[c][c]  # exact, and negative with the pivot entry
+            out.append(tuple(sorted((cc, v * s) for cc, v in reduced[c].items())))
         return piv_cols, L, out
 
     def nullspace_rows(self) -> list[dict[int, int]]:
@@ -393,8 +390,7 @@ class Subspace:
             if c:
                 for j, b in row:
                     work[j] = work.get(j, 0) - c * b
-        den = L * d
-        return {j: Fraction(w, den) for j, w in work.items() if w}
+        return {j: Fraction(w, L * d) for j, w in work.items() if w}
 
     def contains_vector(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         return not self.residual(v)
@@ -404,10 +400,10 @@ class Subspace:
 
         A member's coefficient of row i is its entry at pivots[i].
         """
-        v = sparse_vector(self.ambient_dim, v)
         if self.residual(v):
             return None
-        return {i: rat(v[p]) for i, p in enumerate(self.pivots) if p in v}
+        at = (lambda p: v.get(p, 0)) if isinstance(v, Mapping) else v.__getitem__
+        return {i: q for i, p in enumerate(self.pivots) if (q := rat(at(p)))}
 
     def contains(self, other: "Subspace | Sequence[Fraction]") -> bool:
         if isinstance(other, Subspace):

@@ -131,9 +131,21 @@ def test_bad_basis_spec_exits_two(capsys):
         assert run([command, "catalog:abelian(6)", "--sub", spec]) == 2
         err = capsys.readouterr().err
         assert "basis spec over" in err and "Traceback" not in err
+    # the same with each literal as a denominator: the rows' lcms carry the size
+    spec = ";".join(",".join("1/" + x for x in row) for row in rows)
+    for command in ("subideal", "ideal", "normalizer-tower"):
+        assert run([command, "catalog:abelian(6)", "--sub", spec]) == 2
+        err = capsys.readouterr().err
+        assert "basis spec over" in err and "Traceback" not in err
     # one of those literals among small ones is within the bound, and prints
     assert run(["subideal", "catalog:abelian(6)", "--sub", ",".join([rows[0][0]] + ["1"] * 5)]) == 0
     capsys.readouterr()
+    # many small coordinates are within the bound: it counts bits per row, not
+    # per coordinate, so the 100 unit vectors of abelian(100) cost 200 bits
+    units = ";".join(",".join("1" if j == i else "0" for j in range(100)) for i in range(100))
+    for command in ("subideal", "ideal", "normalizer-tower"):
+        assert run([command, "catalog:abelian(100)", "--sub", units]) == 0
+        capsys.readouterr()
 
 
 def test_zero_denominator_in_file_exits_two(capsys, tmp_path):
