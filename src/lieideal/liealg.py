@@ -320,10 +320,11 @@ class Subalgebra:
     """A bracket-closed subspace of a parent algebra.
 
     The constructor rejects subspaces that are not closed; use
-    generated_subalgebra to take closures explicitly.
+    generated_subalgebra to take closures explicitly.  The radical, once
+    sub_radical solves it, is kept on the object and lives as long as it.
     """
 
-    __slots__ = ("parent", "space")
+    __slots__ = ("parent", "space", "_radical")
 
     def __init__(self, parent: LieAlgebra, space: Subspace):
         if space.ambient_dim != parent.dim:
@@ -340,6 +341,7 @@ class Subalgebra:
                         )
         self.parent = parent
         self.space = space
+        self._radical: Subspace | None = None
 
     @property
     def dim(self) -> int:
@@ -645,13 +647,21 @@ def sub_to_algebra(h: Subalgebra) -> tuple[LieAlgebra, LinMap]:
 
 
 def sub_radical(h: Subalgebra) -> Subspace:
-    """Radical of the subalgebra, as a subspace of the parent's coordinates."""
-    if h.dim == 0:
-        return Subspace.zero(h.parent.dim)
-    algebra, incl = sub_to_algebra(h)
-    rad = radical(algebra)
-    vectors = [incl.apply(v) for v in rad.basis_vectors()]
-    return Subspace.span(h.parent.dim, vectors)
+    """Radical of the subalgebra, as a subspace of the parent's coordinates.
+
+    Solved on the first call and kept on h.
+    """
+    if h._radical is None:
+        if h.dim == 0:
+            h._radical = Subspace.zero(h.parent.dim)
+        elif h.dim == h.parent.dim:
+            # span_algebra of the unit basis would rebuild the parent's constants
+            h._radical = radical(h.parent).space
+        else:
+            algebra, incl = sub_to_algebra(h)
+            vectors = [incl.apply(v) for v in radical(algebra).basis_vectors()]
+            h._radical = Subspace.span(h.parent.dim, vectors)
+    return h._radical
 
 
 __all__ = [

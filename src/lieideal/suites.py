@@ -44,7 +44,7 @@ from .liealg import (
     full_subalgebra,
     generated_subalgebra,
     is_ideal,
-    radical,
+    sub_radical,
 )
 from .transitivity import (
     HypothesisError,
@@ -203,30 +203,38 @@ def random_centerless_solvable(rng: random.Random, count: int) -> list[LieAlgebr
     return found
 
 
-def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, LieAlgebra, Subalgebra]]:
-    """(label, g, subideal h) pairs: catalog pairs plus randomized instances."""
-    pairs: list[tuple[str, LieAlgebra, Subalgebra]] = []
+def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, Subalgebra, Subalgebra]]:
+    """(label, ambient Subalgebra, h) triples: catalog pairs plus randomized instances.
 
-    def add_if_subideal(label: str, g: LieAlgebra, space: Subspace) -> bool:
-        try:
-            h = Subalgebra(g, space)
-        except ValueError:
+    Every pair of one algebra shares one full_subalgebra as its ambient, and
+    the "full" candidate is that same object, so each radical is solved once.
+    """
+    pairs: list[tuple[str, Subalgebra, Subalgebra]] = []
+
+    def add_if_subideal(label: str, amb: Subalgebra, space: Subspace) -> bool:
+        if space == amb.space:
+            h = amb
+        else:
+            try:
+                h = Subalgebra(amb.parent, space)
+            except ValueError:
+                return False
+        if not subideal_chain(amb, h):
             return False
-        if not subideal_chain(g, h):
-            return False
-        pairs.append((label, g, h))
+        pairs.append((label, amb, h))
         return True
 
     for name in catalog.list_names():
         entry = catalog.get(name)
         g = entry.algebra
-        full = Subspace.full(g.dim)
+        amb = full_subalgebra(g)
+        full = amb.space
         derived = bracket_spaces(g, full, full)
         candidates: list[tuple[str, Subspace]] = [
             ("full", full),
             ("derived", derived),
             ("center", center(g).space),
-            ("radical", radical(g).space),
+            ("radical", sub_radical(amb)),
         ]
         for tag, space in entry.tagged_subalgebras.items():
             candidates.append((tag, space))
@@ -235,7 +243,7 @@ def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, LieAlgebr
             if space in seen:
                 continue
             seen.add(space)
-            add_if_subideal(f"{name}:{tag}", g, space)
+            add_if_subideal(f"{name}:{tag}", amb, space)
 
     rng = random.Random(seed)
     random_count = 0
@@ -257,7 +265,8 @@ def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, LieAlgebr
         else:
             g, emb_base = base, None
             spaces = []
-        full = Subspace.full(g.dim)
+        amb = full_subalgebra(g)
+        full = amb.space
         derived = bracket_spaces(g, full, full)
         spaces += [("derived", derived), ("center", center(g).space), ("full", full)]
         coords = [rng.randint(-1, 1) for _ in range(g.dim)]
@@ -269,7 +278,7 @@ def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, LieAlgebr
             if space in seen2 or space.dim == 0:
                 continue
             seen2.add(space)
-            if add_if_subideal(f"random{guard}:{tag}", g, space):
+            if add_if_subideal(f"random{guard}:{tag}", amb, space):
                 random_count += 1
     if random_count < min_random:
         raise RuntimeError(
@@ -454,16 +463,16 @@ def suite_radical(seed: int = 0, min_random: int = 50) -> list[CheckResult]:
     corpus = radical_corpus(seed, min_random)
 
     def run_intersection():
-        for label, g, h in corpus:
-            report = check_radical_intersection(g, h)
+        for label, amb, h in corpus:
+            report = check_radical_intersection(amb, h)
             check(report.ok, label)
         return f"{len(corpus)} subideal pairs (seed {seed})"
 
     results.append(_run_check("radical", "radical intersection identity", run_intersection))
 
     def run_levi():
-        for label, g, h in corpus:
-            report = levi_criterion(g, h)
+        for label, amb, h in corpus:
+            report = levi_criterion(amb, h)
             check(report.agree, label)
         return f"{len(corpus)} subideal pairs, three-way agreement"
 

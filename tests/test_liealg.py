@@ -37,6 +37,7 @@ from lieideal.liealg import (
     subalgebra,
     validate,
 )
+from lieideal.suites import radical_corpus
 from lieideal.transitivity import ideal_closure
 
 
@@ -438,6 +439,32 @@ def test_sub_radical_of_factor():
     h = Subalgebra(g, e1.image())
     assert sub_radical(h).dim == 0
     assert sub_radical(full_subalgebra(g)) == e2.image()
+
+
+def _sub_radical_reference(h):
+    """sub_radical without the full-space shortcut or the memo."""
+    if h.dim == 0:
+        return Subspace.zero(h.parent.dim)
+    algebra, incl = sub_to_algebra(h)
+    vectors = [incl.apply(v) for v in radical(algebra).basis_vectors()]
+    return Subspace.span(h.parent.dim, vectors)
+
+
+def test_sub_radical_shortcut_and_memo_match_the_reference():
+    subs = {}
+    for name in catalog.list_names():
+        g = full_subalgebra(catalog.get(name).algebra)
+        subs[id(g)] = g
+    for seed in (0, 1):
+        for _, amb, h in radical_corpus(seed):
+            subs[id(amb)] = amb
+            subs[id(h)] = h
+    for h in subs.values():
+        want = _sub_radical_reference(h)
+        first = sub_radical(h)
+        assert first == want
+        assert sub_radical(h) is first
+        assert sub_radical(Subalgebra(h.parent, h.space)) == want
 
 
 def _first_jacobi_failure(g):

@@ -1,9 +1,14 @@
-"""The suite runner's own contract: failed checks are reported, even under -O."""
+"""The suite runner's own contract: failed checks are reported, even under -O,
+and a run of the radical suite solves each radical once and keeps none."""
 
+import dataclasses
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+
+from lieideal import catalog, liealg, suites
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,3 +45,31 @@ def test_sabotaged_suite_fails_under_python_O():
     assert optimize == 1
     assert total >= 10
     assert failed == total
+
+
+def test_radical_suite_solves_each_radical_once(monkeypatch):
+    pairs = len(suites.radical_corpus(0))
+    solved = []
+    real = liealg.radical
+
+    def counting(g):
+        solved.append(g)
+        return real(g)
+
+    monkeypatch.setattr(liealg, "radical", counting)
+    counts = []
+    for _ in range(2):
+        solved.clear()
+        results = suites.suite_radical(0)
+        assert all(r.status == "pass" for r in results)
+        counts.append(len(solved))
+    # one solve per subalgebra object of the corpus, none kept for the second run
+    assert counts == [75, 75]
+    assert counts[0] <= pairs
+
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        for f in dataclasses.fields(entry):
+            value = getattr(entry, f.name)
+            held = value.values() if isinstance(value, Mapping) else (value,)
+            assert not any(isinstance(v, liealg.Subalgebra) for v in held), (name, f.name)
