@@ -654,9 +654,6 @@ def sub_radical(h: Subalgebra) -> Subspace:
     if h._radical is None:
         if h.dim == 0:
             h._radical = Subspace.zero(h.parent.dim)
-        elif h.dim == h.parent.dim:
-            # span_algebra of the unit basis would rebuild the parent's constants
-            h._radical = radical(h.parent).space
         else:
             algebra, incl = sub_to_algebra(h)
             vectors = [incl.apply(v) for v in radical(algebra).basis_vectors()]

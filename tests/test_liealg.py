@@ -442,7 +442,7 @@ def test_sub_radical_of_factor():
 
 
 def _sub_radical_reference(h):
-    """sub_radical without the full-space shortcut or the memo."""
+    """sub_radical without the memo."""
     if h.dim == 0:
         return Subspace.zero(h.parent.dim)
     algebra, incl = sub_to_algebra(h)
@@ -450,7 +450,7 @@ def _sub_radical_reference(h):
     return Subspace.span(h.parent.dim, vectors)
 
 
-def test_sub_radical_shortcut_and_memo_match_the_reference():
+def test_sub_radical_memo_matches_the_reference():
     subs = {}
     for name in catalog.list_names():
         g = full_subalgebra(catalog.get(name).algebra)
