@@ -5,7 +5,7 @@ so ideal membership, definiteness, and chain verification are certified
 yes/no answers rather than numerical judgments.
 """
 
-from .exactlin import Inertia, Mat, Rat, Subspace, inertia, nullspace, rat, rref
+from .exactlin import Inertia, Mat, Subspace, inertia, nullspace, rat
 from .liealg import (
     LieAlgebra,
     LinMap,

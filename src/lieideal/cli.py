@@ -325,6 +325,13 @@ def cmd_catalog(args, report: RunReport) -> None:
 # ---------------------------------------------------------------------------
 
 
+def nonnegative(text: str) -> int:
+    """A count given on the command line: an integer, zero or more."""
+    if (n := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lieideal",
@@ -347,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tower", help="derivation tower of a centerless algebra")
     p.add_argument("source")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=nonnegative, default=None)
     p.set_defaults(fn=cmd_tower)
 
     p = sub.add_parser("subideal", help="decide subideality, emit a chain")
@@ -379,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all",) + SUITE_NAMES,
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random", type=int, default=50, help="randomized corpus size")
+    p.add_argument("--random", type=nonnegative, default=50, help="randomized corpus size")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("catalog", help="list or show the named algebras")

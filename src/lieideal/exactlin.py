@@ -12,7 +12,8 @@ D(g)'s realization and the holomorph read the views ``Subspace.rows``
 index to nonzero value, ints kept as ints; the kernels that take them
 (``Subspace.span`` and ``Subspace.residual``, ``commutator`` and
 ``column_kernel``, the one solve) never scan zeros and hand back Fractions.
-``Echelon`` reduces gcd-normalized integer rows and builds no Fraction.
+``Echelon`` reduces gcd-normalized integer rows and builds no Fraction;
+``Subspace.span`` is the one row reduction, and its ``dim`` the only rank.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
 Vector = tuple[Fraction, ...]
 # nonzero (index, value) pairs in increasing index order
 SparseRow = tuple[tuple[int, Fraction], ...]
@@ -104,10 +104,6 @@ class Mat:
         self._hash: int | None = None
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Mat":
-        return Mat([[0] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
@@ -119,10 +115,6 @@ class Mat:
         if rows is None:
             raise ValueError("empty matrix needs an explicit row count")
         return Mat([[c[i] for c in cols] for i in range(rows)], cols=len(cols))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
@@ -310,17 +302,6 @@ class Echelon:
                 if c != p:  # in RREF every other column of a row is free
                     basis[c][p] = -v
         return list(basis.values())
-
-
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row-echelon form and pivot columns (increasing)."""
-    u = Subspace.span(m.cols, m.entries)
-    zeros = [(Fraction(0),) * m.cols] * (m.rows - u.dim)
-    return Mat([*u.basis.entries, *zeros], cols=m.cols), u.pivots
-
-
-def rank(m: Mat) -> int:
-    return Subspace.span(m.cols, m.entries).dim
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ the c_ijk, where [e_i, e_j] = sum_k c_ijk e_k, and num[i][j] holds the pairs
 stored, and memory grows with the number of nonzero constants, not with dim^3.
 Every builder hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.
 validate, center, killing_form and the Leibniz system of D(g) read the integers;
-sparse_bracket, bracket_basis, adjoint_matrix and brackets() divide by den once.
+sparse_bracket, adjoint_matrix, brackets() and c, the dense tensor that only
+the benchmark and tests read, divide by den once.
 LieAlgebra.sparse_bracket is the one bracket kernel: it takes and returns
 sparse vectors, and the routines that bracket subspace rows (closure,
 span_algebra, is_ideal, bracket_spaces, centralizer, normalizer and the
@@ -136,9 +137,10 @@ class LieAlgebra:
     @property
     def c(self) -> tuple[tuple[Vector, ...], ...]:
         """The dense tensor c[i][j][k], built on each access."""
-        n = self.dim
+        den, num = self.integer_constants
         return tuple(
-            tuple(self.bracket_basis(i, j) for j in range(n)) for i in range(n)
+            tuple(dense_vector(self.dim, ((k, Fraction(v, den)) for k, v in t)) for t in plane)
+            for plane in num
         )
 
     def __eq__(self, other: object) -> bool:
@@ -180,10 +182,6 @@ class LieAlgebra:
         n = self.dim
         xs, ys = sparse_vector(n, x).items(), sparse_vector(n, y).items()
         return dense_vector(n, self.sparse_bracket(xs, ys).items())
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        den, num = self.integer_constants
-        return dense_vector(self.dim, ((k, Fraction(v, den)) for k, v in num[i][j]))
 
     def adjoint_matrix(self, x: Sequence[Fraction]) -> "LinMap":
         """ad_x as a linear map y -> [x, y], every column in one pass over x."""
@@ -624,7 +622,7 @@ def is_homomorphism(f: LinMap) -> bool:
     for i in range(src.dim):
         fi = f.matrix.column(i)
         for j in range(i + 1, src.dim):
-            lhs = f.apply(src.bracket_basis(i, j))
+            lhs = f.apply(dense_vector(src.dim, src.sparse_bracket(((i, 1),), ((j, 1),)).items()))
             rhs = tgt.bracket(fi, f.matrix.column(j))
             if lhs != rhs:
                 return False

@@ -257,3 +257,21 @@ def test_catalog_name_with_leading_zeros_exits_two(capsys):
         assert "leading zeros" in err and "Traceback" not in err
     assert run(["catalog", "show", "abelian(7)"]) == 0
     assert "name abelian(7)" in capsys.readouterr().out
+
+
+def test_negative_tower_max_steps_exits_two(capsys):
+    assert run(["tower", "catalog:sl2_rad2", "--max-steps", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--max-steps: -1 is negative" in err and "Traceback" not in err
+    # zero steps is a budget like any other: sl2 is complete at stage 0
+    code, _, payload = invoke(capsys, "tower", "catalog:sl2", "--max-steps", "0")
+    assert code == 0 and payload["payload"]["stabilized_at"] == 0
+
+
+def test_negative_verify_random_exits_two(capsys):
+    assert run(["verify", "--suite", "radical", "--random", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "--random: -5 is negative" in err and "Traceback" not in err
+    # zero random pairs leaves the fixed part of the corpus
+    code, human, _ = invoke(capsys, "verify", "--suite", "radical", "--random", "0")
+    assert code == 0 and "34 subideal pairs" in human

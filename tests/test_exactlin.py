@@ -17,9 +17,7 @@ from lieideal.exactlin import (
     nullspace,
     orthogonal_complement,
     parse_rational,
-    rank,
     rat,
-    rref,
     sparse_vector,
     subspace_sum,
 )
@@ -65,36 +63,38 @@ def test_rat_parsing():
 
 
 def test_rref_identity():
-    m, pivots = rref(Mat.identity(3))
-    assert m == Mat.identity(3)
-    assert pivots == (0, 1, 2)
+    u = Subspace.span(3, Mat.identity(3).entries)
+    assert u.basis == Mat.identity(3)
+    assert u.pivots == (0, 1, 2)
 
 
 def test_rref_zero():
-    m, pivots = rref(Mat.zero(2, 2))
-    assert m == Mat.zero(2, 2)
-    assert pivots == ()
+    u = Subspace.span(2, Mat([[0, 0], [0, 0]]).entries)
+    assert u == Subspace.zero(2)
+    assert u.basis == Mat([], cols=2)
+    assert u.pivots == ()
 
 
 def test_rref_rank_one():
-    m, pivots = rref(Mat([[2, 4], [1, 2]]))
-    assert m == Mat([[1, 2], [0, 0]])
-    assert pivots == (0,)
+    u = Subspace.span(2, Mat([[2, 4], [1, 2]]).entries)
+    assert u.basis == Mat([[1, 2]])
+    assert u.pivots == (0,)
 
 
 def test_rref_fractional_entries():
-    m, pivots = rref(Mat([["1/2", "1/3"], ["1/4", "1/5"]]))
-    assert m == Mat.identity(2)
-    assert pivots == (0, 1)
+    u = Subspace.span(2, Mat([["1/2", "1/3"], ["1/4", "1/5"]]).entries)
+    assert u.basis == Mat.identity(2)
+    assert u.pivots == (0, 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rref_idempotent(m):
-    r1, p1 = rref(m)
-    r2, p2 = rref(r1)
-    assert r1 == r2
-    assert p1 == p2
+    u = Subspace.span(m.cols, m.entries)
+    assert Subspace.span(m.cols, u.basis.entries) == u
+    pivots, rows = sympy_rref(list(m.entries))
+    assert u.pivots == pivots
+    assert [list(r) for r in u.basis.entries] == rows
 
 
 def test_nullspace_identity_is_zero():
@@ -102,7 +102,7 @@ def test_nullspace_identity_is_zero():
 
 
 def test_nullspace_zero_matrix_is_full():
-    ns = nullspace(Mat.zero(2, 3))
+    ns = nullspace(Mat([[0, 0, 0], [0, 0, 0]]))
     assert ns == Subspace.full(3)
 
 
@@ -119,7 +119,9 @@ def test_nullspace_solves_and_ranks(m):
     ns = nullspace(m)
     for v in ns.basis_vectors():
         assert not any(m.apply(v))
-    assert rank(m) + ns.dim == m.cols
+    span_dim = Subspace.span(m.cols, m.entries).dim
+    assert span_dim == sympy_rank(m.entries)
+    assert span_dim + ns.dim == m.cols
 
 
 def vectors(n):
@@ -220,7 +222,7 @@ def symmetric_matrices(n):
 def invertible_matrices(n):
     return st.lists(
         st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
-    ).map(lambda rows: Mat(rows)).filter(lambda m: rank(m) == n)
+    ).map(lambda rows: Mat(rows)).filter(lambda m: Subspace.span(n, m.entries).dim == n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from lieideal import catalog
+from lieideal.derivations import derivation_algebra, scaled_adjoint
 from lieideal.exactlin import Echelon, Mat, Subspace, column_kernel, intersect, nullspace
 from lieideal.liealg import (
     LieAlgebra,
@@ -29,6 +30,7 @@ from lieideal.liealg import (
     quotient,
     radical,
 )
+from lieideal.suites import check_adjoint_identity
 from lieideal.transitivity import enumerate_grid_subalgebras, random_solvable_algebra
 
 
@@ -95,6 +97,18 @@ def ref_quotient(g, ideal):
         for b in range(a + 1, len(coords))
     }
     return LieAlgebra.from_brackets(len(coords), brackets), proj
+
+
+def ref_adjoint_identities(g):
+    """Count [f, ad_{e_i}] == ad_{f(e_i)} as dense Mat products, over D(g)'s realization."""
+    ads = [g.adjoint_matrix(g.basis_vector(i)).matrix for i in range(g.dim)]
+    count = 0
+    for f in derivation_algebra(g).realization:
+        fm = f.matrix
+        for i, ad in enumerate(ads):
+            assert fm * ad - ad * fm == g.adjoint_matrix(fm.column(i)).matrix
+            count += 1
+    return count
 
 
 def rescale(g, d):
@@ -167,6 +181,12 @@ def test_corpus_reaches_dim_6_fractions_and_non_coordinate_ideals():
     dims = {g.dim for label, g, _ in CORPUS if label.startswith("solvable")}
     assert max(dims) == 6 and min(dims) <= 3
     assert any(g.integer_constants[0] > 1 for _, g, _ in CORPUS)
+    # every catalog algebra has den = 1; each nonabelian one is rescaled to den > 1
+    assert all(catalog.get(name).algebra.integer_constants[0] == 1 for name in catalog.list_names())
+    rescaled = [g for label, g, _ in CORPUS if label.endswith("'")]
+    assert len(rescaled) == len(catalog.list_names())
+    fractional = [g for g in rescaled if g.integer_constants[0] > 1]
+    assert fractional == [g for g in rescaled if g.brackets()]
     # some centers and derived algebras have RREF rows with entries off the pivots
     assert any(
         len(row) > 1
@@ -218,3 +238,14 @@ def test_column_kernel_and_nullspace_match_the_row_solve():
         assert nullspace(m) == ref
         columns = [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(cols)]
         assert column_kernel(columns) == ref
+
+
+@pytest.mark.parametrize("g", [g for _, g, _ in CORPUS], ids=IDS)
+def test_sparse_adjoint_identity_matches_dense(g):
+    n, den = g.dim, g.integer_constants[0]
+    for x in [{i: 1} for i in range(n)] + [{i: i - 2 for i in range(n) if i != 2}]:
+        ad = g.adjoint_matrix([Fraction(x.get(i, 0)) for i in range(n)]).matrix
+        flat = {a * n + b: v * den for a, r in enumerate(ad.entries) for b, v in enumerate(r) if v}
+        assert scaled_adjoint(g, x.items()) == flat
+    assert check_adjoint_identity(g.name, g) == ref_adjoint_identities(g)
+

@@ -1,5 +1,6 @@
 """The suite runner's own contract: failed checks are reported, even under -O,
-and a run of the radical suite solves each radical once and keeps none."""
+a run of the radical suite solves each radical once and keeps none, and the
+adjoint bracket identity fails on a map that is no derivation."""
 
 import dataclasses
 import os
@@ -73,3 +74,23 @@ def test_radical_suite_solves_each_radical_once(monkeypatch):
             value = getattr(entry, f.name)
             held = value.values() if isinstance(value, Mapping) else (value,)
             assert not any(isinstance(v, liealg.Subalgebra) for v in held), (name, f.name)
+
+
+def test_adjoint_identity_fails_on_a_non_derivation(monkeypatch):
+    # the swap e0 <-> e1 of heisenberg3, flattened row-major, is no derivation:
+    # it sends [e0, e1] = e2 to e2, but [e1, e0] = -e2
+    swap = ((1, 1), (3, 1), (8, 1))
+    real = suites.derivation_algebra
+
+    def sabotaged(g):
+        da = real(g)
+        if g.name != "heisenberg3":
+            return da
+        L, rows = da.span.integer_rows
+        span = dataclasses.replace(da.span, integer_rows=(L, (swap,) + rows[1:]))
+        return dataclasses.replace(da, span=span)
+
+    monkeypatch.setattr(suites, "derivation_algebra", sabotaged)
+    (lemma,) = [r for r in suites.suite_complete(0) if r.name == "adjoint bracket identity"]
+    assert lemma.status == "fail"
+    assert lemma.detail == "[f, ad_X] != ad_f(X) on heisenberg3"
