@@ -137,7 +137,7 @@ def _solve(g: LieAlgebra) -> DerivationAlgebra:
     subspace is the span of the adjoint maps' coordinates.
     """
     n = g.dim
-    kernel = Subspace.span(n * n, _leibniz_kernel(g))
+    kernel = Subspace.integer_span(n * n, map(dict.items, _leibniz_kernel(g)))
     algebra = validate_or_raise(span_algebra(kernel, partial(commutator, n), name=_d_name(g)))
     inner_rows = [kernel.coordinates(scaled_adjoint(g, ((i, 1),))) for i in range(n)]
     if None in inner_rows:
@@ -331,6 +331,6 @@ def is_characteristic(g: LieAlgebra, h: Subalgebra) -> bool:
                 a, b = divmod(idx, n)
                 if b in u:
                     image[a] = image.get(a, 0) + v * u[b]
-            if not h.space.contains_vector(image):
+            if h.space.scaled_residual(image.items()):
                 return False
     return True

@@ -9,11 +9,15 @@ subspaces have equal fields.  One scale on every row changes no span, kernel or
 membership, so every kernel reads the integers; only formatting, forms, maps,
 D(g)'s realization and the holomorph read the views ``Subspace.rows``
 (Fractions) and ``Subspace.basis`` (dense).  Sparse vectors are dicts from
-index to nonzero value, ints kept as ints; the kernels that take them
-(``Subspace.span`` and ``Subspace.residual``, ``commutator`` and
-``column_kernel``, the one solve) never scan zeros and hand back Fractions.
-``Echelon`` reduces gcd-normalized integer rows and builds no Fraction;
-``Subspace.span`` is the one row reduction, and its ``dim`` the only rank.
+index to nonzero value, ints kept as ints.  Two integer kernels take sparse
+items as they are: ``Subspace.scaled_residual`` (L times the residual, visiting
+only the vector's own entries through a read-only pivot -> row map) and
+``Subspace.integer_span``.  ``residual``, ``contains_vector`` and ``span`` check
+and clear what comes from outside, call them and hand back Fractions.
+``Echelon`` reduces gcd-normalized integer rows and builds no Fraction; it
+clears denominators only for a row that holds one.  ``Subspace.span`` is the
+one row reduction, and its ``dim`` the only rank; ``column_kernel`` is the one
+solve.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
 Vector = tuple[Fraction, ...]
@@ -222,11 +227,6 @@ class Mat:
 # few thousand sparse equations stays cheap.
 
 
-def _int_row(coeffs: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
-    """Clear denominators and divide by the content, as a sparse dict."""
-    return _primitive(over_lcm([(c, v) for c, v in coeffs if v])[1])
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """Divide out the gcd of the entries."""
     g = gcd(*row.values())
@@ -267,8 +267,14 @@ class Echelon:
         self.ncols = ncols
         self.pivots: dict[int, dict[int, int]] = {}
 
-    def add(self, coeffs: Iterable[tuple[int, Fraction | int]]) -> None:
-        row = _reduce_row(_int_row(coeffs), self.pivots)
+    def add(self, coeffs: SparseItems) -> None:
+        """Reduce one equation into the form; only a row holding a Fraction is cleared."""
+        row = {c: v for c, v in coeffs if v}
+        try:
+            row = _primitive(row)
+        except TypeError:  # gcd takes no Fraction: clear the denominators first
+            row = _primitive(over_lcm(row.items())[1])
+        row = _reduce_row(row, self.pivots)
         if row:
             self.pivots[min(row)] = row
 
@@ -322,11 +328,23 @@ class Subspace:
         ambient_dim: int, vectors: Iterable[Sequence[Scalar] | Mapping[int, Scalar]]
     ) -> "Subspace":
         """Span of dense vectors or sparse index -> value mappings, in any mix."""
+        return Subspace.integer_span(
+            ambient_dim, (sparse_vector(ambient_dim, v).items() for v in vectors)
+        )
+
+    @staticmethod
+    def integer_span(ambient_dim: int, rows: Iterable[SparseItems]) -> "Subspace":
+        """Span of sparse rows whose indices lie in [0, ambient_dim), taken as given.
+
+        The kernel behind span, for rows that are already sparse: integer rows
+        (integer_rows, scaled brackets, scaled residuals) reach Echelon with no
+        Fraction and no pass over denominators.
+        """
         ech = Echelon(ambient_dim)
-        for v in vectors:
-            ech.add(sparse_vector(ambient_dim, v).items())
-        piv_cols, L, rows = ech.rref_rows()
-        return Subspace(ambient_dim, tuple(piv_cols), (L, tuple(rows)))
+        for row in rows:
+            ech.add(row)
+        piv_cols, L, out = ech.rref_rows()
+        return Subspace(ambient_dim, tuple(piv_cols), (L, tuple(out)))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -355,26 +373,50 @@ class Subspace:
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
+    @cached_property
+    def _off_pivot(self) -> Mapping[int, IntRow]:
+        """Pivot column -> the rest of its scaled row, built once and read-only.
+
+        Not a field, so equality and hashing never see it.
+        """
+        rows = self.integer_rows[1]
+        return MappingProxyType(
+            {p: tuple(e for e in row if e[0] != p) for p, row in zip(self.pivots, rows)}
+        )
+
+    def scaled_residual(self, v: SparseItems) -> dict[int, Fraction | int]:
+        """L times (v minus its combination of the rows), nonzero entries only.
+
+        The one membership kernel: empty iff v is a member, whatever v's
+        scale, and integer v gives integers.  With the scaled rows R_i of
+        integer_rows it is L*v - sum_i v[p_i] * R_i.  Row i is L at pivots[i]
+        and 0 at every other pivot, so only v's own entries are visited: a
+        pivot entry cancels and brings in the rest of its row, any other entry
+        is scaled by L.
+        """
+        L = self.integer_rows[0]
+        off_pivot = self._off_pivot
+        work: dict[int, Fraction | int] = {}
+        for j, x in v:
+            rest = off_pivot.get(j)
+            if rest is None:
+                work[j] = work.get(j, 0) + L * x
+            else:
+                for k, b in rest:
+                    work[k] = work.get(k, 0) - x * b
+        return {j: w for j, w in work.items() if w}
+
     def residual(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction]:
         """Nonzero entries of v minus its combination of the rows; empty iff v is a member.
 
-        The one membership kernel, run in integers: with v = N / d and the
-        scaled rows R_i of integer_rows, it is (L*N - sum_i N[p_i] * R_i) / (L*d).
-        In RREF the coefficient of row i is the entry at pivots[i], because no
-        other row touches that column.
+        With v = N / d in integers it is scaled_residual(N) / (L*d).
         """
         d, num = over_lcm(sparse_vector(self.ambient_dim, v).items())
-        L, rows = self.integer_rows
-        work = {j: L * x for j, x in num.items()}
-        for p, row in zip(self.pivots, rows):
-            c = num.get(p)
-            if c:
-                for j, b in row:
-                    work[j] = work.get(j, 0) - c * b
-        return {j: Fraction(w, L * d) for j, w in work.items() if w}
+        Ld = self.integer_rows[0] * d
+        return {j: Fraction(w, Ld) for j, w in self.scaled_residual(num.items()).items()}
 
     def contains_vector(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
-        return not self.residual(v)
+        return not self.scaled_residual(sparse_vector(self.ambient_dim, v).items())
 
     def coordinates(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Fraction] | None:
         """Nonzero coefficients of v by row index, or None if v is not a member.
@@ -390,7 +432,7 @@ class Subspace:
         if isinstance(other, Subspace):
             if other.ambient_dim != self.ambient_dim:
                 raise ValueError("ambient dimension mismatch")
-            return all(self.contains_vector(dict(r)) for r in other.integer_rows[1])
+            return not any(map(self.scaled_residual, other.integer_rows[1]))
         return self.contains_vector(other)
 
     def __repr__(self) -> str:
@@ -427,7 +469,7 @@ def column_kernel(columns: Sequence[Mapping[int, Fraction]]) -> Subspace:
     ech = Echelon(len(columns))
     for r in sorted(rows):
         ech.add(rows[r])
-    return Subspace.span(len(columns), ech.nullspace_rows())
+    return Subspace.integer_span(len(columns), map(dict.items, ech.nullspace_rows()))
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -438,22 +480,25 @@ def nullspace(m: Mat) -> Subspace:
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(u.ambient_dim, [dict(r) for r in u.integer_rows[1] + v.integer_rows[1]])
+    return Subspace.integer_span(u.ambient_dim, u.integer_rows[1] + v.integer_rows[1])
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Sum of x_a u_a over x in the kernel of the columns v.residual(u_a); u_a: u's integer rows."""
+    """Sum of x_a u_a over x in the kernel of the columns v.scaled_residual(u_a).
+
+    u_a are u's integer rows; one scale on every column moves no kernel.
+    """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     rows = u.integer_rows[1]
     vectors = []
-    for x in column_kernel([v.residual(dict(r)) for r in rows]).integer_rows[1]:
+    for x in column_kernel([v.scaled_residual(r) for r in rows]).integer_rows[1]:
         w: dict[int, int] = {}
         for a, xa in x:
             for j, b in rows[a]:
                 w[j] = w.get(j, 0) + xa * b
-        vectors.append(w)
-    return Subspace.span(u.ambient_dim, vectors)
+        vectors.append(w.items())
+    return Subspace.integer_span(u.ambient_dim, vectors)
 
 
 def orthogonal_complement(b: Mat, u: Subspace) -> Subspace:

@@ -9,11 +9,13 @@ Every builder hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.
 validate, center, killing_form and the Leibniz system of D(g) read the integers;
 sparse_bracket, adjoint_matrix, brackets() and c, the dense tensor that only
 the benchmark and tests read, divide by den once.
-LieAlgebra.sparse_bracket is the one bracket kernel: it takes and returns
-sparse vectors, and the routines that bracket subspace rows (closure,
-span_algebra, is_ideal, bracket_spaces, centralizer, normalizer and the
-closure check on Subalgebra) feed it Subspace.integer_rows, never the Fraction
-view Subspace.rows; bracket on dense tuples wraps it and hands back Fractions.
+LieAlgebra.scaled_bracket is the one bracket kernel: den * [x, y] on sparse
+vectors, integers in, integers out.  The routines that bracket subspace rows
+(closure, generated_subalgebra, is_ideal, bracket_spaces, centralizer,
+normalizer and the closure check on Subalgebra) feed it Subspace.integer_rows
+and hand its output straight to Subspace.scaled_residual or integer_span, since
+no scale moves a span or a membership; no Fraction is built on the way.
+sparse_bracket is its Fraction adapter, and bracket on dense tuples wraps that.
 span_algebra turns each coordinate into a Fraction once.
 center, centralizer and normalizer hand their equations to
 exactlin.column_kernel as sparse columns; killing_form and quotient build no
@@ -155,18 +157,15 @@ class LieAlgebra:
         label = self.name or "LieAlgebra"
         return f"<{label} dim={self.dim}>"
 
-    def sparse_bracket(self, x: SparseItems, y: SparseItems) -> dict[int, Fraction]:
-        """[x, y] for sparse vectors, as its nonzero entries by index.
+    def scaled_bracket(self, x: SparseItems, y: SparseItems) -> dict[int, Fraction | int]:
+        """den * [x, y] for sparse vectors, as its nonzero entries by index.
 
-        If den > 1 the sum runs in integers, [X/dx, Y/dy] = [X, Y]/(dx * dy * den),
-        with one Fraction per entry, so integer inputs still give Fractions.
+        The one bracket kernel: the sum over x_i * y_j * num[i][j], with no
+        division, so integer inputs give integers.  A scale moves no span and
+        no membership, so the closure, ideal and span loops take it as it is.
         """
-        den, num = self.integer_constants
-        d = 1
-        if den > 1:
-            (dx, xs), (dy, ys) = over_lcm(x), over_lcm(y)
-            x, y, d = xs.items(), ys.items(), dx * dy * den
-        out: dict[int, Fraction] = {}
+        num = self.integer_constants[1]
+        out: dict[int, Fraction | int] = {}
         for i, xi in x:
             numi = num[i]
             for j, yj in y:
@@ -175,7 +174,17 @@ class LieAlgebra:
                     s = xi * yj
                     for k, v in terms:
                         out[k] = out.get(k, 0) + s * v
-        return {k: v if d == 1 else Fraction(v, d) for k, v in out.items() if v}
+        return {k: v for k, v in out.items() if v}
+
+    def sparse_bracket(self, x: SparseItems, y: SparseItems) -> dict[int, Fraction]:
+        """[x, y] for sparse vectors, as its nonzero entries in Fractions.
+
+        The inputs' denominators are cleared once, x = X/dx and y = Y/dy, and
+        [x, y] = scaled_bracket(X, Y) / (dx * dy * den), one division per entry.
+        """
+        (dx, xs), (dy, ys) = over_lcm(x), over_lcm(y)
+        d = dx * dy * self.integer_constants[0]
+        return {k: Fraction(v, d) for k, v in self.scaled_bracket(xs.items(), ys.items()).items()}
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """[x, y] for dense coordinate tuples."""
@@ -332,8 +341,7 @@ class Subalgebra:
         if space.dim < parent.dim:
             for a in range(len(rows)):
                 for b in range(a + 1, len(rows)):
-                    v = parent.sparse_bracket(rows[a], rows[b])
-                    if not space.contains_vector(v):
+                    if space.scaled_residual(parent.scaled_bracket(rows[a], rows[b]).items()):
                         raise ValueError(
                             f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
                         )
@@ -375,19 +383,23 @@ def zero_subalgebra(g: LieAlgebra) -> Subalgebra:
 
 
 # a sparse bracket: two SparseItems in, the nonzero entries of the result out
-Bracket = Callable[[SparseItems, SparseItems], dict[int, Fraction]]
+Bracket = Callable[[SparseItems, SparseItems], dict[int, Fraction | int]]
 
 
 def closure(space: Subspace, bracket: Bracket) -> Subspace:
-    """Smallest subspace containing space and closed under bracket."""
+    """Smallest subspace containing space and closed under bracket.
+
+    Only spans are taken, so bracket may hand back any fixed nonzero multiple
+    of the product, such as LieAlgebra.scaled_bracket.
+    """
     while True:
         rows = space.integer_rows[1]
         new = [
-            bracket(rows[a], rows[b])
+            bracket(rows[a], rows[b]).items()
             for a in range(len(rows))
             for b in range(a + 1, len(rows))
         ]
-        grown = Subspace.span(space.ambient_dim, [*map(dict, rows), *new])
+        grown = Subspace.integer_span(space.ambient_dim, [*rows, *new])
         if grown.dim == space.dim:
             return space
         space = grown
@@ -408,7 +420,7 @@ def span_algebra(space: Subspace, bracket: Bracket, name: str | None = None) -> 
     for a in range(r):
         for b in range(a + 1, r):
             w = bracket(rows[a], rows[b])
-            if space.residual(w):
+            if space.scaled_residual(w.items()):
                 raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
             # the basis is rows / L, so [b_a, b_b] = w / L^2, whose coordinate
             # on b_i is its entry at pivots[i]
@@ -422,15 +434,16 @@ def span_algebra(space: Subspace, bracket: Bracket, name: str | None = None) -> 
 
 def generated_subalgebra(parent: LieAlgebra, vectors: Iterable[Sequence[Scalar]]) -> Subalgebra:
     """Smallest bracket-closed subspace containing the given vectors."""
-    return Subalgebra(parent, closure(Subspace.span(parent.dim, vectors), parent.sparse_bracket))
+    return Subalgebra(parent, closure(Subspace.span(parent.dim, vectors), parent.scaled_bracket))
 
 
 def bracket_spaces(g: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of all [x, y] with x in u, y in v."""
     if u.ambient_dim != g.dim or v.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension != algebra dimension")
-    products = [g.sparse_bracket(x, y) for x in u.integer_rows[1] for y in v.integer_rows[1]]
-    return Subspace.span(g.dim, products)
+    ys = v.integer_rows[1]
+    products = [g.scaled_bracket(x, y).items() for x in u.integer_rows[1] for y in ys]
+    return Subspace.integer_span(g.dim, products)
 
 
 def derived_subalgebra(h: Subalgebra) -> Subalgebra:
@@ -456,8 +469,8 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
     # stop at the first [x, y] that escapes h
-    bracket, contains, ys = amb.parent.sparse_bracket, h.space.contains_vector, h.space.integer_rows[1]
-    return all(contains(bracket(x, y)) for x in amb.space.integer_rows[1] for y in ys)
+    bracket, escapes, ys = amb.parent.scaled_bracket, h.space.scaled_residual, h.space.integer_rows[1]
+    return not any(escapes(bracket(x, y).items()) for x in amb.space.integer_rows[1] for y in ys)
 
 
 def center(g: LieAlgebra) -> Subalgebra:
@@ -468,13 +481,16 @@ def center(g: LieAlgebra) -> Subalgebra:
 
 
 def _bracket_kernel(g: LieAlgebra, ys: Sequence[SparseItems], target: Subspace) -> Subalgebra:
-    """{x : [x, y] in target for every y}: column i stacks the residuals of the [e_i, y]."""
+    """{x : [x, y] in target for every y}: column i stacks the residuals of the [e_i, y].
+
+    Every column carries the same scale, den * L, so the kernel is unchanged.
+    """
     n = g.dim
     columns = []
     for i in range(n):
-        col: dict[int, Fraction] = {}
+        col: dict[int, int] = {}
         for t, y in enumerate(ys):
-            w = target.residual(g.sparse_bracket(((i, 1),), y))
+            w = target.scaled_residual(g.scaled_bracket(((i, 1),), y).items())
             col.update((t * n + k, v) for k, v in w.items())
         columns.append(col)
     return Subalgebra(g, column_kernel(columns))

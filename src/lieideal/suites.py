@@ -49,6 +49,7 @@ from .liealg import (
 )
 from .transitivity import (
     HypothesisError,
+    IdealChain,
     check_cartan_criterion,
     check_complete_subideal,
     check_perfect_transitivity,
@@ -204,13 +205,17 @@ def random_centerless_solvable(rng: random.Random, count: int) -> list[LieAlgebr
     return found
 
 
-def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, Subalgebra, Subalgebra]]:
-    """(label, ambient Subalgebra, h) triples: catalog pairs plus randomized instances.
+def radical_corpus(
+    seed: int, min_random: int = 50
+) -> list[tuple[str, Subalgebra, Subalgebra, IdealChain]]:
+    """(label, ambient Subalgebra, h, chain) quadruples: catalog pairs plus randomized instances.
 
-    Every pair of one algebra shares one full_subalgebra as its ambient, and
-    the "full" candidate is that same object, so each radical is solved once.
+    chain is the verified h <| ... <| ambient that decided the pair, kept so
+    the checks re-verify it instead of deciding again.  Every pair of one
+    algebra shares one full_subalgebra as its ambient, and the "full"
+    candidate is that same object, so each radical is solved once.
     """
-    pairs: list[tuple[str, Subalgebra, Subalgebra]] = []
+    pairs: list[tuple[str, Subalgebra, Subalgebra, IdealChain]] = []
 
     def add_if_subideal(label: str, amb: Subalgebra, space: Subspace) -> bool:
         if space == amb.space:
@@ -220,9 +225,10 @@ def radical_corpus(seed: int, min_random: int = 50) -> list[tuple[str, Subalgebr
                 h = Subalgebra(amb.parent, space)
             except ValueError:
                 return False
-        if not subideal_chain(amb, h):
+        verdict = subideal_chain(amb, h)
+        if not verdict:
             return False
-        pairs.append((label, amb, h))
+        pairs.append((label, amb, h, verdict.chain))
         return True
 
     for name in catalog.list_names():
@@ -469,16 +475,16 @@ def suite_radical(seed: int = 0, min_random: int = 50) -> list[CheckResult]:
     corpus = radical_corpus(seed, min_random)
 
     def run_intersection():
-        for label, amb, h in corpus:
-            report = check_radical_intersection(amb, h)
+        for label, amb, h, chain in corpus:
+            report = check_radical_intersection(amb, h, chain)
             check(report.ok, label)
         return f"{len(corpus)} subideal pairs (seed {seed})"
 
     results.append(_run_check("radical", "radical intersection identity", run_intersection))
 
     def run_levi():
-        for label, amb, h in corpus:
-            report = levi_criterion(amb, h)
+        for label, amb, h, chain in corpus:
+            report = levi_criterion(amb, h, chain)
             check(report.agree, label)
         return f"{len(corpus)} subideal pairs, three-way agreement"
 

@@ -108,8 +108,8 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     space = h.space
     while True:
         rows = space.integer_rows[1]
-        brackets = [g.sparse_bracket(x, y) for x in amb.space.integer_rows[1] for y in rows]
-        grown = Subspace.span(g.dim, [*map(dict, rows), *brackets])
+        brackets = [g.scaled_bracket(x, y).items() for x in amb.space.integer_rows[1] for y in rows]
+        grown = Subspace.integer_span(g.dim, [*rows, *brackets])
         if grown.dim == space.dim:
             return Subalgebra(g, space)
         space = grown
@@ -333,13 +333,27 @@ class RadicalIntersectionReport:
         return self.radical_h == self.radical_g_meet_h
 
 
-def check_radical_intersection(
-    ambient: LieAlgebra | Subalgebra, h: Subalgebra
-) -> RadicalIntersectionReport:
-    """r_h = r_g /\\ h for subideals h of g."""
+def _certified_subideal(
+    ambient: LieAlgebra | Subalgebra, h: Subalgebra, chain: IdealChain
+) -> Subalgebra:
+    """The ambient as a Subalgebra, once chain re-verifies as h <| ... <| ambient.
+
+    Raises HypothesisError otherwise, so the radical criteria take a decided
+    chain as their hypothesis instead of deciding it again.
+    """
     amb = as_subalgebra(ambient)
-    if not subideal_chain(amb, h):
-        raise HypothesisError("h is not a subideal of the ambient algebra")
+    if chain.links[0] != h or chain.links[-1] != amb:
+        raise HypothesisError("the chain does not run from h to the ambient algebra")
+    if not chain.verify():
+        raise HypothesisError("the chain is not a chain of ideals")
+    return amb
+
+
+def check_radical_intersection(
+    ambient: LieAlgebra | Subalgebra, h: Subalgebra, chain: IdealChain
+) -> RadicalIntersectionReport:
+    """r_h = r_g /\\ h for subideals h of g, given a chain certifying h <|<| g."""
+    amb = _certified_subideal(ambient, h, chain)
     rh = sub_radical(h)
     rg = sub_radical(amb)
     report = RadicalIntersectionReport(rh, intersect(rg, h.space))
@@ -362,11 +376,14 @@ class LeviCriterionReport:
         return self.ideal == self.radical_ideal == self.radical_bracket
 
 
-def levi_criterion(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> LeviCriterionReport:
-    """For subideals h, 'h ideal', 'r_h ideal', and '[r_h, g] in h' coincide."""
-    amb = as_subalgebra(ambient)
-    if not subideal_chain(amb, h):
-        raise HypothesisError("h is not a subideal of the ambient algebra")
+def levi_criterion(
+    ambient: LieAlgebra | Subalgebra, h: Subalgebra, chain: IdealChain
+) -> LeviCriterionReport:
+    """For subideals h, 'h ideal', 'r_h ideal', and '[r_h, g] in h' coincide.
+
+    chain certifies h <|<| g, as for check_radical_intersection.
+    """
+    amb = _certified_subideal(ambient, h, chain)
     g = amb.parent
     rh = sub_radical(h)
     a = is_ideal(amb, h)

@@ -482,3 +482,16 @@ def test_residual_matches_the_fraction_loop(case, data):
                 want = {i: Fraction(w[p]) for i, p in enumerate(u.pivots) if w[p]}
                 assert coords == want
                 assert all(type(x) is Fraction for x in coords.values())
+
+
+def test_pivot_map_is_read_only_and_invisible_to_eq_and_hash():
+    vecs = [[1, Fraction(1, 2), 0, 3], [0, 0, 2, Fraction(-1, 3)]]
+    filled, fresh = Subspace.span(4, vecs), Subspace.span(4, vecs)
+    assert filled.scaled_residual([(1, 1)]) == {1: filled.integer_rows[0]}
+    assert "_off_pivot" in vars(filled) and "_off_pivot" not in vars(fresh)
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert len({filled, fresh}) == 1
+    with pytest.raises(TypeError):
+        filled._off_pivot[1] = ()
+    # a copy made through the fields does not carry the map along
+    assert "_off_pivot" not in vars(dataclasses.replace(filled))

@@ -17,7 +17,7 @@ import pytest
 
 from lieideal import catalog
 from lieideal.derivations import derivation_algebra, scaled_adjoint
-from lieideal.exactlin import Echelon, Mat, Subspace, column_kernel, intersect, nullspace
+from lieideal.exactlin import Echelon, Mat, Subspace, column_kernel, intersect, nullspace, over_lcm
 from lieideal.liealg import (
     LieAlgebra,
     Subalgebra,
@@ -25,13 +25,14 @@ from lieideal.liealg import (
     centralizer,
     derived_subalgebra,
     full_subalgebra,
+    is_ideal,
     killing_form,
     normalizer,
     quotient,
     radical,
 )
 from lieideal.suites import check_adjoint_identity
-from lieideal.transitivity import enumerate_grid_subalgebras, random_solvable_algebra
+from lieideal.transitivity import enumerate_grid_subalgebras, ideal_closure, random_solvable_algebra
 
 
 def dense_nullspace(m):
@@ -249,3 +250,166 @@ def test_sparse_adjoint_identity_matches_dense(g):
         assert scaled_adjoint(g, x.items()) == flat
     assert check_adjoint_identity(g.name, g) == ref_adjoint_identities(g)
 
+
+
+# --- the integer kernels against the Fraction code they replaced ---------------
+#
+# scaled_bracket, Subspace.scaled_residual and Subspace.integer_span run the
+# bracket -> membership/span loop in integers.  The references are the loops
+# they replaced, written out here, and a dense Gauss-Jordan elimination in
+# Fractions that shares no code with Echelon.
+
+
+def old_sparse_bracket(g, x, y):
+    """The Fraction bracket loop before scaled_bracket: clear only when den > 1."""
+    den, num = g.integer_constants
+    d = 1
+    if den > 1:
+        (dx, xs), (dy, ys) = over_lcm(x), over_lcm(y)
+        x, y, d = xs.items(), ys.items(), dx * dy * den
+    out = {}
+    for i, xi in x:
+        for j, yj in y:
+            for k, v in num[i][j]:
+                out[k] = out.get(k, 0) + xi * yj * v
+    return {k: v if d == 1 else Fraction(v, d) for k, v in out.items() if v}
+
+
+def old_scaled_residual(u, num):
+    """The all-pivots loop before the pivot-indexed one: L*num minus every row's share."""
+    L, rows = u.integer_rows
+    num = dict(num)
+    work = {j: L * x for j, x in num.items()}
+    for p, row in zip(u.pivots, rows):
+        c = num.get(p)
+        if c:
+            for j, b in row:
+                work[j] = work.get(j, 0) - c * b
+    return {j: w for j, w in work.items() if w}
+
+
+def dense_rref(n, vectors):
+    """Reduced row-echelon rows of the span of dense vectors, by plain Gauss-Jordan."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    out, r = [], 0
+    for c in range(n):
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
+def sample_vectors(rng, space):
+    """Members, non-members, the empty vector and vectors with entries off the pivots, in ints."""
+    n, rows = space.ambient_dim, space.integer_rows[1]
+    off = [j for j in range(n) if j not in space.pivots]
+    out = [{}]
+    for _ in range(6):
+        member: dict[int, int] = {}
+        for row in rows:
+            c = rng.randint(-3, 3)
+            for j, b in row:
+                member[j] = member.get(j, 0) + c * b
+        out.append({j: v for j, v in member.items() if v})
+        anywhere = {j: rng.randint(-4, 4) for j in rng.sample(range(n), rng.randint(1, n))}
+        out.append({j: v for j, v in anywhere.items() if v})
+        if off:
+            out.append({rng.choice(off): rng.randint(1, 5)})
+    return out
+
+
+@pytest.mark.parametrize(("g", "tags"), [(g, t) for _, g, t in CORPUS], ids=IDS)
+def test_scaled_bracket_is_den_times_the_old_bracket(g, tags):
+    den, n = g.integer_constants[0], g.dim
+    rows = [r for h in subalgebras(g, tags) for r in h.space.integer_rows[1]]
+    rows += [((i, 1),) for i in range(n)]
+    rng = random.Random(n)
+    for x, y in itertools.islice(itertools.product(rows, repeat=2), 400):
+        ref = old_sparse_bracket(g, x, y)
+        got = g.scaled_bracket(x, y)
+        assert got == {k: den * v for k, v in ref.items()}
+        assert all(type(v) is int for v in got.values())
+        assert g.sparse_bracket(x, y) == ref
+        # Fraction inputs: the kernel stays exact, the adapter still matches
+        fx = [(j, Fraction(v, rng.randint(1, 4))) for j, v in x]
+        fy = [(j, Fraction(v, rng.randint(1, 4))) for j, v in y]  # any vectors: entries differ
+        ref = old_sparse_bracket(g, fx, fy)
+        assert g.scaled_bracket(fx, fy) == {k: den * v for k, v in ref.items()}
+        assert g.sparse_bracket(fx, fy) == ref
+        assert all(type(v) is Fraction for v in g.sparse_bracket(fx, fy).values())
+
+
+@pytest.mark.parametrize(("g", "tags"), [(g, t) for _, g, t in CORPUS], ids=IDS)
+def test_pivot_indexed_residual_matches_the_all_pivots_loop(g, tags):
+    rng = random.Random(g.dim)
+    spaces = [h.space for h in subalgebras(g, tags)] + [Subspace.zero(g.dim)]
+    for space in spaces:
+        L = space.integer_rows[0]
+        for v in sample_vectors(rng, space):
+            ref = old_scaled_residual(space, v.items())
+            assert space.scaled_residual(v.items()) == ref
+            assert space.residual(v) == {j: Fraction(w, L) for j, w in ref.items()}
+            assert space.contains_vector(v) == (not ref)
+            # membership ignores scale, also a fractional one
+            halves = {j: Fraction(x, 2) for j, x in v.items()}
+            assert space.contains_vector(halves) == (not ref)
+            assert (not space.scaled_residual(halves.items())) == (not ref)
+
+
+@pytest.mark.parametrize(("g", "tags"), [(g, t) for _, g, t in CORPUS], ids=IDS)
+def test_integer_span_equals_the_fraction_span_and_dense_rref(g, tags):
+    n = g.dim
+    rng = random.Random(n + 1)
+    subs = subalgebras(g, tags)
+    for h, k in itertools.islice(itertools.product(subs, repeat=2), 60):
+        ys = k.space.integer_rows[1]
+        rows = [g.scaled_bracket(x, y) for x in h.space.integer_rows[1] for y in ys]
+        rows += [dict(r) for r in h.space.integer_rows[1]]
+        rows += sample_vectors(rng, k.space)[:3]
+        got = Subspace.integer_span(n, [r.items() for r in rows])
+        fractions = []  # the same rows, each over a denominator of its own
+        for r in rows:
+            d = rng.randint(1, 5)
+            fractions.append({j: Fraction(v, d) for j, v in r.items()})
+        assert got == Subspace.span(n, fractions)
+        assert got.basis.entries == dense_rref(n, [[r.get(j, 0) for j in range(n)] for r in rows])
+
+
+def dense_is_ideal(g, amb, h):
+    e = h.space.basis.entries
+    return all(
+        len(dense_rref(g.dim, [*e, g.bracket(x, y)])) == h.dim
+        for x in amb.space.basis.entries
+        for y in e
+    )
+
+
+def dense_ideal_closure(g, amb, h):
+    """S <- S + ad_x(S) with dense adjoint matrices, until the rank stops growing."""
+    ads = [g.adjoint_matrix(x).matrix for x in amb.space.basis.entries]
+    rows = dense_rref(g.dim, h.space.basis.entries)
+    while True:
+        grown = dense_rref(g.dim, [*rows, *(ad.apply(v) for ad in ads for v in rows)])
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
+@pytest.mark.parametrize(("g", "tags"), [(g, t) for _, g, t in CORPUS], ids=IDS)
+def test_is_ideal_and_ideal_closure_match_dense(g, tags):
+    subs = subalgebras(g, tags)
+    ambients = [full_subalgebra(g)] + [k for k in subs if 0 < k.dim < g.dim][:4]
+    for amb in ambients:
+        for h in subs:
+            if not amb.space.contains(h.space):
+                continue
+            assert is_ideal(amb, h) == dense_is_ideal(g, amb, h)
+            assert ideal_closure(amb, h).space.basis.entries == dense_ideal_closure(g, amb, h)

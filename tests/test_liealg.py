@@ -456,7 +456,7 @@ def test_sub_radical_memo_matches_the_reference():
         g = full_subalgebra(catalog.get(name).algebra)
         subs[id(g)] = g
     for seed in (0, 1):
-        for _, amb, h in radical_corpus(seed):
+        for _, amb, h, _ in radical_corpus(seed):
             subs[id(amb)] = amb
             subs[id(h)] = h
     for h in subs.values():

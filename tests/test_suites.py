@@ -1,6 +1,7 @@
 """The suite runner's own contract: failed checks are reported, even under -O,
-a run of the radical suite solves each radical once and keeps none, and the
-adjoint bracket identity fails on a map that is no derivation."""
+a run of the radical suite solves each radical once, decides each pair once
+and keeps none, and the adjoint bracket identity fails on a map that is no
+derivation."""
 
 import dataclasses
 import os
@@ -9,7 +10,7 @@ import sys
 from collections.abc import Mapping
 from pathlib import Path
 
-from lieideal import catalog, liealg, suites
+from lieideal import catalog, liealg, suites, transitivity
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,6 +75,24 @@ def test_radical_suite_solves_each_radical_once(monkeypatch):
             value = getattr(entry, f.name)
             held = value.values() if isinstance(value, Mapping) else (value,)
             assert not any(isinstance(v, liealg.Subalgebra) for v in held), (name, f.name)
+
+
+def test_radical_suite_decides_each_pair_once(monkeypatch):
+    decided = []
+    real = transitivity.subideal_chain
+
+    def counting(ambient, h):
+        decided.append(h)
+        return real(ambient, h)
+
+    # suites imports the name; transitivity's own checks would call it there
+    monkeypatch.setattr(suites, "subideal_chain", counting)
+    monkeypatch.setattr(transitivity, "subideal_chain", counting)
+    results = suites.suite_radical(0)
+    assert [r.status for r in results] == ["pass", "pass"]
+    # every candidate of the corpus once; the two checks re-verify the kept chains
+    assert len(decided) == 105
+    assert results[0].detail.startswith("85 subideal pairs")
 
 
 def test_adjoint_identity_fails_on_a_non_derivation(monkeypatch):

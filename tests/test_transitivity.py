@@ -23,6 +23,7 @@ from lieideal.liealg import (
 )
 from lieideal.transitivity import (
     HypothesisError,
+    IdealChain,
     cartan_eigenspaces,
     check_cartan_criterion,
     check_complete_subideal,
@@ -255,9 +256,16 @@ def test_complete_subideal_rejects_incomplete_h(heis):
 # --- radical criteria ---------------------------------------------------------
 
 
+def _decided(ambient, h):
+    """(ambient, h, chain): the hypothesis certificate the radical criteria take."""
+    verdict = subideal_chain(ambient, h)
+    assert verdict
+    return ambient, h, verdict.chain
+
+
 def test_radical_intersection_in_heisenberg(heis):
     h = subalgebra(heis, [[1, 0, 0]])
-    report = check_radical_intersection(heis, h)
+    report = check_radical_intersection(*_decided(heis, h))
     assert report.ok
     assert report.radical_h == h.space
 
@@ -265,36 +273,56 @@ def test_radical_intersection_in_heisenberg(heis):
 def test_radical_intersection_semisimple_factor(sl2):
     g, e1, e2 = direct_sum(sl2, catalog.abelian(1))
     h = Subalgebra(g, e1.image())
-    report = check_radical_intersection(g, h)
+    report = check_radical_intersection(*_decided(g, h))
     assert report.ok
     assert report.radical_h.dim == 0
 
 
 def test_radical_intersection_identity_case(sl2):
-    report = check_radical_intersection(sl2, full_subalgebra(sl2))
+    report = check_radical_intersection(*_decided(sl2, full_subalgebra(sl2)))
     assert report.ok
 
 
 def test_radical_intersection_needs_subideal(sl2):
-    with pytest.raises(HypothesisError):
-        check_radical_intersection(sl2, subalgebra(sl2, [[0, 1, 0]]))
+    # span(F) is no ideal of sl2, so the two-link chain fails verify()
+    f_line, full = subalgebra(sl2, [[0, 0, 1]]), full_subalgebra(sl2)
+    bad = IdealChain((f_line, full))
+    assert not bad.verify()
+    for check in (check_radical_intersection, levi_criterion):
+        with pytest.raises(HypothesisError):
+            check(sl2, f_line, bad)
+
+
+def test_radical_criteria_need_a_chain_from_h_to_the_ambient(heis):
+    x_line = subalgebra(heis, [[1, 0, 0]])
+    z_line = subalgebra(heis, [[0, 0, 1]])
+    _, _, z_chain = _decided(heis, z_line)
+    plane = subalgebra(heis, [[1, 0, 0], [0, 0, 1]])
+    _, _, x_in_plane = _decided(plane, x_line)
+    for check in (check_radical_intersection, levi_criterion):
+        # a verified chain for another h, or into another ambient, is no certificate
+        with pytest.raises(HypothesisError):
+            check(heis, x_line, z_chain)
+        with pytest.raises(HypothesisError):
+            check(heis, x_line, x_in_plane)
+        check(plane, x_line, x_in_plane)  # the chain that does run from h to the ambient
 
 
 def test_levi_criterion_all_false(heis):
-    report = levi_criterion(heis, subalgebra(heis, [[1, 0, 0]]))
+    report = levi_criterion(*_decided(heis, subalgebra(heis, [[1, 0, 0]])))
     assert not report.ideal and not report.radical_ideal and not report.radical_bracket
     assert report.agree
 
 
 def test_levi_criterion_all_true(heis):
-    report = levi_criterion(heis, subalgebra(heis, [[1, 0, 0], [0, 0, 1]]))
+    report = levi_criterion(*_decided(heis, subalgebra(heis, [[1, 0, 0], [0, 0, 1]])))
     assert report.ideal and report.radical_ideal and report.radical_bracket
 
 
 def test_levi_criterion_zero_radical():
     so3 = catalog.get("so3").algebra
     g, e1, _ = direct_sum(so3, so3)
-    report = levi_criterion(g, Subalgebra(g, e1.image()))
+    report = levi_criterion(*_decided(g, Subalgebra(g, e1.image())))
     assert report.agree and report.ideal
 
 
@@ -469,8 +497,8 @@ def test_zero_subalgebra_edge_cases():
     z = zero_subalgebra(g)
     verdict = subideal_chain(g, z)
     assert verdict and verdict.chain.dims() == (0, 5)
-    assert check_radical_intersection(g, z).ok
-    assert levi_criterion(g, z).agree
+    assert check_radical_intersection(g, z, verdict.chain).ok
+    assert levi_criterion(g, z, verdict.chain).agree
 
 
 def test_random_solvable_is_solvable_and_deterministic():
