@@ -76,6 +76,10 @@ def _load_source(src: str) -> LieAlgebra:
         return catalog.load(src)
     except FileNotFoundError:
         raise InputError(f"no such file: {src}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{src}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:  # a directory, or no permission
+        raise InputError(f"cannot read {src}: {exc.strerror}") from None
     except catalog.ParseError as exc:
         raise InputError(f"{src}: {exc}") from None
 

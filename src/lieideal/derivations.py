@@ -9,10 +9,10 @@ derivations, taken as den * ad_{e_i}, span the same subspace.  The canonical
 RREF kernel rows fix the structure constants of D(g) deterministically:
 liealg.span_algebra reads them off the kernel, with the sparse
 exactlin.commutator on the integer-scaled flattened rows as the bracket, and
-checks that every commutator stays in the kernel; scaled_adjoint flattens
-den * ad_x the same way.  Only the realization maps and the holomorph's
-constants read the kernel's Fraction rows, and only the realization maps and
-the coordinates handed back to callers are dense.
+checks that every commutator stays in the kernel; LieAlgebra.scaled_adjoint
+flattens the inner den * ad_{e_i} the same way.  Only the realization maps and
+the holomorph's constants read the kernel's Fraction rows, and only the
+realization maps and the coordinates handed back to callers are dense.
 
 derivation_algebra caches the solve on the algebra's structure, which
 ignores names; a hit is handed back renamed for the caller's algebra.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
-from .exactlin import Echelon, Mat, SparseItems, Subspace, Vector, commutator, dense_vector
+from .exactlin import Echelon, Mat, Subspace, Vector, commutator, dense_vector
 from .liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -111,17 +111,6 @@ def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
     return ech.nullspace_rows()
 
 
-def scaled_adjoint(g: LieAlgebra, x: SparseItems) -> dict[int, int]:
-    """den * ad_x flattened row-major, nonzero entries only: (k, j) is sum_i x_i * c_ijk * den."""
-    n, num = g.dim, g.integer_constants[1]
-    out: dict[int, int] = {}
-    for i, xi in x:
-        for j, terms in enumerate(num[i]):
-            for k, v in terms:
-                out[k * n + j] = out.get(k * n + j, 0) + xi * v
-    return {idx: v for idx, v in out.items() if v}
-
-
 def _d_name(g: LieAlgebra) -> str | None:
     return None if g.name is None else f"D({g.name})"
 
@@ -138,8 +127,8 @@ def _solve(g: LieAlgebra) -> DerivationAlgebra:
     """
     n = g.dim
     kernel = Subspace.integer_span(n * n, map(dict.items, _leibniz_kernel(g)))
-    algebra = validate_or_raise(span_algebra(kernel, partial(commutator, n), name=_d_name(g)))
-    inner_rows = [kernel.coordinates(scaled_adjoint(g, ((i, 1),))) for i in range(n)]
+    algebra = validate_or_raise(span_algebra(kernel, partial(commutator, n), 1, name=_d_name(g)))
+    inner_rows = [kernel.coordinates(g.scaled_adjoint(((i, 1),))) for i in range(n)]
     if None in inner_rows:
         raise InternalCheckError("inner derivation escaped the solution span")
     inner = Subspace.span(kernel.dim, inner_rows)
@@ -169,7 +158,7 @@ def leibniz_defect(g: LieAlgebra, f: Mat) -> Vector | None:
     for i in range(n):
         fi = f.column(i)
         for j in range(i + 1, n):
-            lhs = f.apply(dense_vector(n, g.sparse_bracket(((i, 1),), ((j, 1),)).items()))
+            lhs = f.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
             rhs1 = g.bracket(fi, g.basis_vector(j))
             rhs2 = g.bracket(g.basis_vector(i), f.column(j))
             defect = tuple(a - b - c for a, b, c in zip(lhs, rhs1, rhs2))

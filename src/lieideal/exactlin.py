@@ -17,7 +17,8 @@ and clear what comes from outside, call them and hand back Fractions.
 ``Echelon`` reduces gcd-normalized integer rows and builds no Fraction; it
 clears denominators only for a row that holds one.  ``Subspace.span`` is the
 one row reduction, and its ``dim`` the only rank; ``column_kernel`` is the one
-solve.
+solve.  ``commutator`` brackets matrices flattened row-major, the order in
+which ``LieAlgebra.scaled_adjoint``, the one adjoint kernel, flattens den * ad_x.
 """
 
 from __future__ import annotations

@@ -6,20 +6,17 @@ the c_ijk, where [e_i, e_j] = sum_k c_ijk e_k, and num[i][j] holds the pairs
 (k, c_ijk * den) with c_ijk != 0 in increasing k.  Both (i,j) and (j,i) are
 stored, and memory grows with the number of nonzero constants, not with dim^3.
 Every builder hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.
-validate, center, killing_form and the Leibniz system of D(g) read the integers;
-sparse_bracket, adjoint_matrix, brackets() and c, the dense tensor that only
-the benchmark and tests read, divide by den once.
-LieAlgebra.scaled_bracket is the one bracket kernel: den * [x, y] on sparse
-vectors, integers in, integers out.  The routines that bracket subspace rows
-(closure, generated_subalgebra, is_ideal, bracket_spaces, centralizer,
-normalizer and the closure check on Subalgebra) feed it Subspace.integer_rows
-and hand its output straight to Subspace.scaled_residual or integer_span, since
-no scale moves a span or a membership; no Fraction is built on the way.
-sparse_bracket is its Fraction adapter, and bracket on dense tuples wraps that.
-span_algebra turns each coordinate into a Fraction once.
-center, centralizer and normalizer hand their equations to
-exactlin.column_kernel as sparse columns; killing_form and quotient build no
-adjoint matrix either.
+One kernel per operation works on sparse vectors, integers in, integers out:
+scaled_bracket returns den * [x, y] and scaled_adjoint den * ad_x, flattened
+row-major.  The routines that bracket subspace rows (closure,
+generated_subalgebra, is_ideal, bracket_spaces, centralizer, normalizer and the
+closure check on Subalgebra) hand scaled_bracket's output on
+Subspace.integer_rows straight to Subspace.scaled_residual or integer_span,
+since no scale moves a span or a membership.  center is the column_kernel of
+the den * ad_{e_i} and killing_form their trace pairing over den^2.  Only the
+public edge divides, once: bracket (on dense tuples), adjoint_matrix,
+span_algebra (by the bracket's scale times L^2 per coordinate), brackets() and
+c, the dense tensor that only the benchmark and tests read.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
@@ -176,33 +173,34 @@ class LieAlgebra:
                         out[k] = out.get(k, 0) + s * v
         return {k: v for k, v in out.items() if v}
 
-    def sparse_bracket(self, x: SparseItems, y: SparseItems) -> dict[int, Fraction]:
-        """[x, y] for sparse vectors, as its nonzero entries in Fractions.
+    def scaled_adjoint(self, x: SparseItems) -> dict[int, Fraction | int]:
+        """den * ad_x flattened row-major, as its nonzero entries by index.
 
-        The inputs' denominators are cleared once, x = X/dx and y = Y/dy, and
-        [x, y] = scaled_bracket(X, Y) / (dx * dy * den), one division per entry.
+        The one adjoint kernel: entry k * n + j is den * [x, e_j]_k, the sum
+        over x_i * num[i][j], so integer inputs give integers.
         """
-        (dx, xs), (dy, ys) = over_lcm(x), over_lcm(y)
-        d = dx * dy * self.integer_constants[0]
-        return {k: Fraction(v, d) for k, v in self.scaled_bracket(xs.items(), ys.items()).items()}
-
-    def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        """[x, y] for dense coordinate tuples."""
-        n = self.dim
-        xs, ys = sparse_vector(n, x).items(), sparse_vector(n, y).items()
-        return dense_vector(n, self.sparse_bracket(xs, ys).items())
-
-    def adjoint_matrix(self, x: Sequence[Fraction]) -> "LinMap":
-        """ad_x as a linear map y -> [x, y], every column in one pass over x."""
-        n = self.dim
-        den, num = self.integer_constants
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i, xi in sparse_vector(n, x).items():
-            s = Fraction(xi, den)
-            # [e_i, e_j] fills column j
+        n, num = self.dim, self.integer_constants[1]
+        out: dict[int, Fraction | int] = {}
+        for i, xi in x:
             for j, terms in enumerate(num[i]):
                 for k, v in terms:
-                    m[k][j] += s * v
+                    out[k * n + j] = out.get(k * n + j, 0) + xi * v
+        return {idx: v for idx, v in out.items() if v}
+
+    def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
+        """[x, y] for dense tuples: with x = X/dx and y = Y/dy, scaled_bracket(X, Y) / (dx dy den)."""
+        n = self.dim
+        (dx, xs), (dy, ys) = (over_lcm(sparse_vector(n, v).items()) for v in (x, y))
+        d = dx * dy * self.integer_constants[0]
+        w = self.scaled_bracket(xs.items(), ys.items())
+        return dense_vector(n, ((k, Fraction(v, d)) for k, v in w.items()))
+
+    def adjoint_matrix(self, x: Sequence[Scalar]) -> "LinMap":
+        """ad_x as a linear map y -> [x, y]: scaled_adjoint(x) / den."""
+        n, den = self.dim, self.integer_constants[0]
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for idx, v in self.scaled_adjoint(sparse_vector(n, x).items()).items():
+            m[idx // n][idx % n] = Fraction(v, den)
         return LinMap(self, self, Mat(m, cols=n))
 
     def basis_vector(self, i: int) -> Vector:
@@ -405,15 +403,16 @@ def closure(space: Subspace, bracket: Bracket) -> Subspace:
         space = grown
 
 
-def span_algebra(space: Subspace, bracket: Bracket, name: str | None = None) -> LieAlgebra:
+def span_algebra(space: Subspace, bracket: Bracket, scale: int, name: str | None = None) -> LieAlgebra:
     """The bracket-closed span as an abstract algebra in its RREF basis.
 
-    Every [b_a, b_b], a < b, is re-expressed in the basis; a bracket that
-    leaves the span is a bug in the caller's closure, not a property of
-    the input.
+    bracket returns scale times the product: 1 for exactlin.commutator, den
+    for LieAlgebra.scaled_bracket.  Every [b_a, b_b], a < b, is re-expressed
+    in the basis; a bracket that leaves the span is a bug in the caller's
+    closure, not a property of the input.
     """
     L, rows = space.integer_rows
-    L2 = L * L
+    d = scale * L * L
     pivots = space.pivots
     r = len(rows)
     brackets = {}
@@ -422,13 +421,9 @@ def span_algebra(space: Subspace, bracket: Bracket, name: str | None = None) -> 
             w = bracket(rows[a], rows[b])
             if space.scaled_residual(w.items()):
                 raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
-            # the basis is rows / L, so [b_a, b_b] = w / L^2, whose coordinate
-            # on b_i is its entry at pivots[i]
-            brackets[(a, b)] = {
-                i: Fraction(c.numerator, c.denominator * L2)
-                for i, p in enumerate(pivots)
-                if (c := w.get(p))
-            }
+            # the basis is rows / L, so [b_a, b_b] = w / (scale * L^2), whose
+            # coordinate on b_i is its entry at pivots[i]
+            brackets[(a, b)] = {i: Fraction(c, d) for i, p in enumerate(pivots) if (c := w.get(p))}
     return LieAlgebra.from_brackets(r, brackets, name=name)
 
 
@@ -474,10 +469,8 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
 
 
 def center(g: LieAlgebra) -> Subalgebra:
-    """{x : [x, e_j] = 0 for every j}: column i stacks the numerators of the [e_i, e_j]."""
-    n, num = g.dim, g.integer_constants[1]
-    columns = [{j * n + k: v for j, terms in enumerate(row) for k, v in terms} for row in num]
-    return Subalgebra(g, column_kernel(columns))
+    """{x : ad_x = 0}: column i is den * ad_{e_i}."""
+    return Subalgebra(g, column_kernel([g.scaled_adjoint(((i, 1),)) for i in range(g.dim)]))
 
 
 def _bracket_kernel(g: LieAlgebra, ys: Sequence[SparseItems], target: Subspace) -> Subalgebra:
@@ -511,18 +504,17 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
 
 
 def killing_form(g: LieAlgebra) -> SymForm:
-    """B(e_i, e_j) = trace(ad_i ad_j) = sum of c_iba * c_jab, on integer_constants."""
+    """B(e_i, e_j) = trace(ad_i ad_j), the trace pairing of the den * ad_{e_i}, over den^2."""
     n = g.dim
-    den, nz = g.integer_constants
-    # ad[i] holds c_iba and adt[j] holds c_jab, both at a * n + b
-    ad = [{a * n + b: v for b, terms in enumerate(row) for a, v in terms} for row in nz]
-    adt = [{a * n + b: v for a, terms in enumerate(row) for b, v in terms} for row in nz]
-    d2 = den * den
+    ads = [g.scaled_adjoint(((i, 1),)) for i in range(n)]
+    # entry (a, b) of ad_i meets entry (b, a) of ad_j in the trace
+    transposed = [[(idx % n * n + idx // n, v) for idx, v in ad.items()] for ad in ads]
+    d2 = g.integer_constants[0] ** 2
     K = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t = adt[j]
-            K[i][j] = K[j][i] = Fraction(sum(v * t.get(ab, 0) for ab, v in ad[i].items()), d2)
+            t = ads[j]
+            K[i][j] = K[j][i] = Fraction(sum(v * t.get(ba, 0) for ba, v in transposed[i]), d2)
     return SymForm(g, Mat(K, cols=n))
 
 
@@ -638,7 +630,7 @@ def is_homomorphism(f: LinMap) -> bool:
     for i in range(src.dim):
         fi = f.matrix.column(i)
         for j in range(i + 1, src.dim):
-            lhs = f.apply(dense_vector(src.dim, src.sparse_bracket(((i, 1),), ((j, 1),)).items()))
+            lhs = f.apply(src.bracket(src.basis_vector(i), src.basis_vector(j)))
             rhs = tgt.bracket(fi, f.matrix.column(j))
             if lhs != rhs:
                 return False
@@ -655,7 +647,7 @@ def is_automorphism(f: LinMap) -> bool:
 
 def sub_to_algebra(h: Subalgebra) -> tuple[LieAlgebra, LinMap]:
     """The subalgebra as an abstract algebra in its RREF basis, with inclusion."""
-    algebra = span_algebra(h.space, h.parent.sparse_bracket)
+    algebra = span_algebra(h.space, h.parent.scaled_bracket, h.parent.integer_constants[0])
     incl = Mat.from_columns(h.basis_vectors(), rows=h.parent.dim)
     return algebra, LinMap(algebra, h.parent, incl)
 

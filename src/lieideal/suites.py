@@ -30,7 +30,6 @@ from .derivations import (
     derivation_tower,
     holomorph,
     is_characteristic,
-    scaled_adjoint,
     theorem_derived_check,
 )
 from .exactlin import Mat, Subspace, commutator
@@ -388,12 +387,12 @@ def check_adjoint_identity(label: str, g: LieAlgebra) -> int:
     In integers: commutator(n, f, den * ad_{e_i}) == den * ad_{f(e_i)}.
     """
     n, rows = g.dim, derivation_algebra(g).span.integer_rows[1]
-    units = [scaled_adjoint(g, ((i, 1),)).items() for i in range(n)]
+    units = [g.scaled_adjoint(((i, 1),)).items() for i in range(n)]
     for f in rows:
         for i, unit in enumerate(units):
             image = [(idx // n, v) for idx, v in f if idx % n == i]  # column i of f
             lhs = commutator(n, f, unit)
-            check(lhs == scaled_adjoint(g, image), f"[f, ad_X] != ad_f(X) on {label}")
+            check(lhs == g.scaled_adjoint(image), f"[f, ad_X] != ad_f(X) on {label}")
     return len(rows) * n
 
 

@@ -199,10 +199,16 @@ class CounterexampleCertificate:
     escaping_value: Vector
 
     def verify(self) -> bool:
+        """The chain runs from h up to the whole ambient, x lies in h and [x, y] leaves h."""
+        links = self.chain.links
+        if self.chain.parent != self.ambient or links[-1].dim != self.ambient.dim:
+            return False
         if not self.chain.verify():
             return False
-        h_space = self.chain.links[0].space
+        h_space = links[0].space
         x, y = self.witness_pair
+        if not h_space.contains_vector(x):
+            return False
         value = self.ambient.bracket(x, y)
         if value != self.escaping_value:
             return False
@@ -724,4 +730,4 @@ def random_solvable_algebra(
     ]
     bracket = partial(commutator, n)
     space = closure(Subspace.span(n * n, mats), bracket)
-    return validate_or_raise(span_algebra(space, bracket, name=f"solvable(dim {space.dim})"))
+    return validate_or_raise(span_algebra(space, bracket, 1, name=f"solvable(dim {space.dim})"))

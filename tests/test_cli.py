@@ -111,7 +111,16 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
 
 def test_missing_file_exits_two(capsys):
     assert run(["info", "/does/not/exist.lie"]) == 2
-    capsys.readouterr()
+    assert "no such file: /does/not/exist.lie" in capsys.readouterr().err
+
+
+def test_unreadable_source_exits_two(capsys, tmp_path):
+    path = tmp_path / "ff.lie"
+    path.write_bytes(b"\xff")
+    for src, message in ((path, "not UTF-8 text"), (tmp_path, "cannot read")):
+        assert run(["validate", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}" in err and message in err and "Traceback" not in err
 
 
 def test_bad_basis_spec_exits_two(capsys):

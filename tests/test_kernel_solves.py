@@ -6,7 +6,8 @@ structure constants.  The references below are the dense computations they
 replaced: stacked adjoint matrices, the constraint matrix of a subspace (the
 matrix of its residual map), the dense trace loop of the Killing form and the
 quotient's dense projection.  Their kernels are taken row by row through
-Echelon, as the dense nullspace did.
+Echelon, as the dense nullspace did, and their ad_x is built column by column
+from the dense bracket, so none of them reads LieAlgebra.scaled_adjoint.
 """
 
 import itertools
@@ -16,8 +17,17 @@ from fractions import Fraction
 import pytest
 
 from lieideal import catalog
-from lieideal.derivations import derivation_algebra, scaled_adjoint
-from lieideal.exactlin import Echelon, Mat, Subspace, column_kernel, intersect, nullspace, over_lcm
+from lieideal.derivations import derivation_algebra
+from lieideal.exactlin import (
+    Echelon,
+    Mat,
+    Subspace,
+    column_kernel,
+    dense_vector,
+    intersect,
+    nullspace,
+    over_lcm,
+)
 from lieideal.liealg import (
     LieAlgebra,
     Subalgebra,
@@ -30,6 +40,7 @@ from lieideal.liealg import (
     normalizer,
     quotient,
     radical,
+    sub_to_algebra,
 )
 from lieideal.suites import check_adjoint_identity
 from lieideal.transitivity import enumerate_grid_subalgebras, ideal_closure, random_solvable_algebra
@@ -56,17 +67,22 @@ def common_kernel(g, mats):
     return dense_nullspace(Mat([row for m in mats for row in m.entries], cols=g.dim))
 
 
+def ref_ad(g, x):
+    """ad_x as a dense matrix, column j the dense [x, e_j]: no adjoint kernel is read."""
+    return Mat.from_columns([g.bracket(x, g.basis_vector(j)) for j in range(g.dim)], rows=g.dim)
+
+
 def ref_center(g):
-    return common_kernel(g, (g.adjoint_matrix(g.basis_vector(i)).matrix for i in range(g.dim)))
+    return common_kernel(g, (ref_ad(g, g.basis_vector(i)) for i in range(g.dim)))
 
 
 def ref_centralizer(g, h):
-    return common_kernel(g, (g.adjoint_matrix(y).matrix for y in h.basis_vectors()))
+    return common_kernel(g, (ref_ad(g, y) for y in h.basis_vectors()))
 
 
 def ref_normalizer(g, h):
     c = constraint_matrix(h.space)
-    return common_kernel(g, (c * g.adjoint_matrix(y).matrix for y in h.basis_vectors()))
+    return common_kernel(g, (c * ref_ad(g, y) for y in h.basis_vectors()))
 
 
 def ref_intersect(u, v):
@@ -76,7 +92,7 @@ def ref_intersect(u, v):
 
 def ref_killing(g):
     n = g.dim
-    ads = [g.adjoint_matrix(g.basis_vector(i)).matrix for i in range(n)]
+    ads = [ref_ad(g, g.basis_vector(i)) for i in range(n)]
     K = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -102,12 +118,12 @@ def ref_quotient(g, ideal):
 
 def ref_adjoint_identities(g):
     """Count [f, ad_{e_i}] == ad_{f(e_i)} as dense Mat products, over D(g)'s realization."""
-    ads = [g.adjoint_matrix(g.basis_vector(i)).matrix for i in range(g.dim)]
+    ads = [ref_ad(g, g.basis_vector(i)) for i in range(g.dim)]
     count = 0
     for f in derivation_algebra(g).realization:
         fm = f.matrix
         for i, ad in enumerate(ads):
-            assert fm * ad - ad * fm == g.adjoint_matrix(fm.column(i)).matrix
+            assert fm * ad - ad * fm == ref_ad(g, fm.column(i))
             count += 1
     return count
 
@@ -226,6 +242,43 @@ def test_quotient_matches_dense(g):
         assert proj.matrix == ref_proj
 
 
+def ref_sub_algebra(g, h):
+    """h in its RREF basis, its constants read off the dense bracket and coordinates."""
+    basis = h.basis_vectors()
+    brackets = {
+        (a, b): h.space.coordinates(dict(enumerate(g.bracket(basis[a], basis[b]))))
+        for a, b in itertools.combinations(range(h.dim), 2)
+    }
+    return LieAlgebra.from_brackets(h.dim, brackets)
+
+
+# every catalog algebra has den = 1; only rescaling moves it, so only these
+# can tell a bracket divided by den * L^2 from one divided by L^2 alone
+MOVED = [(label, g, tags) for label, g, tags in CORPUS if label.endswith(("'", "~"))]
+
+
+def moved_subalgebras(g, tags):
+    return [Subalgebra(g, t) for t in tags] + [center(g), derived_subalgebra(full_subalgebra(g))]
+
+
+def test_moved_corpus_has_den_above_1_under_nonabelian_subalgebras():
+    assert any(
+        g.integer_constants[0] > 1 and sub_to_algebra(h)[0].brackets()
+        for _, g, tags in MOVED
+        for h in moved_subalgebras(g, tags)
+    )
+
+
+@pytest.mark.parametrize(
+    ("g", "tags"), [(g, t) for _, g, t in MOVED], ids=[label for label, _, _ in MOVED]
+)
+def test_sub_to_algebra_matches_dense(g, tags):
+    for h in moved_subalgebras(g, tags):
+        algebra, incl = sub_to_algebra(h)
+        assert algebra == ref_sub_algebra(g, h)
+        assert incl.image() == h.space
+
+
 def test_column_kernel_and_nullspace_match_the_row_solve():
     rng = random.Random(0)
     for _ in range(200):
@@ -245,9 +298,11 @@ def test_column_kernel_and_nullspace_match_the_row_solve():
 def test_sparse_adjoint_identity_matches_dense(g):
     n, den = g.dim, g.integer_constants[0]
     for x in [{i: 1} for i in range(n)] + [{i: i - 2 for i in range(n) if i != 2}]:
-        ad = g.adjoint_matrix([Fraction(x.get(i, 0)) for i in range(n)]).matrix
+        dense = [Fraction(x.get(i, 0)) for i in range(n)]
+        ad = ref_ad(g, dense)
         flat = {a * n + b: v * den for a, r in enumerate(ad.entries) for b, v in enumerate(r) if v}
-        assert scaled_adjoint(g, x.items()) == flat
+        assert g.scaled_adjoint(x.items()) == flat
+        assert g.adjoint_matrix(dense).matrix == ad
     assert check_adjoint_identity(g.name, g) == ref_adjoint_identities(g)
 
 
@@ -337,14 +392,15 @@ def test_scaled_bracket_is_den_times_the_old_bracket(g, tags):
         got = g.scaled_bracket(x, y)
         assert got == {k: den * v for k, v in ref.items()}
         assert all(type(v) is int for v in got.values())
-        assert g.sparse_bracket(x, y) == ref
-        # Fraction inputs: the kernel stays exact, the adapter still matches
+        assert g.bracket(dense_vector(n, x), dense_vector(n, y)) == dense_vector(n, ref.items())
+        # Fraction inputs: the kernel stays exact, the dense bracket still matches
         fx = [(j, Fraction(v, rng.randint(1, 4))) for j, v in x]
         fy = [(j, Fraction(v, rng.randint(1, 4))) for j, v in y]  # any vectors: entries differ
         ref = old_sparse_bracket(g, fx, fy)
         assert g.scaled_bracket(fx, fy) == {k: den * v for k, v in ref.items()}
-        assert g.sparse_bracket(fx, fy) == ref
-        assert all(type(v) is Fraction for v in g.sparse_bracket(fx, fy).values())
+        got = g.bracket(dense_vector(n, fx), dense_vector(n, fy))
+        assert got == dense_vector(n, ref.items())
+        assert all(type(v) is Fraction for v in got)
 
 
 @pytest.mark.parametrize(("g", "tags"), [(g, t) for _, g, t in CORPUS], ids=IDS)
@@ -394,7 +450,7 @@ def dense_is_ideal(g, amb, h):
 
 def dense_ideal_closure(g, amb, h):
     """S <- S + ad_x(S) with dense adjoint matrices, until the rank stops growing."""
-    ads = [g.adjoint_matrix(x).matrix for x in amb.space.basis.entries]
+    ads = [ref_ad(g, x) for x in amb.space.basis.entries]
     rows = dense_rref(g.dim, h.space.basis.entries)
     while True:
         grown = dense_rref(g.dim, [*rows, *(ad.apply(v) for ad in ads for v in rows)])

@@ -164,7 +164,7 @@ def test_large_sparse_algebra_stores_only_nonzero_terms():
     den, num = g.integer_constants
     terms = [t for plane in num for row in plane for t in row]
     assert den == 1 and terms == [(2, 1), (2, -1)]
-    assert g.sparse_bracket(((1, 1),), ((0, 1),)) == {2: -1}
+    assert g.scaled_bracket(((1, 1),), ((0, 1),)) == {2: -1}
 
 
 # --- brackets ---------------------------------------------------------------
@@ -430,7 +430,7 @@ def test_sub_to_algebra_roundtrip(sl2):
 def test_span_algebra_rejects_unclosed_span(sl2):
     e_f = Subspace.span(3, [[0, 1, 0], [0, 0, 1]])  # [E, F] = H escapes
     with pytest.raises(InternalCheckError):
-        span_algebra(e_f, sl2.sparse_bracket)
+        span_algebra(e_f, sl2.scaled_bracket, 1)
 
 
 def test_sub_radical_of_factor():
@@ -586,9 +586,12 @@ def test_dense_bracket_wraps_the_sparse_kernel(name, data):
         tuple(Fraction(v) for v in data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim)))
         for _ in range(2)
     )
-    sparse = g.sparse_bracket(
+    # the kernel on Fraction inputs, over den: no denominator is cleared
+    den = g.integer_constants[0]
+    scaled = g.scaled_bracket(
         [(i, v) for i, v in enumerate(x) if v], [(i, v) for i, v in enumerate(y) if v]
     )
+    sparse = {k: v / den for k, v in scaled.items()}
     assert all(sparse.values())
     assert g.bracket(x, y) == tuple(sparse.get(k, Fraction(0)) for k in range(g.dim))
     # bilinear expansion over the basis brackets, independent of both
@@ -607,11 +610,12 @@ def test_adjoint_matrix_columns_are_brackets_with_basis_vectors(name, data):
     g = catalog.get(name).algebra
     entry = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
     x = tuple(Fraction(v) for v in data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim)))
+    n, den = g.dim, g.integer_constants[0]
     ad = g.adjoint_matrix(x).matrix
-    xs = [(i, v) for i, v in enumerate(x) if v]
-    for j in range(g.dim):
-        col = g.sparse_bracket(xs, ((j, Fraction(1)),))
-        assert ad.column(j) == tuple(col.get(k, Fraction(0)) for k in range(g.dim))
+    for j in range(n):
+        assert ad.column(j) == g.bracket(x, g.basis_vector(j))
+    flat = {a * n + b: v * den for a, r in enumerate(ad.entries) for b, v in enumerate(r) if v}
+    assert g.scaled_adjoint([(i, v) for i, v in enumerate(x) if v]) == flat
 
 
 # --- values handed back and the integer-row kernels ----------------------------
@@ -634,9 +638,9 @@ def _heis(q):
 HANDED_BACK = {
     "bracket": lambda q: SL2.bracket((q(1), q(0), q(0)), (q(0), q(1), q(0))),
     "bracket den > 1": lambda q: THIRD_HEIS.bracket((q(1), q(2), q(0)), (q(3), q(1), q(0))),
-    "sparse_bracket den > 1": lambda q: THIRD_HEIS.sparse_bracket(
-        {0: q(1)}.items(), {1: q(3)}.items()
-    ),
+    "sub_to_algebra den > 1": lambda q: sub_to_algebra(
+        subalgebra(THIRD_HEIS, [[q(2), q(1), q(0)], [q(0), q(3), q(0)], [q(0), q(0), q(6)]])
+    )[0].brackets(),
     "adjoint_matrix den > 1": lambda q: THIRD_HEIS.adjoint_matrix((q(1), q(1), q(0))).matrix.entries,
     "residual": lambda q: _span(q).residual([q(1), q(0), q(1)]),
     "coordinates": lambda q: _span(q).coordinates({0: q(2), 1: q(7), 2: q(6)}),
@@ -682,6 +686,6 @@ def test_integer_row_kernels_read_no_fraction_rows(monkeypatch):
     assert intersect(u, ideal.space) == Subspace.span(4, vecs[1:])
     assert subspace_sum(u, ideal.space).dim == 3
     assert ideal_closure(g, line).dim == 3
-    assert span_algebra(ideal.space, g.sparse_bracket).dim == 2
+    assert span_algebra(ideal.space, g.scaled_bracket, g.integer_constants[0]).dim == 2
     assert is_characteristic(g, ideal)
     assert derivation_algebra(g).dim > 0

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from lieideal.liealg import (
     validate,
     zero_subalgebra,
 )
+from lieideal.suites import NON_PERFECT_NAMES
 from lieideal.transitivity import (
     HypothesisError,
     IdealChain,
@@ -165,6 +167,21 @@ def test_counterexample_for_aff1():
     # X_o = x has abelianization image 1; escape shows up in the quotient slot
     assert cert.escaping_value[2] == Fraction(-1)
     assert cert.verify()
+
+
+@pytest.mark.parametrize("name", NON_PERFECT_NAMES)
+def test_counterexample_certificate_refuses_tampering(name):
+    cert = counterexample_extension(catalog.get(name).algebra)
+    assert cert.verify()
+    x, y = cert.witness_pair
+    # [y, x] = -[x, y] still leaves h, but y is not in h
+    swapped = replace(
+        cert, witness_pair=(y, x), escaping_value=tuple(-v for v in cert.escaping_value)
+    )
+    assert not swapped.verify()
+    # a chain of ideals from h that stops short of the ambient
+    cut = replace(cert, chain=IdealChain(cert.chain.links[:-1]))
+    assert cut.chain.verify() and not cut.verify()
 
 
 def test_counterexample_refused_for_perfect(sl2):
