@@ -52,8 +52,8 @@ FACTS = (
 )
 
 
-class CatalogError(KeyError):
-    pass
+class CatalogError(LookupError):
+    """An unknown or malformed catalog name; a KeyError's str() would quote the message."""
 
 
 class ParseError(ValueError):

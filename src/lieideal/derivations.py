@@ -21,10 +21,9 @@ ignores names; a hit is handed back renamed for the caller's algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
-from .exactlin import Echelon, Mat, Subspace, Vector, commutator, dense_vector
+from .exactlin import Echelon, Mat, Subspace, Vector, commutator, dense_vector, sparse_vector
 from .liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -79,8 +78,13 @@ class DerivationAlgebra:
         return dense_vector(self.dim, coords.items())
 
     def adjoint_coordinates(self, x) -> Vector:
-        """Coordinates of ad_x inside D(base)."""
-        return self.coordinates_of(self.base.adjoint_matrix(x).matrix)
+        """Coordinates of ad_x inside D(base): those of den * ad_x, over den.
+
+        ad_x is a member by linearity, since _solve checks every ad_{e_i}.
+        """
+        g = self.base
+        coords = self.span.coordinates(g.scaled_adjoint(sparse_vector(g.dim, x).items()))
+        return dense_vector(self.dim, ((i, q / g.integer_constants[0]) for i, q in coords.items()))
 
 
 def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:

@@ -17,7 +17,8 @@ and clear what comes from outside, call them and hand back Fractions.
 ``Echelon`` reduces gcd-normalized integer rows and builds no Fraction; it
 clears denominators only for a row that holds one.  ``Subspace.span`` is the
 one row reduction, and its ``dim`` the only rank; ``column_kernel`` is the one
-solve.  ``commutator`` brackets matrices flattened row-major, the order in
+solve, and ``lift`` maps coordinates in a subspace's RREF basis back to its
+ambient.  ``commutator`` brackets matrices flattened row-major, the order in
 which ``LieAlgebra.scaled_adjoint``, the one adjoint kernel, flattens den * ad_x.
 """
 
@@ -484,22 +485,29 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     return Subspace.integer_span(u.ambient_dim, u.integer_rows[1] + v.integer_rows[1])
 
 
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Sum of x_a u_a over x in the kernel of the columns v.scaled_residual(u_a).
+def lift(u: Subspace, coords: Subspace) -> Subspace:
+    """The subspace of u's ambient whose coordinates in u's RREF basis span coords.
 
-    u_a are u's integer rows; one scale on every column moves no kernel.
+    Row x of coords maps to sum_a x_a u_a over u's integer rows: the basis times L.
     """
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
+    if coords.ambient_dim != u.dim:
+        raise ValueError("coordinate dimension != subspace dimension")
     rows = u.integer_rows[1]
     vectors = []
-    for x in column_kernel([v.scaled_residual(r) for r in rows]).integer_rows[1]:
+    for x in coords.integer_rows[1]:
         w: dict[int, int] = {}
         for a, xa in x:
             for j, b in rows[a]:
                 w[j] = w.get(j, 0) + xa * b
         vectors.append(w.items())
     return Subspace.integer_span(u.ambient_dim, vectors)
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u lifted from {x : sum_a x_a u_a in v}, the kernel of the v.scaled_residual(u_a)."""
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return lift(u, column_kernel([v.scaled_residual(r) for r in u.integer_rows[1]]))
 
 
 def orthogonal_complement(b: Mat, u: Subspace) -> Subspace:

@@ -39,6 +39,7 @@ from .exactlin import (
     column_kernel,
     dense_vector,
     inertia,
+    lift,
     nullspace,
     orthogonal_complement,
     over_lcm,
@@ -645,11 +646,9 @@ def is_automorphism(f: LinMap) -> bool:
     return is_homomorphism(f)
 
 
-def sub_to_algebra(h: Subalgebra) -> tuple[LieAlgebra, LinMap]:
-    """The subalgebra as an abstract algebra in its RREF basis, with inclusion."""
-    algebra = span_algebra(h.space, h.parent.scaled_bracket, h.parent.integer_constants[0])
-    incl = Mat.from_columns(h.basis_vectors(), rows=h.parent.dim)
-    return algebra, LinMap(algebra, h.parent, incl)
+def sub_to_algebra(h: Subalgebra) -> LieAlgebra:
+    """The subalgebra as an abstract algebra in its RREF basis; exactlin.lift maps back."""
+    return span_algebra(h.space, h.parent.scaled_bracket, h.parent.integer_constants[0])
 
 
 def sub_radical(h: Subalgebra) -> Subspace:
@@ -658,12 +657,7 @@ def sub_radical(h: Subalgebra) -> Subspace:
     Solved on the first call and kept on h.
     """
     if h._radical is None:
-        if h.dim == 0:
-            h._radical = Subspace.zero(h.parent.dim)
-        else:
-            algebra, incl = sub_to_algebra(h)
-            vectors = [incl.apply(v) for v in radical(algebra).basis_vectors()]
-            h._radical = Subspace.span(h.parent.dim, vectors)
+        h._radical = lift(h.space, radical(sub_to_algebra(h)).space)
     return h._radical
 
 

@@ -46,6 +46,7 @@ from .liealg import (
     quotient,
     span_algebra,
     sub_radical,
+    sub_to_algebra,
     validate_or_raise,
 )
 
@@ -78,7 +79,9 @@ class IdealChain:
         return self.links[0].parent
 
     def verify(self) -> bool:
-        """Re-check every consecutive pair with the plain ideal test."""
+        """Re-check one parent, then every consecutive pair with the plain ideal test."""
+        if any(link.parent != self.parent for link in self.links):
+            return False
         for inner, outer in zip(self.links, self.links[1:]):
             if not outer.space.contains(inner.space):
                 return False
@@ -288,33 +291,20 @@ def check_complete_subideal(
     """
     from .derivations import is_complete
 
-    from .liealg import sub_to_algebra
-
     if h.parent != g or k.parent != g:
         raise ValueError("subalgebras live in a different parent algebra")
     if not k.space.contains(h.space):
         raise HypothesisError("h is not contained in k")
-    h_alg, _ = sub_to_algebra(h)
-    if not is_complete(h_alg):
+    if not is_complete(sub_to_algebra(h)):
         raise HypothesisError("h is not complete")
     if not (is_ideal(k, h) and is_ideal(g, k)):
         raise HypothesisError("h <| k <| g does not hold")
-    k_alg, k_incl = sub_to_algebra(k)
-    if center(k_alg).dim != 0:
+    # z(k) and c_k(h) in g's coordinates: k meets the centralizers in g
+    if intersect(k.space, centralizer(g, k).space).dim != 0:
         raise HypothesisError("k does not have trivial center")
     if not is_ideal(g, h):
         raise TheoremViolationError("complete subideal with centerless middle is not an ideal")
-    # centralizer of h inside k, in the parent's coordinates
-    h_in_k = Subalgebra(
-        k_alg,
-        Subspace.span(
-            k_alg.dim,
-            [k.space.coordinates(v) for v in h.basis_vectors()],
-        ),
-    )
-    c_in_k = centralizer(k_alg, h_in_k)
-    c_vectors = [k_incl.apply(v) for v in c_in_k.basis_vectors()]
-    c_sub = Subalgebra(g, Subspace.span(g.dim, c_vectors))
+    c_sub = Subalgebra(g, intersect(k.space, centralizer(g, h).space))
     sum_ok = subspace_sum(h.space, c_sub.space) == k.space
     transverse = intersect(h.space, c_sub.space).dim == 0
     cross_zero = bracket_spaces(g, h.space, c_sub.space).dim == 0

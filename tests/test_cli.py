@@ -49,7 +49,7 @@ def test_printed_chain_reverifies_with_ideal_calls(capsys, tmp_path):
             code, _, verdict = invoke(capsys, "ideal", "catalog:heisenberg3", "--sub", spec)
         else:
             # restrict the outer link to its own algebra and re-check there
-            outer_alg, _ = sub_to_algebra(outer_sub)
+            outer_alg = sub_to_algebra(outer_sub)
             path = tmp_path / "link.lie"
             catalog.save(outer_alg, str(path))
             moved = [
@@ -234,6 +234,23 @@ def test_catalog_list_and_show(capsys):
 def test_catalog_show_unknown_exits_two(capsys):
     assert run(["catalog", "show", "e8"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["info", "catalog:nosuch"], "unknown catalog algebra 'nosuch'"),
+        (["catalog", "show", "nosuch"], "unknown catalog algebra 'nosuch'"),
+        (["info", "catalog:abelian(0)"], "abelian(n) needs n >= 1"),
+        (["info", "catalog:abelian(007)"], "catalog name 'abelian(007)': write n without leading zeros"),
+    ],
+    ids=["info unknown", "show unknown", "abelian(0)", "abelian(007)"],
+)
+def test_catalog_errors_print_the_message_unquoted(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_verify_single_suite(capsys):

@@ -14,6 +14,7 @@ from lieideal.exactlin import (
     commutator,
     inertia,
     intersect,
+    lift,
     nullspace,
     orthogonal_complement,
     parse_rational,
@@ -148,6 +149,30 @@ def test_sum_with_zero_is_identity():
 def test_intersect_idempotent():
     u = Subspace.span(3, [[1, 0, 2], [0, 1, 1]])
     assert intersect(u, u) == u
+
+
+@settings(max_examples=50, deadline=None)
+@given(vectors(4), st.data())
+def test_lift_takes_rref_coordinates_to_their_combinations(us, data):
+    u = Subspace.span(4, us)
+    xs = data.draw(st.lists(st.lists(rationals, min_size=u.dim, max_size=u.dim), max_size=3))
+    coords = Subspace.span(u.dim, xs)
+    basis = u.basis.entries
+    combos = [[sum((x[a] * basis[a][j] for a in range(u.dim)), Fraction(0)) for j in range(4)] for x in xs]
+    lifted = lift(u, coords)
+    assert lifted == Subspace.span(4, combos)
+    assert lifted.dim == coords.dim
+    # and back: a lifted vector's coordinates in u lie in coords
+    for row in lifted.basis.entries:
+        back = u.coordinates(row)
+        assert coords.contains_vector(back)
+
+
+def test_lift_refuses_coordinates_of_another_dimension():
+    u = Subspace.span(3, [[1, 0, 1], [0, 1, 2]])
+    assert lift(u, Subspace.full(2)) == u
+    with pytest.raises(ValueError):
+        lift(u, Subspace.full(3))
 
 
 def test_membership_and_coordinates():

@@ -25,21 +25,25 @@ from lieideal.exactlin import (
     column_kernel,
     dense_vector,
     intersect,
+    lift,
     nullspace,
     over_lcm,
 )
 from lieideal.liealg import (
     LieAlgebra,
+    LinMap,
     Subalgebra,
     center,
     centralizer,
     derived_subalgebra,
     full_subalgebra,
+    is_homomorphism,
     is_ideal,
     killing_form,
     normalizer,
     quotient,
     radical,
+    sub_radical,
     sub_to_algebra,
 )
 from lieideal.suites import check_adjoint_identity
@@ -263,7 +267,7 @@ def moved_subalgebras(g, tags):
 
 def test_moved_corpus_has_den_above_1_under_nonabelian_subalgebras():
     assert any(
-        g.integer_constants[0] > 1 and sub_to_algebra(h)[0].brackets()
+        g.integer_constants[0] > 1 and sub_to_algebra(h).brackets()
         for _, g, tags in MOVED
         for h in moved_subalgebras(g, tags)
     )
@@ -274,9 +278,56 @@ def test_moved_corpus_has_den_above_1_under_nonabelian_subalgebras():
 )
 def test_sub_to_algebra_matches_dense(g, tags):
     for h in moved_subalgebras(g, tags):
-        algebra, incl = sub_to_algebra(h)
+        algebra = sub_to_algebra(h)
         assert algebra == ref_sub_algebra(g, h)
+        incl = LinMap(algebra, g, h.space.basis.transpose())
+        assert is_homomorphism(incl)
         assert incl.image() == h.space
+
+
+# --- lift against the dense inclusion it replaced ------------------------------
+#
+# sub_radical used to carry a subspace of sub_to_algebra(h)'s coordinates back
+# to the parent through a dense inclusion: Mat.from_columns on h's RREF basis,
+# LinMap.apply on each basis vector, then a Fraction span.  DerivationAlgebra.
+# adjoint_coordinates used to solve for the dense ad_x, flattened.  The
+# references keep those routes.
+
+# the catalog, rescaled to den > 1 and sheared off the coordinate axes
+CATALOG_AND_MOVED = [(label, g, tags) for label, g, tags in CORPUS if not label.startswith("solvable")]
+CATALOG_AND_MOVED_IDS = [label for label, _, _ in CATALOG_AND_MOVED]
+
+
+def ref_lift(g, h, sub):
+    """sub, a subalgebra of sub_to_algebra(h), in g's coordinates through the dense inclusion."""
+    incl = Mat.from_columns(h.basis_vectors(), rows=g.dim)
+    return Subspace.span(g.dim, [incl.apply(v) for v in sub.basis_vectors()])
+
+
+@pytest.mark.parametrize(("g", "tags"), [(g, t) for _, g, t in CATALOG_AND_MOVED], ids=CATALOG_AND_MOVED_IDS)
+def test_lift_matches_the_dense_inclusion(g, tags):
+    for h in subalgebras(g, tags):
+        algebra = sub_to_algebra(h)
+        rad, z = radical(algebra), center(algebra)
+        assert lift(h.space, rad.space) == ref_lift(g, h, rad) == sub_radical(h)
+        # z(h) in g's coordinates, as check_complete_subideal takes z(k)
+        assert lift(h.space, z.space) == ref_lift(g, h, z) == intersect(h.space, centralizer(g, h).space)
+        assert lift(h.space, Subspace.full(h.dim)) == h.space
+        assert lift(h.space, Subspace.zero(h.dim)) == Subspace.zero(g.dim)
+
+
+@pytest.mark.parametrize("g", [g for _, g, _ in CATALOG_AND_MOVED], ids=CATALOG_AND_MOVED_IDS)
+def test_adjoint_coordinates_match_the_matrix_route(g):
+    rng = random.Random(g.dim)
+    da = derivation_algebra(g)
+    for d in (da, derivation_algebra(da.algebra)):  # on g, then on D(g)
+        n = d.base.dim
+        xs = [d.base.basis_vector(i) for i in range(n)]
+        xs += [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)) for _ in range(3)]
+        for x in xs:
+            got = d.adjoint_coordinates(x)
+            assert got == d.coordinates_of(d.base.adjoint_matrix(x).matrix)
+            assert all(type(v) is Fraction for v in got)
 
 
 def test_column_kernel_and_nullspace_match_the_row_solve():

@@ -420,7 +420,8 @@ def test_coordinate_swap_is_not_homomorphism(heis):
 
 def test_sub_to_algebra_roundtrip(sl2):
     h = subalgebra(sl2, [[1, 0, 0], [0, 1, 0]])  # borel
-    algebra, incl = sub_to_algebra(h)
+    algebra = sub_to_algebra(h)
+    incl = LinMap(algebra, sl2, h.space.basis.transpose())  # column a is RREF basis row a
     assert algebra.dim == 2
     assert validate(algebra).ok
     assert is_homomorphism(incl)
@@ -442,10 +443,11 @@ def test_sub_radical_of_factor():
 
 
 def _sub_radical_reference(h):
-    """sub_radical without the memo."""
+    """sub_radical without the memo, carried back by the dense inclusion it used to build."""
     if h.dim == 0:
         return Subspace.zero(h.parent.dim)
-    algebra, incl = sub_to_algebra(h)
+    algebra = sub_to_algebra(h)
+    incl = LinMap(algebra, h.parent, h.space.basis.transpose())
     vectors = [incl.apply(v) for v in radical(algebra).basis_vectors()]
     return Subspace.span(h.parent.dim, vectors)
 
@@ -640,7 +642,7 @@ HANDED_BACK = {
     "bracket den > 1": lambda q: THIRD_HEIS.bracket((q(1), q(2), q(0)), (q(3), q(1), q(0))),
     "sub_to_algebra den > 1": lambda q: sub_to_algebra(
         subalgebra(THIRD_HEIS, [[q(2), q(1), q(0)], [q(0), q(3), q(0)], [q(0), q(0), q(6)]])
-    )[0].brackets(),
+    ).brackets(),
     "adjoint_matrix den > 1": lambda q: THIRD_HEIS.adjoint_matrix((q(1), q(1), q(0))).matrix.entries,
     "residual": lambda q: _span(q).residual([q(1), q(0), q(1)]),
     "coordinates": lambda q: _span(q).coordinates({0: q(2), 1: q(7), 2: q(6)}),

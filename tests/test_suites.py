@@ -64,8 +64,10 @@ def test_radical_suite_solves_each_radical_once(monkeypatch):
         results = suites.suite_radical(0)
         assert all(r.status == "pass" for r in results)
         counts.append(len(solved))
-    # one solve per subalgebra object of the corpus, none kept for the second run
-    assert counts == [75, 75]
+    # one solve per subalgebra object of the corpus, its 10 zero subalgebras
+    # included (sub_radical has no shortcut for them), none kept for the second run
+    objects = {id(s) for _, amb, h, _ in suites.radical_corpus(0) for s in (amb, h)}
+    assert counts == [85, 85] == [len(objects)] * 2
     pairs = int(results[0].detail.split()[0])  # "85 subideal pairs (seed 0)"
     assert counts[0] <= pairs
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,18 +7,20 @@ import pytest
 
 from lieideal import catalog
 from lieideal.derivations import holomorph
-from lieideal.exactlin import Echelon, Mat, Subspace, subspace_sum
+from lieideal.exactlin import Echelon, Mat, Subspace, intersect, subspace_sum
 from lieideal.liealg import (
     LieAlgebra,
     LinMap,
     Subalgebra,
     bracket_spaces,
     center,
+    centralizer,
     derived_subalgebra,
     direct_sum,
     full_subalgebra,
     is_ideal,
     is_solvable_space,
+    sub_to_algebra,
     subalgebra,
     validate,
     zero_subalgebra,
@@ -184,6 +187,17 @@ def test_counterexample_certificate_refuses_tampering(name):
     assert cut.chain.verify() and not cut.verify()
 
 
+def test_chain_through_another_parent_does_not_verify(sl2, heis):
+    cert = counterexample_extension(catalog.get("aff1").algebra)
+    h, _, top = cert.chain.links
+    # the middle link is sl2 itself: another parent, another ambient dimension
+    foreign = IdealChain((h, full_subalgebra(sl2), top))
+    assert not foreign.verify()
+    assert not replace(cert, chain=foreign).verify()
+    # another parent of the same dimension
+    assert not IdealChain((zero_subalgebra(heis), full_subalgebra(sl2))).verify()
+
+
 def test_counterexample_refused_for_perfect(sl2):
     with pytest.raises(HypothesisError):
         counterexample_extension(sl2)
@@ -270,6 +284,54 @@ def test_complete_subideal_rejects_incomplete_h(heis):
         check_complete_subideal(full, full, heis)
 
 
+def _abstract_route(h, k, g):
+    """z(k) and c_k(h) as check_complete_subideal used to take them.
+
+    Inside k rebuilt as an algebra, then back to g through Subspace.coordinates
+    and the dense inclusion.
+    """
+    k_alg = sub_to_algebra(k)
+    k_incl = LinMap(k_alg, g, k.space.basis.transpose())
+    h_in_k = Subalgebra(
+        k_alg, Subspace.span(k_alg.dim, [k.space.coordinates(v) for v in h.basis_vectors()])
+    )
+
+    def back(sub):
+        return Subspace.span(g.dim, [k_incl.apply(v) for v in sub.basis_vectors()])
+
+    return back(center(k_alg)), back(centralizer(k_alg, h_in_k))
+
+
+# the complete suite's instances: a complete h, a centerless partner, and
+# k = h (+) partner inside the holomorph of k
+COMPLETE_H = ("aff1", "sl2", "so3")
+CENTERLESS_PARTNERS = ("aff1", "sl2", "so3", "sl2_rad2", "sl2_sum_aff1", "so3_sum_so3")
+
+
+@pytest.mark.parametrize(("h_name", "p_name"), itertools.product(COMPLETE_H, CENTERLESS_PARTNERS))
+def test_complete_subideal_matches_the_abstract_route(h_name, p_name):
+    h_alg = catalog.get(h_name).algebra
+    k_alg, emb_h, _ = direct_sum(h_alg, catalog.get(p_name).algebra)
+    g, emb_k, _ = holomorph(k_alg)
+    h, k = Subalgebra(g, emb_k.compose(emb_h).image()), Subalgebra(g, emb_k.image())
+    z_k, c_k = _abstract_route(h, k, g)
+    assert intersect(k.space, centralizer(g, k).space) == z_k
+    assert z_k.dim == 0
+    report = check_complete_subideal(h, k, g)
+    assert report.centralizer_in_k.space == c_k == intersect(k.space, centralizer(g, h).space)
+    assert c_k.dim == k.dim - h.dim
+
+
+def test_complete_subideal_rejects_a_centered_middle(sl2):
+    g, e1, _ = direct_sum(sl2, catalog.abelian(1))
+    h, k = Subalgebra(g, e1.image()), full_subalgebra(g)
+    z_k, _ = _abstract_route(h, k, g)
+    assert intersect(k.space, centralizer(g, k).space) == z_k
+    assert z_k.dim == 1
+    with pytest.raises(HypothesisError, match="trivial center"):
+        check_complete_subideal(h, k, g)
+
+
 # --- radical criteria ---------------------------------------------------------
 
 
@@ -323,6 +385,16 @@ def test_radical_criteria_need_a_chain_from_h_to_the_ambient(heis):
         with pytest.raises(HypothesisError):
             check(heis, x_line, x_in_plane)
         check(plane, x_line, x_in_plane)  # the chain that does run from h to the ambient
+
+
+def test_radical_criteria_refuse_a_chain_through_another_parent(heis):
+    aff1 = catalog.get("aff1").algebra
+    h = subalgebra(aff1, [[0, 1]])  # [aff1, aff1]: an ideal, so only the last link is wrong
+    chain = IdealChain((h, full_subalgebra(aff1), full_subalgebra(heis)))
+    assert not chain.verify()
+    for check in (check_radical_intersection, levi_criterion):
+        with pytest.raises(HypothesisError):
+            check(heis, h, chain)
 
 
 def test_levi_criterion_all_false(heis):
