@@ -184,12 +184,15 @@ _TABLE: dict[str, _Row] = {
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
 
 
-def _alg(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], name: str) -> LieAlgebra:
-    g = LieAlgebra.from_brackets(dim, brackets, name=name)
+def _checked(g: LieAlgebra) -> LieAlgebra:
     report = validate(g)
     if not report.ok:
-        raise AssertionError(f"catalog algebra {name} is invalid: {report.message()}")
+        raise AssertionError(f"catalog algebra {g.name} is invalid: {report.message()}")
     return g
+
+
+def _alg(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], name: str) -> LieAlgebra:
+    return _checked(LieAlgebra.from_brackets(dim, brackets, name=name))
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -216,8 +219,7 @@ def get(name: str) -> CatalogEntry:
         raise CatalogError(f"unknown catalog algebra {name!r}")
     row = _TABLE[name]
     if row.summands:
-        s = direct_sum(*(get(t).algebra for t in row.summands))[0]
-        g = _alg(s.dim, s.brackets(), name)
+        g = _checked(direct_sum(*(get(t).algebra for t in row.summands))[0].renamed(name))
     else:
         g = _alg(*row.structure, name)
     return CatalogEntry(

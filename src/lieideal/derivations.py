@@ -10,9 +10,11 @@ RREF kernel rows fix the structure constants of D(g) deterministically:
 liealg.span_algebra reads them off the kernel, with the sparse
 exactlin.commutator on the integer-scaled flattened rows as the bracket, and
 checks that every commutator stays in the kernel; LieAlgebra.scaled_adjoint
-flattens the inner den * ad_{e_i} the same way.  Only the realization maps and
-the holomorph's constants read the kernel's Fraction rows, and only the
-realization maps and the coordinates handed back to callers are dense.
+flattens the inner den * ad_{e_i} the same way.  The holomorph takes its
+constants from h's and D(h)'s integer_constants and the kernel's integer_rows
+over one lcm, through LieAlgebra.from_scaled.  Only the realization maps read
+the kernel's Fraction rows, and only they and the coordinates handed back to
+callers are dense.
 
 derivation_algebra caches the solve on the algebra's structure, which
 ignores names; a hit is handed back renamed for the caller's algebra.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
+from math import lcm
 
 from .exactlin import Echelon, Mat, Subspace, Vector, commutator, dense_vector, sparse_vector
 from .liealg import (
@@ -193,16 +196,18 @@ def holomorph(h: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinMap]:
     da = derivation_algebra(h)
     n, d = h.dim, da.dim
     N = n + d
-    brackets = h.brackets()
-    for a, f in enumerate(da.span.rows):
-        # [f, e_j] = f(e_j), column j of f; from_brackets fills [e_j, f] = -f(e_j)
+    # h's constants, the derivations' entries and D(h)'s constants over one lcm
+    L, rows = da.span.integer_rows
+    scale = lcm(h.integer_constants[0], L, da.algebra.integer_constants[0])
+    table = {**h.scaled_table(scale), **da.algebra.scaled_table(scale, n)}
+    s = scale // L
+    for a, f in enumerate(rows):
+        # [e_j, f] = -f(e_j), minus column j of f = rows[a] / L
         for idx, v in f:
             k, j = divmod(idx, n)
-            brackets.setdefault((n + a, j), {})[k] = v
-    for (a, b), row in da.algebra.brackets().items():
-        brackets[(n + a, n + b)] = {n + k: v for k, v in row.items()}
+            table.setdefault((j, n + a), {})[k] = -v * s
     name = None if h.name is None else f"H({h.name})"
-    g = validate_or_raise(LieAlgebra.from_brackets(N, brackets, name=name))
+    g = validate_or_raise(LieAlgebra.from_scaled(N, scale, table, name=name))
     embed_h = LinMap(h, g, Mat([[1 if i == j else 0 for j in range(n)] for i in range(N)], cols=n))
     embed_d = LinMap(
         da.algebra,

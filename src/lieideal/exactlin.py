@@ -6,9 +6,10 @@ grid of Fractions, stays at the edges: maps, forms, inertia and formatting.  A
 subspace is stored once, as ``Subspace.integer_rows`` = (L, rows): its unique
 reduced row-echelon rows times the lcm L of their denominators, so equal
 subspaces have equal fields.  One scale on every row changes no span, kernel or
-membership, so every kernel reads the integers; only formatting, forms, maps,
-D(g)'s realization and the holomorph read the views ``Subspace.rows``
-(Fractions) and ``Subspace.basis`` (dense).  Sparse vectors are dicts from
+membership, so every kernel reads the integers, and so do the builders (the
+holomorph takes D(g)'s span as ``integer_rows``); only formatting, forms, maps
+and D(g)'s realization read the views ``Subspace.rows`` (Fractions) and
+``Subspace.basis`` (dense).  Sparse vectors are dicts from
 index to nonzero value, ints kept as ints.  Two integer kernels take sparse
 items as they are: ``Subspace.scaled_residual`` (L times the residual, visiting
 only the vector's own entries through a read-only pivot -> row map) and

@@ -5,7 +5,12 @@ LieAlgebra.integer_constants = (den, num): den is the lcm of the denominators of
 the c_ijk, where [e_i, e_j] = sum_k c_ijk e_k, and num[i][j] holds the pairs
 (k, c_ijk * den) with c_ijk != 0 in increasing k.  Both (i,j) and (j,i) are
 stored, and memory grows with the number of nonzero constants, not with dim^3.
-Every builder hands its [e_i, e_j], i < j, to LieAlgebra.from_brackets.
+Every builder hands its [e_i, e_j], i < j, to LieAlgebra.from_scaled as
+integers over one scale, which it reduces by their gcd once: span_algebra (its
+coordinates over the bracket's scale times L^2), direct_sum, quotient (the
+residuals of the numerators, over den * L) and the holomorph.  from_brackets,
+for files and the catalog, clears its Fractions' denominators once and hands
+the integers on; the dense __init__ stores its tensor as given.
 One kernel per operation works on sparse vectors, integers in, integers out:
 scaled_bracket returns den * [x, y] and scaled_adjoint den * ad_x, flattened
 row-major.  The routines that bracket subspace rows (closure,
@@ -15,8 +20,7 @@ Subspace.integer_rows straight to Subspace.scaled_residual or integer_span,
 since no scale moves a span or a membership.  center is the column_kernel of
 the den * ad_{e_i} and killing_form their trace pairing over den^2.  Only the
 public edge divides, once: bracket (on dense tuples), adjoint_matrix,
-span_algebra (by the bracket's scale times L^2 per coordinate), brackets() and
-c, the dense tensor that only the benchmark and tests read.
+brackets() and c, the dense tensor that only the benchmark and tests read.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
@@ -26,11 +30,12 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactlin import (
     Inertia,
+    IntRow,
     Mat,
     Scalar,
     SparseItems,
@@ -73,17 +78,45 @@ class LieAlgebra:
             if len(plane) != dim or any(len(row) != dim for row in plane):
                 raise ValueError("structure tensor is not dim x dim x dim")
             rows.append([[(k, q) for k, x in enumerate(row) if (q := rat(x))] for row in plane])
-        self._init(rows, name)
-
-    def _init(self, rows: Sequence[Sequence[SparseItems]], name: str | None) -> None:
-        """Store rows[i][j], the nonzero (k, c_ijk) in increasing k, over their lcm."""
-        den = lcm(*(v.denominator for row in rows for terms in row for _, v in terms))
+        den = lcm(*(q.denominator for plane in rows for t in plane for _, q in t))
         num = tuple(
-            tuple(tuple((k, v.numerator * (den // v.denominator)) for k, v in t) for t in row)
-            for row in rows
+            tuple(tuple((k, q.numerator * (den // q.denominator)) for k, q in t) for t in plane)
+            for plane in rows
         )
-        self.dim, self.name, self.integer_constants = len(rows), name, (den, num)
+        self._store(den, num, name)
+
+    def _store(self, den: int, num: tuple[tuple[IntRow, ...], ...], name: str | None) -> None:
+        """Keep integer_constants = (den, num) as given: num[i][j] holds (k, c_ijk * den)."""
+        self.dim, self.name, self.integer_constants = len(num), name, (den, num)
         self._hash: int | None = None
+
+    @staticmethod
+    def from_scaled(
+        dim: int,
+        scale: int,
+        table: Mapping[tuple[int, int], Mapping[int, int]],
+        name: str | None = None,
+    ) -> "LieAlgebra":
+        """Build from integers, [e_i, e_j] = table[i, j] / scale for i < j.
+
+        (j, i) is filled by antisymmetry and zeros are dropped.  scale and every
+        entry are divided by their gcd once, which leaves den the lcm of the
+        reduced denominators: no Fraction is built and no lcm is taken.
+        """
+        if scale <= 0:
+            raise ValueError(f"scale {scale} is not positive")
+        g = gcd(scale, *(v for row in table.values() for v in row.values()))
+        num: list[list[IntRow]] = [[()] * dim for _ in range(dim)]
+        for (i, j), row in table.items():
+            if not 0 <= i < j < dim:
+                raise ValueError(f"bracket index ({i},{j}) is not 0 <= i < j < {dim}")
+            fwd = tuple(sorted((k, v // g) for k, v in row.items() if v))
+            if fwd and not (0 <= fwd[0][0] and fwd[-1][0] < dim):
+                raise ValueError(f"bracket output index outside [0, {dim})")
+            num[i][j], num[j][i] = fwd, tuple((k, -v) for k, v in fwd)
+        alg = LieAlgebra.__new__(LieAlgebra)
+        alg._store(scale // g, tuple(map(tuple, num)), name)
+        return alg
 
     @staticmethod
     def from_brackets(
@@ -93,30 +126,26 @@ class LieAlgebra:
     ) -> "LieAlgebra":
         """Build from sparse [e_i, e_j] data, filling (j, i) by antisymmetry.
 
-        Values for the same (i, j, k) add up, and zeros are dropped.
+        Values for the same (i, j, k) add up, and zeros are dropped.  The
+        denominators are cleared once and from_scaled stores the integers.
         """
         acc: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), row in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index ({i},{j}) out of range")
-            fwd = acc.setdefault((i, j), {})
-            bwd = acc.setdefault((j, i), {})
+            # values given for [e_i, e_i] cancel: they go to a dict nothing reads
+            fwd = acc.setdefault((min(i, j), max(i, j)), {}) if i != j else {}
+            sign = 1 if i < j else -1
             for k, v in row.items():
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket output index {k} out of range")
-                q = rat(v)
-                if q and i != j:  # values given for [e_i, e_i] cancel
-                    if k in fwd:  # bwd[k] is -fwd[k]
-                        q += fwd[k]
-                    fwd[k], bwd[k] = q, -q
-        empty: dict[int, Fraction] = {}
-        rows = [
-            [sorted((k, v) for k, v in acc.get((i, j), empty).items() if v) for j in range(dim)]
-            for i in range(dim)
-        ]
-        g = LieAlgebra.__new__(LieAlgebra)
-        g._init(rows, name)
-        return g
+                fwd[k] = fwd.get(k, 0) + sign * rat(v)
+        den = lcm(*(q.denominator for row in acc.values() for q in row.values()))
+        table = {
+            key: {k: q.numerator * (den // q.denominator) for k, q in row.items()}
+            for key, row in acc.items()
+        }
+        return LieAlgebra.from_scaled(dim, den, table, name)
 
     def renamed(self, name: str | None) -> "LieAlgebra":
         """The same structure, its constants shared, under another name."""
@@ -124,14 +153,29 @@ class LieAlgebra:
         g.name = name
         return g
 
-    def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The nonzero [e_i, e_j] with i < j, in the form from_brackets takes."""
+    def scaled_table(self, scale: int, shift: int = 0) -> dict[tuple[int, int], dict[int, int]]:
+        """scale * [e_i, e_j] for i < j, nonzero only, every index moved up by shift.
+
+        scale must be a multiple of den; the result is what from_scaled takes
+        over scale, so sums and extensions copy constants in integers.
+        """
         den, num = self.integer_constants
+        s, rest = divmod(scale, den)
+        if rest:
+            raise ValueError(f"scale {scale} is not a multiple of den {den}")
         return {
-            (i, j): {k: Fraction(v, den) for k, v in num[i][j]}
+            (i + shift, j + shift): {k + shift: v * s for k, v in num[i][j]}
             for i in range(self.dim)
             for j in range(i + 1, self.dim)
             if num[i][j]
+        }
+
+    def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero [e_i, e_j] with i < j, in the form from_brackets takes."""
+        den = self.integer_constants[0]
+        return {
+            key: {k: Fraction(v, den) for k, v in row.items()}
+            for key, row in self.scaled_table(den).items()
         }
 
     @property
@@ -409,23 +453,23 @@ def span_algebra(space: Subspace, bracket: Bracket, scale: int, name: str | None
 
     bracket returns scale times the product: 1 for exactlin.commutator, den
     for LieAlgebra.scaled_bracket.  Every [b_a, b_b], a < b, is re-expressed
-    in the basis; a bracket that leaves the span is a bug in the caller's
-    closure, not a property of the input.
+    in the basis, its coordinates read through a pivot -> index map and handed
+    to from_scaled over scale * L^2; a bracket that leaves the span is a bug
+    in the caller's closure, not a property of the input.
     """
     L, rows = space.integer_rows
-    d = scale * L * L
-    pivots = space.pivots
+    # the basis is rows / L, so [b_a, b_b] = w / (scale * L^2), whose
+    # coordinate on b_i is its entry at pivots[i]
+    index = {p: i for i, p in enumerate(space.pivots)}
     r = len(rows)
-    brackets = {}
+    table = {}
     for a in range(r):
         for b in range(a + 1, r):
             w = bracket(rows[a], rows[b])
             if space.scaled_residual(w.items()):
                 raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
-            # the basis is rows / L, so [b_a, b_b] = w / (scale * L^2), whose
-            # coordinate on b_i is its entry at pivots[i]
-            brackets[(a, b)] = {i: Fraction(c, d) for i, p in enumerate(pivots) if (c := w.get(p))}
-    return LieAlgebra.from_brackets(r, brackets, name=name)
+            table[(a, b)] = {index[p]: c for p, c in w.items() if p in index}
+    return LieAlgebra.from_scaled(r, scale * L * L, table, name=name)
 
 
 def generated_subalgebra(parent: LieAlgebra, vectors: Iterable[Sequence[Scalar]]) -> Subalgebra:
@@ -588,20 +632,22 @@ def quotient(g: LieAlgebra, ideal: Subalgebra) -> tuple[LieAlgebra, LinMap]:
         raise ValueError("ideal of a different algebra")
     if not is_ideal(g, ideal):
         raise ValueError("subalgebra is not an ideal; cannot form the quotient")
-    n, space, table = g.dim, ideal.space, g.brackets()
+    n, space = g.dim, ideal.space
     pivots = set(space.pivots)
     coords = [j for j in range(n) if j not in pivots]
     # the residual in the ideal is zero at its pivots, so it lives on coords
     pos = {c: a for a, c in enumerate(coords)}
     images = [space.residual({j: 1}) for j in range(n)]
     proj = Mat([[w.get(c, 0) for w in images] for c in coords], cols=n)  # m x n
-    brackets = {
-        (a, b): {pos[k]: v for k, v in space.residual(table.get((ca, cb), {})).items()}
+    # den * L times the residual of [e_ca, e_cb], from the numerators as they are
+    (den, num), L = g.integer_constants, space.integer_rows[0]
+    table = {
+        (a, b): {pos[k]: v for k, v in space.scaled_residual(num[ca][cb]).items()}
         for a, ca in enumerate(coords)
         for b, cb in enumerate(coords[a + 1 :], a + 1)
     }
-    q = LieAlgebra.from_brackets(
-        len(coords), brackets, name=None if g.name is None else f"{g.name}/ideal"
+    q = LieAlgebra.from_scaled(
+        len(coords), den * L, table, name=None if g.name is None else f"{g.name}/ideal"
     )
     validate_or_raise(q)
     return q, LinMap(g, q, proj)
@@ -611,13 +657,12 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinM
     """Block sum with zero cross-brackets, plus the two embeddings."""
     n1, n2 = g1.dim, g2.dim
     n = n1 + n2
-    brackets = g1.brackets()
-    for (i, j), row in g2.brackets().items():
-        brackets[(n1 + i, n1 + j)] = {n1 + k: v for k, v in row.items()}
+    den = lcm(g1.integer_constants[0], g2.integer_constants[0])
+    table = {**g1.scaled_table(den), **g2.scaled_table(den, n1)}
     name = None
     if g1.name and g2.name:
         name = f"{g1.name}+{g2.name}"
-    g = LieAlgebra.from_brackets(n, brackets, name=name)
+    g = LieAlgebra.from_scaled(n, den, table, name=name)
     e1 = Mat([[1 if i == j else 0 for j in range(n1)] for i in range(n)], cols=n1)
     e2 = Mat(
         [[1 if i == n1 + j else 0 for j in range(n2)] for i in range(n)], cols=n2

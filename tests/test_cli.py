@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lieideal
 from lieideal import catalog
 from lieideal.cli import run
 from lieideal.exactlin import Subspace
@@ -301,3 +306,24 @@ def test_negative_verify_random_exits_two(capsys):
     # zero random pairs leaves the fixed part of the corpus
     code, human, _ = invoke(capsys, "verify", "--suite", "radical", "--random", "0")
     assert code == 0 and "34 subideal pairs" in human
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog", "show", "aff1"], ["verify", "--suite", "forms", "--seed", "0"]]
+)
+def test_closed_stdout_ends_quietly(argv):
+    # the reader is gone before the first write, as when `| head -1` has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(lieideal.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieideal.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -13,16 +13,18 @@ from the dense bracket, so none of them reads LieAlgebra.scaled_adjoint.
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from lieideal import catalog
-from lieideal.derivations import derivation_algebra
+from lieideal.derivations import derivation_algebra, holomorph
 from lieideal.exactlin import (
     Echelon,
     Mat,
     Subspace,
     column_kernel,
+    commutator,
     dense_vector,
     intersect,
     lift,
@@ -36,6 +38,7 @@ from lieideal.liealg import (
     center,
     centralizer,
     derived_subalgebra,
+    direct_sum,
     full_subalgebra,
     is_homomorphism,
     is_ideal,
@@ -43,6 +46,7 @@ from lieideal.liealg import (
     normalizer,
     quotient,
     radical,
+    span_algebra,
     sub_radical,
     sub_to_algebra,
 )
@@ -520,3 +524,101 @@ def test_is_ideal_and_ideal_closure_match_dense(g, tags):
                 continue
             assert is_ideal(amb, h) == dense_is_ideal(g, amb, h)
             assert ideal_closure(amb, h).space.basis.entries == dense_ideal_closure(g, amb, h)
+
+
+# --- the integer builders against the Fraction path they replaced -----------
+#
+# span_algebra, quotient, direct_sum and holomorph hand integer tables to
+# LieAlgebra.from_scaled.  The references are the builders before that change,
+# which assembled Fraction brackets (from brackets(), Subspace.rows and the
+# Fraction residual) in the form from_brackets takes.  Each built algebra must
+# show the same constants through brackets() and carry the same name.
+
+
+def old_span_brackets(space, bracket, scale):
+    """Each coordinate as Fraction(c, scale * L^2), scanning all r pivots per pair."""
+    L, rows = space.integer_rows
+    d = scale * L * L
+    return {
+        (a, b): {i: Fraction(c, d) for i, p in enumerate(space.pivots) if (c := w.get(p))}
+        for a, b in itertools.combinations(range(len(rows)), 2)
+        for w in [bracket(rows[a], rows[b])]
+    }
+
+
+def old_quotient_brackets(g, ideal):
+    space, table = ideal.space, g.brackets()
+    pivots = set(space.pivots)
+    coords = [j for j in range(g.dim) if j not in pivots]
+    pos = {c: a for a, c in enumerate(coords)}
+    return {
+        (a, b): {pos[k]: v for k, v in space.residual(table.get((ca, cb), {})).items()}
+        for a, ca in enumerate(coords)
+        for b, cb in enumerate(coords[a + 1 :], a + 1)
+    }
+
+
+def old_direct_sum_brackets(g1, g2):
+    brackets = g1.brackets()
+    for (i, j), row in g2.brackets().items():
+        brackets[(g1.dim + i, g1.dim + j)] = {g1.dim + k: v for k, v in row.items()}
+    return brackets
+
+
+def old_holomorph_brackets(h):
+    """h's brackets, each Fraction row f of D(h)'s span as [f, e_j] = f(e_j), then D(h)'s brackets."""
+    da, n = derivation_algebra(h), h.dim
+    brackets = h.brackets()
+    for a, f in enumerate(da.span.rows):
+        for idx, v in f:
+            k, j = divmod(idx, n)
+            brackets.setdefault((n + a, j), {})[k] = v
+    for (a, b), row in da.algebra.brackets().items():
+        brackets[(n + a, n + b)] = {n + k: v for k, v in row.items()}
+    return brackets
+
+
+def assert_built_as(algebra, dim, brackets, name=None):
+    """algebra holds exactly the nonzero Fraction brackets, (j, i) pairs folded onto i < j."""
+    folded = {}
+    for (i, j), row in brackets.items():
+        sign, key = (1, (i, j)) if i < j else (-1, (j, i))
+        out = folded.setdefault(key, {})
+        for k, v in row.items():
+            out[k] = out.get(k, 0) + sign * v
+    folded = {p: {k: v for k, v in row.items() if v} for p, row in folded.items()}
+    assert algebra.dim == dim and algebra.name == name
+    assert algebra.brackets() == {p: row for p, row in folded.items() if row}
+    assert algebra == LieAlgebra.from_brackets(dim, brackets)
+
+
+@pytest.mark.parametrize(("g", "tags"), [(g, t) for _, g, t in CORPUS], ids=IDS)
+def test_span_algebra_and_quotient_match_the_fraction_path(g, tags):
+    den = g.integer_constants[0]
+    for h in subalgebras(g, tags):
+        brackets = old_span_brackets(h.space, g.scaled_bracket, den)
+        assert_built_as(span_algebra(h.space, g.scaled_bracket, den), h.dim, brackets)
+        assert_built_as(sub_to_algebra(h), h.dim, brackets)
+    da = derivation_algebra(g)
+    bracket = partial(commutator, g.dim)
+    brackets = old_span_brackets(da.span, bracket, 1)
+    assert_built_as(span_algebra(da.span, bracket, 1, name="D"), da.dim, brackets, "D")
+    assert da.algebra.brackets() == span_algebra(da.span, bracket, 1).brackets()
+    name = None if g.name is None else f"{g.name}/ideal"
+    for ideal in (center(g), derived_subalgebra(full_subalgebra(g)), radical(g)):
+        q, _ = quotient(g, ideal)
+        assert_built_as(q, g.dim - ideal.dim, old_quotient_brackets(g, ideal), name)
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)), ids=IDS)
+def test_direct_sum_and_holomorph_match_the_fraction_path(index):
+    _, g, _ = CORPUS[index]
+    # the next algebra of the corpus, often of another den: the sum's is their lcm
+    _, other, _ = CORPUS[(index + 1) % len(CORPUS)]
+    for second in (g, other):
+        total, _, _ = direct_sum(g, second)
+        name = f"{g.name}+{second.name}" if g.name and second.name else None
+        assert_built_as(total, g.dim + second.dim, old_direct_sum_brackets(g, second), name)
+    big, _, _ = holomorph(g)
+    name = None if g.name is None else f"H({g.name})"
+    assert_built_as(big, g.dim + derivation_algebra(g).dim, old_holomorph_brackets(g), name)

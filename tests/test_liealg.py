@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieideal import catalog
-from lieideal.derivations import derivation_algebra, is_characteristic
+from lieideal.derivations import derivation_algebra, holomorph, is_characteristic
 from lieideal.exactlin import Mat, Subspace, inertia, intersect, subspace_sum
 from lieideal.liealg import (
     InternalCheckError,
@@ -38,7 +39,7 @@ from lieideal.liealg import (
     validate,
 )
 from lieideal.suites import radical_corpus
-from lieideal.transitivity import ideal_closure
+from lieideal.transitivity import counterexample_extension, ideal_closure
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,77 @@ def test_from_brackets_sums_repeats_and_reversed_pairs(data):
                 ref[i][j][k] += v
                 ref[j][i][k] -= v
     assert LieAlgebra.from_brackets(n, brackets).c == tuple(tuple(map(tuple, p)) for p in ref)
+
+
+def ref_integer_constants(n, brackets):
+    """(den, num) by definition, from Fraction data with i < j.
+
+    den is the lcm of the reduced denominators of the nonzero constants and
+    num[i][j] holds (k, c_ijk * den), with (j, i) the negation.
+    """
+    c = {}
+    for (i, j), row in brackets.items():
+        for k, v in row.items():
+            if v:
+                c[i, j, k], c[j, i, k] = Fraction(v), -Fraction(v)
+    den = math.lcm(*(v.denominator for v in c.values()))
+    num = tuple(
+        tuple(tuple((k, int(c[i, j, k] * den)) for k in range(n) if (i, j, k) in c) for j in range(n))
+        for i in range(n)
+    )
+    return den, num
+
+
+@st.composite
+def integer_tables(draw):
+    """(dim, scale, table) with [e_i, e_j] = table[i, j] / scale, i < j.
+
+    Entries take either sign and may be zero; common multiplies the scale and
+    every entry, so the gcd has a factor to remove.
+    """
+    n = draw(st.integers(1, 6))
+    common = draw(st.sampled_from([1, 2, 6, 35]))
+    scale = draw(st.integers(1, 12)) * common
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return n, scale, {}
+    rows = st.dictionaries(st.integers(0, n - 1), st.integers(-9, 9).map(common.__mul__), max_size=3)
+    return n, scale, draw(st.dictionaries(st.sampled_from(pairs), rows, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_tables())
+# an all-zero table: den is 1, whatever the scale
+@example((3, 6, {(0, 1): {2: 0}, (1, 2): {}}))
+# the scale shares 6 with every entry, and the entries are negative
+@example((4, 12, {(0, 1): {2: -18, 3: -30}, (1, 3): {0: -6}}))
+def test_from_scaled_matches_the_fraction_reference(data):
+    n, scale, table = data
+    g = LieAlgebra.from_scaled(n, scale, table)
+    brackets = {p: {k: Fraction(v, scale) for k, v in row.items()} for p, row in table.items()}
+    den, num = g.integer_constants
+    assert (den, num) == ref_integer_constants(n, brackets)
+    assert type(den) is int and all(type(v) is int for plane in num for t in plane for _, v in t)
+    if not any(v for row in table.values() for v in row.values()):
+        assert den == 1
+    assert g == LieAlgebra.from_brackets(n, brackets)
+    assert LieAlgebra.from_scaled(n, 3 * den, g.scaled_table(3 * den)) == g
+
+
+def test_from_scaled_rejects_bad_tables():
+    for scale, table in (
+        (0, {}),
+        (-2, {(0, 1): {2: 1}}),
+        (1, {(1, 0): {2: 1}}),  # only i < j
+        (1, {(1, 1): {2: 1}}),
+        (1, {(0, 3): {2: 1}}),
+        (1, {(0, 1): {3: 1}}),
+        (1, {(0, 1): {-1: 1}}),
+    ):
+        with pytest.raises(ValueError):
+            LieAlgebra.from_scaled(3, scale, table)
+    with pytest.raises(ValueError):
+        LieAlgebra.from_brackets(3, {(0, 1): {2: F(1, 2)}}).scaled_table(3)
 
 
 def test_from_brackets_rejects_output_index_out_of_range():
@@ -691,3 +763,28 @@ def test_integer_row_kernels_read_no_fraction_rows(monkeypatch):
     assert span_algebra(ideal.space, g.scaled_bracket, g.integer_constants[0]).dim == 2
     assert is_characteristic(g, ideal)
     assert derivation_algebra(g).dim > 0
+
+
+def test_builders_read_no_fraction_view(monkeypatch):
+    # den = 21 > 1, solvable and so not perfect; its constants are used by no
+    # other test, so derivation_algebra solves it here, under the patch
+    g = LieAlgebra.from_brackets(4, {(0, 1): {2: F(5, 3)}, (0, 3): {3: F(2, 7)}}, name="g")
+    ideal = Subalgebra(g, Subspace.span(4, [[0, 0, 1, F(1, 3)], [0, 0, 0, F(1, 7)]]))
+    assert g.integer_constants[0] == 21 and is_ideal(g, ideal)
+
+    def no_view(*args, **kwargs):
+        raise AssertionError("a builder read the Fraction view")
+
+    monkeypatch.setattr(LieAlgebra, "brackets", no_view)
+    monkeypatch.setattr(LieAlgebra, "from_brackets", staticmethod(no_view))
+    misses = derivation_algebra.cache_info().misses
+    da = derivation_algebra(g)
+    assert derivation_algebra.cache_info().misses > misses
+    total, _, _ = direct_sum(g, da.algebra)
+    assert total.dim == 4 + da.dim and total.integer_constants[0] % 21 == 0
+    big, _, _ = holomorph(g)
+    assert big.dim == 4 + da.dim
+    q, _ = quotient(g, center(g))  # [e_0, e_3] = 2/7 e_3 survives
+    assert q.dim == 3 and q.integer_constants[0] == 7
+    assert sub_to_algebra(ideal).dim == 2
+    assert counterexample_extension(g).verify()
