@@ -5,16 +5,20 @@ The solver treats the n^2 matrix entries of f (row-major) as unknowns and
 takes the exact kernel of the stacked Leibniz constraints over all basis
 pairs, assembled from the numerators in LieAlgebra.integer_constants and never
 divided by their denominator den: the system is homogeneous, and the inner
-derivations, taken as den * ad_{e_i}, span the same subspace.  The canonical
-RREF kernel rows fix the structure constants of D(g) deterministically:
-liealg.span_algebra reads them off the kernel, with the sparse
-exactlin.commutator on the integer-scaled flattened rows as the bracket, and
-checks that every commutator stays in the kernel; LieAlgebra.scaled_adjoint
-flattens the inner den * ad_{e_i} the same way.  The holomorph takes its
-constants from h's and D(h)'s integer_constants and the kernel's integer_rows
-over one lcm, through LieAlgebra.from_scaled.  Only the realization maps read
-the kernel's Fraction rows, and only they and the coordinates handed back to
-callers are dense.
+derivations, taken as den * ad_{e_i}, span the same subspace.  The system is
+solved on the solution side, by exactlin.solution_basis: most of its rows are
+redundant, and each is checked against the few solutions left rather than
+reduced against up to n^2 pivots, so Echelon only takes the final span to its
+canonical RREF.  Those kernel rows fix the structure constants of D(g)
+deterministically: liealg.span_algebra reads them off the kernel, with
+exactlin.Commutator on the integer-scaled flattened rows as the bracket, and
+checks that every commutator stays in the kernel.  Each inner den * ad_{e_i},
+which LieAlgebra.scaled_adjoint flattens the same way, is checked to lie in
+the kernel by its scaled residual, and its coordinates are read at the
+kernel's pivots.  The holomorph takes its constants from h's and D(h)'s
+integer_constants and the kernel's integer_rows over one lcm, through
+LieAlgebra.from_scaled, and embeds h and D(h) as blocks of coordinates.  Only
+the realization maps and the coordinates handed back to callers are dense.
 
 derivation_algebra caches the solve on the algebra's structure, which
 ignores names; a hit is handed back renamed for the caller's algebra.
@@ -22,16 +26,27 @@ ignores names; a hit is handed back renamed for the caller's algebra.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 
-from .exactlin import Echelon, Mat, Subspace, Vector, commutator, dense_vector, sparse_vector
+from .exactlin import (
+    Commutator,
+    Mat,
+    Subspace,
+    Vector,
+    dense_vector,
+    solution_basis,
+    sparse_vector,
+)
 from .liealg import (
     InternalCheckError,
     LieAlgebra,
     LinMap,
     Subalgebra,
+    block_embedding,
     center,
     is_ideal,
     span_algebra,
@@ -59,13 +74,15 @@ class DerivationAlgebra:
 
     @cached_property
     def realization(self) -> tuple[LinMap, ...]:
-        """The span's RREF rows reshaped to dense matrices, built on first use."""
+        """The span's RREF rows, integer_rows over L, as dense matrices built on first use."""
         n = self.base.dim
+        L, rows = self.span.integer_rows
         maps = []
-        for row in self.span.rows:
-            flat = dense_vector(n * n, row)
-            m = Mat([flat[a * n : (a + 1) * n] for a in range(n)], cols=n)
-            maps.append(LinMap(self.base, self.base, m))
+        for row in rows:
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for idx, v in row:
+                m[idx // n][idx % n] = Fraction(v, L)
+            maps.append(LinMap(self.base, self.base, Mat(m, cols=n)))
         return tuple(maps)
 
     def coordinates_of(self, endo: Mat) -> Vector:
@@ -90,32 +107,38 @@ class DerivationAlgebra:
         return dense_vector(self.dim, ((i, q / g.integer_constants[0]) for i, q in coords.items()))
 
 
-def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
-    """Integer kernel of the Leibniz system, in numerators; unknowns f_ab at index a*n + b."""
+def _leibniz_rows(g: LieAlgebra) -> Iterator[Iterable[tuple[int, int]]]:
+    """The Leibniz equations in numerators; unknowns f_ab at index a*n + b.
+
+    For i < j and each output coordinate k the pair touches:
+      sum_m c_ijm f_km - sum_a c_ajk f_ai + sum_b c_bik f_bj = 0,
+    the last sum being -sum_b c_ibk f_bj by antisymmetry.  into[j][k] lists
+    the (a, c_ajk), so a pair with [e_i, e_j] = 0 visits only the k that some
+    [e_a, e_j] or [e_b, e_i] reaches.
+    """
     n = g.dim
     nz = g.integer_constants[1]
-    ech = Echelon(n * n)
+    into: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
+    for a in range(n):
+        for j in range(n):
+            for k, v in nz[a][j]:
+                into[j].setdefault(k, []).append((a, v))
     for i in range(n):
+        into_i = into[i]
         for j in range(i + 1, n):
-            # one equation per output coordinate k:
-            #   sum_m c_ijm f_km - sum_a c_ajk f_ai - sum_b c_ibk f_bj = 0
-            rows: list[dict[int, int]] = [dict() for _ in range(n)]
-            for m, v in nz[i][j]:
-                for k in range(n):
-                    key = k * n + m
-                    rows[k][key] = rows[k].get(key, 0) + v
-            for a in range(n):
-                for k, v in nz[a][j]:
-                    key = a * n + i
-                    rows[k][key] = rows[k].get(key, 0) - v
-            for b in range(n):
-                for k, v in nz[i][b]:
-                    key = b * n + j
-                    rows[k][key] = rows[k].get(key, 0) - v
-            for row in rows:
-                if row:
-                    ech.add(row.items())
-    return ech.nullspace_rows()
+            ij, into_j = nz[i][j], into[j]
+            for k in range(n) if ij else sorted(into_i.keys() | into_j.keys()):
+                row = {k * n + m: v for m, v in ij}
+                for a, v in into_j.get(k, ()):
+                    row[a * n + i] = row.get(a * n + i, 0) - v
+                for b, v in into_i.get(k, ()):
+                    row[b * n + j] = row.get(b * n + j, 0) + v
+                yield row.items()
+
+
+def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
+    """Integer basis of the Leibniz system's solutions, in flattened endomorphism coordinates."""
+    return solution_basis(g.dim * g.dim, _leibniz_rows(g))
 
 
 def _d_name(g: LieAlgebra) -> str | None:
@@ -134,11 +157,15 @@ def _solve(g: LieAlgebra) -> DerivationAlgebra:
     """
     n = g.dim
     kernel = Subspace.integer_span(n * n, map(dict.items, _leibniz_kernel(g)))
-    algebra = validate_or_raise(span_algebra(kernel, partial(commutator, n), 1, name=_d_name(g)))
-    inner_rows = [kernel.coordinates(g.scaled_adjoint(((i, 1),))) for i in range(n)]
-    if None in inner_rows:
-        raise InternalCheckError("inner derivation escaped the solution span")
-    inner = Subspace.span(kernel.dim, inner_rows)
+    algebra = validate_or_raise(span_algebra(kernel, Commutator(n), 1, name=_d_name(g)))
+    inner_rows = []
+    for i in range(n):
+        ad = g.scaled_adjoint(((i, 1),))
+        if kernel.scaled_residual(ad.items()):
+            raise InternalCheckError("inner derivation escaped the solution span")
+        # a member's coordinate on kernel row r is its entry at pivots[r]
+        inner_rows.append([(r, ad[p]) for r, p in enumerate(kernel.pivots) if p in ad])
+    inner = Subspace.integer_span(kernel.dim, inner_rows)
     return DerivationAlgebra(base=g, algebra=algebra, inner=inner, span=kernel)
 
 
@@ -208,12 +235,7 @@ def holomorph(h: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinMap]:
             table.setdefault((j, n + a), {})[k] = -v * s
     name = None if h.name is None else f"H({h.name})"
     g = validate_or_raise(LieAlgebra.from_scaled(N, scale, table, name=name))
-    embed_h = LinMap(h, g, Mat([[1 if i == j else 0 for j in range(n)] for i in range(N)], cols=n))
-    embed_d = LinMap(
-        da.algebra,
-        g,
-        Mat([[1 if i == n + j else 0 for j in range(d)] for i in range(N)], cols=d),
-    )
+    embed_h, embed_d = block_embedding(h, g, 0), block_embedding(da.algebra, g, n)
     h_part = Subalgebra(g, embed_h.image())
     if not is_ideal(g, h_part):
         raise InternalCheckError("holomorph base part is not an ideal")

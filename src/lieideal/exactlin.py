@@ -8,8 +8,8 @@ reduced row-echelon rows times the lcm L of their denominators, so equal
 subspaces have equal fields.  One scale on every row changes no span, kernel or
 membership, so every kernel reads the integers, and so do the builders (the
 holomorph takes D(g)'s span as ``integer_rows``); only formatting, forms, maps
-and D(g)'s realization read the views ``Subspace.rows`` (Fractions) and
-``Subspace.basis`` (dense).  Sparse vectors are dicts from
+and D(g)'s realization read the dense Fraction view ``Subspace.basis``, or
+build their own from ``integer_rows`` over L.  Sparse vectors are dicts from
 index to nonzero value, ints kept as ints.  Two integer kernels take sparse
 items as they are: ``Subspace.scaled_residual`` (L times the residual, visiting
 only the vector's own entries through a read-only pivot -> row map) and
@@ -17,10 +17,14 @@ only the vector's own entries through a read-only pivot -> row map) and
 and clear what comes from outside, call them and hand back Fractions.
 ``Echelon`` reduces gcd-normalized integer rows and builds no Fraction; it
 clears denominators only for a row that holds one.  ``Subspace.span`` is the
-one row reduction, and its ``dim`` the only rank; ``column_kernel`` is the one
-solve, and ``lift`` maps coordinates in a subspace's RREF basis back to its
-ambient.  ``commutator`` brackets matrices flattened row-major, the order in
-which ``LieAlgebra.scaled_adjoint``, the one adjoint kernel, flattens den * ad_x.
+one row reduction, and its ``dim`` the only rank.  Kernels are solved two ways:
+``column_kernel`` reduces the equations into ``Echelon`` and reads its
+``nullspace_rows``, while ``solution_basis`` keeps the solutions instead and
+skips every row they already satisfy, the side that wins on the tall,
+redundant Leibniz system of D(g).  ``lift`` maps coordinates in a subspace's
+RREF basis back to its ambient.  ``Commutator`` brackets matrices flattened
+row-major, the order in which ``LieAlgebra.scaled_adjoint``, the one adjoint
+kernel, flattens den * ad_x; it lays each operand out once per instance.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
 Vector = tuple[Fraction, ...]
-# nonzero (index, value) pairs in increasing index order
-SparseRow = tuple[tuple[int, Fraction], ...]
-IntRow = tuple[tuple[int, int], ...]  # a SparseRow in integers
-# (index, nonzero value) pairs, re-iterable: a SparseRow, an IntRow or a dict's items()
+# nonzero (index, value) pairs in increasing index order, in integers
+IntRow = tuple[tuple[int, int], ...]
+# (index, nonzero value) pairs, re-iterable: an IntRow or a dict's items()
 SparseItems = Iterable[tuple[int, Fraction | int]]
 
 Scalar = Union[Fraction, int, str]
@@ -113,7 +116,20 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return Mat.unit_block(n, n)
+
+    @staticmethod
+    def unit_block(rows: int, cols: int, offset: int = 0) -> "Mat":
+        """1 at (offset + j, j) for every j < cols and 0 elsewhere, rows sharing their tuples."""
+        if not 0 <= offset <= rows - cols:
+            raise ValueError(f"a block of {cols} columns at row {offset} does not fit in {rows}")
+        zero = (Fraction(0),) * cols
+        entries = [zero] * rows
+        for j in range(cols):
+            entries[offset + j] = zero[:j] + (Fraction(1),) + zero[j + 1 :]
+        m = Mat.__new__(Mat)
+        m.rows, m.cols, m.entries, m._hash = rows, cols, tuple(entries), None
+        return m
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Scalar]], rows: int | None = None) -> "Mat":
@@ -313,6 +329,53 @@ class Echelon:
         return list(basis.values())
 
 
+def solution_basis(ncols: int, rows: Iterable[SparseItems]) -> list[dict[int, int]]:
+    """Integer basis of {x in Q^ncols : row . x = 0 for every row}, kept on the solution side.
+
+    The basis starts as the unit vectors, held by id with a column -> ids
+    index, and each row is dotted only with the vectors it touches.  A row
+    with every dot zero is skipped: once the basis is small, most rows of a
+    redundant system cost a few products, not a reduction against every
+    pivot.  Otherwise the sparsest vector with a nonzero dot (ties to the
+    lowest id) leaves the basis, and cancels the dot of every other vector
+    hit, each of which is made primitive again.  Rows may hold zeros.
+    """
+    basis = {c: {c: 1} for c in range(ncols)}
+    at: list[set[int]] = [{c} for c in range(ncols)]  # column -> ids nonzero there
+    for row in rows:
+        dots: dict[int, int] = {}
+        get = dots.get
+        for c, a in row:
+            for i in at[c]:
+                dots[i] = get(i, 0) + a * basis[i][c]
+        hit = [i for i, d in dots.items() if d]
+        if not hit:
+            continue
+        p = min(hit, key=lambda i: (len(basis[i]), i))
+        pivot, dp = basis.pop(p), dots[p]
+        for c in pivot:
+            at[c].discard(p)
+        for i in hit:
+            if i == p:
+                continue
+            # dp * v - dv * pivot has a zero dot with the row
+            dv = dots[i]
+            new = {c: x * dp for c, x in basis[i].items()}
+            for c, x in pivot.items():
+                if c in new:
+                    w = new[c] - dv * x
+                    if w:
+                        new[c] = w
+                    else:
+                        del new[c]
+                        at[c].discard(i)
+                else:
+                    new[c] = -dv * x
+                    at[c].add(i)
+            basis[i] = _primitive(new)
+    return list(basis.values())
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^n, held once, as its unique RREF rows times one integer.
@@ -355,23 +418,28 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        rows = tuple(((i, 1),) for i in range(ambient_dim))
-        return Subspace(ambient_dim, tuple(range(ambient_dim)), (1, rows))
+        return Subspace.axes(ambient_dim, 0, ambient_dim)
+
+    @staticmethod
+    def axes(ambient_dim: int, start: int, stop: int) -> "Subspace":
+        """span(e_start, ..., e_{stop-1}), whose unit rows are already its RREF."""
+        if not 0 <= start <= stop <= ambient_dim:
+            raise ValueError(f"axes [{start}, {stop}) outside [0, {ambient_dim})")
+        rows = tuple(((i, 1),) for i in range(start, stop))
+        return Subspace(ambient_dim, tuple(range(start, stop)), (1, rows))
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
-    def rows(self) -> tuple[SparseRow, ...]:
-        """The RREF rows in Fractions, 1 at each pivot; built on each access."""
-        L, rows = self.integer_rows
-        return tuple(tuple((j, Fraction(v, L)) for j, v in row) for row in rows)
-
     @cached_property
     def basis(self) -> Mat:
-        """The RREF rows as a dense matrix, built on first use."""
-        return Mat([dense_vector(self.ambient_dim, r) for r in self.rows], cols=self.ambient_dim)
+        """The RREF rows as a dense matrix of Fractions, integer_rows over L, built on first use."""
+        L, rows = self.integer_rows
+        return Mat(
+            [dense_vector(self.ambient_dim, ((j, Fraction(v, L)) for j, v in row)) for row in rows],
+            cols=self.ambient_dim,
+        )
 
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
@@ -442,22 +510,45 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def commutator(n: int, x: SparseItems, y: SparseItems) -> dict[int, Fraction]:
-    """XY - YX for sparse n x n matrices flattened row-major; nonzero entries only."""
-    out: dict[int, Fraction] = {}
-    for left, right, sign in ((x, y, 1), (y, x, -1)):
-        by_row: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-        for idx, b in right:
-            k, j = divmod(idx, n)
-            by_row[k].append((j, b))
-        for idx, a in left:
-            i, k = divmod(idx, n)
-            if by_row[k]:
-                a *= sign
-                base = i * n
-                for j, b in by_row[k]:
-                    out[base + j] = out.get(base + j, 0) + a * b
-    return {idx: v for idx, v in out.items() if v}
+class Commutator:
+    """XY - YX for sparse n x n matrices flattened row-major, as a bracket.
+
+    Each operand is laid out once per instance, keyed by id(): its entries as
+    (row * n, column, value) and its rows as row -> [(column, value)].  A layout holds its
+    operand, so the id is not reused while the instance lives; an operand
+    must not change while the instance is in use.  span_algebra brackets
+    every pair of r rows, so each row is laid out once, not 2(r - 1) times.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._layouts: dict[int, tuple[SparseItems, list, dict]] = {}
+
+    def _layout(self, m: SparseItems) -> tuple[list, dict]:
+        hit = self._layouts.get(id(m))
+        if hit is None:
+            n = self.n
+            entries: list[tuple[int, int, Fraction | int]] = []
+            by_row: dict[int, list[tuple[int, Fraction | int]]] = {}
+            for idx, v in m:
+                i, k = divmod(idx, n)
+                entries.append((i * n, k, v))
+                by_row.setdefault(i, []).append((k, v))
+            hit = self._layouts[id(m)] = (m, entries, by_row)
+        return hit[1], hit[2]
+
+    def __call__(self, x: SparseItems, y: SparseItems) -> dict[int, Fraction | int]:
+        (x_entries, x_rows), (y_entries, y_rows) = self._layout(x), self._layout(y)
+        out: dict[int, Fraction | int] = {}
+        get = out.get
+        for entries, rows, sign in ((x_entries, y_rows, 1), (y_entries, x_rows, -1)):
+            for base, k, a in entries:
+                row = rows.get(k)
+                if row:
+                    a *= sign
+                    for j, b in row:
+                        out[base + j] = get(base + j, 0) + a * b
+        return {idx: v for idx, v in out.items() if v}
 
 
 def column_kernel(columns: Sequence[Mapping[int, Fraction]]) -> Subspace:

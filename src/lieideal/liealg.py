@@ -28,7 +28,7 @@ verified bracket-closed on construction; nothing is ever closed silently.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
@@ -286,12 +286,18 @@ def validate(g: LieAlgebra) -> ValidationReport:
                 jk, ki = nz_j[k], nz[k][i]
                 if not (ij or jk or ki):
                     continue  # every term of the sum below is zero
+                # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
                 acc: dict[int, int] = {}
-                for ab, cc in ((ij, k), (jk, i), (ki, j)):
-                    # [[e_a, e_b], e_c]
-                    for m, v in ab:
-                        for t, w in nz[m][cc]:
-                            acc[t] = acc.get(t, 0) + v * w
+                get = acc.get
+                for m, v in ij:
+                    for t, w in nz[m][k]:
+                        acc[t] = get(t, 0) + v * w
+                for m, v in jk:
+                    for t, w in nz[m][i]:
+                        acc[t] = get(t, 0) + v * w
+                for m, v in ki:
+                    for t, w in nz[m][j]:
+                        acc[t] = get(t, 0) + v * w
                 if any(acc.values()):
                     return ValidationReport(False, jacobi_failure=(i, j, k))
     return ValidationReport(True)
@@ -306,11 +312,17 @@ def validate_or_raise(g: LieAlgebra) -> LieAlgebra:
 
 @dataclass(frozen=True)
 class LinMap:
-    """Linear map between the coordinate spaces of two algebras."""
+    """Linear map between the coordinate spaces of two algebras.
+
+    offset is set by block_embedding alone, after construction: the matrix
+    is then the identity onto target coordinates offset, ...,
+    offset + source.dim - 1, and image and compose take that shortcut.
+    """
 
     source: LieAlgebra
     target: LieAlgebra
     matrix: Mat
+    offset: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.target.dim, self.source.dim):
@@ -323,6 +335,8 @@ class LinMap:
         return self.matrix.apply(v)
 
     def image(self) -> Subspace:
+        if self.offset is not None:
+            return Subspace.axes(self.target.dim, self.offset, self.offset + self.source.dim)
         return Subspace.span(
             self.target.dim, [self.matrix.column(j) for j in range(self.source.dim)]
         )
@@ -333,7 +347,16 @@ class LinMap:
     def compose(self, other: "LinMap") -> "LinMap":
         if other.target != self.source:
             raise ValueError("composition type mismatch")
+        if self.offset is not None and other.offset is not None:
+            return block_embedding(other.source, self.target, self.offset + other.offset)
         return LinMap(other.source, self.target, self.matrix * other.matrix)
+
+
+def block_embedding(source: LieAlgebra, target: LieAlgebra, offset: int) -> LinMap:
+    """The inclusion of source's coordinates as target's offset, ..., offset + source.dim - 1."""
+    emb = LinMap(source, target, Mat.unit_block(target.dim, source.dim, offset))
+    object.__setattr__(emb, "offset", offset)  # frozen: set once, next to the matrix it describes
+    return emb
 
 
 @dataclass(frozen=True)
@@ -451,7 +474,7 @@ def closure(space: Subspace, bracket: Bracket) -> Subspace:
 def span_algebra(space: Subspace, bracket: Bracket, scale: int, name: str | None = None) -> LieAlgebra:
     """The bracket-closed span as an abstract algebra in its RREF basis.
 
-    bracket returns scale times the product: 1 for exactlin.commutator, den
+    bracket returns scale times the product: 1 for exactlin.Commutator, den
     for LieAlgebra.scaled_bracket.  Every [b_a, b_b], a < b, is re-expressed
     in the basis, its coordinates read through a pivot -> index map and handed
     to from_scaled over scale * L^2; a bracket that leaves the span is a bug
@@ -663,11 +686,7 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinM
     if g1.name and g2.name:
         name = f"{g1.name}+{g2.name}"
     g = LieAlgebra.from_scaled(n, den, table, name=name)
-    e1 = Mat([[1 if i == j else 0 for j in range(n1)] for i in range(n)], cols=n1)
-    e2 = Mat(
-        [[1 if i == n1 + j else 0 for j in range(n2)] for i in range(n)], cols=n2
-    )
-    return g, LinMap(g1, g, e1), LinMap(g2, g, e2)
+    return g, block_embedding(g1, g, 0), block_embedding(g2, g, n1)
 
 
 def is_homomorphism(f: LinMap) -> bool:
@@ -714,6 +733,7 @@ __all__ = [
     "Subalgebra",
     "ValidationReport",
     "as_subalgebra",
+    "block_embedding",
     "bracket_spaces",
     "center",
     "centralizer",

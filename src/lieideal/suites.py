@@ -32,7 +32,7 @@ from .derivations import (
     is_characteristic,
     theorem_derived_check,
 )
-from .exactlin import Mat, Subspace, commutator
+from .exactlin import Commutator, Mat, Subspace
 from .liealg import (
     LieAlgebra,
     LinMap,
@@ -384,14 +384,16 @@ def tower_corpus(seed: int) -> list[tuple[str, LieAlgebra]]:
 def check_adjoint_identity(label: str, g: LieAlgebra) -> int:
     """Check [f, ad_{e_i}] = ad_{f(e_i)} for each derivation row f and each e_i; count them.
 
-    In integers: commutator(n, f, den * ad_{e_i}) == den * ad_{f(e_i)}.
+    In integers: Commutator(n)(f, den * ad_{e_i}) == den * ad_{f(e_i)}; one
+    instance lays each row and each den * ad_{e_i} out once.
     """
     n, rows = g.dim, derivation_algebra(g).span.integer_rows[1]
     units = [g.scaled_adjoint(((i, 1),)).items() for i in range(n)]
+    bracket = Commutator(n)
     for f in rows:
         for i, unit in enumerate(units):
             image = [(idx // n, v) for idx, v in f if idx % n == i]  # column i of f
-            lhs = commutator(n, f, unit)
+            lhs = bracket(f, unit)
             check(lhs == g.scaled_adjoint(image), f"[f, ad_X] != ad_f(X) on {label}")
     return len(rows) * n
 

@@ -21,9 +21,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
-from .exactlin import Inertia, Mat, Subspace, Vector, commutator, intersect, subspace_sum
+from .exactlin import Commutator, Inertia, Mat, Subspace, Vector, intersect, subspace_sum
 from .liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -718,6 +717,6 @@ def random_solvable_algebra(
         ]
         for _ in range(generators)
     ]
-    bracket = partial(commutator, n)
+    bracket = Commutator(n)
     space = closure(Subspace.span(n * n, mats), bracket)
     return validate_or_raise(span_algebra(space, bracket, 1, name=f"solvable(dim {space.dim})"))

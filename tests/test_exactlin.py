@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from lieideal.exactlin import (
     MAX_LITERAL_DIGITS,
+    Commutator,
+    Echelon,
     Inertia,
     Mat,
     Subspace,
-    commutator,
     inertia,
     intersect,
     lift,
@@ -19,6 +20,7 @@ from lieideal.exactlin import (
     orthogonal_complement,
     parse_rational,
     rat,
+    solution_basis,
     sparse_vector,
     subspace_sum,
 )
@@ -319,7 +321,7 @@ def test_commutator_matches_dense_products(case):
     ref = x * y - y * x
     sparse_x = {i: Fraction(v) for i, v in enumerate(xs) if v}
     sparse_y = {i: Fraction(v) for i, v in enumerate(ys) if v}
-    flat = commutator(n, sparse_x.items(), sparse_y.items())
+    flat = Commutator(n)(sparse_x.items(), sparse_y.items())
     dense_ref = [v for row in ref.entries for v in row]
     assert flat == {i: v for i, v in enumerate(dense_ref) if v}
     # entries that cancel are dropped, not kept as zeros
@@ -331,8 +333,118 @@ def test_commutator_drops_cancelled_entries():
     # nonzero and every entry of XY - YX cancels
     x = {1: Fraction(1), 2: Fraction(1)}
     identity = {0: Fraction(1), 3: Fraction(1)}
-    assert commutator(2, x.items(), identity.items()) == {}
-    assert commutator(2, x.items(), x.items()) == {}
+    assert Commutator(2)(x.items(), identity.items()) == {}
+    assert Commutator(2)(x.items(), x.items()) == {}
+
+
+def old_commutator(n, x, y):
+    """The commutator before operands were laid out once: both layouts built per call."""
+    out = {}
+    for left, right, sign in ((x, y, 1), (y, x, -1)):
+        by_row = [[] for _ in range(n)]
+        for idx, b in right:
+            k, j = divmod(idx, n)
+            by_row[k].append((j, b))
+        for idx, a in left:
+            i, k = divmod(idx, n)
+            if by_row[k]:
+                a *= sign
+                base = i * n
+                for j, b in by_row[k]:
+                    out[base + j] = out.get(base + j, 0) + a * b
+    return {idx: v for idx, v in out.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(
+        st.dictionaries(st.integers(0, n * n - 1), st.one_of(st.integers(-3, 3), rationals)),
+        min_size=1,
+        max_size=4,
+    ),
+)))
+def test_laid_out_commutator_matches_the_old_one(case):
+    # one instance brackets every ordered pair, an operand with itself
+    # included, so each layout is read again from the cache; zeros are kept
+    # in the operands, and ints and Fractions mix
+    n, mats = case
+    operands = [tuple(m.items()) for m in mats]
+    bracket = Commutator(n)
+    for x in operands:
+        for y in operands:
+            want = old_commutator(n, x, y)
+            assert bracket(x, y) == want == Commutator(n)(x, y)
+            assert list(bracket(x, y)) == list(want)  # same entries, same order
+
+
+def test_commutator_layouts_hold_their_operands():
+    # each operand is a temporary with a new value: were its layout not
+    # holding it, the next one could take its id and be read through it
+    bracket = Commutator(2)
+    y = ((1, 1), (2, 1))  # E_01 + E_10
+    for t in range(200):
+        x = [(t % 4, t + 1)]
+        assert bracket(x, y) == old_commutator(2, x, y)
+        del x
+
+
+# --- the solution-side kernel -------------------------------------------------
+
+
+@st.composite
+def tall_systems(draw):
+    """Up to 6 unknowns and 3 * ncols + 4 integer rows: zero, single-term, dense or repeated."""
+    ncols = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 3 * ncols + 4))):
+        kind = draw(st.sampled_from(["zero", "single", "dense", "repeat"]))
+        if kind == "zero" or not ncols:
+            rows.append([(c, 0) for c in range(ncols)])
+        elif kind == "single":
+            rows.append([(draw(st.integers(0, ncols - 1)), draw(st.sampled_from([-2, -1, 1, 3])))])
+        elif kind == "repeat" and rows:
+            rows.append([(c, 2 * v) for c, v in draw(st.sampled_from(rows))])
+        else:
+            rows.append([(c, draw(entry)) for c in range(ncols)])
+    return ncols, rows
+
+
+def echelon_kernel(ncols, rows):
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.add(row)
+    return Subspace.integer_span(ncols, map(dict.items, ech.nullspace_rows()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_systems())
+@example((0, []))
+@example((0, [[], []]))
+@example((3, [[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 1), (2, 1)], [(1, 0)]]))
+def test_solution_basis_spans_the_echelon_nullspace(case):
+    ncols, rows = case
+    basis = solution_basis(ncols, rows)
+    assert Subspace.integer_span(ncols, map(dict.items, basis)) == echelon_kernel(ncols, rows)
+    # a basis: independent, primitive integer vectors, each solving every row
+    assert len(basis) == echelon_kernel(ncols, rows).dim
+    for v in basis:
+        assert v and all(type(x) is int and x for x in v.values())
+        assert math.gcd(*v.values()) == 1
+        assert all(sum(a * v.get(c, 0) for c, a in row) == 0 for row in rows)
+
+
+def test_solution_basis_pinned_cases():
+    assert solution_basis(0, []) == []
+    assert solution_basis(0, [[]]) == []
+    # no rows: the unit vectors, in column order
+    assert solution_basis(3, []) == [{0: 1}, {1: 1}, {2: 1}]
+    # full rank, with a zero and a repeated row among them: nothing is left
+    full = [[(0, 1), (1, 2)], [(0, 0)], [(1, 1), (2, -1)], [(0, 2), (1, 4)], [(2, 5)]]
+    assert solution_basis(3, full) == []
+    # a vector that leaves the basis takes the sparsest hit, ties to the lowest id
+    assert solution_basis(2, [[(0, 1), (1, -1)]]) == [{1: 1, 0: 1}]
 
 
 # --- sparse RREF rows ----------------------------------------------------------
@@ -408,7 +520,7 @@ def pinned(test):
 def test_rows_are_sparse_rref_and_basis_is_the_rref_view(case):
     n, vecs = case
     u = Subspace.span(n, map(as_sparse, vecs))
-    for row in u.rows:
+    for row in u.integer_rows[1]:
         cols = [j for j, _ in row]
         assert cols == sorted(set(cols))
         assert all(v for _, v in row), "a stored row holds a zero"
@@ -442,9 +554,10 @@ def test_membership_kernel_against_rank(case, data):
                 continue
             assert all(coords.values())
             rebuilt = [Fraction(0)] * n
+            L, rows = u.integer_rows
             for i, c in coords.items():
-                for j, b in u.rows[i]:
-                    rebuilt[j] += c * b
+                for j, b in rows[i]:
+                    rebuilt[j] += c * Fraction(b, L)
             assert rebuilt == w
         assert all(u.residual(w).values())
 
@@ -474,11 +587,12 @@ def test_integer_rows_scale_the_rref_rows_by_their_lcm(case):
 def reference_residual(u, v):
     """The Fraction elimination loop the integer kernel replaced."""
     work = sparse_vector(u.ambient_dim, v)
-    for p, row in zip(u.pivots, u.rows):
+    L, rows = u.integer_rows
+    for p, row in zip(u.pivots, rows):
         c = work.get(p)
         if c:
             for j, b in row:
-                work[j] = work.get(j, 0) - c * b
+                work[j] = work.get(j, 0) - c * Fraction(b, L)
     return {j: w for j, w in work.items() if w}
 
 

@@ -13,18 +13,17 @@ from the dense bracket, so none of them reads LieAlgebra.scaled_adjoint.
 import itertools
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
-from lieideal import catalog
-from lieideal.derivations import derivation_algebra, holomorph
+from lieideal import catalog, derivations
+from lieideal.derivations import derivation_algebra, holomorph, leibniz_defect
 from lieideal.exactlin import (
+    Commutator,
     Echelon,
     Mat,
     Subspace,
     column_kernel,
-    commutator,
     dense_vector,
     intersect,
     lift,
@@ -32,6 +31,7 @@ from lieideal.exactlin import (
     over_lcm,
 )
 from lieideal.liealg import (
+    InternalCheckError,
     LieAlgebra,
     LinMap,
     Subalgebra,
@@ -50,7 +50,7 @@ from lieideal.liealg import (
     sub_radical,
     sub_to_algebra,
 )
-from lieideal.suites import check_adjoint_identity
+from lieideal.suites import chain_instances, check_adjoint_identity, perfect_specimens
 from lieideal.transitivity import enumerate_grid_subalgebras, ideal_closure, random_solvable_algebra
 
 
@@ -65,9 +65,10 @@ def constraint_matrix(space):
     """I minus, at each pivot column p_i, the RREF row i: the residual map's matrix."""
     n = space.ambient_dim
     rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for p, row in zip(space.pivots, space.rows):
+    L, scaled = space.integer_rows
+    for p, row in zip(space.pivots, scaled):
         for r, b in row:
-            rows[r][p] -= b
+            rows[r][p] -= Fraction(b, L)
     return Mat(rows, cols=n)
 
 
@@ -199,7 +200,7 @@ def subalgebras(g, tags):
     subs |= {Subalgebra(g, Subspace.span(g.dim, [{i: 1}])) for i in range(g.dim)}
     if g.dim <= 3:
         subs |= set(enumerate_grid_subalgebras(g))
-    return sorted(subs, key=lambda h: (h.dim, h.space.pivots, h.space.rows))
+    return sorted(subs, key=lambda h: (h.dim, h.space.pivots, h.space.integer_rows))
 
 
 def test_corpus_reaches_dim_6_fractions_and_non_coordinate_ideals():
@@ -217,7 +218,7 @@ def test_corpus_reaches_dim_6_fractions_and_non_coordinate_ideals():
         len(row) > 1
         for _, g, _ in CORPUS
         for ideal in (center(g), derived_subalgebra(full_subalgebra(g)))
-        for row in ideal.space.rows
+        for row in ideal.space.integer_rows[1]
     )
 
 
@@ -530,8 +531,8 @@ def test_is_ideal_and_ideal_closure_match_dense(g, tags):
 #
 # span_algebra, quotient, direct_sum and holomorph hand integer tables to
 # LieAlgebra.from_scaled.  The references are the builders before that change,
-# which assembled Fraction brackets (from brackets(), Subspace.rows and the
-# Fraction residual) in the form from_brackets takes.  Each built algebra must
+# which assembled Fraction brackets (from brackets(), the RREF rows in Fractions
+# and the Fraction residual) in the form from_brackets takes.  Each built algebra must
 # show the same constants through brackets() and carry the same name.
 
 
@@ -569,10 +570,11 @@ def old_holomorph_brackets(h):
     """h's brackets, each Fraction row f of D(h)'s span as [f, e_j] = f(e_j), then D(h)'s brackets."""
     da, n = derivation_algebra(h), h.dim
     brackets = h.brackets()
-    for a, f in enumerate(da.span.rows):
+    L, rows = da.span.integer_rows
+    for a, f in enumerate(rows):
         for idx, v in f:
             k, j = divmod(idx, n)
-            brackets.setdefault((n + a, j), {})[k] = v
+            brackets.setdefault((n + a, j), {})[k] = Fraction(v, L)
     for (a, b), row in da.algebra.brackets().items():
         brackets[(n + a, n + b)] = {n + k: v for k, v in row.items()}
     return brackets
@@ -600,7 +602,7 @@ def test_span_algebra_and_quotient_match_the_fraction_path(g, tags):
         assert_built_as(span_algebra(h.space, g.scaled_bracket, den), h.dim, brackets)
         assert_built_as(sub_to_algebra(h), h.dim, brackets)
     da = derivation_algebra(g)
-    bracket = partial(commutator, g.dim)
+    bracket = Commutator(g.dim)
     brackets = old_span_brackets(da.span, bracket, 1)
     assert_built_as(span_algebra(da.span, bracket, 1, name="D"), da.dim, brackets, "D")
     assert da.algebra.brackets() == span_algebra(da.span, bracket, 1).brackets()
@@ -622,3 +624,128 @@ def test_direct_sum_and_holomorph_match_the_fraction_path(index):
     big, _, _ = holomorph(g)
     name = None if g.name is None else f"H({g.name})"
     assert_built_as(big, g.dim + derivation_algebra(g).dim, old_holomorph_brackets(g), name)
+
+
+# --- the Leibniz solve against the Echelon route it replaced -----------------
+#
+# derivations._leibniz_kernel keeps a basis of the solutions of the rows read
+# so far (exactlin.solution_basis) and builds each pair's rows only at the
+# output coordinates it touches.  The reference is the route before that: every
+# pair's n rows built from all a and b and reduced into Echelon, whose
+# nullspace_rows are the kernel.
+
+
+def old_leibniz_span(g):
+    n = g.dim
+    nz = g.integer_constants[1]
+    ech = Echelon(n * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [dict() for _ in range(n)]
+            for m, v in nz[i][j]:
+                for k in range(n):
+                    rows[k][k * n + m] = rows[k].get(k * n + m, 0) + v
+            for a in range(n):
+                for k, v in nz[a][j]:
+                    rows[k][a * n + i] = rows[k].get(a * n + i, 0) - v
+            for b in range(n):
+                for k, v in nz[i][b]:
+                    rows[k][b * n + j] = rows[k].get(b * n + j, 0) - v
+            for row in rows:
+                if row:
+                    ech.add(row.items())
+    return Subspace.integer_span(n * n, map(dict.items, ech.nullspace_rows()))
+
+
+def gl(n):
+    """gl(n) in the basis E_ab at index a * n + b: [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+    brackets = {}
+    for x, y in itertools.combinations(range(n * n), 2):
+        (a, b), (c, d) = divmod(x, n), divmod(y, n)
+        row = {a * n + d: 1} if b == c else {}
+        if d == a:
+            row[c * n + b] = -1  # x != y, so never the same index as the first term
+        brackets[(x, y)] = row
+    return LieAlgebra.from_brackets(n * n, brackets, name=f"gl({n})")
+
+
+def kernel_matrix(n, v):
+    """A flattened kernel vector, entry (a, b) at index a * n + b, as an n x n Mat."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for idx, x in v.items():
+        m[idx // n][idx % n] = Fraction(x)
+    return Mat(m, cols=n)
+
+
+def assert_solved_as_before(g):
+    """D(g)'s span equals the Echelon route's, and every kernel vector derives g."""
+    assert derivation_algebra(g).span == old_leibniz_span(g)
+    for v in derivations._leibniz_kernel(g):
+        assert leibniz_defect(g, kernel_matrix(g.dim, v)) is None
+
+
+@pytest.mark.parametrize("g", [g for _, g, _ in CORPUS], ids=IDS)
+def test_leibniz_kernel_matches_the_echelon_route_on_the_corpus(g):
+    assert_solved_as_before(g)
+
+
+@pytest.mark.parametrize("label", list(perfect_specimens()))
+def test_leibniz_kernel_matches_the_echelon_route_on_perfect_holomorphs(label):
+    h = perfect_specimens()[label]
+    ambients = [inst.g for inst in chain_instances(label, h) if " in H(" in inst.label]
+    assert len(ambients) == 5
+    for g in ambients:
+        assert_solved_as_before(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_leibniz_kernel_matches_the_echelon_route_on_gl(n):
+    g = gl(n)
+    assert_solved_as_before(g)
+    assert derivation_algebra(g).dim == n * n  # gl(n) = sl(n) + center, D of dim n^2
+
+
+def test_leibniz_kernel_of_dims_0_and_1():
+    zero, line = LieAlgebra.from_brackets(0, {}), LieAlgebra.from_brackets(1, {})
+    for g in (zero, line):
+        assert_solved_as_before(g)
+    assert derivations._leibniz_kernel(zero) == [] and derivation_algebra(zero).dim == 0
+    assert derivations._leibniz_kernel(line) == [{0: 1}] and derivation_algebra(line).dim == 1
+    assert derivation_algebra(line).inner.dim == 0
+
+
+def _drops(g):
+    """Each kernel with one vector of the solution basis left out."""
+    full = derivations._leibniz_kernel(g)
+    return [full[:t] + full[t + 1 :] for t in range(len(full))]
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "aff1"])
+def test_a_lost_kernel_vector_fails_a_check_on_complete_algebras(name, monkeypatch):
+    # every derivation of a complete algebra is inner, so the inner-derivation
+    # check or span_algebra's escape check must see any vector left out
+    g = catalog.get(name).algebra
+    drops = _drops(g)
+    assert len(drops) == g.dim
+    for kept in drops:
+        monkeypatch.setattr(derivations, "_leibniz_kernel", lambda _, kept=kept: kept)
+        with pytest.raises(InternalCheckError):
+            derivations._solve.__wrapped__(g)
+
+
+def test_a_lost_outer_derivation_is_caught_by_the_reference(monkeypatch):
+    # heisenberg3 has outer derivations: leaving one out can keep a closed span
+    # that holds every inner one, so no check in _solve fires, and only the
+    # comparison with the Echelon route sees the loss
+    g = catalog.get("heisenberg3").algebra
+    ref = old_leibniz_span(g)
+    silent = 0
+    for kept in _drops(g):
+        monkeypatch.setattr(derivations, "_leibniz_kernel", lambda _, kept=kept: kept)
+        try:
+            da = derivations._solve.__wrapped__(g)
+        except InternalCheckError:
+            continue
+        silent += 1
+        assert da.span != ref
+    assert silent > 0

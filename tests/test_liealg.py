@@ -439,6 +439,48 @@ def test_direct_sum_of_lines_is_abelian_plane():
     assert e2.image() == Subspace.span(2, [[0, 1]])
 
 
+def old_identity_block(n, N, offset):
+    """The dense N x n identity block the embeddings were built from before."""
+    return Mat([[1 if i == offset + j else 0 for j in range(n)] for i in range(N)], cols=n)
+
+
+@pytest.mark.parametrize(
+    ("first", "second"), [("sl2", "aff1"), ("abelian(1)", "heisenberg3"), ("gl2", "so3")]
+)
+def test_block_embeddings_match_the_dense_route(first, second):
+    # direct_sum and holomorph embed by blocks, and chain_instances and the
+    # counterexample compose them: each image and product must be what the
+    # dense identity blocks and the general LinMap.image give
+    g1, g2 = catalog.get(first).algebra, catalog.get(second).algebra
+    k, e1, e2 = direct_sum(g1, g2)
+    g, emb_k, emb_d = holomorph(k)
+    maps = [(e1, 0), (e2, g1.dim), (emb_k, 0), (emb_d, k.dim)]
+    maps += [(emb_k.compose(e1), 0), (emb_k.compose(e2), g1.dim)]
+    for emb, offset in maps:
+        n, N = emb.source.dim, emb.target.dim
+        dense = LinMap(emb.source, emb.target, old_identity_block(n, N, offset))
+        assert dense.offset is None and emb.offset == offset
+        assert emb.matrix == dense.matrix and emb == dense
+        units = [[int(i == offset + j) for i in range(N)] for j in range(n)]
+        assert emb.image() == dense.image() == Subspace.span(N, units)
+    assert emb_k.compose(e1).matrix == emb_k.matrix * e1.matrix
+    # a map that is not a block composes and images by the general route
+    twice = LinMap(k, k, Mat.identity(k.dim).scale(2))
+    assert emb_k.compose(twice).offset is None and emb_k.compose(twice).image() == emb_k.image()
+
+
+def test_coordinate_blocks_refuse_what_does_not_fit():
+    assert Subspace.axes(4, 1, 3) == Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    assert Subspace.axes(4, 2, 2) == Subspace.zero(4) and Subspace.axes(4, 0, 4) == Subspace.full(4)
+    for start, stop in ((-1, 2), (3, 2), (0, 5)):
+        with pytest.raises(ValueError):
+            Subspace.axes(4, start, stop)
+    assert Mat.unit_block(3, 3) == Mat.identity(3) == Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert Mat.unit_block(0, 0) == Mat([], cols=0)
+    with pytest.raises(ValueError):
+        Mat.unit_block(3, 2, 2)
+
+
 def test_direct_sum_center(aff1):
     g, _, _ = direct_sum(aff1, catalog.abelian(1))
     assert center(g).space == Subspace.span(3, [[0, 0, 1]])
@@ -605,6 +647,55 @@ def test_validate_reports_the_first_failing_triple(data):
     assert report.ok == (report.jacobi_failure is None)
 
 
+def old_jacobi_failure(g):
+    """validate's Jacobi walk before its three terms were unrolled."""
+    n, nz = g.dim, g.integer_constants[1]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij, nz_j = nz[i][j], nz[j]
+            for k in range(j + 1, n):
+                jk, ki = nz_j[k], nz[k][i]
+                if not (ij or jk or ki):
+                    continue
+                acc = {}
+                for ab, cc in ((ij, k), (jk, i), (ki, j)):
+                    for m, v in ab:
+                        for t, w in nz[m][cc]:
+                            acc[t] = acc.get(t, 0) + v * w
+                if any(acc.values()):
+                    return (i, j, k)
+    return None
+
+
+# catalog algebras with a basis triple, and a holomorph, built when drawn
+CORRUPTED = [n for n in catalog.list_names() if catalog.get(n).algebra.dim >= 3] + ["H(aff1)"]
+
+
+def _uncorrupted(name):
+    if name == "H(aff1)":
+        return holomorph(catalog.get("aff1").algebra)[0]
+    return catalog.get(name).algebra
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CORRUPTED), st.data())
+def test_unrolled_jacobi_walk_reports_the_old_triple_on_corrupted_tables(name, data):
+    # one structure constant of a Lie algebra is moved, antisymmetrically
+    g = _uncorrupted(name)
+    n = g.dim
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    k = data.draw(st.integers(0, n - 1))
+    delta = data.draw(st.sampled_from([-2, -1, 1, 3]))
+    den = g.integer_constants[0]
+    table = g.scaled_table(den)
+    row = table.setdefault((i, j), {})
+    row[k] = row.get(k, 0) + delta
+    broken = LieAlgebra.from_scaled(n, den, table)
+    assert validate(broken).jacobi_failure == old_jacobi_failure(broken)
+    assert validate(g).ok and old_jacobi_failure(g) is None
+
+
 def test_pinned_jacobi_examples():
     good = LieAlgebra.from_brackets(5, SL2_RAD2_RESCALED)
     assert validate(good).ok and good.integer_constants[0] == 840
@@ -718,7 +809,6 @@ HANDED_BACK = {
     "adjoint_matrix den > 1": lambda q: THIRD_HEIS.adjoint_matrix((q(1), q(1), q(0))).matrix.entries,
     "residual": lambda q: _span(q).residual([q(1), q(0), q(1)]),
     "coordinates": lambda q: _span(q).coordinates({0: q(2), 1: q(7), 2: q(6)}),
-    "rows": lambda q: [v for row in _span(q).rows for _, v in row],
     "basis": lambda q: _span(q).basis.entries,
     "brackets()": lambda q: _heis(q).brackets(),
     "realization": lambda q: [f.matrix.entries for f in derivation_algebra(_heis(q)).realization],
@@ -748,7 +838,8 @@ def test_integer_row_kernels_read_no_fraction_rows(monkeypatch):
     def no_rows(self):
         raise AssertionError("a kernel read the Fraction rows")
 
-    monkeypatch.setattr(Subspace, "rows", property(no_rows))
+    # basis is the one Fraction view of the RREF rows left on Subspace
+    monkeypatch.setattr(Subspace, "basis", property(no_rows))
     u = Subspace.span(4, vecs)
     line = Subalgebra(g, Subspace.span(4, vecs[:1]))
     ideal = Subalgebra(g, Subspace.span(4, [[0, 0, 1, F(1, 3)], [0, 0, 0, F(1, 7)]]))
