@@ -187,17 +187,31 @@ derivation_algebra.cache_clear = _solve.cache_clear
 
 
 def leibniz_defect(g: LieAlgebra, f: Mat) -> Vector | None:
-    """First nonzero f([ei,ej]) - [f ei, ej] - [ei, f ej], or None if f derives."""
-    n = g.dim
+    """First nonzero f([ei,ej]) - [f ei, ej] - [ei, f ej], pairs i < j in order, or None if f derives.
+
+    Summed on g's integer numerators and on f's columns times d, the lcm of f's
+    denominators, both read once.  It reads neither _leibniz_rows nor
+    solution_basis, so it checks the solve independently.
+    """
+    n, (den, num) = g.dim, g.integer_constants
+    if f.shape != (n, n):
+        raise ValueError(f"endomorphism shape {f.shape} != ({n}, {n})")
+    d = lcm(*(x.denominator for row in f.entries for x in row))
+    cols = [[(a, int(x * d)) for a, x in enumerate(f.column(b)) if x] for b in range(n)]
     for i in range(n):
-        fi = f.column(i)
         for j in range(i + 1, n):
-            lhs = f.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-            rhs1 = g.bracket(fi, g.basis_vector(j))
-            rhs2 = g.bracket(g.basis_vector(i), f.column(j))
-            defect = tuple(a - b - c for a, b, c in zip(lhs, rhs1, rhs2))
-            if any(defect):
-                return defect
+            acc = {}
+            for m, c in num[i][j]:  # f([e_i, e_j]) = sum_m c_ijm f(e_m)
+                for k, v in cols[m]:
+                    acc[k] = acc.get(k, 0) + c * v
+            for a, v in cols[i]:  # [f e_i, e_j] = sum_a f_ai [e_a, e_j]
+                for k, c in num[a][j]:
+                    acc[k] = acc.get(k, 0) - v * c
+            for b, v in cols[j]:  # [e_i, f e_j] = sum_b f_bj [e_i, e_b]
+                for k, c in num[i][b]:
+                    acc[k] = acc.get(k, 0) - v * c
+            if any(acc.values()):
+                return dense_vector(n, ((k, Fraction(v, den * d)) for k, v in acc.items()))
     return None
 
 

@@ -2,7 +2,11 @@
 
 Everything in here is exact: scalars at the interface are
 ``fractions.Fraction`` and the inner loops run on integers.  ``Mat``, a dense
-grid of Fractions, stays at the edges: maps, forms, inertia and formatting.  A
+grid of Fractions, stays at the edges: maps, forms, inertia and formatting.  It
+keeps what those read (``identity``, ``unit_block``, ``from_columns``,
+``column``, ``scale``, ``apply``, ``is_symmetric`` and ``__mul__``, which
+composes maps and forms theta^2 and B theta) and no sum, transpose or zero
+test: the form and Cartan checks read the integer kernels.  A
 subspace is stored once, as ``Subspace.integer_rows`` = (L, rows): its unique
 reduced row-echelon rows times the lcm L of their denominators, so equal
 subspaces have equal fields.  One scale on every row changes no span, kernel or
@@ -155,30 +159,6 @@ class Mat:
             self._hash = hash((self.cols, self.entries))
         return self._hash
 
-    def _check_same_shape(self, other: "Mat") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
-
     def scale(self, s: Scalar) -> "Mat":
         s = rat(s)
         return Mat([[s * a for a in r] for r in self.entries], cols=self.cols)
@@ -210,15 +190,6 @@ class Mat:
                     acc += a * x
             out[i] = acc
         return tuple(out)
-
-    def transpose(self) -> "Mat":
-        return Mat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def is_zero(self) -> bool:
-        return all(not x for r in self.entries for x in r)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -440,9 +411,6 @@ class Subspace:
             [dense_vector(self.ambient_dim, ((j, Fraction(v, L)) for j, v in row)) for row in rows],
             cols=self.ambient_dim,
         )
-
-    def basis_vectors(self) -> tuple[Vector, ...]:
-        return self.basis.entries
 
     @cached_property
     def _off_pivot(self) -> Mapping[int, IntRow]:

@@ -419,9 +419,6 @@ class Subalgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def basis_vectors(self) -> tuple[Vector, ...]:
-        return self.space.basis.entries
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subalgebra)

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Commutator, Inertia, Mat, Subspace, Vector, intersect, subspace_sum
+from .exactlin import Commutator, Inertia, Mat, Subspace, Vector, column_kernel, intersect, subspace_sum
 from .liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -398,11 +398,26 @@ def levi_criterion(
 # ---------------------------------------------------------------------------
 
 
-def adjoint_is_skew(g: LieAlgebra, form: SymForm, x) -> bool:
-    """B([x,y], z) + B(y, [x,z]) = 0, as the matrix identity ad_x^T B + B ad_x = 0."""
-    ad = g.adjoint_matrix(x).matrix
-    lhs = ad.transpose() * form.matrix + form.matrix * ad
-    return lhs.is_zero()
+def adjoint_is_skew(g: LieAlgebra, form: SymForm, u: Subspace) -> bool:
+    """B([x,y], z) + B(y, [x,z]) = 0 for every x in u: (den ad_x)^T B + B (den ad_x) = 0.
+
+    With A = scaled_adjoint(x) for each integer row x of u and B symmetric, that
+    is M + M^T = 0 for M = B A, summed over the nonzero entries of A and B only.
+    """
+    if form.ambient != g or u.ambient_dim != g.dim:
+        raise ValueError("form or subspace on a different algebra")
+    n = g.dim
+    # column k of the symmetric B is its row k
+    b_cols = [[(r, v) for r, v in enumerate(row) if v] for row in form.matrix.entries]
+    for x in u.integer_rows[1]:
+        m = {}
+        for idx, a in g.scaled_adjoint(x).items():
+            k, c = divmod(idx, n)
+            for r, v in b_cols[k]:
+                m[r, c] = m.get((r, c), 0) + v * a
+        if any(v + m.get((c, r), 0) for (r, c), v in m.items()):
+            return False
+    return True
 
 
 def verify_skew_form_hypotheses(
@@ -422,9 +437,8 @@ def verify_skew_form_hypotheses(
     on_m = form.inertia_on(m)
     if not (on_m.is_positive_definite() and on_m.dim == m.dim):
         raise HypothesisError("form is not positive definite on the complement of h")
-    for x in h.basis_vectors():
-        if not adjoint_is_skew(g, form, x):
-            raise HypothesisError("some ad_x with x in h is not skew for the form")
+    if not adjoint_is_skew(g, form, h.space):
+        raise HypothesisError("some ad_x with x in h is not skew for the form")
     return on_h, on_m
 
 
@@ -440,6 +454,16 @@ class EquivalenceReport:
         return self.subideal == self.ideal
 
 
+def _subideal_iff_ideal(k: Subalgebra, h: Subalgebra, criterion: str) -> EquivalenceReport:
+    """Both verdicts on h in k, once a criterion's hypotheses hold; they must agree."""
+    sub = bool(subideal_chain(k, h))
+    idl = is_ideal(k, h)
+    report = EquivalenceReport(sub, idl)
+    if not report.consistent:
+        raise TheoremViolationError(f"{criterion} criterion violated: subideal={sub}, ideal={idl}")
+    return report
+
+
 def check_skew_form_criterion(
     g: LieAlgebra, form: SymForm, h: Subalgebra, k: Subalgebra
 ) -> EquivalenceReport:
@@ -447,14 +471,7 @@ def check_skew_form_criterion(
     if not k.space.contains(h.space):
         raise ValueError("h is not contained in k")
     verify_skew_form_hypotheses(g, form, h)
-    sub = bool(subideal_chain(k, h))
-    idl = is_ideal(k, h)
-    report = EquivalenceReport(sub, idl)
-    if not report.consistent:
-        raise TheoremViolationError(
-            f"definite-form criterion violated: subideal={sub}, ideal={idl}"
-        )
-    return report
+    return _subideal_iff_ideal(k, h, "definite-form")
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +510,12 @@ def cartan_eigenspaces(g: LieAlgebra, theta: LinMap) -> CartanDecomposition:
     tw_inertia = SymForm(g, twisted).inertia_on()
     if not (tw_inertia.is_positive_definite() and tw_inertia.dim == n):
         raise HypothesisError("twisted form is not positive definite: not a Cartan involution")
-    from .exactlin import nullspace
-
-    u = nullspace(theta.matrix - Mat.identity(n))
-    p = nullspace(theta.matrix + Mat.identity(n))
+    # u and p are the kernels of theta - I and theta + I, on their sparse columns
+    columns = [theta.matrix.column(j) for j in range(n)]
+    u, p = (
+        column_kernel([{i: y for i, x in enumerate(c) if (y := x - s * (i == j))} for j, c in enumerate(columns)])
+        for s in (1, -1)
+    )
     if u.dim + p.dim != n:
         raise HypothesisError("eigenspaces do not span; theta is not diagonalizable over Q")
     usub = Subalgebra(g, u)  # raises if not bracket-closed
@@ -504,10 +523,8 @@ def cartan_eigenspaces(g: LieAlgebra, theta: LinMap) -> CartanDecomposition:
         raise InternalCheckError("[u, p] escapes p")
     if not u.contains(bracket_spaces(g, p, p)):
         raise InternalCheckError("[p, p] escapes u")
-    for x in u.basis.entries:
-        for y in p.basis.entries:
-            if kform.value(x, y):
-                raise InternalCheckError("u and p are not Killing-orthogonal")
+    if not kform.complement(u).contains(p):
+        raise InternalCheckError("u and p are not Killing-orthogonal")
     on_u = kform.inertia_on(u)
     if u.dim and not on_u.is_negative_definite():
         raise InternalCheckError("Killing form is not negative definite on u")
@@ -534,14 +551,7 @@ def check_cartan_criterion(
     require_cartan_eigenspace(g, theta, h)
     if not k.space.contains(h.space):
         raise ValueError("h is not contained in k")
-    sub = bool(subideal_chain(k, h))
-    idl = is_ideal(k, h)
-    report = EquivalenceReport(sub, idl)
-    if not report.consistent:
-        raise TheoremViolationError(
-            f"Cartan eigenspace criterion violated: subideal={sub}, ideal={idl}"
-        )
-    return report
+    return _subideal_iff_ideal(k, h, "Cartan eigenspace")
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +617,10 @@ def check_self_normalizing_theorem(
         if not (full_inertia.is_positive_definite() and full_inertia.dim == g.dim):
             raise HypothesisError("supplied form is not positive definite")
         if hypothesis == "compact":
-            skew = Subspace.full(g.dim).basis_vectors()
-            failure = "algebra is not compact type for the supplied form"
+            skew, failure = Subspace.full(g.dim), "algebra is not compact type for the supplied form"
         else:
-            skew = h.basis_vectors()
-            failure = "h is not compactly embedded for the supplied form"
-        if not all(adjoint_is_skew(g, form, x) for x in skew):
+            skew, failure = h.space, "h is not compactly embedded for the supplied form"
+        if not adjoint_is_skew(g, form, skew):
             raise HypothesisError(failure)
     elif hypothesis == "cartan":
         if involution is None:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieideal import catalog
 from lieideal.derivations import (
@@ -26,6 +28,12 @@ from lieideal.liealg import (
     subalgebra,
     validate,
 )
+
+
+def mat_commutator(x, y):
+    """xy - yx from two dense Mat products, entry by entry."""
+    xy, yx = x * y, y * x
+    return Mat([[a - b for a, b in zip(r, s)] for r, s in zip(xy.entries, yx.entries)], cols=x.cols)
 
 
 def leibniz_holds(g, f):
@@ -85,10 +93,7 @@ def test_abstract_structure_matches_realization_commutators():
     tensor = da.algebra.c
     for a in range(d):
         for b in range(d):
-            comm = (
-                da.realization[a].matrix * da.realization[b].matrix
-                - da.realization[b].matrix * da.realization[a].matrix
-            )
+            comm = mat_commutator(da.realization[a].matrix, da.realization[b].matrix)
             assert da.coordinates_of(comm) == tensor[a][b]
 
 
@@ -104,6 +109,50 @@ def test_non_derivation_detected():
     g = catalog.get("heisenberg3").algebra
     swap = Mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert not is_derivation(g, swap)
+
+
+def old_leibniz_defect(g, f):
+    """leibniz_defect before it read the integer constants: three dense brackets per pair."""
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = f.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
+            rhs1 = g.bracket(f.column(i), g.basis_vector(j))
+            rhs2 = g.bracket(g.basis_vector(i), f.column(j))
+            defect = tuple(a - b - c for a, b, c in zip(lhs, rhs1, rhs2))
+            if any(defect):
+                return defect
+    return None
+
+
+def defect_algebra(name):
+    """A catalog algebra; with "/3" appended, its constants divided by 3 (the basis e_i / 3), so den = 3."""
+    g = catalog.get(name.removesuffix("/3")).algebra
+    if not name.endswith("/3"):
+        return g
+    brackets = {p: {k: v / 3 for k, v in row.items()} for p, row in g.brackets().items()}
+    return LieAlgebra.from_brackets(g.dim, brackets, name=name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["heisenberg3", "aff1", "sl2", "gl2", "sl2_rad2", "sl2/3", "sl2_rad2/3"]), st.data())
+def test_leibniz_defect_is_the_first_dense_defect(name, data):
+    # a basis derivation of D(g), or that plus a sparse rational perturbation
+    g = defect_algebra(name)
+    n = g.dim
+    da = derivation_algebra(g)
+    rows = [list(r) for r in da.realization[data.draw(st.integers(0, da.dim - 1))].matrix.entries]
+    index = st.integers(0, n - 1)
+    entry = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    for (a, b), v in data.draw(st.dictionaries(st.tuples(index, index), entry, max_size=2)).items():
+        rows[a][b] += v
+    f = Mat(rows, cols=n)
+    assert leibniz_defect(g, f) == old_leibniz_defect(g, f)
+
+
+def test_leibniz_defect_refuses_a_map_of_another_shape():
+    with pytest.raises(ValueError):
+        leibniz_defect(catalog.get("sl2").algebra, Mat.identity(2))
 
 
 def test_is_complete_examples():
@@ -220,7 +269,7 @@ def test_derivations_of_derivation_algebra_vanishing_on_inner_are_zero():
         cols = [da2.span.residual({j: 1}) for j in range(d * d)]
         for r in range(d * d):
             ech.add((j, col[r]) for j, col in enumerate(cols) if r in col)
-        for v in da1.inner.basis_vectors():
+        for v in da1.inner.basis.entries:
             for r in range(d):
                 ech.add(((r * d + c, v[c]) for c in range(d) if v[c]))
         assert len(ech.nullspace_rows()) == 0
@@ -237,7 +286,7 @@ def test_derivation_brackets_match_dense_commutators(name):
     tensor = da.algebra.c
     for a in range(da.dim):
         for b in range(da.dim):
-            ref = da.coordinates_of(mats[a] * mats[b] - mats[b] * mats[a])
+            ref = da.coordinates_of(mat_commutator(mats[a], mats[b]))
             assert tensor[a][b] == ref
 
 

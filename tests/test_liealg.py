@@ -535,7 +535,7 @@ def test_coordinate_swap_is_not_homomorphism(heis):
 def test_sub_to_algebra_roundtrip(sl2):
     h = subalgebra(sl2, [[1, 0, 0], [0, 1, 0]])  # borel
     algebra = sub_to_algebra(h)
-    incl = LinMap(algebra, sl2, h.space.basis.transpose())  # column a is RREF basis row a
+    incl = LinMap(algebra, sl2, Mat.from_columns(h.space.basis.entries, rows=3))  # column a is RREF basis row a
     assert algebra.dim == 2
     assert validate(algebra).ok
     assert is_homomorphism(incl)
@@ -561,8 +561,8 @@ def _sub_radical_reference(h):
     if h.dim == 0:
         return Subspace.zero(h.parent.dim)
     algebra = sub_to_algebra(h)
-    incl = LinMap(algebra, h.parent, h.space.basis.transpose())
-    vectors = [incl.apply(v) for v in radical(algebra).basis_vectors()]
+    incl = LinMap(algebra, h.parent, Mat.from_columns(h.space.basis.entries, rows=h.parent.dim))
+    vectors = [incl.apply(v) for v in radical(algebra).space.basis.entries]
     return Subspace.span(h.parent.dim, vectors)
 
 
@@ -667,8 +667,11 @@ def old_jacobi_failure(g):
     return None
 
 
-# catalog algebras with a basis triple, and a holomorph, built when drawn
-CORRUPTED = [n for n in catalog.list_names() if catalog.get(n).algebra.dim >= 3] + ["H(aff1)"]
+# catalog algebras with a basis triple, and a holomorph, built when drawn; the
+# names are read on the first draw, not while the module is collected
+CORRUPTED = st.deferred(
+    lambda: st.sampled_from([n for n in catalog.list_names() if catalog.get(n).algebra.dim >= 3] + ["H(aff1)"])
+)
 
 
 def _uncorrupted(name):
@@ -678,7 +681,7 @@ def _uncorrupted(name):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(CORRUPTED), st.data())
+@given(CORRUPTED, st.data())
 def test_unrolled_jacobi_walk_reports_the_old_triple_on_corrupted_tables(name, data):
     # one structure constant of a Lie algebra is moved, antisymmetrically
     g = _uncorrupted(name)

@@ -291,13 +291,13 @@ def _abstract_route(h, k, g):
     and the dense inclusion.
     """
     k_alg = sub_to_algebra(k)
-    k_incl = LinMap(k_alg, g, k.space.basis.transpose())
+    k_incl = LinMap(k_alg, g, Mat.from_columns(k.space.basis.entries, rows=g.dim))
     h_in_k = Subalgebra(
-        k_alg, Subspace.span(k_alg.dim, [k.space.coordinates(v) for v in h.basis_vectors()])
+        k_alg, Subspace.span(k_alg.dim, [k.space.coordinates(v) for v in h.space.basis.entries])
     )
 
     def back(sub):
-        return Subspace.span(g.dim, [k_incl.apply(v) for v in sub.basis_vectors()])
+        return Subspace.span(g.dim, [k_incl.apply(v) for v in sub.space.basis.entries])
 
     return back(center(k_alg)), back(centralizer(k_alg, h_in_k))
 
@@ -545,7 +545,13 @@ def test_self_normalizing_theorem_unknown_tag(sl2):
 # --- oracle and random corpus -----------------------------------------------------
 
 
-SMALL_CATALOG = [name for name in catalog.list_names() if catalog.get(name).algebra.dim <= 3]
+# the catalog names of dim <= 3, written out so that no algebra is built while
+# the module is collected
+SMALL_CATALOG = ["abelian(1)", "abelian(2)", "abelian(3)", "heisenberg3", "aff1", "sl2", "so3"]
+
+
+def test_small_catalog_is_every_name_of_dim_at_most_3():
+    assert SMALL_CATALOG == [name for name in catalog.list_names() if catalog.get(name).algebra.dim <= 3]
 
 
 def test_oracle_examples(heis, sl2):
