@@ -19,9 +19,11 @@ items as they are: ``Subspace.scaled_residual`` (L times the residual, visiting
 only the vector's own entries through a read-only pivot -> row map) and
 ``Subspace.integer_span``.  ``residual``, ``contains_vector`` and ``span`` check
 and clear what comes from outside, call them and hand back Fractions.
-``Echelon`` reduces gcd-normalized integer rows and builds no Fraction; it
-clears denominators only for a row that holds one.  ``Subspace.span`` is the
-one row reduction, and its ``dim`` the only rank.  Kernels are solved two ways:
+``Echelon`` keeps gcd-normalized integer rows in reduced form as it grows,
+each zero at every other pivot, so an incoming row is eliminated once per
+pivot column it holds and ``rref_rows`` only rescales; it builds no Fraction
+and clears denominators only for a row that holds one.  ``Subspace.span`` is
+the one row reduction, and its ``dim`` the only rank.  Kernels are solved two ways:
 ``column_kernel`` reduces the equations into ``Echelon`` and reads its
 ``nullspace_rows``, while ``solution_basis`` keeps the solutions instead and
 skips every row they already satisfy, the side that wins on the tall,
@@ -211,10 +213,12 @@ class Mat:
 # integer row-reduction engine
 # ---------------------------------------------------------------------------
 #
-# Rows are sparse dicts {column: nonzero int}, gcd-normalized.  We build a
-# row-echelon form incrementally (pivot column -> row), then back-substitute
-# once at the end.  Incoming rows never touch pivot rows, so accumulating a
-# few thousand sparse equations stays cheap.
+# Rows are sparse dicts {column: nonzero int}, gcd-normalized.  The form is
+# kept reduced as it grows (pivot column -> row): each row is zero left of its
+# pivot and at every other pivot column, so it is its RREF row up to one
+# scale.  An incoming row is then eliminated once per pivot column it holds,
+# a new pivot is cleared from the rows that hold it, and rref_rows only
+# rescales.
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -226,6 +230,8 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
     """Integer combination of row and prow whose entry at col is zero."""
     a, b = prow[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
     new: dict[int, int] = {}
     for c, v in row.items():
         w = v * a - prow.get(c, 0) * b
@@ -233,25 +239,16 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
             new[c] = w
     for c, v in prow.items():
         if c not in row:
-            w = -v * b
-            if w:
-                new[c] = w
+            new[c] = -v * b
     return new
 
 
-def _reduce_row(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Eliminate row against the current echelon rows; row becomes primitive."""
-    while row:
-        lead = min(row)
-        prow = pivots.get(lead)
-        if prow is None:
-            return _primitive(row)
-        row = _eliminate(row, prow, lead)
-    return {}
-
-
 class Echelon:
-    """Incremental integer row-echelon form of a growing equation system."""
+    """Incremental integer reduced row-echelon form of a growing equation system.
+
+    pivots maps each pivot column to its row: primitive, and zero left of
+    its pivot and at every other pivot column.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -259,34 +256,43 @@ class Echelon:
 
     def add(self, coeffs: SparseItems) -> None:
         """Reduce one equation into the form; only a row holding a Fraction is cleared."""
+        pivots = self.pivots
+        if len(pivots) == self.ncols:
+            return  # full rank: every row is already in the span
         row = {c: v for c, v in coeffs if v}
         try:
             row = _primitive(row)
         except TypeError:  # gcd takes no Fraction: clear the denominators first
             row = _primitive(over_lcm(row.items())[1])
-        row = _reduce_row(row, self.pivots)
-        if row:
-            self.pivots[min(row)] = row
+        # a pivot row is zero at every other pivot, so eliminating one pivot
+        # column brings in no other
+        hits = [c for c in row if c in pivots]
+        for c in hits:
+            row = _eliminate(row, pivots[c], c)
+        if not row:
+            return
+        if hits:
+            row = _primitive(row)
+        p = min(row)
+        for c, prow in pivots.items():
+            if p in prow:  # only rows with c < p can hold p, and row is zero at c
+                pivots[c] = _primitive(_eliminate(prow, row, p))
+        pivots[p] = row
 
     def rref_rows(self) -> tuple[list[int], int, list[IntRow]]:
-        """Back-substitute: pivot columns, L and the RREF rows times L, in integers.
+        """Pivot columns, L and the RREF rows times L, in integers.
 
-        Row i is primitive, so its RREF row, row i over its pivot entry p_i, has
-        denominators with lcm |p_i|: L is the lcm of the |p_i|.
+        Row i is its RREF row times its pivot entry p_i and primitive, so its
+        RREF row has denominators with lcm |p_i|: L is the lcm of the |p_i|,
+        and each row is only rescaled.
         """
         piv_cols = sorted(self.pivots)
-        reduced: dict[int, dict[int, int]] = {}
-        for c in reversed(piv_cols):
-            row = self.pivots[c]
-            for c2 in list(row):
-                if c2 != c and c2 in reduced:
-                    row = _eliminate(row, reduced[c2], c2)
-            reduced[c] = _primitive(row)
-        L = lcm(*(reduced[c][c] for c in piv_cols))
+        L = lcm(*(self.pivots[c][c] for c in piv_cols))
         out = []
         for c in piv_cols:
-            s = L // reduced[c][c]  # exact, and negative with the pivot entry
-            out.append(tuple(sorted((cc, v * s) for cc, v in reduced[c].items())))
+            row = self.pivots[c]
+            s = L // row[c]  # exact, and negative with the pivot entry
+            out.append(tuple(sorted((cc, v * s) for cc, v in row.items())))
         return piv_cols, L, out
 
     def nullspace_rows(self) -> list[dict[int, int]]:
@@ -413,7 +419,7 @@ class Subspace:
         )
 
     @cached_property
-    def _off_pivot(self) -> Mapping[int, IntRow]:
+    def off_pivot(self) -> Mapping[int, IntRow]:
         """Pivot column -> the rest of its scaled row, built once and read-only.
 
         Not a field, so equality and hashing never see it.
@@ -434,7 +440,7 @@ class Subspace:
         is scaled by L.
         """
         L = self.integer_rows[0]
-        off_pivot = self._off_pivot
+        off_pivot = self.off_pivot
         work: dict[int, Fraction | int] = {}
         for j, x in v:
             rest = off_pivot.get(j)

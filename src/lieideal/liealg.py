@@ -12,21 +12,26 @@ residuals of the numerators, over den * L) and the holomorph.  from_brackets,
 for files and the catalog, clears its Fractions' denominators once and hands
 the integers on; the dense __init__ stores its tensor as given.
 One kernel per operation works on sparse vectors, integers in, integers out:
-scaled_bracket returns den * [x, y] and scaled_adjoint den * ad_x, flattened
-row-major.  The routines that bracket subspace rows (closure,
-generated_subalgebra, is_ideal, bracket_spaces, centralizer, normalizer and the
-closure check on Subalgebra) hand scaled_bracket's output on
-Subspace.integer_rows straight to Subspace.scaled_residual or integer_span,
-since no scale moves a span or a membership.  center is the column_kernel of
-the den * ad_{e_i} and killing_form their trace pairing over den^2.  Only the
-public edge divides, once: bracket (on dense tuples), adjoint_matrix,
-brackets() and c, the dense tensor that only the benchmark and tests read.
+scaled_bracket returns den * [x, y], scaled_adjoint den * ad_x, flattened
+row-major, and bracket_residual(x, y, space) the scaled residual of
+den * [x, y] in space, in one pass over the products.  The routines that
+bracket subspace rows take them on Subspace.integer_rows, since no scale moves
+a span or a membership: is_ideal, centralizer, normalizer and the closure
+check on Subalgebra read bracket_residual; bracket_spaces spans
+scaled_bracket's output; closure (and generated_subalgebra) spans only the
+residuals of the brackets that escape.  validate sums Jacobi once per basis
+pair, over the nonzero constants only, and is_homomorphism compares both
+sides in integers.  center is the column_kernel of the den * ad_{e_i} and
+killing_form their trace pairing over den^2.  Only the public edge divides,
+once: bracket (on dense tuples), adjoint_matrix, brackets() and c, the dense
+tensor that only the benchmark and tests read.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -218,6 +223,37 @@ class LieAlgebra:
                         out[k] = out.get(k, 0) + s * v
         return {k: v for k, v in out.items() if v}
 
+    def bracket_residual(
+        self, x: SparseItems, y: SparseItems, space: Subspace
+    ) -> dict[int, Fraction | int]:
+        """space.scaled_residual(scaled_bracket(x, y).items()), in one pass over the products.
+
+        The one membership kernel for brackets: empty iff [x, y] lies in
+        space.  A product off space's pivots is summed as it comes; one at a
+        pivot is summed first and brings in the rest of its row once.
+        """
+        num = self.integer_constants[1]
+        L = space.integer_rows[0]
+        off_pivot = space.off_pivot
+        out: dict[int, Fraction | int] = {}
+        at_pivot: dict[int, Fraction | int] = {}
+        for i, xi in x:
+            numi = num[i]
+            for j, yj in y:
+                terms = numi[j]
+                if terms:
+                    s = xi * yj
+                    for k, v in terms:
+                        acc = at_pivot if k in off_pivot else out
+                        acc[k] = acc.get(k, 0) + s * v
+        if L != 1:
+            out = {k: L * v for k, v in out.items()}
+        for p, c in at_pivot.items():
+            if c:
+                for k, b in off_pivot[p]:
+                    out[k] = out.get(k, 0) - c * b
+        return {k: v for k, v in out.items() if v}
+
     def scaled_adjoint(self, x: SparseItems) -> dict[int, Fraction | int]:
         """den * ad_x flattened row-major, as its nonzero entries by index.
 
@@ -278,28 +314,39 @@ def validate(g: LieAlgebra) -> ValidationReport:
                 k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
                 return ValidationReport(False, antisymmetry_failure=(i, j, k))
     # every Jacobi term is a product of two constants, so on the numerators
-    # over one common denominator a sum vanishes iff the rational one does
+    # over one common denominator a sum vanishes iff the rational one does.
+    # Per pair i < j, the sums for every k > j share one accumulator keyed
+    # k * n + t, and the least k with a nonzero sum is the first failing
+    # triple of the walk over k.  Each row lists its nonzero brackets as
+    # (k, num[m][k]) in increasing k, so only those are read.
+    partners = [[(k, t) for k, t in enumerate(row) if t] for row in nz]
+    keys = [[k for k, _ in row] for row in partners]
     for i in range(n):
+        nz_i = nz[i]
         for j in range(i + 1, n):
-            ij, nz_j = nz[i][j], nz[j]
-            for k in range(j + 1, n):
-                jk, ki = nz_j[k], nz[k][i]
-                if not (ij or jk or ki):
-                    continue  # every term of the sum below is zero
-                # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-                acc: dict[int, int] = {}
-                get = acc.get
-                for m, v in ij:
-                    for t, w in nz[m][k]:
-                        acc[t] = get(t, 0) + v * w
+            acc: dict[int, int] = {}
+            get = acc.get
+            # [[e_i, e_j], e_k] = sum_m c_ijm [e_m, e_k]
+            for m, v in nz_i[j]:
+                for k, mk in partners[m][bisect_right(keys[m], j) :]:
+                    base = k * n
+                    for t, w in mk:
+                        acc[base + t] = get(base + t, 0) + v * w
+            # [[e_j, e_k], e_i] = sum_m c_jkm [e_m, e_i]
+            for k, jk in partners[j][bisect_right(keys[j], j) :]:
+                base = k * n
                 for m, v in jk:
                     for t, w in nz[m][i]:
-                        acc[t] = get(t, 0) + v * w
-                for m, v in ki:
+                        acc[base + t] = get(base + t, 0) + v * w
+            # [[e_k, e_i], e_j] = -sum_m c_ikm [e_m, e_j], as antisymmetry holds
+            for k, ik in partners[i][bisect_right(keys[i], j) :]:
+                base = k * n
+                for m, v in ik:
                     for t, w in nz[m][j]:
-                        acc[t] = get(t, 0) + v * w
-                if any(acc.values()):
-                    return ValidationReport(False, jacobi_failure=(i, j, k))
+                        acc[base + t] = get(base + t, 0) - v * w
+            if any(acc.values()):
+                k = min(kt for kt, v in acc.items() if v) // n
+                return ValidationReport(False, jacobi_failure=(i, j, k))
     return ValidationReport(True)
 
 
@@ -407,7 +454,7 @@ class Subalgebra:
         if space.dim < parent.dim:
             for a in range(len(rows)):
                 for b in range(a + 1, len(rows)):
-                    if space.scaled_residual(parent.scaled_bracket(rows[a], rows[b]).items()):
+                    if parent.bracket_residual(rows[a], rows[b], space):
                         raise ValueError(
                             f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
                         )
@@ -453,19 +500,21 @@ def closure(space: Subspace, bracket: Bracket) -> Subspace:
     """Smallest subspace containing space and closed under bracket.
 
     Only spans are taken, so bracket may hand back any fixed nonzero multiple
-    of the product, such as LieAlgebra.scaled_bracket.
+    of the product, such as LieAlgebra.scaled_bracket.  Each round spans the
+    rows with the residuals of the brackets that escape them, and ends when
+    none escapes.
     """
     while True:
-        rows = space.integer_rows[1]
+        rows, escapes = space.integer_rows[1], space.scaled_residual
         new = [
-            bracket(rows[a], rows[b]).items()
+            w.items()
             for a in range(len(rows))
             for b in range(a + 1, len(rows))
+            if (w := escapes(bracket(rows[a], rows[b]).items()))
         ]
-        grown = Subspace.integer_span(space.ambient_dim, [*rows, *new])
-        if grown.dim == space.dim:
+        if not new:
             return space
-        space = grown
+        space = Subspace.integer_span(space.ambient_dim, [*rows, *new])
 
 
 def span_algebra(space: Subspace, bracket: Bracket, scale: int, name: str | None = None) -> LieAlgebra:
@@ -529,8 +578,8 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
     # stop at the first [x, y] that escapes h
-    bracket, escapes, ys = amb.parent.scaled_bracket, h.space.scaled_residual, h.space.integer_rows[1]
-    return not any(escapes(bracket(x, y).items()) for x in amb.space.integer_rows[1] for y in ys)
+    residual, space, ys = amb.parent.bracket_residual, h.space, h.space.integer_rows[1]
+    return not any(residual(x, y, space) for x in amb.space.integer_rows[1] for y in ys)
 
 
 def center(g: LieAlgebra) -> Subalgebra:
@@ -548,7 +597,7 @@ def _bracket_kernel(g: LieAlgebra, ys: Sequence[SparseItems], target: Subspace) 
     for i in range(n):
         col: dict[int, int] = {}
         for t, y in enumerate(ys):
-            w = target.scaled_residual(g.scaled_bracket(((i, 1),), y).items())
+            w = g.bracket_residual(((i, 1),), y, target)
             col.update((t * n + k, v) for k, v in w.items())
         columns.append(col)
     return Subalgebra(g, column_kernel(columns))
@@ -687,14 +736,32 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinM
 
 
 def is_homomorphism(f: LinMap) -> bool:
-    """f([x, y]) = [f(x), f(y)] on all basis pairs."""
-    src, tgt = f.source, f.target
-    for i in range(src.dim):
-        fi = f.matrix.column(i)
-        for j in range(i + 1, src.dim):
-            lhs = f.apply(src.bracket(src.basis_vector(i), src.basis_vector(j)))
-            rhs = tgt.bracket(fi, f.matrix.column(j))
-            if lhs != rhs:
+    """f([e_i, e_j]) = [f e_i, f e_j] on all basis pairs i < j, in order.
+
+    With F = f times d, the lcm of f's denominators, both sides are integer
+    sums over the numerators: f([e_i, e_j]) = sum_m c_ijm F e_m / (d ds) and
+    [f e_i, f e_j] = [F e_i, F e_j]_t / (d^2 dt), for the source's and the
+    target's den ds and dt.  So the pair holds iff d dt times the first sum
+    equals ds times the second.
+    """
+    (ds, src), (dt, tgt) = f.source.integer_constants, f.target.integer_constants
+    m = f.matrix
+    d = lcm(*(x.denominator for row in m.entries for x in row))
+    cols = [[(a, int(x * d)) for a, x in enumerate(m.column(b)) if x] for b in range(m.cols)]
+    g = gcd(d * dt, ds)
+    left, right = d * dt // g, ds // g
+    for i in range(m.cols):
+        for j in range(i + 1, m.cols):
+            acc: dict[int, int] = {}
+            for k, c in src[i][j]:
+                for a, v in cols[k]:
+                    acc[a] = acc.get(a, 0) + left * c * v
+            for a, u in cols[i]:
+                tgt_a = tgt[a]
+                for b, v in cols[j]:
+                    for t, c in tgt_a[b]:
+                        acc[t] = acc.get(t, 0) - right * u * v * c
+            if any(acc.values()):
                 return False
     return True
 

@@ -99,7 +99,8 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     """Smallest ideal of the ambient algebra containing h.
 
     Iterates S <- S + [ambient, S] until stable; monotone, so any ideal
-    containing h contains every iterate.
+    containing h contains every iterate.  Each round spans S with the
+    residuals of the brackets that escape it, and ends when none escapes.
     """
     amb = as_subalgebra(ambient)
     if h.parent != amb.parent:
@@ -107,14 +108,13 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
     g = amb.parent
-    space = h.space
+    space, xs = h.space, amb.space.integer_rows[1]
     while True:
         rows = space.integer_rows[1]
-        brackets = [g.scaled_bracket(x, y).items() for x in amb.space.integer_rows[1] for y in rows]
-        grown = Subspace.integer_span(g.dim, [*rows, *brackets])
-        if grown.dim == space.dim:
+        new = [w.items() for x in xs for y in rows if (w := g.bracket_residual(x, y, space))]
+        if not new:
             return Subalgebra(g, space)
-        space = grown
+        space = Subspace.integer_span(g.dim, [*rows, *new])
 
 
 @dataclass(frozen=True)

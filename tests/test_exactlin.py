@@ -633,10 +633,72 @@ def test_pivot_map_is_read_only_and_invisible_to_eq_and_hash():
     vecs = [[1, Fraction(1, 2), 0, 3], [0, 0, 2, Fraction(-1, 3)]]
     filled, fresh = Subspace.span(4, vecs), Subspace.span(4, vecs)
     assert filled.scaled_residual([(1, 1)]) == {1: filled.integer_rows[0]}
-    assert "_off_pivot" in vars(filled) and "_off_pivot" not in vars(fresh)
+    assert "off_pivot" in vars(filled) and "off_pivot" not in vars(fresh)
     assert filled == fresh and hash(filled) == hash(fresh)
     assert len({filled, fresh}) == 1
     with pytest.raises(TypeError):
-        filled._off_pivot[1] = ()
+        filled.off_pivot[1] = ()
     # a copy made through the fields does not carry the map along
-    assert "_off_pivot" not in vars(dataclasses.replace(filled))
+    assert "off_pivot" not in vars(dataclasses.replace(filled))
+
+
+# --- the reduced Echelon against sympy -------------------------------------------
+
+
+@st.composite
+def echelon_systems(draw, max_n=6):
+    """Integer or Fraction rows with duplicates and multiples, and sometimes a full-rank set."""
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-5, 5), rationals)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:  # a duplicate or a multiple of an earlier row
+            row = draw(st.sampled_from(rows))
+            rows.append([draw(st.sampled_from([1, -2, Fraction(1, 3)])) * x for x in row])
+    if draw(st.booleans()):  # rank n reached, then more rows after it
+        at = draw(st.integers(0, len(rows)))
+        rows[at:at] = [[int(i == j) for j in range(n)] for i in range(n)]
+    return n, rows
+
+
+def assert_reduced(ech):
+    """Each row primitive, in ints, zero left of its pivot and at every other pivot."""
+    for c, row in ech.pivots.items():
+        assert min(row) == c
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert not any(p in row for p in ech.pivots if p != c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_systems())
+@example((3, [[1, 2, 3], [1, 2, 3], [2, 4, 6]]))
+@example((2, [[0, 0], [Fraction(1, 2), Fraction(-1, 3)]]))
+@example((3, [[0, 1, 1], [1, 1, 0], [1, 0, 0], [1, 1, 1]]))  # a new pivot cleared from rows above
+def test_reduced_echelon_matches_sympy_rref_and_nullspace(case):
+    import sympy
+
+    n, rows = case
+    ech = Echelon(n)
+    for row in rows:
+        ech.add([(j, x) for j, x in enumerate(row)])
+        assert_reduced(ech)
+    m = sympy.Matrix([[sympy.Rational(str(x)) for x in r] for r in rows] or [[0] * n])
+    rref, pivots = m.rref()
+    piv_cols, L, out = ech.rref_rows()
+    assert tuple(piv_cols) == pivots
+    assert len(out) == len(pivots)
+    for i, row in enumerate(out):
+        assert dict(row)[piv_cols[i]] == L
+        got = [Fraction(0)] * n
+        for j, v in row:
+            got[j] = Fraction(v, L)
+        assert got == [Fraction(int(x.p), int(x.q)) for x in rref.row(i)]
+    want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
+    got = []
+    for v in ech.nullspace_rows():
+        dense = [Fraction(0)] * n
+        for j, x in v.items():
+            dense[j] = Fraction(x, L)
+        got.append(dense)
+    assert got == want

@@ -38,9 +38,11 @@ from lieideal.liealg import (
     Subalgebra,
     center,
     centralizer,
+    closure,
     derived_subalgebra,
     direct_sum,
     full_subalgebra,
+    generated_subalgebra,
     is_homomorphism,
     is_ideal,
     killing_form,
@@ -551,6 +553,74 @@ def test_is_ideal_and_ideal_closure_match_dense(label):
                 continue
             assert is_ideal(amb, h) == dense_is_ideal(g, amb, h)
             assert ideal_closure(amb, h).space.basis.entries == dense_ideal_closure(g, amb, h)
+
+
+
+# --- the fused bracket residual and the closures that add only what escapes --
+
+
+@pytest.mark.parametrize("label", IDS)
+def test_bracket_residual_is_the_residual_of_the_scaled_bracket(label):
+    g, tags = corpus()[label]
+    n = g.dim
+    rng = random.Random(n + 2)
+    spaces = [h.space for h in subalgebras(g, tags)] + [Subspace.zero(n), Subspace.full(n)]
+    rows = sorted({r for space in spaces for r in space.integer_rows[1]} | {((i, 1),) for i in range(n)})
+    pairs = list(itertools.product(rows, repeat=2))
+    for space in spaces:
+        for x, y in rng.sample(pairs, min(len(pairs), 40)):
+            want = space.scaled_residual(g.scaled_bracket(x, y).items())
+            assert g.bracket_residual(x, y, space) == want
+            # Fraction inputs give the same composition, in Fractions
+            fx = [(j, Fraction(v, rng.randint(1, 4))) for j, v in x]
+            assert g.bracket_residual(fx, y, space) == space.scaled_residual(g.scaled_bracket(fx, y).items())
+
+
+def old_closure(space, bracket):
+    """closure before it spanned only the escaping residuals: every bracket, every round."""
+    while True:
+        rows = space.integer_rows[1]
+        new = [bracket(rows[a], rows[b]).items() for a in range(len(rows)) for b in range(a + 1, len(rows))]
+        grown = Subspace.integer_span(space.ambient_dim, [*rows, *new])
+        if grown.dim == space.dim:
+            return space
+        space = grown
+
+
+def old_ideal_closure(amb, h):
+    """ideal_closure before it spanned only the escaping residuals."""
+    g, space = amb.parent, h.space
+    while True:
+        rows = space.integer_rows[1]
+        brackets = [g.scaled_bracket(x, y).items() for x in amb.space.integer_rows[1] for y in rows]
+        grown = Subspace.integer_span(g.dim, [*rows, *brackets])
+        if grown.dim == space.dim:
+            return space
+        space = grown
+
+
+SOLVABLE_IDS = [label for label in IDS if label.startswith("solvable")]
+
+
+@pytest.mark.parametrize("label", SOLVABLE_IDS)
+def test_closures_match_the_loops_that_spanned_every_bracket(label):
+    g, _ = corpus()[label]
+    n = g.dim
+    rng = random.Random(n + 3)
+    subs = subalgebras(g, [])
+    for _ in range(12):  # spans of one to three random integer vectors
+        vectors = [{j: rng.randint(-2, 2) for j in range(n)} for _ in range(rng.randint(1, 3))]
+        start = Subspace.span(n, vectors)
+        assert closure(start, g.scaled_bracket) == old_closure(start, g.scaled_bracket)
+        subs.append(generated_subalgebra(g, [[v.get(j, 0) for j in range(n)] for v in vectors]))
+    for amb in [full_subalgebra(g)] + subs:
+        for h in subs:
+            if amb.space.contains(h.space):
+                assert ideal_closure(amb, h).space == old_ideal_closure(amb, h)
+    # the matrix closure behind random_solvable_algebra, under the commutator
+    mats = [{a: rng.randint(-1, 1) for a in range(9) if a // 3 <= a % 3} for _ in range(2)]
+    start = Subspace.span(9, mats)
+    assert closure(start, Commutator(3)) == old_closure(start, Commutator(3))
 
 
 # --- the integer builders against the Fraction path they replaced -----------

@@ -38,7 +38,7 @@ from lieideal.liealg import (
     subalgebra,
     validate,
 )
-from lieideal.suites import radical_corpus
+from lieideal.suites import radical_corpus, tower_corpus
 from lieideal.transitivity import counterexample_extension, ideal_closure
 
 
@@ -882,3 +882,153 @@ def test_builders_read_no_fraction_view(monkeypatch):
     assert q.dim == 3 and q.integer_constants[0] == 7
     assert sub_to_algebra(ideal).dim == 2
     assert counterexample_extension(g).verify()
+
+
+# --- validate's per-pair Jacobi sums against a plain triple walk -------------------
+
+
+def plain_validation(g):
+    """(antisymmetry_failure, jacobi_failure) of the first failing triple, on the dense tensor."""
+    n, c = g.dim, g.c
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                if c[i][j][k] != -c[j][i][k]:
+                    return (i, j, k), None
+    for i, j, k in itertools.combinations(range(n), 3):
+        for t in range(n):
+            if sum(
+                c[a][b][m] * c[m][d][t] for a, b, d in ((i, j, k), (j, k, i), (k, i, j)) for m in range(n)
+            ):
+                return None, (i, j, k)
+    return None, None
+
+
+def assert_validate_matches_the_plain_walk(g):
+    report = validate(g)
+    want = plain_validation(g)
+    assert (report.antisymmetry_failure, report.jacobi_failure) == want
+    assert report.ok == (want == (None, None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(CORRUPTED, st.data())
+def test_validate_matches_the_plain_walk_on_corrupted_tensors(name, data):
+    # one entry of the dense tensor is moved; half the time its mirror too
+    g = _uncorrupted(name)
+    n = g.dim
+    c = [[list(row) for row in plane] for plane in g.c]
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = data.draw(st.sampled_from([-2, -1, F(1, 2), 3]))
+    c[i][j][k] += delta
+    if data.draw(st.booleans()) and i != j:
+        c[j][i][k] -= delta
+    assert_validate_matches_the_plain_walk(g)
+    assert_validate_matches_the_plain_walk(LieAlgebra(c))
+
+
+def rebased(g, p):
+    """g in the basis f_a = sum_i p[a][i] e_i: [f_a, f_b] has coordinates w Q for Q = p^-1."""
+    import sympy
+
+    q = sympy.Matrix(p).inv()
+    n = g.dim
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            w = g.bracket(p[a], p[b])
+            brackets[(a, b)] = {
+                m: F(str(sum((sympy.Rational(str(w[k])) * q[k, m] for k in range(n)), sympy.Integer(0))))
+                for m in range(n)
+            }
+    return LieAlgebra.from_brackets(n, brackets)
+
+
+@st.composite
+def dense_rebased(draw):
+    """A catalog algebra (or H(aff1)) in a drawn basis with entries in {-1, 0, 1}, moved or not."""
+    import sympy
+
+    g = _uncorrupted(draw(CORRUPTED))
+    n = g.dim
+    p = draw(
+        st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n).filter(
+            lambda m: sympy.Matrix(m).det() != 0
+        )
+    )
+    h = rebased(g, p)
+    if draw(st.booleans()):
+        den = h.integer_constants[0]
+        table = h.scaled_table(den)
+        i = draw(st.integers(0, n - 2))
+        j, k = draw(st.integers(i + 1, n - 1)), draw(st.integers(0, n - 1))
+        row = table.setdefault((i, j), {})
+        row[k] = row.get(k, 0) + draw(st.sampled_from([-1, 1, 2]))
+        h = LieAlgebra.from_scaled(n, den, table)
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_rebased())
+def test_validate_matches_the_plain_walk_on_dense_rebased_algebras(g):
+    assert_validate_matches_the_plain_walk(g)
+
+
+# --- is_homomorphism on integer constants against the dense routine --------------
+
+
+def old_is_homomorphism(f):
+    """is_homomorphism before the integer sums: dense apply and dense brackets per pair."""
+    src, tgt = f.source, f.target
+    for i in range(src.dim):
+        fi = f.matrix.column(i)
+        for j in range(i + 1, src.dim):
+            lhs = f.apply(src.bracket(src.basis_vector(i), src.basis_vector(j)))
+            rhs = tgt.bracket(fi, f.matrix.column(j))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def homomorphism_cases():
+    """Catalog maps, identities, rescalings, projections, inclusions and tower embeddings."""
+    from lieideal.derivations import derivation_tower
+
+    maps = []
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        g = entry.algebra
+        maps += entry.tagged_maps.values()
+        maps.append(LinMap(g, g, Mat.identity(g.dim)))
+        maps.append(LinMap(g, g, Mat.identity(g.dim).scale(F(2, 3))))
+        for ideal in (center(g), derived_subalgebra(full_subalgebra(g)), radical(g)):
+            if ideal.dim < g.dim:
+                maps.append(quotient(g, ideal)[1])
+        for space in entry.tagged_subalgebras.values():
+            h = Subalgebra(g, space)
+            maps.append(LinMap(sub_to_algebra(h), g, Mat.from_columns(space.basis.entries, rows=g.dim)))
+    for _, g in tower_corpus(0):
+        if center(g).dim == 0:  # sl2_rad2 and almost_abelian(1,2) grow a stage
+            maps += derivation_tower(g, max_steps=2).embeddings
+    # sl2_rad2 onto its rescaling: e_i -> e'_i / d_i, both ways, with den > 1
+    g = catalog.get("sl2_rad2").algebra
+    d = (F(1, 3), F(1, 2), F(1, 4), F(1, 5), F(1, 7))
+    moved = LieAlgebra.from_brackets(5, SL2_RAD2_RESCALED)
+    maps.append(LinMap(g, moved, Mat([[1 / d[i] if i == j else 0 for j in range(5)] for i in range(5)])))
+    maps.append(LinMap(moved, g, Mat([[d[i] if i == j else 0 for j in range(5)] for i in range(5)])))
+    maps.append(direct_sum(g, moved)[2])
+    return maps
+
+
+def test_integer_homomorphism_check_matches_the_dense_routine():
+    maps = homomorphism_cases()
+    answers = [old_is_homomorphism(f) for f in maps]
+    assert [is_homomorphism(f) for f in maps] == answers
+    assert sum(answers) >= len(maps) // 2 and not all(answers)
+    # every entry of every map moved once: most moves break the map
+    for f in maps:
+        for r, c in itertools.product(range(f.matrix.rows), range(f.matrix.cols)):
+            entries = [list(row) for row in f.matrix.entries]
+            entries[r][c] += F(1, 2)
+            moved = LinMap(f.source, f.target, Mat(entries, cols=f.matrix.cols))
+            assert is_homomorphism(moved) == old_is_homomorphism(moved)
