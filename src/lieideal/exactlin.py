@@ -2,11 +2,16 @@
 
 Everything in here is exact: scalars at the interface are
 ``fractions.Fraction`` and the inner loops run on integers.  ``Mat``, a dense
-grid of Fractions, stays at the edges: maps, forms, inertia and formatting.  It
-keeps what those read (``identity``, ``unit_block``, ``from_columns``,
-``column``, ``scale``, ``apply``, ``is_symmetric`` and ``__mul__``, which
-composes maps and forms theta^2 and B theta) and no sum, transpose or zero
-test: the form and Cartan checks read the integer kernels.  A
+grid of Fractions, stays at the edges, as the public matrix of a map or a form
+and for formatting.  It keeps what those read: ``identity``, ``unit_block``,
+``from_columns``, ``column`` and ``scale`` build maps and forms, ``apply`` is
+a map's image of a vector, ``__mul__`` composes maps and forms theta^2 and
+B theta, and ``nullspace`` is a map's kernel.  It has no sum, transpose or zero
+test.  A form is read once, through ``is_symmetric`` and its entries times the
+lcm of their denominators: ``inertia`` takes the Gram matrix of those on a
+subspace's integer rows to ``integer_inertia``'s integer Schur complements,
+and ``orthogonal_complement`` hands the rows x^T B to ``row_kernel``; the
+form and Cartan checks read the integer kernels too.  A
 subspace is stored once, as ``Subspace.integer_rows`` = (L, rows): its unique
 reduced row-echelon rows times the lcm L of their denominators, so equal
 subspaces have equal fields.  One scale on every row changes no span, kernel or
@@ -525,19 +530,24 @@ class Commutator:
         return {idx: v for idx, v in out.items() if v}
 
 
+def row_kernel(ncols: int, rows: Iterable[SparseItems]) -> Subspace:
+    """{x in Q^ncols : row . x = 0 for every row}, the rows reduced into Echelon in order."""
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.add(row)
+    return Subspace.integer_span(ncols, map(dict.items, ech.nullspace_rows()))
+
+
 def column_kernel(columns: Sequence[Mapping[int, Fraction]]) -> Subspace:
     """{x : sum_a x_a * columns[a] = 0} in Q^len(columns), for sparse columns.
 
-    Their transposed rows, in row order, are the equations handed to Echelon.
+    Their transposed rows, in row order, are the equations of row_kernel.
     """
     rows: dict[int, list[tuple[int, Fraction]]] = {}
     for a, col in enumerate(columns):
         for r, v in col.items():
             rows.setdefault(r, []).append((a, v))
-    ech = Echelon(len(columns))
-    for r in sorted(rows):
-        ech.add(rows[r])
-    return Subspace.integer_span(len(columns), map(dict.items, ech.nullspace_rows()))
+    return row_kernel(len(columns), (rows[r] for r in sorted(rows)))
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -576,14 +586,43 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return lift(u, column_kernel([v.scaled_residual(r) for r in u.integer_rows[1]]))
 
 
+def _form_numerators(b: Mat) -> list[list[int]]:
+    """b times the lcm of its denominators, a positive scale, as int lists; b must be symmetric."""
+    if not b.is_symmetric():
+        raise ValueError("form matrix is not symmetric")
+    d = lcm(*(x.denominator for row in b.entries for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in b.entries]
+
+
+def _form_rows(B: Sequence[Sequence[int]], u: Subspace) -> list[dict[int, int]]:
+    """x^T B for each integer row x of u: B(x, .) as sparse ints, zeros included."""
+    if len(B) != u.ambient_dim:
+        raise ValueError("form/ambient dimension mismatch")
+    out = []
+    for x in u.integer_rows[1]:
+        w: dict[int, int] = {}
+        for a, xa in x:
+            for j, v in enumerate(B[a]):
+                if v:
+                    w[j] = w.get(j, 0) + xa * v
+        out.append(w)
+    return out
+
+
+def integer_complement(B: Sequence[Sequence[int]], u: Subspace) -> Subspace:
+    """{v : B(v, x) = 0 for every row x of u}, B a symmetric integer matrix.
+
+    u's rows are its basis times L, a positive scale, so the kernel of the
+    rows x^T B is the complement itself.
+    """
+    if u.dim == 0:
+        return Subspace.full(len(B))
+    return row_kernel(len(B), map(dict.items, _form_rows(B, u)))
+
+
 def orthogonal_complement(b: Mat, u: Subspace) -> Subspace:
     """{v : b(v, u_i) = 0 for all basis u_i}; b is a symmetric form's matrix."""
-    if b.rows != u.ambient_dim or b.cols != u.ambient_dim:
-        raise ValueError("form/ambient dimension mismatch")
-    if u.dim == 0:
-        return Subspace.full(u.ambient_dim)
-    constraints = Mat([b.apply(row) for row in u.basis.entries], cols=u.ambient_dim)
-    return nullspace(constraints)
+    return integer_complement(_form_numerators(b), u)
 
 
 @dataclass(frozen=True)
@@ -611,62 +650,56 @@ class Inertia:
 def inertia(b: Mat, u: Subspace | None = None) -> Inertia:
     """Inertia of the symmetric form b restricted to u (default: everything).
 
-    Exact symmetric congruence elimination.  When every remaining diagonal
-    entry vanishes but some off-diagonal a_jk does not, the congruence
-    e_j -> e_j + e_k manufactures the nonzero diagonal pivot 2*a_jk.
+    b times the lcm of its denominators has the same inertia, and so does its
+    Gram matrix on u's integer rows, the basis times L: both scales are
+    positive.  integer_inertia reads that.
     """
-    if not b.is_symmetric():
-        raise ValueError("form matrix is not symmetric")
+    B = _form_numerators(b)
     if u is None:
-        u = Subspace.full(b.rows)
-    if u.ambient_dim != b.rows:
-        raise ValueError("form/ambient dimension mismatch")
-    r = u.dim
-    ub = [b.apply(row) for row in u.basis.entries]
-    m = [[_dot(u.basis.entries[i], ub[j]) for j in range(r)] for i in range(r)]
-    n_plus = n_minus = n_zero = 0
-    i = 0
-    while i < r:
-        k = next((k for k in range(i, r) if m[k][k]), None)
+        return integer_inertia(B)
+    xs = u.integer_rows[1]
+    return integer_inertia([[sum(y.get(j, 0) * v for j, v in x) for x in xs] for y in _form_rows(B, u)])
+
+
+def integer_inertia(m: Sequence[Sequence[int]]) -> Inertia:
+    """Inertia of a symmetric integer matrix, by integer Schur complements.
+
+    A nonzero diagonal pivot d with column c leaves sgn(d) * (d * M_ts - c_t * c_s)
+    on the other indices, |d| times the Schur complement, and that block is
+    divided by its gcd: both are congruences up to a positive scale, so the
+    inertia is sgn(d) plus the block's.  When every diagonal entry vanishes
+    but some m_jk does not, the congruence e_j -> e_j + e_k makes the
+    diagonal pivot 2 * m_jk.
+    """
+    m = [list(row) for row in m]
+    n_plus = n_minus = 0
+    while m:
+        r = len(m)
+        k = next((k for k in range(r) if m[k][k]), None)
         if k is None:
-            jk = next(
-                ((j, l) for j in range(i, r) for l in range(j + 1, r) if m[j][l]),
-                None,
-            )
+            jk = next(((j, l) for j in range(r) for l in range(j + 1, r) if m[j][l]), None)
             if jk is None:
-                n_zero += r - i
-                break
+                break  # the zero form: every remaining index is null
             j, l = jk
             for t in range(r):
                 m[j][t] += m[l][t]
             for t in range(r):
                 m[t][j] += m[t][l]
             k = j
-        if k != i:
-            m[i], m[k] = m[k], m[i]
-            for t in range(r):
-                m[t][i], m[t][k] = m[t][k], m[t][i]
-        d = m[i][i]
+        pivot = m.pop(k)
+        d = pivot.pop(k)
         if d > 0:
             n_plus += 1
         else:
             n_minus += 1
-        for t in range(i + 1, r):
-            c = m[t][i]
+        s, ad = (1, d) if d > 0 else (-1, -d)
+        for t, row in enumerate(m):
+            c = row.pop(k)
             if c:
-                f = c / d
-                for s in range(r):
-                    m[t][s] -= f * m[i][s]
-                for s in range(r):
-                    m[s][t] -= f * m[s][i]
-        i += 1
-    return Inertia(n_plus, n_minus, n_zero)
-
-
-def _dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    acc = Fraction(0)
-    for a, b in zip(x, y):
-        if a and b:
-            acc += a * b
-    return acc
-
+                m[t] = [s * (d * v - c * w) for v, w in zip(row, pivot)]
+            elif ad != 1:
+                m[t] = [ad * v for v in row]
+        g = gcd(*(v for row in m for v in row))
+        if g > 1:
+            m = [[v // g for v in row] for row in m]
+    return Inertia(n_plus, n_minus, len(m))

@@ -18,13 +18,16 @@ den * [x, y] in space, in one pass over the products.  The routines that
 bracket subspace rows take them on Subspace.integer_rows, since no scale moves
 a span or a membership: is_ideal, centralizer, normalizer and the closure
 check on Subalgebra read bracket_residual; bracket_spaces spans
-scaled_bracket's output; closure (and generated_subalgebra) spans only the
-residuals of the brackets that escape.  validate sums Jacobi once per basis
-pair, over the nonzero constants only, and is_homomorphism compares both
-sides in integers.  center is the column_kernel of the den * ad_{e_i} and
-killing_form their trace pairing over den^2.  Only the public edge divides,
-once: bracket (on dense tuples), adjoint_matrix, brackets() and c, the dense
-tensor that only the benchmark and tests read.
+scaled_bracket's output, over the pairs a < b of u's rows when v == u;
+closure (and generated_subalgebra) spans only the residuals of the brackets
+that escape.  validate sums Jacobi once per basis pair, over the nonzero
+constants only, and is_homomorphism compares both sides in integers.  center
+is the column_kernel of the den * ad_{e_i}, and _killing_numerators their
+trace pairing, den^2 * B in ints, which radical reads through
+integer_complement and integer_inertia and killing_form divides by den^2.
+Only the public edge divides, once: bracket (on dense tuples),
+adjoint_matrix, killing_form, brackets() and c, the dense tensor that only
+the benchmark and tests read.
 Subalgebras are canonical subspaces of the parent's coordinate space that are
 verified bracket-closed on construction; nothing is ever closed silently.
 """
@@ -35,6 +38,7 @@ from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -49,6 +53,8 @@ from .exactlin import (
     column_kernel,
     dense_vector,
     inertia,
+    integer_complement,
+    integer_inertia,
     lift,
     nullspace,
     orthogonal_complement,
@@ -547,12 +553,15 @@ def generated_subalgebra(parent: LieAlgebra, vectors: Iterable[Sequence[Scalar]]
 
 
 def bracket_spaces(g: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """Span of all [x, y] with x in u, y in v."""
+    """Span of all [x, y] with x in u, y in v.
+
+    For v == u the pairs a < b of u's rows span it: [y, x] = -[x, y] and [x, x] = 0.
+    """
     if u.ambient_dim != g.dim or v.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension != algebra dimension")
-    ys = v.integer_rows[1]
-    products = [g.scaled_bracket(x, y).items() for x in u.integer_rows[1] for y in ys]
-    return Subspace.integer_span(g.dim, products)
+    xs = u.integer_rows[1]
+    pairs = combinations(xs, 2) if u == v else product(xs, v.integer_rows[1])
+    return Subspace.integer_span(g.dim, (g.scaled_bracket(x, y).items() for x, y in pairs))
 
 
 def derived_subalgebra(h: Subalgebra) -> Subalgebra:
@@ -617,19 +626,25 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
     return _bracket_kernel(g, h.space.integer_rows[1], h.space)
 
 
-def killing_form(g: LieAlgebra) -> SymForm:
-    """B(e_i, e_j) = trace(ad_i ad_j), the trace pairing of the den * ad_{e_i}, over den^2."""
+def _killing_numerators(g: LieAlgebra) -> list[list[int]]:
+    """den^2 * B(e_i, e_j) = trace(den ad_i den ad_j), the trace pairing of the scaled adjoints."""
     n = g.dim
     ads = [g.scaled_adjoint(((i, 1),)) for i in range(n)]
     # entry (a, b) of ad_i meets entry (b, a) of ad_j in the trace
     transposed = [[(idx % n * n + idx // n, v) for idx, v in ad.items()] for ad in ads]
-    d2 = g.integer_constants[0] ** 2
-    K = [[Fraction(0)] * n for _ in range(n)]
+    K = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             t = ads[j]
-            K[i][j] = K[j][i] = Fraction(sum(v * t.get(ba, 0) for ba, v in transposed[i]), d2)
-    return SymForm(g, Mat(K, cols=n))
+            K[i][j] = K[j][i] = sum(v * t.get(ba, 0) for ba, v in transposed[i])
+    return K
+
+
+def killing_form(g: LieAlgebra) -> SymForm:
+    """B(e_i, e_j) = trace(ad_i ad_j): _killing_numerators over den^2."""
+    d2 = g.integer_constants[0] ** 2
+    K = [[Fraction(v, d2) for v in row] for row in _killing_numerators(g)]
+    return SymForm(g, Mat(K, cols=g.dim))
 
 
 def derived_series(g: LieAlgebra, start: Subspace | None = None) -> list[Subspace]:
@@ -667,22 +682,22 @@ def radical(g: LieAlgebra) -> Subalgebra:
     the two semisimplicity tests (radical = 0, Killing nondegenerate) must
     agree.  Any mismatch is an internal bug, not a property of the input.
     """
-    k = killing_form(g)
-    derived = bracket_spaces(g, Subspace.full(g.dim), Subspace.full(g.dim))
-    rad_space = orthogonal_complement(k.matrix, derived)
+    K = _killing_numerators(g)
+    full = Subspace.full(g.dim)
+    rad_space = integer_complement(K, bracket_spaces(g, full, full))
     rad = Subalgebra(g, rad_space)
     if not is_solvable_space(g, rad_space):
         raise InternalCheckError("radical candidate is not solvable")
     if not is_ideal(g, rad):
         raise InternalCheckError("radical candidate is not an ideal")
-    killing_nondeg = inertia(k.matrix).is_nondegenerate()
+    killing_nondeg = integer_inertia(K).is_nondegenerate()
     if killing_nondeg != (rad_space.dim == 0):
         raise InternalCheckError(
             "semisimplicity tests disagree: Killing nondegeneracy vs radical"
         )
     if rad_space.dim and rad_space.dim < g.dim:
         q, _ = quotient(g, rad)
-        if not inertia(killing_form(q).matrix).is_nondegenerate():
+        if not integer_inertia(_killing_numerators(q)).is_nondegenerate():
             raise InternalCheckError("quotient by radical is not semisimple")
     return rad
 

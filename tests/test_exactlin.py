@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from lieideal.exactlin import (
@@ -284,6 +284,146 @@ def test_inertia_against_charpoly_sign_count():
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.randint(-4, 4)
         assert inertia(Mat(rows, cols=n)) == descartes_inertia(rows, n)
+
+
+def test_orthogonal_complement_rejects_asymmetric():
+    with pytest.raises(ValueError, match="not symmetric"):
+        orthogonal_complement(Mat([[0, 1], [2, 0]]), Subspace.span(2, [[1, 0]]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        orthogonal_complement(Mat.identity(2), Subspace.span(3, [[1, 0, 0]]))
+
+
+# --- integer inertia and complement against the Fraction routines they replaced ---
+
+
+def old_inertia(b, u=None):
+    """inertia before the integer Schur complements: Fraction congruence on the Gram matrix."""
+
+    def dot(x, y):
+        acc = Fraction(0)
+        for a, c in zip(x, y):
+            if a and c:
+                acc += a * c
+        return acc
+
+    if u is None:
+        u = Subspace.full(b.rows)
+    r = u.dim
+    ub = [b.apply(row) for row in u.basis.entries]
+    m = [[dot(u.basis.entries[i], ub[j]) for j in range(r)] for i in range(r)]
+    n_plus = n_minus = n_zero = 0
+    i = 0
+    while i < r:
+        k = next((k for k in range(i, r) if m[k][k]), None)
+        if k is None:
+            jk = next(((j, l) for j in range(i, r) for l in range(j + 1, r) if m[j][l]), None)
+            if jk is None:
+                n_zero += r - i
+                break
+            j, l = jk
+            for t in range(r):
+                m[j][t] += m[l][t]
+            for t in range(r):
+                m[t][j] += m[t][l]
+            k = j
+        if k != i:
+            m[i], m[k] = m[k], m[i]
+            for t in range(r):
+                m[t][i], m[t][k] = m[t][k], m[t][i]
+        d = m[i][i]
+        if d > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        for t in range(i + 1, r):
+            c = m[t][i]
+            if c:
+                f = c / d
+                for s in range(r):
+                    m[t][s] -= f * m[i][s]
+                for s in range(r):
+                    m[s][t] -= f * m[s][i]
+        i += 1
+    return Inertia(n_plus, n_minus, n_zero)
+
+
+def old_orthogonal_complement(b, u):
+    """orthogonal_complement before the integer rows: the nullspace of the dense b u_i."""
+    if u.dim == 0:
+        return Subspace.full(u.ambient_dim)
+    return nullspace(Mat([b.apply(row) for row in u.basis.entries], cols=u.ambient_dim))
+
+
+# cheaper to draw than st.fractions, which dominated these tests' time; 0 first, for shrinking
+ENTRIES = st.sampled_from(sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)}, key=abs))
+
+
+def entry_lists(n):
+    return st.lists(ENTRIES, min_size=n, max_size=n)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """A symmetric rational form of size 1..7: free, zero on the diagonal, diagonal, or of low rank.
+
+    A low-rank form is a sum of fewer than n signed rank-one forms s v v^T,
+    so it is degenerate and may be indefinite; the diagonal ones have
+    pivots of both signs and zeros.
+    """
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["free", "zero diagonal", "diagonal", "low rank"]))
+    if kind == "low rank":
+        signs = st.sampled_from([-3, -1, Fraction(-1, 2), 1, 2])
+        terms = draw(st.lists(st.tuples(signs, entry_lists(n)), max_size=n - 1))
+        rows = [[sum((s * v[i] * v[j] for s, v in terms), Fraction(0)) for j in range(n)] for i in range(n)]
+    else:
+        upper = iter(draw(entry_lists(n * (n + 1) // 2)))
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x = next(upper)
+                if kind == "free" or (kind == "zero diagonal") == (i != j):
+                    rows[i][j] = rows[j][i] = x
+    return Mat(rows, cols=n)
+
+
+@st.composite
+def forms_on_subspaces(draw):
+    b = draw(symmetric_forms())
+    n = b.rows
+    return b, Subspace.span(n, draw(st.lists(entry_lists(n), max_size=n + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms_on_subspaces())
+@example((Mat([[0, 1, 0], [1, 0, 2], [0, 2, 0]]), Subspace.full(3)))
+@example((Mat([[-2, 1], [1, 0]]), Subspace.span(2, [[1, 1]])))
+@example((Mat([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]), Subspace.span(4, [[1, 0, 1, 0], [0, 1, 0, 1]])))
+def test_integer_inertia_and_complement_match_the_fraction_routines(case):
+    b, u = case
+    assert inertia(b) == old_inertia(b)
+    assert inertia(b, u) == old_inertia(b, u)
+    assert orthogonal_complement(b, u) == old_orthogonal_complement(b, u)
+
+
+def _zero_diagonal_with_a_nonzero_entry(b):
+    return any(b.entries[i][j] for i in range(b.rows) for j in range(b.cols)) and not any(
+        b.entries[i][i] for i in range(b.rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ("e_j + e_k pivot", lambda b: _zero_diagonal_with_a_nonzero_entry(b) and old_inertia(b).n_minus),
+        ("degenerate and indefinite", lambda b: (lambda i: i.n_zero and i.n_plus and i.n_minus)(old_inertia(b))),
+        ("nondegenerate and indefinite at 7", lambda b: (lambda i: i.dim == 7 and not i.n_zero and i.n_plus and i.n_minus)(old_inertia(b))),
+    ],
+    ids=lambda shape: shape[0],
+)
+def test_drawn_forms_reach_every_elimination_path(shape):
+    # raises NoSuchExample if the strategy above never draws such a form
+    find(symmetric_forms(), shape[1], settings=settings(database=None, max_examples=2000, phases=[Phase.generate]))
 
 
 def test_mat_multiplication_and_apply():

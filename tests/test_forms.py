@@ -16,7 +16,7 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from lieideal import catalog
-from lieideal.exactlin import Mat, Subspace
+from lieideal.exactlin import Inertia, Mat, Subspace
 from lieideal.liealg import (
     LieAlgebra,
     LinMap,
@@ -25,6 +25,7 @@ from lieideal.liealg import (
     direct_sum,
     full_subalgebra,
     killing_form,
+    radical,
     validate,
 )
 from lieideal.transitivity import (
@@ -140,6 +141,74 @@ def test_minus_killing_makes_every_ad_skew_on_so_n_and_a_bump_does_not(n):
         form = SymForm(g, Mat(rows))
         assert adjoint_is_skew(g, form, full) is skew
         assert sympy_is_skew(g, form, full) is skew
+
+
+# --- closed-form signatures at scale ------------------------------------------------
+
+
+def matrix_algebra(n, traceless):
+    """sl(n) (traceless) or gl(n) in the basis E_ab (a != b), H_a = E_aa - E_(a+1)(a+1), then E_(n-1)(n-1) for gl(n).
+
+    Brackets are commutators of sparse matrices {(i, j): v}.  A diagonal D
+    has H_a-coordinate D_0 + ... + D_a, and E_(n-1)(n-1)-coordinate trace(D).
+    """
+    basis = [{(a, b): 1} for a in range(n) for b in range(n) if a != b]
+    off_diagonal = {key: r for r, m in enumerate(basis) for key in m}
+    basis += [{(a, a): 1, (a + 1, a + 1): -1} for a in range(n - 1)]
+    if not traceless:
+        basis.append({(n - 1, n - 1): 1})
+
+    def coordinates(m):
+        out = {off_diagonal[key]: v for key, v in m.items() if key[0] != key[1] and v}
+        h = 0
+        for a in range(n - 1):
+            h += m.get((a, a), 0)
+            if h:
+                out[n * (n - 1) + a] = h
+        trace = sum(m.get((a, a), 0) for a in range(n))
+        if not traceless and trace:
+            out[len(basis) - 1] = trace
+        return out
+
+    def commutator(x, y):
+        out = {}
+        for left, right, sign in ((x, y, 1), (y, x, -1)):
+            for (i, k), u in left.items():
+                for (k2, j), v in right.items():
+                    if k == k2:
+                        out[(i, j)] = out.get((i, j), 0) + sign * u * v
+        return out
+
+    brackets = {
+        (s, t): coordinates(commutator(basis[s], basis[t]))
+        for s, t in itertools.combinations(range(len(basis)), 2)
+    }
+    return LieAlgebra.from_brackets(len(basis), brackets, name=f"{'sl' if traceless else 'gl'}({n})")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_killing_form_of_sl_n_has_the_split_signature_and_no_radical(n):
+    g = matrix_algebra(n, traceless=True)
+    assert validate(g).ok and g.dim == n * n - 1
+    assert killing_form(g).inertia_on() == Inertia(n * (n + 1) // 2 - 1, n * (n - 1) // 2, 0)
+    assert radical(g).dim == 0
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_minus_killing_is_positive_definite_on_so_n_with_no_radical(n):
+    g = so(n)
+    minus_killing = SymForm(g, killing_form(g).matrix.scale(-1))
+    assert minus_killing.inertia_on() == Inertia(g.dim, 0, 0)
+    assert radical(g).dim == 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_radical_of_gl_n_is_the_scalars(n):
+    g = matrix_algebra(n, traceless=False)
+    assert validate(g).ok and g.dim == n * n
+    # the identity: H_a-coordinate a + 1, E_(n-1)(n-1)-coordinate n
+    scalars = {n * (n - 1) + a: a + 1 for a in range(n - 1)} | {g.dim - 1: n}
+    assert radical(g).space == Subspace.span(g.dim, [scalars])
 
 
 # --- a form on another algebra -----------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from lieideal.liealg import (
     validate,
 )
 from lieideal.suites import radical_corpus, tower_corpus
-from lieideal.transitivity import counterexample_extension, ideal_closure
+from lieideal.transitivity import counterexample_extension, ideal_closure, random_solvable_algebra
 
 
 @pytest.fixture(scope="module")
@@ -945,8 +946,11 @@ def rebased(g, p):
 
 
 @st.composite
-def dense_rebased(draw):
-    """A catalog algebra (or H(aff1)) in a drawn basis with entries in {-1, 0, 1}, moved or not."""
+def dense_rebased(draw, move=True):
+    """A catalog algebra (or H(aff1)) in a drawn basis with entries in {-1, 0, 1}, moved or not.
+
+    With move=False it is never moved, so it stays a Lie algebra.
+    """
     import sympy
 
     g = _uncorrupted(draw(CORRUPTED))
@@ -957,7 +961,7 @@ def dense_rebased(draw):
         )
     )
     h = rebased(g, p)
-    if draw(st.booleans()):
+    if move and draw(st.booleans()):
         den = h.integer_constants[0]
         table = h.scaled_table(den)
         i = draw(st.integers(0, n - 2))
@@ -972,6 +976,46 @@ def dense_rebased(draw):
 @given(dense_rebased())
 def test_validate_matches_the_plain_walk_on_dense_rebased_algebras(g):
     assert_validate_matches_the_plain_walk(g)
+
+
+# --- bracket_spaces(g, u, u) over pairs a < b against every ordered pair ----------
+
+
+def ordered_pair_span(g, u, v):
+    """bracket_spaces before the pairs a < b: the span of every ordered pair of rows."""
+    ys = v.integer_rows[1]
+    return Subspace.integer_span(g.dim, [g.scaled_bracket(x, y).items() for x in u.integer_rows[1] for y in ys])
+
+
+def old_series(g, u, lower_central):
+    series = [u]
+    while (nxt := ordered_pair_span(g, u if lower_central else series[-1], series[-1])) != series[-1]:
+        series.append(nxt)
+    return series
+
+
+def assert_pairs_span_as_ordered_pairs(g, u):
+    assert bracket_spaces(g, u, u) == ordered_pair_span(g, u, u)
+    assert derived_series(g, u) == old_series(g, u, lower_central=False)
+    assert lower_central_series(g, u) == old_series(g, u, lower_central=True)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brackets_of_pairs_match_ordered_pairs_on_random_solvable_algebras(seed):
+    rng = random.Random(seed)
+    g = random_solvable_algebra(rng, 3 if seed % 4 else 4, 2 + seed % 3)
+    assert_pairs_span_as_ordered_pairs(g, Subspace.full(g.dim))
+    for _ in range(3):
+        vectors = [[rng.randint(-1, 1) for _ in range(g.dim)] for _ in range(2)]
+        assert_pairs_span_as_ordered_pairs(g, generated_subalgebra(g, vectors).space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_rebased(move=False), st.data())
+def test_brackets_of_pairs_match_ordered_pairs_on_rebased_catalog_algebras(g, data):
+    assert_pairs_span_as_ordered_pairs(g, Subspace.full(g.dim))
+    vectors = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=g.dim, max_size=g.dim), min_size=1, max_size=2))
+    assert_pairs_span_as_ordered_pairs(g, generated_subalgebra(g, vectors).space)
 
 
 # --- is_homomorphism on integer constants against the dense routine --------------
