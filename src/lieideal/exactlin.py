@@ -73,6 +73,10 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
 
 def parse_rational(text: str) -> Fraction:
     """A literal from outside, like "-3/4" or "1.5e-3"; ValueError if malformed or too long."""
+    # Fraction reads "1_0" as 10 from Python 3.11 on and refuses it before, so
+    # an underscore is refused here on every version
+    if "_" in text:
+        raise ValueError(f"underscore in literal {text!r}")
     m = len(text) <= MAX_LITERAL_DIGITS and _EXPONENT.search(text)
     if len(text) + (abs(int(m.group(1))) if m else 0) > MAX_LITERAL_DIGITS:
         raise ValueError(f"literal longer than {MAX_LITERAL_DIGITS} digits, exponent included")

@@ -175,6 +175,18 @@ def test_zero_denominator_in_file_exits_two(capsys, tmp_path):
     assert "line 2" in err and "Traceback" not in err
 
 
+def test_underscore_in_a_literal_exits_two(capsys, tmp_path):
+    # Fraction reads 1_0 as 10 on Python 3.11 and refuses it on 3.10: both refuse it here
+    assert run(["subideal", "catalog:heisenberg3", "--sub", "1_0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "bad coordinate" in err and "underscore" in err and "Traceback" not in err
+    path = tmp_path / "u.lie"
+    path.write_text("dim 3\nbracket 0 1 2 1_0\n")
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "underscore" in err and "Traceback" not in err
+
+
 def test_dim_above_cap_in_file_exits_two(capsys, tmp_path):
     path = tmp_path / "big.lie"
     path.write_text("dim 257\nbracket 0 1 2 1\n")

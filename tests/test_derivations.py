@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from lieideal import catalog
 from lieideal.derivations import (
     derivation_algebra,
@@ -15,7 +16,7 @@ from lieideal.derivations import (
     leibniz_defect,
     theorem_derived_check,
 )
-from lieideal.exactlin import Echelon, Mat, Subspace, nullspace
+from lieideal.exactlin import Mat
 from lieideal.liealg import (
     LieAlgebra,
     Subalgebra,
@@ -28,29 +29,6 @@ from lieideal.liealg import (
     subalgebra,
     validate,
 )
-
-
-def mat_commutator(x, y):
-    """xy - yx from two dense Mat products, entry by entry."""
-    xy, yx = x * y, y * x
-    return Mat([[a - b for a, b in zip(r, s)] for r, s in zip(xy.entries, yx.entries)], cols=x.cols)
-
-
-def leibniz_holds(g, f):
-    # independent substitution check, written out against the bracket itself
-    for i in range(g.dim):
-        for j in range(g.dim):
-            lhs = f.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-            rhs = tuple(
-                a + b
-                for a, b in zip(
-                    g.bracket(f.apply(g.basis_vector(i)), g.basis_vector(j)),
-                    g.bracket(g.basis_vector(i), f.apply(g.basis_vector(j))),
-                )
-            )
-            if lhs != rhs:
-                return False
-    return True
 
 
 def test_dimension_abelian():
@@ -82,7 +60,7 @@ def test_every_basis_derivation_satisfies_leibniz():
         g = catalog.get(name).algebra
         da = derivation_algebra(g)
         for f in da.realization:
-            assert leibniz_holds(g, f)
+            assert old_leibniz_defect(g, f.matrix) is None
             assert leibniz_defect(g, f.matrix) is None
 
 
@@ -93,7 +71,7 @@ def test_abstract_structure_matches_realization_commutators():
     tensor = da.algebra.c
     for a in range(d):
         for b in range(d):
-            comm = mat_commutator(da.realization[a].matrix, da.realization[b].matrix)
+            comm = Mat(reference.commutator(da.realization[a].matrix.entries, da.realization[b].matrix.entries))
             assert da.coordinates_of(comm) == tensor[a][b]
 
 
@@ -112,13 +90,17 @@ def test_non_derivation_detected():
 
 
 def old_leibniz_defect(g, f):
-    """leibniz_defect before it read the integer constants: three dense brackets per pair."""
-    n = g.dim
+    """leibniz_defect before it read the integer constants: the first nonzero defect, pairs i < j in order.
+
+    The three brackets per pair are the reference's, so this pins only that order.
+    """
+    n, consts = g.dim, g.brackets()
+    e = [reference.unit(n, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = f.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-            rhs1 = g.bracket(f.column(i), g.basis_vector(j))
-            rhs2 = g.bracket(g.basis_vector(i), f.column(j))
+            lhs = reference.apply(f.entries, reference.bracket(consts, e[i], e[j]))
+            rhs1 = reference.bracket(consts, f.column(i), e[j])
+            rhs2 = reference.bracket(consts, e[i], f.column(j))
             defect = tuple(a - b - c for a, b, c in zip(lhs, rhs1, rhs2))
             if any(defect):
                 return defect
@@ -264,15 +246,11 @@ def test_derivations_of_derivation_algebra_vanishing_on_inner_are_zero():
         d1 = da1.algebra
         da2 = derivation_algebra(d1)
         d = d1.dim
-        ech = Echelon(d * d)
-        # the residual map's matrix, column j the residual of e_j: its kernel is the span
-        cols = [da2.span.residual({j: 1}) for j in range(d * d)]
-        for r in range(d * d):
-            ech.add((j, col[r]) for j, col in enumerate(cols) if r in col)
+        # f in D(D(g)) (the span's annihilator kills it) with f(v) = 0 for every inner v
+        equations = reference.nullspace(d * d, da2.span.basis.entries)
         for v in da1.inner.basis.entries:
-            for r in range(d):
-                ech.add(((r * d + c, v[c]) for c in range(d) if v[c]))
-        assert len(ech.nullspace_rows()) == 0
+            equations += [reference.dense(d * d, ((r * d + c, v[c]) for c in range(d))) for r in range(d)]
+        assert reference.nullspace(d * d, equations) == []
 
 
 @pytest.mark.parametrize("name", catalog.list_names() + ["H(heisenberg3)"])
@@ -282,11 +260,11 @@ def test_derivation_brackets_match_dense_commutators(name):
     else:
         g = catalog.get(name).algebra
     da = derivation_algebra(g)
-    mats = [f.matrix for f in da.realization]
+    mats = [f.matrix.entries for f in da.realization]
     tensor = da.algebra.c
     for a in range(da.dim):
         for b in range(da.dim):
-            ref = da.coordinates_of(mat_commutator(mats[a], mats[b]))
+            ref = da.coordinates_of(Mat(reference.commutator(mats[a], mats[b])))
             assert tensor[a][b] == ref
 
 
@@ -353,4 +331,4 @@ def test_derivations_unchanged_by_fractional_rescaling():
         assert validate(db.algebra).ok
         for f in db.realization:
             assert is_derivation(h, f.matrix)
-            assert leibniz_holds(h, f)
+            assert old_leibniz_defect(h, f.matrix) is None

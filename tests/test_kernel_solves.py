@@ -1,22 +1,23 @@
-"""The sparse kernel solves against the dense code they replaced.
+"""The sparse and integer kernels against the dense routines of tests/reference.py.
 
-center, centralizer, normalizer, intersect, killing_form and quotient
-work on sparse columns (exactlin.column_kernel) or directly on the sparse
-structure constants.  The references below are the dense computations they
-replaced: stacked adjoint matrices, the constraint matrix of a subspace (the
-matrix of its residual map), the dense trace loop of the Killing form and the
-quotient's dense projection.  Their kernels are taken row by row through
-Echelon, as the dense nullspace did, and their ad_x is built column by column
-from the dense bracket, so none of them reads LieAlgebra.scaled_adjoint.
+The reference imports nothing from lieideal.  Centers, centralizers and
+normalizers are kernels of stacked ad matrices, and a span's annihilator (the
+nullspace of its rows) stands for membership in it.  Two references stay
+specific, as the dense one does not define what they pin: the direct sum and
+holomorph tables as written before LieAlgebra.from_scaled, and the Echelon
+route of the Leibniz solve, which alone sees an outer derivation left out.
 """
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import reference
+from reference import dense, unit
 from lieideal import catalog, derivations
 from lieideal.derivations import derivation_algebra, holomorph, leibniz_defect
 from lieideal.exactlin import (
@@ -25,11 +26,9 @@ from lieideal.exactlin import (
     Mat,
     Subspace,
     column_kernel,
-    dense_vector,
     intersect,
     lift,
     nullspace,
-    over_lcm,
 )
 from lieideal.liealg import (
     InternalCheckError,
@@ -57,91 +56,33 @@ from lieideal.suites import chain_instances, check_adjoint_identity, perfect_spe
 from lieideal.transitivity import enumerate_grid_subalgebras, ideal_closure, random_solvable_algebra
 
 
-def dense_nullspace(m):
-    ech = Echelon(m.cols)
-    for r in m.entries:
-        ech.add(enumerate(r))
-    return Subspace.span(m.cols, ech.nullspace_rows())
-
-
-def constraint_matrix(space):
-    """I minus, at each pivot column p_i, the RREF row i: the residual map's matrix."""
-    n = space.ambient_dim
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    L, scaled = space.integer_rows
-    for p, row in zip(space.pivots, scaled):
-        for r, b in row:
-            rows[r][p] -= Fraction(b, L)
-    return Mat(rows, cols=n)
-
-
-def common_kernel(g, mats):
-    return dense_nullspace(Mat([row for m in mats for row in m.entries], cols=g.dim))
-
-
-def ref_ad(g, x):
-    """ad_x as a dense matrix, column j the dense [x, e_j]: no adjoint kernel is read."""
-    return Mat.from_columns([g.bracket(x, g.basis_vector(j)) for j in range(g.dim)], rows=g.dim)
-
-
-def ref_center(g):
-    return common_kernel(g, (ref_ad(g, g.basis_vector(i)) for i in range(g.dim)))
-
-
-def ref_centralizer(g, h):
-    return common_kernel(g, (ref_ad(g, y) for y in h.space.basis.entries))
-
-
-def ref_normalizer(g, h):
-    c = constraint_matrix(h.space)
-    return common_kernel(g, (c * ref_ad(g, y) for y in h.space.basis.entries))
-
-
-def ref_intersect(u, v):
-    m = constraint_matrix(u)
-    return dense_nullspace(Mat(m.entries + constraint_matrix(v).entries, cols=u.ambient_dim))
-
-
-def ref_killing(g):
-    n = g.dim
-    ads = [ref_ad(g, g.basis_vector(i)) for i in range(n)]
-    K = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for a in range(n):
-                for b in range(n):
-                    K[i][j] += ads[i].entries[a][b] * ads[j].entries[b][a]
-    return Mat(K, cols=n)
+def spans(space, rows):
+    """space's RREF rows are the reference's RREF of rows."""
+    return space.basis.entries == reference.rref(space.ambient_dim, rows)
 
 
 def ref_quotient(g, ideal):
-    """Brackets and projection: the constraint matrix's rows off the ideal's pivots."""
-    pivots = set(ideal.space.pivots)
-    coords = [j for j in range(g.dim) if j not in pivots]
-    proj = Mat([constraint_matrix(ideal.space).entries[c] for c in coords], cols=g.dim)
-    e = g.basis_vector
+    """Brackets and projection: coordinate c of the residual of e_j, for c off the ideal's pivots."""
+    n, consts = g.dim, g.brackets()
+    red = reference.rref(n, ideal.space.basis.entries)
+    coords = [j for j in range(n) if j not in reference.pivots(red)]
+    residuals = [reference.residual(n, red, unit(n, j)) for j in range(n)]
+    proj = [[residuals[j][c] for j in range(n)] for c in coords]
     brackets = {
-        (a, b): dict(enumerate(proj.apply(g.bracket(e(coords[a]), e(coords[b])))))
-        for a in range(len(coords))
-        for b in range(a + 1, len(coords))
+        (a, b): dict(enumerate(reference.apply(proj, reference.bracket(consts, unit(n, ca), unit(n, cb)))))
+        for (a, ca), (b, cb) in itertools.combinations(enumerate(coords), 2)
     }
-    return LieAlgebra.from_brackets(len(coords), brackets), proj
-
-
-def mat_commutator(x, y):
-    """xy - yx from two dense Mat products, entry by entry."""
-    xy, yx = x * y, y * x
-    return Mat([[a - b for a, b in zip(r, s)] for r, s in zip(xy.entries, yx.entries)], cols=x.cols)
+    return LieAlgebra.from_brackets(len(coords), brackets), Mat(proj, cols=n)
 
 
 def ref_adjoint_identities(g):
-    """Count [f, ad_{e_i}] == ad_{f(e_i)} as dense Mat products, over D(g)'s realization."""
-    ads = [ref_ad(g, g.basis_vector(i)) for i in range(g.dim)]
+    """Count [f, ad_(e_i)] == ad_(f(e_i)) as dense matrix products, over D(g)'s realization."""
+    n, consts = g.dim, g.brackets()
+    ads = [reference.ad(consts, unit(n, i)) for i in range(n)]
     count = 0
     for f in derivation_algebra(g).realization:
-        fm = f.matrix
         for i, ad in enumerate(ads):
-            assert mat_commutator(fm, ad) == ref_ad(g, fm.column(i))
+            assert reference.commutator(f.matrix.entries, ad) == reference.ad(consts, f.matrix.column(i))
             count += 1
     return count
 
@@ -244,24 +185,35 @@ def test_corpus_reaches_dim_6_fractions_and_non_coordinate_ideals():
 @pytest.mark.parametrize("label", IDS)
 def test_center_and_killing_form_match_dense(label):
     g, _ = corpus()[label]
-    assert center(g).space == ref_center(g)
-    assert killing_form(g).matrix == ref_killing(g)
+    n, consts = g.dim, g.brackets()
+    # the center is the common kernel of every ad_(e_i)
+    stacked = [row for i in range(n) for row in reference.ad(consts, unit(n, i))]
+    assert spans(center(g).space, reference.nullspace(n, stacked))
+    assert killing_form(g).matrix == Mat(reference.killing(n, consts))
 
 
 @pytest.mark.parametrize("label", IDS)
 def test_centralizer_and_normalizer_match_dense(label):
     g, tags = corpus()[label]
+    n, consts = g.dim, g.brackets()
     for h in subalgebras(g, tags):
-        assert centralizer(g, h).space == ref_centralizer(g, h)
-        assert normalizer(g, h).space == ref_normalizer(g, h)
+        ads = [reference.ad(consts, y) for y in h.space.basis.entries]
+        assert spans(centralizer(g, h).space, reference.nullspace(n, [row for ad in ads for row in ad]))
+        # the annihilator of h (its rows' nullspace) times ad_y kills x iff [y, x] lies in h
+        ann = reference.nullspace(n, h.space.basis.entries)
+        stacked = [row for ad in ads for row in reference.matmul(ann, ad)]
+        assert spans(normalizer(g, h).space, reference.nullspace(n, stacked))
 
 
 @pytest.mark.parametrize("label", IDS)
 def test_intersect_matches_dense(label):
     g, tags = corpus()[label]
     spaces = [h.space for h in subalgebras(g, tags)] + [Subspace.zero(g.dim)]
-    for u, v in itertools.product(spaces, repeat=2):
-        assert intersect(u, v) == ref_intersect(u, v)
+    n = g.dim
+    # a vector lies in both iff both annihilators (the nullspaces of their rows) kill it
+    annihilators = [reference.nullspace(n, u.basis.entries) for u in spaces]
+    for (u, a), (v, b) in itertools.product(zip(spaces, annihilators), repeat=2):
+        assert spans(intersect(u, v), reference.nullspace(n, a + b))
 
 
 @pytest.mark.parametrize("label", IDS)
@@ -270,18 +222,35 @@ def test_quotient_matches_dense(label):
     for ideal in (center(g), derived_subalgebra(full_subalgebra(g)), radical(g)):
         q, proj = quotient(g, ideal)
         ref_q, ref_proj = ref_quotient(g, ideal)
-        assert q == ref_q
+        assert q == ref_q and q.name == (None if g.name is None else f"{g.name}/ideal")
         assert proj.matrix == ref_proj
 
 
+def ref_span_algebra(n, bracket, rows):
+    """span(rows) in its RREF basis: each [b_a, b_b] lies in it, and its coordinates are its entries at the pivots."""
+    basis = reference.rref(n, rows)
+    brackets = {}
+    for a, b in itertools.combinations(range(len(basis)), 2):
+        w = bracket(basis[a], basis[b])
+        assert reference.contains(n, basis, w)
+        brackets[(a, b)] = {i: w[p] for i, p in enumerate(reference.pivots(basis))}
+    return LieAlgebra.from_brackets(len(basis), brackets)
+
+
 def ref_sub_algebra(g, h):
-    """h in its RREF basis, its constants read off the dense bracket and coordinates."""
-    basis = h.space.basis.entries
-    brackets = {
-        (a, b): h.space.coordinates(dict(enumerate(g.bracket(basis[a], basis[b]))))
-        for a, b in itertools.combinations(range(h.dim), 2)
-    }
-    return LieAlgebra.from_brackets(h.dim, brackets)
+    return ref_span_algebra(g.dim, functools.partial(reference.bracket, g.brackets()), h.space.basis.entries)
+
+
+def flat_commutator(n):
+    """XY - YX on n x n matrices flattened row-major, by the reference."""
+
+    def square(v):
+        return [v[a * n : (a + 1) * n] for a in range(n)]
+
+    def bracket(x, y):
+        return [v for row in reference.commutator(square(x), square(y)) for v in row]
+
+    return bracket
 
 
 # every catalog algebra has den = 1; only rescaling moves it, so only these
@@ -315,19 +284,12 @@ def test_sub_to_algebra_matches_dense(label):
 # --- lift against the dense inclusion it replaced ------------------------------
 #
 # sub_radical used to carry a subspace of sub_to_algebra(h)'s coordinates back
-# to the parent through a dense inclusion: Mat.from_columns on h's RREF basis,
-# LinMap.apply on each basis vector, then a Fraction span.  DerivationAlgebra.
-# adjoint_coordinates used to solve for the dense ad_x, flattened.  The
-# references keep those routes.
+# to the parent through a dense inclusion, the matrix whose columns are h's
+# RREF basis.  DerivationAlgebra.adjoint_coordinates used to solve for the
+# dense ad_x, flattened.  The references keep those routes.
 
 # the catalog, rescaled to den > 1 and sheared off the coordinate axes
 CATALOG_AND_MOVED_IDS = [label for label in IDS if not label.startswith("solvable")]
-
-
-def ref_lift(g, h, sub):
-    """sub, a subalgebra of sub_to_algebra(h), in g's coordinates through the dense inclusion."""
-    incl = Mat.from_columns(h.space.basis.entries, rows=g.dim)
-    return Subspace.span(g.dim, [incl.apply(v) for v in sub.space.basis.entries])
 
 
 @pytest.mark.parametrize("label", CATALOG_AND_MOVED_IDS)
@@ -336,9 +298,12 @@ def test_lift_matches_the_dense_inclusion(label):
     for h in subalgebras(g, tags):
         algebra = sub_to_algebra(h)
         rad, z = radical(algebra), center(algebra)
-        assert lift(h.space, rad.space) == ref_lift(g, h, rad) == sub_radical(h)
+        # through the dense inclusion: a subalgebra's rows times h's RREF rows
+        assert lift(h.space, rad.space) == sub_radical(h)
+        assert spans(sub_radical(h), reference.matmul(rad.space.basis.entries, h.space.basis.entries))
         # z(h) in g's coordinates, as check_complete_subideal takes z(k)
-        assert lift(h.space, z.space) == ref_lift(g, h, z) == intersect(h.space, centralizer(g, h).space)
+        assert lift(h.space, z.space) == intersect(h.space, centralizer(g, h).space)
+        assert spans(lift(h.space, z.space), reference.matmul(z.space.basis.entries, h.space.basis.entries))
         assert lift(h.space, Subspace.full(h.dim)) == h.space
         assert lift(h.space, Subspace.zero(h.dim)) == Subspace.zero(g.dim)
 
@@ -367,10 +332,10 @@ def test_column_kernel_and_nullspace_match_the_row_solve():
              for _ in range(rows)],
             cols=cols,
         )
-        ref = dense_nullspace(m)
-        assert nullspace(m) == ref
+        ref = reference.nullspace(cols, m.entries)
+        assert spans(nullspace(m), ref)
         columns = [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(cols)]
-        assert column_kernel(columns) == ref
+        assert spans(column_kernel(columns), ref)
 
 
 @pytest.mark.parametrize("label", IDS)
@@ -378,68 +343,18 @@ def test_sparse_adjoint_identity_matches_dense(label):
     g, _ = corpus()[label]
     n, den = g.dim, g.integer_constants[0]
     for x in [{i: 1} for i in range(n)] + [{i: i - 2 for i in range(n) if i != 2}]:
-        dense = [Fraction(x.get(i, 0)) for i in range(n)]
-        ad = ref_ad(g, dense)
-        flat = {a * n + b: v * den for a, r in enumerate(ad.entries) for b, v in enumerate(r) if v}
+        ad = reference.ad(g.brackets(), dense(n, x.items()))
+        flat = {a * n + b: v * den for a, r in enumerate(ad) for b, v in enumerate(r) if v}
         assert g.scaled_adjoint(x.items()) == flat
-        assert g.adjoint_matrix(dense).matrix == ad
+        assert g.adjoint_matrix(dense(n, x.items())).matrix == Mat(ad)
     assert check_adjoint_identity(g.name, g) == ref_adjoint_identities(g)
 
 
-
-# --- the integer kernels against the Fraction code they replaced ---------------
+# --- the integer kernels against the reference -----------------------------------
 #
 # scaled_bracket, Subspace.scaled_residual and Subspace.integer_span run the
-# bracket -> membership/span loop in integers.  The references are the loops
-# they replaced, written out here, and a dense Gauss-Jordan elimination in
-# Fractions that shares no code with Echelon.
-
-
-def old_sparse_bracket(g, x, y):
-    """The Fraction bracket loop before scaled_bracket: clear only when den > 1."""
-    den, num = g.integer_constants
-    d = 1
-    if den > 1:
-        (dx, xs), (dy, ys) = over_lcm(x), over_lcm(y)
-        x, y, d = xs.items(), ys.items(), dx * dy * den
-    out = {}
-    for i, xi in x:
-        for j, yj in y:
-            for k, v in num[i][j]:
-                out[k] = out.get(k, 0) + xi * yj * v
-    return {k: v if d == 1 else Fraction(v, d) for k, v in out.items() if v}
-
-
-def old_scaled_residual(u, num):
-    """The all-pivots loop before the pivot-indexed one: L*num minus every row's share."""
-    L, rows = u.integer_rows
-    num = dict(num)
-    work = {j: L * x for j, x in num.items()}
-    for p, row in zip(u.pivots, rows):
-        c = num.get(p)
-        if c:
-            for j, b in row:
-                work[j] = work.get(j, 0) - c * b
-    return {j: w for j, w in work.items() if w}
-
-
-def dense_rref(n, vectors):
-    """Reduced row-echelon rows of the span of dense vectors, by plain Gauss-Jordan."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    out, r = [], 0
-    for c in range(n):
-        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        r += 1
-    return tuple(tuple(row) for row in rows[:r])
+# bracket -> membership/span loop in integers.  The reference expands the
+# bracket from the Fraction constants and reduces by plain Gauss-Jordan.
 
 
 def sample_vectors(rng, space):
@@ -467,34 +382,37 @@ def test_scaled_bracket_is_den_times_the_old_bracket(label):
     den, n = g.integer_constants[0], g.dim
     rows = [r for h in subalgebras(g, tags) for r in h.space.integer_rows[1]]
     rows += [((i, 1),) for i in range(n)]
+    consts = g.brackets()
     rng = random.Random(n)
     for x, y in itertools.islice(itertools.product(rows, repeat=2), 400):
-        ref = old_sparse_bracket(g, x, y)
+        ref = reference.bracket(consts, dense(n, x), dense(n, y))
         got = g.scaled_bracket(x, y)
-        assert got == {k: den * v for k, v in ref.items()}
+        assert got == {k: den * v for k, v in enumerate(ref) if v}
         assert all(type(v) is int for v in got.values())
-        assert g.bracket(dense_vector(n, x), dense_vector(n, y)) == dense_vector(n, ref.items())
+        assert g.bracket(dense(n, x), dense(n, y)) == tuple(ref)
         # Fraction inputs: the kernel stays exact, the dense bracket still matches
         fx = [(j, Fraction(v, rng.randint(1, 4))) for j, v in x]
         fy = [(j, Fraction(v, rng.randint(1, 4))) for j, v in y]  # any vectors: entries differ
-        ref = old_sparse_bracket(g, fx, fy)
-        assert g.scaled_bracket(fx, fy) == {k: den * v for k, v in ref.items()}
-        got = g.bracket(dense_vector(n, fx), dense_vector(n, fy))
-        assert got == dense_vector(n, ref.items())
+        ref = reference.bracket(consts, dense(n, fx), dense(n, fy))
+        assert g.scaled_bracket(fx, fy) == {k: den * v for k, v in enumerate(ref) if v}
+        got = g.bracket(dense(n, fx), dense(n, fy))
+        assert got == tuple(ref)
         assert all(type(v) is Fraction for v in got)
 
 
 @pytest.mark.parametrize("label", IDS)
 def test_pivot_indexed_residual_matches_the_all_pivots_loop(label):
     g, tags = corpus()[label]
-    rng = random.Random(g.dim)
-    spaces = [h.space for h in subalgebras(g, tags)] + [Subspace.zero(g.dim)]
+    n = g.dim
+    rng = random.Random(n)
+    spaces = [h.space for h in subalgebras(g, tags)] + [Subspace.zero(n)]
     for space in spaces:
-        L = space.integer_rows[0]
+        red = reference.rref(n, space.basis.entries)
+        L = math.lcm(*(x.denominator for row in red for x in row))  # scales the RREF rows to integers
         for v in sample_vectors(rng, space):
-            ref = old_scaled_residual(space, v.items())
-            assert space.scaled_residual(v.items()) == ref
-            assert space.residual(v) == {j: Fraction(w, L) for j, w in ref.items()}
+            ref = {j: w for j, w in enumerate(reference.residual(n, red, dense(n, v.items()))) if w}
+            assert space.scaled_residual(v.items()) == {j: L * w for j, w in ref.items()}
+            assert space.residual(v) == ref
             assert space.contains_vector(v) == (not ref)
             # membership ignores scale, also a fractional one
             halves = {j: Fraction(x, 2) for j, x in v.items()}
@@ -519,27 +437,7 @@ def test_integer_span_equals_the_fraction_span_and_dense_rref(label):
             d = rng.randint(1, 5)
             fractions.append({j: Fraction(v, d) for j, v in r.items()})
         assert got == Subspace.span(n, fractions)
-        assert got.basis.entries == dense_rref(n, [[r.get(j, 0) for j in range(n)] for r in rows])
-
-
-def dense_is_ideal(g, amb, h):
-    e = h.space.basis.entries
-    return all(
-        len(dense_rref(g.dim, [*e, g.bracket(x, y)])) == h.dim
-        for x in amb.space.basis.entries
-        for y in e
-    )
-
-
-def dense_ideal_closure(g, amb, h):
-    """S <- S + ad_x(S) with dense adjoint matrices, until the rank stops growing."""
-    ads = [ref_ad(g, x) for x in amb.space.basis.entries]
-    rows = dense_rref(g.dim, h.space.basis.entries)
-    while True:
-        grown = dense_rref(g.dim, [*rows, *(ad.apply(v) for ad in ads for v in rows)])
-        if len(grown) == len(rows):
-            return rows
-        rows = grown
+        assert spans(got, [dense(n, r.items()) for r in rows])
 
 
 @pytest.mark.parametrize("label", IDS)
@@ -547,12 +445,14 @@ def test_is_ideal_and_ideal_closure_match_dense(label):
     g, tags = corpus()[label]
     subs = subalgebras(g, tags)
     ambients = [full_subalgebra(g)] + [k for k in subs if 0 < k.dim < g.dim][:4]
+    n, consts = g.dim, g.brackets()
     for amb in ambients:
         for h in subs:
             if not amb.space.contains(h.space):
                 continue
-            assert is_ideal(amb, h) == dense_is_ideal(g, amb, h)
-            assert ideal_closure(amb, h).space.basis.entries == dense_ideal_closure(g, amb, h)
+            a, b = amb.space.basis.entries, h.space.basis.entries
+            assert is_ideal(amb, h) == reference.is_ideal(n, consts, a, b)
+            assert ideal_closure(amb, h).space.basis.entries == reference.ideal_closure(n, consts, a, b)
 
 
 
@@ -576,83 +476,40 @@ def test_bracket_residual_is_the_residual_of_the_scaled_bracket(label):
             assert g.bracket_residual(fx, y, space) == space.scaled_residual(g.scaled_bracket(fx, y).items())
 
 
-def old_closure(space, bracket):
-    """closure before it spanned only the escaping residuals: every bracket, every round."""
-    while True:
-        rows = space.integer_rows[1]
-        new = [bracket(rows[a], rows[b]).items() for a in range(len(rows)) for b in range(a + 1, len(rows))]
-        grown = Subspace.integer_span(space.ambient_dim, [*rows, *new])
-        if grown.dim == space.dim:
-            return space
-        space = grown
-
-
-def old_ideal_closure(amb, h):
-    """ideal_closure before it spanned only the escaping residuals."""
-    g, space = amb.parent, h.space
-    while True:
-        rows = space.integer_rows[1]
-        brackets = [g.scaled_bracket(x, y).items() for x in amb.space.integer_rows[1] for y in rows]
-        grown = Subspace.integer_span(g.dim, [*rows, *brackets])
-        if grown.dim == space.dim:
-            return space
-        space = grown
-
-
 SOLVABLE_IDS = [label for label in IDS if label.startswith("solvable")]
 
 
 @pytest.mark.parametrize("label", SOLVABLE_IDS)
 def test_closures_match_the_loops_that_spanned_every_bracket(label):
     g, _ = corpus()[label]
-    n = g.dim
+    n, consts = g.dim, g.brackets()
     rng = random.Random(n + 3)
     subs = subalgebras(g, [])
     for _ in range(12):  # spans of one to three random integer vectors
-        vectors = [{j: rng.randint(-2, 2) for j in range(n)} for _ in range(rng.randint(1, 3))]
+        vectors = [[rng.randint(-2, 2) for j in range(n)] for _ in range(rng.randint(1, 3))]
         start = Subspace.span(n, vectors)
-        assert closure(start, g.scaled_bracket) == old_closure(start, g.scaled_bracket)
-        subs.append(generated_subalgebra(g, [[v.get(j, 0) for j in range(n)] for v in vectors]))
+        assert closure(start, g.scaled_bracket).basis.entries == reference.closure(n, consts, vectors)
+        subs.append(generated_subalgebra(g, vectors))
     for amb in [full_subalgebra(g)] + subs:
         for h in subs:
             if amb.space.contains(h.space):
-                assert ideal_closure(amb, h).space == old_ideal_closure(amb, h)
-    # the matrix closure behind random_solvable_algebra, under the commutator
+                want = reference.ideal_closure(n, consts, amb.space.basis.entries, h.space.basis.entries)
+                assert ideal_closure(amb, h).space.basis.entries == want
+    # the matrix closure behind random_solvable_algebra, under the commutator:
+    # gl(3)'s constants in the basis E_ab at a * 3 + b
     mats = [{a: rng.randint(-1, 1) for a in range(9) if a // 3 <= a % 3} for _ in range(2)]
-    start = Subspace.span(9, mats)
-    assert closure(start, Commutator(3)) == old_closure(start, Commutator(3))
+    want = reference.closure(9, gl_brackets(3), [dense(9, m.items()) for m in mats])
+    assert closure(Subspace.span(9, mats), Commutator(3)).basis.entries == want
 
 
-# --- the integer builders against the Fraction path they replaced -----------
+# --- the integer builders against the reference and the Fraction path ----------
 #
 # span_algebra, quotient, direct_sum and holomorph hand integer tables to
-# LieAlgebra.from_scaled.  The references are the builders before that change,
-# which assembled Fraction brackets (from brackets(), the RREF rows in Fractions
-# and the Fraction residual) in the form from_brackets takes.  Each built algebra must
-# show the same constants through brackets() and carry the same name.
-
-
-def old_span_brackets(space, bracket, scale):
-    """Each coordinate as Fraction(c, scale * L^2), scanning all r pivots per pair."""
-    L, rows = space.integer_rows
-    d = scale * L * L
-    return {
-        (a, b): {i: Fraction(c, d) for i, p in enumerate(space.pivots) if (c := w.get(p))}
-        for a, b in itertools.combinations(range(len(rows)), 2)
-        for w in [bracket(rows[a], rows[b])]
-    }
-
-
-def old_quotient_brackets(g, ideal):
-    space, table = ideal.space, g.brackets()
-    pivots = set(space.pivots)
-    coords = [j for j in range(g.dim) if j not in pivots]
-    pos = {c: a for a, c in enumerate(coords)}
-    return {
-        (a, b): {pos[k]: v for k, v in space.residual(table.get((ca, cb), {})).items()}
-        for a, ca in enumerate(coords)
-        for b, cb in enumerate(coords[a + 1 :], a + 1)
-    }
+# LieAlgebra.from_scaled.  Spans are checked against the reference; the direct
+# sum and holomorph references are those builders before that change, which
+# assembled Fraction brackets in the form from_brackets takes.  Each built
+# algebra must show the same constants through brackets() and carry the same
+# name.
 
 
 def old_direct_sum_brackets(g1, g2):
@@ -692,21 +549,18 @@ def assert_built_as(algebra, dim, brackets, name=None):
 
 @pytest.mark.parametrize("label", IDS)
 def test_span_algebra_and_quotient_match_the_fraction_path(label):
+    # the quotients are checked, names included, in test_quotient_matches_dense
     g, tags = corpus()[label]
-    den = g.integer_constants[0]
+    n, den = g.dim, g.integer_constants[0]
     for h in subalgebras(g, tags):
-        brackets = old_span_brackets(h.space, g.scaled_bracket, den)
-        assert_built_as(span_algebra(h.space, g.scaled_bracket, den), h.dim, brackets)
-        assert_built_as(sub_to_algebra(h), h.dim, brackets)
+        want = ref_sub_algebra(g, h)
+        for algebra in (span_algebra(h.space, g.scaled_bracket, den), sub_to_algebra(h)):
+            assert algebra == want and algebra.name is None
     da = derivation_algebra(g)
-    bracket = Commutator(g.dim)
-    brackets = old_span_brackets(da.span, bracket, 1)
-    assert_built_as(span_algebra(da.span, bracket, 1, name="D"), da.dim, brackets, "D")
-    assert da.algebra.brackets() == span_algebra(da.span, bracket, 1).brackets()
-    name = None if g.name is None else f"{g.name}/ideal"
-    for ideal in (center(g), derived_subalgebra(full_subalgebra(g)), radical(g)):
-        q, _ = quotient(g, ideal)
-        assert_built_as(q, g.dim - ideal.dim, old_quotient_brackets(g, ideal), name)
+    want = ref_span_algebra(n * n, flat_commutator(n), da.span.basis.entries)
+    named = span_algebra(da.span, Commutator(n), 1, name="D")
+    assert named == want and named.name == "D"
+    assert da.algebra == want
 
 
 @pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
@@ -754,8 +608,8 @@ def old_leibniz_span(g):
     return Subspace.integer_span(n * n, map(dict.items, ech.nullspace_rows()))
 
 
-def gl(n):
-    """gl(n) in the basis E_ab at index a * n + b: [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+def gl_brackets(n):
+    """gl(n)'s constants in the basis E_ab at index a * n + b: [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
     brackets = {}
     for x, y in itertools.combinations(range(n * n), 2):
         (a, b), (c, d) = divmod(x, n), divmod(y, n)
@@ -763,7 +617,11 @@ def gl(n):
         if d == a:
             row[c * n + b] = -1  # x != y, so never the same index as the first term
         brackets[(x, y)] = row
-    return LieAlgebra.from_brackets(n * n, brackets, name=f"gl({n})")
+    return brackets
+
+
+def gl(n):
+    return LieAlgebra.from_brackets(n * n, gl_brackets(n), name=f"gl({n})")
 
 
 def kernel_matrix(n, v):

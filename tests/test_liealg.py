@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from lieideal import catalog
 from lieideal.derivations import derivation_algebra, holomorph, is_characteristic
 from lieideal.exactlin import Mat, Subspace, inertia, intersect, subspace_sum
@@ -41,6 +42,12 @@ from lieideal.liealg import (
 )
 from lieideal.suites import radical_corpus, tower_corpus
 from lieideal.transitivity import counterexample_extension, ideal_closure, random_solvable_algebra
+
+# every rational in [-3, 3] with denominator at most 4, the values of
+# st.fractions(-3, 3, max_denominator=4): cheaper to draw from a list, 0 first
+SMALL_RATIONALS = st.sampled_from(
+    sorted({Fraction(p, q) for q in range(1, 5) for p in range(-3 * q, 3 * q + 1)}, key=lambda x: (abs(x), x))
+)
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +122,7 @@ def two_step_brackets(draw):
     n = draw(st.integers(2, 7))
     p = draw(st.integers(1, n - 1))
     index = st.integers(0, p - 1)
-    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    rows = st.dictionaries(st.integers(p, n - 1), values, max_size=3)
+    rows = st.dictionaries(st.integers(p, n - 1), SMALL_RATIONALS, max_size=3)
     brackets = draw(st.dictionaries(st.tuples(index, index), rows, max_size=8))
     return n, brackets
 
@@ -137,6 +143,17 @@ def test_sparse_table_roundtrips(data):
     assert catalog.loads(catalog.dumps(g)) == g
 
 
+def accumulated(n, brackets):
+    """The dense tensor c[i][j][k] of bracket data: each value added at (i, j, k) and subtracted at (j, i, k)."""
+    ref = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in brackets.items():
+        for k, v in row.items():
+            if i != j:
+                ref[i][j][k] += Fraction(v)
+                ref[j][i][k] -= Fraction(v)
+    return ref
+
+
 @settings(max_examples=60, deadline=None)
 @given(two_step_brackets())
 @example((3, {(0, 1): {2: 1}, (1, 0): {2: 3}}))
@@ -145,12 +162,7 @@ def test_from_brackets_sums_repeats_and_reversed_pairs(data):
     # reference: every value added at (i, j, k) and subtracted at (j, i, k);
     # (i, i) data cancels, since [e_i, e_i] = 0
     n, brackets = data
-    ref = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), row in brackets.items():
-        for k, v in row.items():
-            if i != j:
-                ref[i][j][k] += v
-                ref[j][i][k] -= v
+    ref = accumulated(n, brackets)
     assert LieAlgebra.from_brackets(n, brackets).c == tuple(tuple(map(tuple, p)) for p in ref)
 
 
@@ -558,13 +570,11 @@ def test_sub_radical_of_factor():
 
 
 def _sub_radical_reference(h):
-    """sub_radical without the memo, carried back by the dense inclusion it used to build."""
+    """RREF rows of sub_radical without the memo: the radical's rows times h's RREF rows."""
     if h.dim == 0:
-        return Subspace.zero(h.parent.dim)
-    algebra = sub_to_algebra(h)
-    incl = LinMap(algebra, h.parent, Mat.from_columns(h.space.basis.entries, rows=h.parent.dim))
-    vectors = [incl.apply(v) for v in radical(algebra).space.basis.entries]
-    return Subspace.span(h.parent.dim, vectors)
+        return ()
+    rows = reference.matmul(radical(sub_to_algebra(h)).space.basis.entries, h.space.basis.entries)
+    return reference.rref(h.parent.dim, rows)
 
 
 def test_sub_radical_memo_matches_the_reference():
@@ -577,26 +587,10 @@ def test_sub_radical_memo_matches_the_reference():
             subs[id(amb)] = amb
             subs[id(h)] = h
     for h in subs.values():
-        want = _sub_radical_reference(h)
         first = sub_radical(h)
-        assert first == want
+        assert first.basis.entries == _sub_radical_reference(h)
         assert sub_radical(h) is first
-        assert sub_radical(Subalgebra(h.parent, h.space)) == want
-
-
-def _first_jacobi_failure(g):
-    """Reference: the first basis triple i < j < k, in order, breaking Jacobi."""
-    e = g.basis_vector
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                terms = [
-                    g.bracket(g.bracket(e(a), e(b)), e(c))
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-                ]
-                if any(sum(col) for col in zip(*terms)):
-                    return (i, j, k)
-    return None
+        assert sub_radical(Subalgebra(h.parent, h.space)) == first
 
 
 def rescaled_brackets(g, d):
@@ -643,9 +637,8 @@ def sparse_brackets(draw):
 def test_validate_reports_the_first_failing_triple(data):
     n, brackets = data
     g = LieAlgebra.from_brackets(n, brackets)
-    report = validate(g)
-    assert report.jacobi_failure == _first_jacobi_failure(g)
-    assert report.ok == (report.jacobi_failure is None)
+    # from_brackets fills (j, i) by antisymmetry, so only Jacobi can fail
+    assert_validate_matches_the_plain_walk(g)
 
 
 def old_jacobi_failure(g):
@@ -703,7 +696,7 @@ def test_unrolled_jacobi_walk_reports_the_old_triple_on_corrupted_tables(name, d
 def test_pinned_jacobi_examples():
     good = LieAlgebra.from_brackets(5, SL2_RAD2_RESCALED)
     assert validate(good).ok and good.integer_constants[0] == 840
-    assert _first_jacobi_failure(LieAlgebra.from_brackets(5, SL2_RAD2_BROKEN)) == (0, 1, 4)
+    assert plain_validation(LieAlgebra.from_brackets(5, SL2_RAD2_BROKEN)) == (None, (0, 1, 4))
 
 
 @settings(max_examples=100, deadline=None)
@@ -717,12 +710,7 @@ def test_integer_constants_over_the_least_common_denominator(data):
     # reference: the input accumulated densely in Fractions, as from_brackets
     # documents it (repeats add up, (j, i) data is negated, (i, i) data cancels)
     n, brackets = data
-    ref = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), row in brackets.items():
-        for k, v in row.items():
-            if i != j:
-                ref[i][j][k] += Fraction(v)
-                ref[j][i][k] -= Fraction(v)
+    ref = accumulated(n, brackets)
     g = LieAlgebra.from_brackets(n, brackets)
     den, num = g.integer_constants
     assert den == math.lcm(*(c.denominator for p in ref for r in p for c in r if c))
@@ -750,7 +738,7 @@ def test_integer_constants_over_the_least_common_denominator(data):
 @given(st.sampled_from(catalog.list_names()), st.data())
 def test_dense_bracket_wraps_the_sparse_kernel(name, data):
     g = catalog.get(name).algebra
-    entry = st.one_of(st.just(0), st.just(0), st.fractions(-3, 3, max_denominator=4))
+    entry = st.one_of(st.just(0), st.just(0), SMALL_RATIONALS)
     x, y = (
         tuple(Fraction(v) for v in data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim)))
         for _ in range(2)
@@ -777,7 +765,7 @@ def test_dense_bracket_wraps_the_sparse_kernel(name, data):
 @given(st.sampled_from(catalog.list_names()), st.data())
 def test_adjoint_matrix_columns_are_brackets_with_basis_vectors(name, data):
     g = catalog.get(name).algebra
-    entry = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
+    entry = st.one_of(st.just(0), SMALL_RATIONALS)
     x = tuple(Fraction(v) for v in data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim)))
     n, den = g.dim, g.integer_constants[0]
     ad = g.adjoint_matrix(x).matrix
@@ -982,22 +970,22 @@ def test_validate_matches_the_plain_walk_on_dense_rebased_algebras(g):
 
 
 def ordered_pair_span(g, u, v):
-    """bracket_spaces before the pairs a < b: the span of every ordered pair of rows."""
-    ys = v.integer_rows[1]
-    return Subspace.integer_span(g.dim, [g.scaled_bracket(x, y).items() for x in u.integer_rows[1] for y in ys])
+    """RREF rows of the span of [x, y] over every ordered pair of rows, by the reference."""
+    consts = g.brackets()
+    return reference.rref(g.dim, [reference.bracket(consts, x, y) for x in u for y in v])
 
 
 def old_series(g, u, lower_central):
-    series = [u]
-    while (nxt := ordered_pair_span(g, u if lower_central else series[-1], series[-1])) != series[-1]:
+    series = [reference.rref(g.dim, u.basis.entries)]
+    while (nxt := ordered_pair_span(g, series[0] if lower_central else series[-1], series[-1])) != series[-1]:
         series.append(nxt)
     return series
 
 
 def assert_pairs_span_as_ordered_pairs(g, u):
-    assert bracket_spaces(g, u, u) == ordered_pair_span(g, u, u)
-    assert derived_series(g, u) == old_series(g, u, lower_central=False)
-    assert lower_central_series(g, u) == old_series(g, u, lower_central=True)
+    assert bracket_spaces(g, u, u).basis.entries == ordered_pair_span(g, u.basis.entries, u.basis.entries)
+    assert [s.basis.entries for s in derived_series(g, u)] == old_series(g, u, lower_central=False)
+    assert [s.basis.entries for s in lower_central_series(g, u)] == old_series(g, u, lower_central=True)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -1021,17 +1009,16 @@ def test_brackets_of_pairs_match_ordered_pairs_on_rebased_catalog_algebras(g, da
 # --- is_homomorphism on integer constants against the dense routine --------------
 
 
-def old_is_homomorphism(f):
-    """is_homomorphism before the integer sums: dense apply and dense brackets per pair."""
-    src, tgt = f.source, f.target
-    for i in range(src.dim):
-        fi = f.matrix.column(i)
-        for j in range(i + 1, src.dim):
-            lhs = f.apply(src.bracket(src.basis_vector(i), src.basis_vector(j)))
-            rhs = tgt.bracket(fi, f.matrix.column(j))
-            if lhs != rhs:
-                return False
-    return True
+def reference_is_homomorphism(f):
+    """f([e_i, e_j]) == [f(e_i), f(e_j)] for every basis pair, by the reference."""
+    n, m = f.source.dim, f.matrix.entries
+    src, tgt = f.source.brackets(), f.target.brackets()
+    columns = [f.matrix.column(i) for i in range(n)]
+    return all(
+        reference.apply(m, reference.bracket(src, reference.unit(n, i), reference.unit(n, j)))
+        == reference.bracket(tgt, columns[i], columns[j])
+        for i, j in itertools.combinations(range(n), 2)
+    )
 
 
 def homomorphism_cases():
@@ -1066,7 +1053,7 @@ def homomorphism_cases():
 
 def test_integer_homomorphism_check_matches_the_dense_routine():
     maps = homomorphism_cases()
-    answers = [old_is_homomorphism(f) for f in maps]
+    answers = [reference_is_homomorphism(f) for f in maps]
     assert [is_homomorphism(f) for f in maps] == answers
     assert sum(answers) >= len(maps) // 2 and not all(answers)
     # every entry of every map moved once: most moves break the map
@@ -1075,4 +1062,4 @@ def test_integer_homomorphism_check_matches_the_dense_routine():
             entries = [list(row) for row in f.matrix.entries]
             entries[r][c] += F(1, 2)
             moved = LinMap(f.source, f.target, Mat(entries, cols=f.matrix.cols))
-            assert is_homomorphism(moved) == old_is_homomorphism(moved)
+            assert is_homomorphism(moved) == reference_is_homomorphism(moved)

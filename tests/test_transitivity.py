@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from lieideal import catalog
 from lieideal.derivations import holomorph
-from lieideal.exactlin import Echelon, Mat, Subspace, intersect, subspace_sum
+from lieideal.exactlin import Mat, Subspace, intersect
 from lieideal.liealg import (
     LieAlgebra,
     LinMap,
     Subalgebra,
-    bracket_spaces,
     center,
     centralizer,
     derived_subalgebra,
@@ -20,7 +20,6 @@ from lieideal.liealg import (
     full_subalgebra,
     is_ideal,
     is_solvable_space,
-    sub_to_algebra,
     subalgebra,
     validate,
     zero_subalgebra,
@@ -110,21 +109,18 @@ def test_chain_length_bounded_by_dimension():
 
 
 def _invert(m: Mat) -> Mat:
+    """The right half of the RREF of [m | I], by the reference."""
     n = m.rows
-    aug = Mat(
-        [list(m.entries[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)],
-        cols=2 * n,
-    )
-    reduced = Subspace.span(2 * n, aug.entries)
-    assert reduced.pivots[:n] == tuple(range(n)), "matrix is singular"
-    return Mat([row[n:] for row in reduced.basis.entries], cols=n)
+    reduced = reference.rref(2 * n, [list(row) + reference.unit(n, i) for i, row in enumerate(m.entries)])
+    assert reference.pivots(reduced)[:n] == list(range(n)), "matrix is singular"
+    return Mat([row[n:] for row in reduced], cols=n)
 
 
 def _change_basis(g: LieAlgebra, p: Mat) -> LieAlgebra:
     # new basis vectors are the columns of p
-    p_inv = _invert(p)
-    n = g.dim
-    c = [[list(p_inv.apply(g.bracket(p.column(i), p.column(j)))) for j in range(n)] for i in range(n)]
+    p_inv, consts = _invert(p).entries, g.brackets()
+    cols = [p.column(i) for i in range(g.dim)]
+    c = [[reference.apply(p_inv, reference.bracket(consts, x, y)) for y in cols] for x in cols]
     return LieAlgebra(c)
 
 
@@ -284,22 +280,19 @@ def test_complete_subideal_rejects_incomplete_h(heis):
         check_complete_subideal(full, full, heis)
 
 
-def _abstract_route(h, k, g):
-    """z(k) and c_k(h) as check_complete_subideal used to take them.
+def _centralizers_in_k(h, k, g):
+    """RREF rows of z(k) and c_k(h), by the reference: the x = sum a_i k_i with [x, y] = 0 for y in k or in h."""
+    consts, ks = g.brackets(), k.space.basis.entries
 
-    Inside k rebuilt as an algebra, then back to g through Subspace.coordinates
-    and the dense inclusion.
-    """
-    k_alg = sub_to_algebra(k)
-    k_incl = LinMap(k_alg, g, Mat.from_columns(k.space.basis.entries, rows=g.dim))
-    h_in_k = Subalgebra(
-        k_alg, Subspace.span(k_alg.dim, [k.space.coordinates(v) for v in h.space.basis.entries])
-    )
+    def centralizing(ys):
+        # coordinate t of [x, y] is linear in a: one equation per y and t
+        rows = []
+        for y in ys:
+            columns = [reference.bracket(consts, x, y) for x in ks]
+            rows += [[column[t] for column in columns] for t in range(g.dim)]
+        return reference.rref(g.dim, reference.matmul(reference.nullspace(len(ks), rows), ks))
 
-    def back(sub):
-        return Subspace.span(g.dim, [k_incl.apply(v) for v in sub.space.basis.entries])
-
-    return back(center(k_alg)), back(centralizer(k_alg, h_in_k))
+    return centralizing(ks), centralizing(h.space.basis.entries)
 
 
 # the complete suite's instances: a complete h, a centerless partner, and
@@ -314,20 +307,21 @@ def test_complete_subideal_matches_the_abstract_route(h_name, p_name):
     k_alg, emb_h, _ = direct_sum(h_alg, catalog.get(p_name).algebra)
     g, emb_k, _ = holomorph(k_alg)
     h, k = Subalgebra(g, emb_k.compose(emb_h).image()), Subalgebra(g, emb_k.image())
-    z_k, c_k = _abstract_route(h, k, g)
-    assert intersect(k.space, centralizer(g, k).space) == z_k
-    assert z_k.dim == 0
+    z_k, c_k = _centralizers_in_k(h, k, g)
+    assert intersect(k.space, centralizer(g, k).space).basis.entries == z_k
+    assert len(z_k) == 0
     report = check_complete_subideal(h, k, g)
-    assert report.centralizer_in_k.space == c_k == intersect(k.space, centralizer(g, h).space)
-    assert c_k.dim == k.dim - h.dim
+    assert report.centralizer_in_k.space == intersect(k.space, centralizer(g, h).space)
+    assert report.centralizer_in_k.space.basis.entries == c_k
+    assert len(c_k) == k.dim - h.dim
 
 
 def test_complete_subideal_rejects_a_centered_middle(sl2):
     g, e1, _ = direct_sum(sl2, catalog.abelian(1))
     h, k = Subalgebra(g, e1.image()), full_subalgebra(g)
-    z_k, _ = _abstract_route(h, k, g)
-    assert intersect(k.space, centralizer(g, k).space) == z_k
-    assert z_k.dim == 1
+    z_k, _ = _centralizers_in_k(h, k, g)
+    assert intersect(k.space, centralizer(g, k).space).basis.entries == z_k
+    assert len(z_k) == 1
     with pytest.raises(HypothesisError, match="trivial center"):
         check_complete_subideal(h, k, g)
 
@@ -604,20 +598,7 @@ def test_random_solvable_is_solvable_and_deterministic():
     assert is_solvable_space(g1, Subspace.full(g1.dim))
 
 
-# --- ideal membership and closure against a span-based reference -------------
-
-
-def _reference_is_ideal(amb, h):
-    return h.space.contains(bracket_spaces(amb.parent, amb.space, h.space))
-
-
-def _reference_ideal_closure(amb, h):
-    space = h.space
-    while True:
-        grown = subspace_sum(space, bracket_spaces(amb.parent, amb.space, space))
-        if grown == space:
-            return space
-        space = grown
+# --- ideal membership and closure against the dense reference ----------------
 
 
 @pytest.mark.parametrize("name", catalog.list_names())
@@ -629,9 +610,11 @@ def test_is_ideal_and_ideal_closure_match_span_reference(name):
     subs += [Subalgebra(g, s) for s in entry.tagged_subalgebras.values()]
     if g.dim <= 3:
         subs += enumerate_grid_subalgebras(g)
+    n, consts = g.dim, g.brackets()
     for amb in subs:
         for h in subs:
             if not amb.space.contains(h.space):
                 continue
-            assert is_ideal(amb, h) == _reference_is_ideal(amb, h)
-            assert ideal_closure(amb, h).space == _reference_ideal_closure(amb, h)
+            a, b = amb.space.basis.entries, h.space.basis.entries
+            assert is_ideal(amb, h) == reference.is_ideal(n, consts, a, b)
+            assert ideal_closure(amb, h).space.basis.entries == reference.ideal_closure(n, consts, a, b)
