@@ -13,7 +13,7 @@ File format (strict, UTF-8, one field per line; '#' starts a comment):
     bracket 0 1 2 1
 
 Each ``bracket i j k v`` line sets [e_i, e_j] += v e_k with 0 <= i < j < dim,
-0 <= k < dim and v a rational like ``-3/2``.  The (j, i) entries are implied
+0 <= k < dim (ASCII digits only, as for dim) and v a rational like ``-3/2``.  The (j, i) entries are implied
 by antisymmetry and are rejected if written out.  Omitted pairs are zero.
 Loading validates antisymmetry and Jacobi and reports the first violation.
 An oversized ``dim`` or ``v`` is rejected at its line, before anything is built.
@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .exactlin import Mat, Subspace, parse_rational
-from .liealg import LieAlgebra, LinMap, SymForm, direct_sum, validate
+from .liealg import LieAlgebra, LinMap, SymForm, direct_sum, validate, validate_or_raise
 
 
 # Above every algebra the suites build (at most 72); it bounds files and
@@ -184,15 +184,8 @@ _TABLE: dict[str, _Row] = {
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
 
 
-def _checked(g: LieAlgebra) -> LieAlgebra:
-    report = validate(g)
-    if not report.ok:
-        raise AssertionError(f"catalog algebra {g.name} is invalid: {report.message()}")
-    return g
-
-
 def _alg(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], name: str) -> LieAlgebra:
-    return _checked(LieAlgebra.from_brackets(dim, brackets, name=name))
+    return validate_or_raise(LieAlgebra.from_brackets(dim, brackets, name=name))
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -219,7 +212,7 @@ def get(name: str) -> CatalogEntry:
         raise CatalogError(f"unknown catalog algebra {name!r}")
     row = _TABLE[name]
     if row.summands:
-        g = _checked(direct_sum(*(get(t).algebra for t in row.summands))[0].renamed(name))
+        g = validate_or_raise(direct_sum(*(get(t).algebra for t in row.summands))[0].renamed(name))
     else:
         g = _alg(*row.structure, name)
     return CatalogEntry(
@@ -282,8 +275,11 @@ def loads(text: str) -> LieAlgebra:
                 raise ParseError("bracket before dim", lineno)
             if len(parts) != 5:
                 raise ParseError("bracket needs i j k v", lineno)
+            # dim's rule: int() alone would take 1_0 and non-ASCII digits
+            if not all(p.isascii() and p.isdigit() for p in parts[1:4]):
+                raise ParseError("bracket indices i j k must be unsigned ASCII integers", lineno)
+            i, j, k = map(int, parts[1:4])
             try:
-                i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
                 v = parse_rational(parts[4])
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad bracket record: {exc}", lineno) from None

@@ -28,7 +28,6 @@ from .liealg import (
     derived_subalgebra,
     full_subalgebra,
     is_ideal,
-    is_perfect,
     radical,
     validate,
 )
@@ -157,15 +156,15 @@ def cmd_validate(args, report: RunReport) -> None:
 
 def cmd_info(args, report: RunReport) -> None:
     g = _load_source(args.source)
-    full = full_subalgebra(g)
+    dim_derived = derived_subalgebra(full_subalgebra(g)).dim
     dim_radical = radical(g).dim
     info = {
         "name": g.name,
         "dim": g.dim,
         "dim_center": center(g).dim,
-        "dim_derived": derived_subalgebra(full).dim,
+        "dim_derived": dim_derived,
         "dim_radical": dim_radical,
-        "perfect": is_perfect(full),
+        "perfect": dim_derived == g.dim,
         "complete": is_complete(g),
         "semisimple": dim_radical == 0,
     }

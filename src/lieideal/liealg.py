@@ -18,13 +18,17 @@ den * [x, y] in space, in one pass over the products.  The routines that
 bracket subspace rows take them on Subspace.integer_rows, since no scale moves
 a span or a membership: is_ideal, centralizer, normalizer and the closure
 check on Subalgebra read bracket_residual; bracket_spaces spans
-scaled_bracket's output, over the pairs a < b of u's rows when v == u;
-closure (and generated_subalgebra) spans only the residuals of the brackets
-that escape.  validate sums Jacobi once per basis pair, over the nonzero
-constants only, and is_homomorphism compares both sides in integers.  center
-is the column_kernel of the den * ad_{e_i}, and _killing_numerators their
-trace pairing, den^2 * B in ints, which radical reads through
-integer_complement and integer_inertia and killing_form divides by den^2.
+scaled_bracket's output, over the pairs a < b of u's rows when v == u.
+Two bounded loops reach every fixed point.  saturate spans a space with the
+residuals that escape it until none does, and a round that does not raise
+the dimension raises InternalCheckError: closure, ideal_closure.
+stable_series takes terms until one repeats, and raises past its bound: the
+derived, lower central, subideal and normalizer series, all monotone.
+validate sums Jacobi once per basis pair, over the nonzero constants only,
+and is_homomorphism compares both sides in integers.  center is the
+column_kernel of the den * ad_{e_i}, and _killing_numerators their trace
+pairing, den^2 * B in ints, which radical reads through integer_complement
+and integer_inertia and killing_form divides by den^2.
 Only the public edge divides, once: bracket (on dense tuples),
 adjoint_matrix, killing_form, brackets() and c, the dense tensor that only
 the benchmark and tests read.
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .exactlin import (
     Inertia,
@@ -425,16 +429,6 @@ class SymForm:
         if self.matrix.rows != self.ambient.dim:
             raise ValueError("form/algebra dimension mismatch")
 
-    def value(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.matrix.entries[i]
-                for j, yj in enumerate(y):
-                    if yj and row[j]:
-                        acc += xi * row[j] * yj
-        return acc
-
     def inertia_on(self, u: Subspace | None = None) -> Inertia:
         return inertia(self.matrix, u)
 
@@ -500,27 +494,34 @@ def zero_subalgebra(g: LieAlgebra) -> Subalgebra:
 
 # a sparse bracket: two SparseItems in, the nonzero entries of the result out
 Bracket = Callable[[SparseItems, SparseItems], dict[int, Fraction | int]]
+T = TypeVar("T")
+
+
+def saturate(space: Subspace, escaping: Callable[[Subspace], list[SparseItems]]) -> Subspace:
+    """space spanned with the nonzero residuals escaping(space) returns, until it returns none."""
+    while new := escaping(space):
+        grown = Subspace.integer_span(space.ambient_dim, [*space.integer_rows[1], *new])
+        if grown.dim <= space.dim:
+            raise InternalCheckError(f"a round of residuals left the dimension at {space.dim}")
+        space = grown
+    return space
+
+
+def stable_series(first: T, step: Callable[[T], T], bound: int) -> list[T]:
+    """first, step(first), ... up to the first term equal to the one before, at most bound terms."""
+    series = [first]
+    while (nxt := step(series[-1])) != series[-1]:
+        series.append(nxt)
+        if len(series) > bound:
+            raise InternalCheckError(f"series failed to stabilize within {bound} terms")
+    return series
 
 
 def closure(space: Subspace, bracket: Bracket) -> Subspace:
-    """Smallest subspace containing space and closed under bracket.
-
-    Only spans are taken, so bracket may hand back any fixed nonzero multiple
-    of the product, such as LieAlgebra.scaled_bracket.  Each round spans the
-    rows with the residuals of the brackets that escape them, and ends when
-    none escapes.
-    """
-    while True:
-        rows, escapes = space.integer_rows[1], space.scaled_residual
-        new = [
-            w.items()
-            for a in range(len(rows))
-            for b in range(a + 1, len(rows))
-            if (w := escapes(bracket(rows[a], rows[b]).items()))
-        ]
-        if not new:
-            return space
-        space = Subspace.integer_span(space.ambient_dim, [*rows, *new])
+    """Smallest subspace containing space and closed under bracket, or any fixed nonzero multiple of it."""
+    return saturate(space, lambda s: [
+        w.items() for x, y in combinations(s.integer_rows[1], 2) if (w := s.scaled_residual(bracket(x, y).items()))
+    ])
 
 
 def span_algebra(space: Subspace, bracket: Bracket, scale: int, name: str | None = None) -> LieAlgebra:
@@ -650,24 +651,12 @@ def killing_form(g: LieAlgebra) -> SymForm:
 def derived_series(g: LieAlgebra, start: Subspace | None = None) -> list[Subspace]:
     """Strictly decreasing series U, [U,U], [[U,U],[U,U]], ... until stable."""
     u = start if start is not None else Subspace.full(g.dim)
-    series = [u]
-    while True:
-        nxt = bracket_spaces(g, series[-1], series[-1])
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-    return series
+    return stable_series(u, lambda v: bracket_spaces(g, v, v), g.dim + 1)
 
 
 def lower_central_series(g: LieAlgebra, start: Subspace | None = None) -> list[Subspace]:
     u = start if start is not None else Subspace.full(g.dim)
-    series = [u]
-    while True:
-        nxt = bracket_spaces(g, u, series[-1])
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-    return series
+    return stable_series(u, lambda v: bracket_spaces(g, u, v), g.dim + 1)
 
 
 def is_solvable_space(g: LieAlgebra, u: Subspace) -> bool:
@@ -833,7 +822,9 @@ __all__ = [
     "normalizer",
     "quotient",
     "radical",
+    "saturate",
     "span_algebra",
+    "stable_series",
     "sub_radical",
     "sub_to_algebra",
     "subalgebra",

@@ -2,9 +2,10 @@
 
 The subideal test runs the descending ideal-closure series: starting from the
 ambient algebra, repeatedly replace the ambient by the smallest of its ideals
-containing h.  The series is weakly decreasing and stabilizes within dim(g)
-steps; it reaches h exactly when h is a subideal, and a positive answer is
-returned only as an independently re-verified chain of ideals.
+containing h.  It reaches h exactly when h is a subideal, and a positive
+answer is returned only as an independently re-verified chain of ideals.
+The closures and the series (this one and the normalizer tower) run on
+liealg's two bounded loops, saturate and stable_series.
 
 The remaining operations package the structural criteria under which a
 subideal is forced to be an honest ideal (perfectness, completeness of the
@@ -43,7 +44,9 @@ from .liealg import (
     killing_form,
     normalizer,
     quotient,
+    saturate,
     span_algebra,
+    stable_series,
     sub_radical,
     sub_to_algebra,
     validate_or_raise,
@@ -96,25 +99,19 @@ class IdealChain:
 
 
 def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra:
-    """Smallest ideal of the ambient algebra containing h.
+    """Smallest ideal of the ambient algebra containing h: saturate under [ambient, -].
 
-    Iterates S <- S + [ambient, S] until stable; monotone, so any ideal
-    containing h contains every iterate.  Each round spans S with the
-    residuals of the brackets that escape it, and ends when none escapes.
+    Monotone, so any ideal containing h contains every round's span.
     """
     amb = as_subalgebra(ambient)
     if h.parent != amb.parent:
         raise ValueError("subalgebras live in different parent algebras")
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
-    g = amb.parent
-    space, xs = h.space, amb.space.integer_rows[1]
-    while True:
-        rows = space.integer_rows[1]
-        new = [w.items() for x in xs for y in rows if (w := g.bracket_residual(x, y, space))]
-        if not new:
-            return Subalgebra(g, space)
-        space = Subspace.integer_span(g.dim, [*rows, *new])
+    g, xs = amb.parent, amb.space.integer_rows[1]
+    return Subalgebra(g, saturate(h.space, lambda s: [
+        w.items() for x in xs for y in s.integer_rows[1] if (w := g.bracket_residual(x, y, s))
+    ]))
 
 
 @dataclass(frozen=True)
@@ -143,15 +140,7 @@ def subideal_chain(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> SubidealV
     above h, no chain exists.
     """
     amb = as_subalgebra(ambient)
-    series = [amb]
-    while True:
-        current = series[-1]
-        nxt = ideal_closure(current, h)
-        if nxt.dim == current.dim:
-            break
-        series.append(nxt)
-        if len(series) > amb.parent.dim + 2:
-            raise InternalCheckError("closure series failed to stabilize")
+    series = stable_series(amb, lambda current: ideal_closure(current, h), amb.parent.dim + 2)
     floor = series[-1]
     if floor.space == h.space:
         chain = IdealChain(tuple(reversed(series)))
@@ -563,14 +552,7 @@ def normalizer_tower(g: LieAlgebra, h: Subalgebra) -> list[Subalgebra]:
     """h, N(h), N(N(h)), ... until the tower stabilizes."""
     if h.parent != g:
         raise ValueError("subalgebra of a different algebra")
-    tower = [h]
-    while True:
-        nxt = normalizer(g, tower[-1])
-        if nxt.space == tower[-1].space:
-            return tower
-        tower.append(nxt)
-        if len(tower) > g.dim + 1:
-            raise InternalCheckError("normalizer tower failed to stabilize")
+    return stable_series(h, lambda k: normalizer(g, k), g.dim + 1)
 
 
 def is_self_normalizing(g: LieAlgebra, h: Subalgebra) -> bool:

@@ -105,14 +105,18 @@ def nullspace(n, rows):
     return out
 
 
-def residual(n, rows, v):
-    """v minus the RREF rows of span(rows) times v's entries at their pivots: zero iff v is in the span."""
+def reduce(echelon, v):
+    """v minus the RREF rows of echelon times v's entries at their pivots."""
     w = [Fraction(x) for x in v]
-    red = rref(n, rows)
-    for p, row in zip(pivots(red), red):
+    for p, row in zip(pivots(echelon), echelon):
         if c := w[p]:
             w = [a - c * b for a, b in zip(w, row)]
     return w
+
+
+def residual(n, rows, v):
+    """v reduced by the RREF of span(rows): zero iff v is in the span."""
+    return reduce(rref(n, rows), v)
 
 
 def contains(n, rows, v):
@@ -142,3 +146,20 @@ def closure(n, consts, generators):
         if len(grown) == len(rows):
             return rows
         rows = grown
+
+
+def derivations(n, consts):
+    """RREF rows of D(g): the f with f[e_i, e_j] = [f e_i, e_j] + [e_i, f e_j], flattened row-major (f_ab at a * n + b)."""
+    e = [unit(n, i) for i in range(n)]
+    b = [[bracket(consts, x, y) for y in e] for x in e]
+    equations = []
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            # coordinate k of f[e_i, e_j] - [f e_i, e_j] - [e_i, f e_j], one coefficient per f_ab
+            row = [Fraction(0)] * (n * n)
+            for m in range(n):
+                row[k * n + m] += b[i][j][m]
+                row[m * n + i] -= b[m][j][k]
+                row[m * n + j] -= b[i][m][k]
+            equations.append(row)
+    return rref(n * n, nullspace(n * n, equations))

@@ -113,6 +113,9 @@ def test_parse_error_carries_line_number():
         ("dim \u00b2\n", 1),
         ("dim 3\nbracket 0 1 2 1e5000\n", 2),
         ("dim 3\nbracket 0 1 2 1e999999999\n", 2),
+        # int() reads these indices as 10 and 3
+        ("dim 12\nbracket 0 1 1_0 1\n", 2),
+        ("dim 12\nbracket 0 1 \u0663 1\n", 2),
     ):
         with pytest.raises(catalog.ParseError) as exc:
             catalog.loads(text)

@@ -187,6 +187,16 @@ def test_underscore_in_a_literal_exits_two(capsys, tmp_path):
     assert "line 2" in err and "underscore" in err and "Traceback" not in err
 
 
+def test_bracket_index_outside_ascii_digits_exits_two(capsys, tmp_path):
+    # int() would load [e_0, e_1] = e_10 and e_3
+    path = tmp_path / "idx.lie"
+    for index in ("1_0", "\u0663"):
+        path.write_text(f"dim 12\nbracket 0 1 {index} 1\n", encoding="utf-8")
+        assert run(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
+
 def test_dim_above_cap_in_file_exits_two(capsys, tmp_path):
     path = tmp_path / "big.lie"
     path.write_text("dim 257\nbracket 0 1 2 1\n")

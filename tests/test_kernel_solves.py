@@ -2,10 +2,9 @@
 
 The reference imports nothing from lieideal.  Centers, centralizers and
 normalizers are kernels of stacked ad matrices, and a span's annihilator (the
-nullspace of its rows) stands for membership in it.  Two references stay
-specific, as the dense one does not define what they pin: the direct sum and
-holomorph tables as written before LieAlgebra.from_scaled, and the Echelon
-route of the Leibniz solve, which alone sees an outer derivation left out.
+nullspace of its rows) stands for membership in it.  One reference stays
+specific, as the dense one does not define what it pins: the Echelon route of
+the Leibniz solve, which alone sees an outer derivation left out.
 """
 
 import functools
@@ -317,9 +316,13 @@ def test_adjoint_coordinates_match_the_matrix_route(label):
         n = d.base.dim
         xs = [d.base.basis_vector(i) for i in range(n)]
         xs += [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)) for _ in range(3)]
+        # in an RREF basis, ad_x flattened row-major has its entries at the pivots as coordinates
+        consts, basis = d.base.brackets(), reference.rref(n * n, d.span.basis.entries)
         for x in xs:
+            flat = [v for row in reference.ad(consts, x) for v in row]
             got = d.adjoint_coordinates(x)
-            assert got == d.coordinates_of(d.base.adjoint_matrix(x).matrix)
+            assert got == tuple(flat[p] for p in reference.pivots(basis))
+            assert reference.apply(list(zip(*basis)), got) == flat
             assert all(type(v) is Fraction for v in got)
 
 
@@ -467,13 +470,22 @@ def test_bracket_residual_is_the_residual_of_the_scaled_bracket(label):
     spaces = [h.space for h in subalgebras(g, tags)] + [Subspace.zero(n), Subspace.full(n)]
     rows = sorted({r for space in spaces for r in space.integer_rows[1]} | {((i, 1),) for i in range(n)})
     pairs = list(itertools.product(rows, repeat=2))
+    consts = g.brackets()
+    den = math.lcm(*(v.denominator for row in consts.values() for v in row.values()))
     for space in spaces:
+        red = reference.rref(n, space.basis.entries)
+        # the residual of [x, y] times den and L, the lcm of the RREF rows' denominators
+        scale = den * math.lcm(*(v.denominator for row in red for v in row))
+
+        def want(x, y):
+            w = reference.reduce(red, reference.bracket(consts, dense(n, x), dense(n, y)))
+            return {k: scale * v for k, v in enumerate(w) if v}
+
         for x, y in rng.sample(pairs, min(len(pairs), 40)):
-            want = space.scaled_residual(g.scaled_bracket(x, y).items())
-            assert g.bracket_residual(x, y, space) == want
-            # Fraction inputs give the same composition, in Fractions
+            assert g.bracket_residual(x, y, space) == want(x, y)
+            # and on Fraction inputs
             fx = [(j, Fraction(v, rng.randint(1, 4))) for j, v in x]
-            assert g.bracket_residual(fx, y, space) == space.scaled_residual(g.scaled_bracket(fx, y).items())
+            assert g.bracket_residual(fx, y, space) == want(fx, y)
 
 
 SOLVABLE_IDS = [label for label in IDS if label.startswith("solvable")]
@@ -506,31 +518,35 @@ def test_closures_match_the_loops_that_spanned_every_bracket(label):
 #
 # span_algebra, quotient, direct_sum and holomorph hand integer tables to
 # LieAlgebra.from_scaled.  Spans are checked against the reference; the direct
-# sum and holomorph references are those builders before that change, which
-# assembled Fraction brackets in the form from_brackets takes.  Each built
-# algebra must show the same constants through brackets() and carry the same
-# name.
+# sum's reference brackets each summand's basis, and the holomorph's solves
+# D(h) as the nullspace of the dense Leibniz system.  Each built algebra must
+# show the same constants through brackets() and carry the same name.
 
 
-def old_direct_sum_brackets(g1, g2):
-    brackets = g1.brackets()
-    for (i, j), row in g2.brackets().items():
-        brackets[(g1.dim + i, g1.dim + j)] = {g1.dim + k: v for k, v in row.items()}
+def ref_direct_sum_brackets(g1, g2):
+    """Each summand's [e_a, e_b] by the reference, the second moved up by g1.dim; zero across."""
+    brackets = {}
+    for shift, g in ((0, g1), (g1.dim, g2)):
+        n, consts = g.dim, g.brackets()
+        for a, b in itertools.combinations(range(n), 2):
+            w = reference.bracket(consts, unit(n, a), unit(n, b))
+            brackets[(shift + a, shift + b)] = {shift + k: v for k, v in enumerate(w)}
     return brackets
 
 
-def old_holomorph_brackets(h):
-    """h's brackets, each Fraction row f of D(h)'s span as [f, e_j] = f(e_j), then D(h)'s brackets."""
-    da, n = derivation_algebra(h), h.dim
-    brackets = h.brackets()
-    L, rows = da.span.integer_rows
-    for a, f in enumerate(rows):
-        for idx, v in f:
-            k, j = divmod(idx, n)
-            brackets.setdefault((n + a, j), {})[k] = Fraction(v, L)
-    for (a, b), row in da.algebra.brackets().items():
-        brackets[(n + a, n + b)] = {n + k: v for k, v in row.items()}
-    return brackets
+def ref_holomorph_brackets(h):
+    """h's brackets, each RREF row f of the reference D(h) as [f, e_j] = f(e_j), then [f_a, f_b] at the pivots."""
+    n, consts = h.dim, h.brackets()
+    basis = reference.derivations(n, consts)
+    brackets = dict(consts)
+    for a, f in enumerate(basis):
+        for j in range(n):
+            brackets[(n + a, j)] = {k: f[k * n + j] for k in range(n)}
+    commutator = flat_commutator(n)
+    for a, b in itertools.combinations(range(len(basis)), 2):
+        w = commutator(basis[a], basis[b])
+        brackets[(n + a, n + b)] = {n + i: w[p] for i, p in enumerate(reference.pivots(basis))}
+    return n + len(basis), brackets
 
 
 def assert_built_as(algebra, dim, brackets, name=None):
@@ -571,10 +587,10 @@ def test_direct_sum_and_holomorph_match_the_fraction_path(index):
     for second in (g, other):
         total, _, _ = direct_sum(g, second)
         name = f"{g.name}+{second.name}" if g.name and second.name else None
-        assert_built_as(total, g.dim + second.dim, old_direct_sum_brackets(g, second), name)
+        assert_built_as(total, g.dim + second.dim, ref_direct_sum_brackets(g, second), name)
     big, _, _ = holomorph(g)
     name = None if g.name is None else f"H({g.name})"
-    assert_built_as(big, g.dim + derivation_algebra(g).dim, old_holomorph_brackets(g), name)
+    assert_built_as(big, *ref_holomorph_brackets(g), name)
 
 
 # --- the Leibniz solve against the Echelon route it replaced -----------------

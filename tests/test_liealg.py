@@ -34,7 +34,9 @@ from lieideal.liealg import (
     normalizer,
     quotient,
     radical,
+    saturate,
     span_algebra,
+    stable_series,
     sub_radical,
     sub_to_algebra,
     subalgebra,
@@ -375,12 +377,16 @@ def test_killing_ad_invariance_on_catalog():
     # K([x,y],z) + K(y,[x,z]) = 0 on all basis triples
     for name in catalog.list_names():
         g = catalog.get(name).algebra
-        k = killing_form(g)
+        k = killing_form(g).matrix.entries
+
+        def value(x, y):
+            return sum(a * b for a, b in zip(x, reference.apply(k, y)))
+
         basis = [g.basis_vector(i) for i in range(g.dim)]
         for x in basis:
             for y in basis:
                 for z in basis:
-                    assert k.value(g.bracket(x, y), z) + k.value(y, g.bracket(x, z)) == 0
+                    assert value(g.bracket(x, y), z) + value(y, g.bracket(x, z)) == 0
 
 
 # --- radical ----------------------------------------------------------------
@@ -515,6 +521,32 @@ def test_lower_central_series_of_heisenberg(heis):
 def test_lower_central_series_stalls_on_non_nilpotent(aff1):
     series = lower_central_series(aff1)
     assert [s.dim for s in series] == [2, 1]
+
+
+def test_saturate_spans_the_residuals_until_none_escapes():
+    # each round hands back the next unit vector, up to e_2
+    space = saturate(Subspace.zero(4), lambda s: [((s.dim, 1),)] if s.dim < 3 else [])
+    assert space == Subspace.axes(4, 0, 3)
+    assert saturate(space, lambda s: []) is space
+
+
+def test_saturate_refuses_a_residual_already_in_the_span():
+    # 2 e_0 lies in the line, so spanning it leaves the dimension at 1
+    line = Subspace.span(3, [[1, 0, 0]])
+    with pytest.raises(InternalCheckError):
+        saturate(line, lambda s: [((0, 2),)])
+
+
+def test_stable_series_stops_before_the_first_repeat_within_its_bound():
+    assert stable_series(5, lambda k: max(k - 2, 0), 4) == [5, 3, 1, 0]
+    with pytest.raises(InternalCheckError):
+        stable_series(5, lambda k: max(k - 2, 0), 3)
+
+
+def test_stable_series_refuses_a_step_that_alternates():
+    zero, full = Subspace.zero(2), Subspace.full(2)
+    with pytest.raises(InternalCheckError):
+        stable_series(zero, lambda s: full if s == zero else zero, 4)
 
 
 def test_validate_constructed_algebras(sl2, heis):
