@@ -24,12 +24,12 @@ from .exactlin import Subspace, parse_rational
 from .liealg import (
     LieAlgebra,
     Subalgebra,
+    ValidationReport,
     center,
     derived_subalgebra,
     full_subalgebra,
     is_ideal,
     radical,
-    validate,
 )
 from .suites import SUITE_NAMES, run_suites
 from .transitivity import (
@@ -145,13 +145,15 @@ def _fmt_subspace(s: Subspace) -> dict:
 
 
 def cmd_validate(args, report: RunReport) -> None:
+    # the loader validates a file and the catalog each row it builds; an
+    # invalid algebra never gets here, it exits 2 with the loader's message
     g = _load_source(args.source)
-    res = validate(g)
+    message = ValidationReport(True).message()
     report.payload["dim"] = g.dim
-    report.payload["valid"] = res.ok
-    report.payload["message"] = res.message()
-    report.add("validate", "pass" if res.ok else "fail", res.message())
-    print(f"{args.source}: {res.message()}")
+    report.payload["valid"] = True
+    report.payload["message"] = message
+    report.add("validate", "pass", message)
+    print(f"{args.source}: {message}")
 
 
 def cmd_info(args, report: RunReport) -> None:

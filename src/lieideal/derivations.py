@@ -10,9 +10,14 @@ solved on the solution side, by exactlin.solution_basis: most of its rows are
 redundant, and each is checked against the few solutions left rather than
 reduced against up to n^2 pivots, so Echelon only takes the final span to its
 canonical RREF.  Those kernel rows fix the structure constants of D(g)
-deterministically: liealg.span_algebra reads them off the kernel, with
+deterministically: liealg.span_table reads them off the kernel, with
 exactlin.Commutator on the integer-scaled flattened rows as the bracket, and
-checks that every commutator stays in the kernel.  Each inner den * ad_{e_i},
+checks on every solve that each commutator stays in the kernel.  It brackets
+only the pairs whose supports meet (Commutator.pairs), as every other
+commutator is zero.  The abstract algebra D(g) is built from that table, and
+validated, only when DerivationAlgebra.algebra is first read: the callers
+that read only the span (is_characteristic, is_complete, the dimension)
+never build it.  Each inner den * ad_{e_i},
 which LieAlgebra.scaled_adjoint flattens the same way, is checked to lie in
 the kernel by its scaled residual, and its coordinates are read at the
 kernel's pivots.  The holomorph takes its constants from h's and D(h)'s
@@ -21,16 +26,18 @@ LieAlgebra.from_scaled, and embeds h and D(h) as blocks of coordinates.  Only
 the realization maps and the coordinates handed back to callers are dense.
 
 derivation_algebra caches the solve on the algebra's structure, which
-ignores names; a hit is handed back renamed for the caller's algebra.
+ignores names; a hit is handed back renamed for the caller's algebra, and its
+algebra is the solve's, built once and renamed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from types import MappingProxyType
 
 from .exactlin import (
     Commutator,
@@ -49,28 +56,42 @@ from .liealg import (
     block_embedding,
     center,
     is_ideal,
-    span_algebra,
+    span_table,
     validate_or_raise,
 )
 
 
 @dataclass(frozen=True)
 class DerivationAlgebra:
-    """D(base): abstract structure constants plus the matrix realization.
+    """D(base): the solution span, its checked bracket table and the matrix realization.
 
     ``span`` is the solution space of the Leibniz system in flattened
     (row-major) endomorphism coordinates: entry (a, b) of a derivation sits
-    at index a * n + b of its row.
+    at index a * n + b of its row.  ``table`` is span_table's: the nonzero
+    coordinates of [b_a, b_b], a < b, over L^2, for the pairs of the span's
+    RREF basis whose supports meet, each checked to stay in the span when
+    the solve ran; every other pair's commutator is zero.  ``algebra`` is
+    built from it on first read.  A renamed cache hit keeps the solve in
+    ``solved`` and reads its algebra, so D(g) is built once per structure.
     """
 
     base: LieAlgebra
-    algebra: LieAlgebra
     inner: Subspace
     span: Subspace
+    table: Mapping[tuple[int, int], Mapping[int, int]] = field(repr=False, compare=False)
+    solved: DerivationAlgebra | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return self.algebra.dim
+        return self.span.dim
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """D(base) in the span's RREF basis, from the table over L^2, validated."""
+        if self.solved is not None:
+            return self.solved.algebra.renamed(_d_name(self.base))
+        L = self.span.integer_rows[0]
+        return validate_or_raise(LieAlgebra.from_scaled(self.dim, L * L, self.table, name=_d_name(self.base)))
 
     @cached_property
     def realization(self) -> tuple[LinMap, ...]:
@@ -151,13 +172,14 @@ def _d_name(g: LieAlgebra) -> str | None:
 def _solve(g: LieAlgebra) -> DerivationAlgebra:
     """Solve the Leibniz system and package D(g).
 
-    The abstract bracket is the commutator of the realization matrices,
-    taken on the flattened kernel rows and re-expressed in them; the inner
-    subspace is the span of the adjoint maps' coordinates.
+    The bracket table is the commutator of the realization matrices, taken
+    on the flattened kernel rows, checked to stay in the kernel and
+    re-expressed in it; the inner subspace is the span of the adjoint maps'
+    coordinates.
     """
     n = g.dim
     kernel = Subspace.integer_span(n * n, map(dict.items, _leibniz_kernel(g)))
-    algebra = validate_or_raise(span_algebra(kernel, Commutator(n), 1, name=_d_name(g)))
+    table = MappingProxyType(span_table(kernel, Commutator(n)))
     inner_rows = []
     for i in range(n):
         ad = g.scaled_adjoint(((i, 1),))
@@ -166,7 +188,7 @@ def _solve(g: LieAlgebra) -> DerivationAlgebra:
         # a member's coordinate on kernel row r is its entry at pivots[r]
         inner_rows.append([(r, ad[p]) for r, p in enumerate(kernel.pivots) if p in ad])
     inner = Subspace.integer_span(kernel.dim, inner_rows)
-    return DerivationAlgebra(base=g, algebra=algebra, inner=inner, span=kernel)
+    return DerivationAlgebra(base=g, inner=inner, span=kernel, table=table)
 
 
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
@@ -174,12 +196,13 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
 
     The cache treats equal structures alike whatever their names; a hit for
     another algebra object is repackaged around the caller's algebra as a new
-    DerivationAlgebra, never by mutating the cached value.
+    DerivationAlgebra that keeps the solve, so D(g)'s algebra is built at most
+    once per structure, on its first read, and handed to the hit renamed.
     """
     da = _solve(g)
     if da.base is g:
         return da
-    return replace(da, base=g, algebra=da.algebra.renamed(_d_name(g)))
+    return replace(da, base=g, solved=da)
 
 
 derivation_algebra.cache_info = _solve.cache_info

@@ -35,7 +35,8 @@ skips every row they already satisfy, the side that wins on the tall,
 redundant Leibniz system of D(g).  ``lift`` maps coordinates in a subspace's
 RREF basis back to its ambient.  ``Commutator`` brackets matrices flattened
 row-major, the order in which ``LieAlgebra.scaled_adjoint``, the one adjoint
-kernel, flattens den * ad_x; it lays each operand out once per instance.
+kernel, flattens den * ad_x; it lays each operand out once per instance, and
+its ``pairs`` lists the pairs of a basis whose commutators can be nonzero.
 """
 
 from __future__ import annotations
@@ -500,7 +501,8 @@ class Commutator:
     (row * n, column, value) and its rows as row -> [(column, value)].  A layout holds its
     operand, so the id is not reused while the instance lives; an operand
     must not change while the instance is in use.  span_algebra brackets
-    every pair of r rows, so each row is laid out once, not 2(r - 1) times.
+    the pairs of r rows that pairs() lists, so each row is laid out once, not
+    once per pair it is in.
     """
 
     def __init__(self, n: int):
@@ -519,6 +521,40 @@ class Commutator:
                 by_row.setdefault(i, []).append((k, v))
             hit = self._layouts[id(m)] = (m, entries, by_row)
         return hit[1], hit[2]
+
+    def pairs(self, rows: Sequence[SparseItems]) -> list[tuple[int, int]]:
+        """The pairs a < b, in order, where a column index of one operand's support is a row index of the other's.
+
+        (XY - YX)_ij = sum_k X_ik Y_kj - Y_ik X_kj, so every other commutator
+        is exactly zero.  One bitmask of operands per row index and one per
+        column index find each operand's partners.
+        """
+        n = self.n
+        with_row, with_col = [0] * n, [0] * n
+        supports = []
+        for a, m in enumerate(rows):
+            entries, by_row = self._layout(m)
+            cols = {k for _, k, _ in entries}
+            bit = 1 << a
+            for i in by_row:
+                with_row[i] |= bit
+            for k in cols:
+                with_col[k] |= bit
+            supports.append((by_row, cols))
+        out = []
+        for a, (by_row, cols) in enumerate(supports):
+            meets = 0
+            for k in cols:
+                meets |= with_row[k]
+            for i in by_row:
+                meets |= with_col[i]
+            # bit t of the shifted mask is operand a + 1 + t, and low.bit_length() is t + 1
+            meets >>= a + 1
+            while meets:
+                low = meets & -meets
+                out.append((a, a + low.bit_length()))
+                meets ^= low
+        return out
 
     def __call__(self, x: SparseItems, y: SparseItems) -> dict[int, Fraction | int]:
         (x_entries, x_rows), (y_entries, y_rows) = self._layout(x), self._layout(y)

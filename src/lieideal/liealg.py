@@ -6,8 +6,9 @@ the c_ijk, where [e_i, e_j] = sum_k c_ijk e_k, and num[i][j] holds the pairs
 (k, c_ijk * den) with c_ijk != 0 in increasing k.  Both (i,j) and (j,i) are
 stored, and memory grows with the number of nonzero constants, not with dim^3.
 Every builder hands its [e_i, e_j], i < j, to LieAlgebra.from_scaled as
-integers over one scale, which it reduces by their gcd once: span_algebra (its
-coordinates over the bracket's scale times L^2), direct_sum, quotient (the
+integers over one scale, which it reduces by their gcd once: span_algebra and
+D(g) (span_table's checked coordinates over the bracket's scale times L^2;
+a Commutator brackets only the pairs whose supports meet), direct_sum, quotient (the
 residuals of the numerators, over den * L) and the holomorph.  from_brackets,
 for files and the catalog, clears its Fractions' denominators once and hands
 the integers on; the dense __init__ stores its tensor as given.
@@ -47,6 +48,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .exactlin import (
+    Commutator,
     Inertia,
     IntRow,
     Mat,
@@ -524,28 +526,36 @@ def closure(space: Subspace, bracket: Bracket) -> Subspace:
     ])
 
 
-def span_algebra(space: Subspace, bracket: Bracket, scale: int, name: str | None = None) -> LieAlgebra:
-    """The bracket-closed span as an abstract algebra in its RREF basis.
+def span_table(space: Subspace, bracket: Bracket) -> dict[tuple[int, int], dict[int, int]]:
+    """The checked coordinates of the bracket-closed span's [b_a, b_b], a < b, in its RREF basis.
 
     bracket returns scale times the product: 1 for exactlin.Commutator, den
-    for LieAlgebra.scaled_bracket.  Every [b_a, b_b], a < b, is re-expressed
-    in the basis, its coordinates read through a pivot -> index map and handed
-    to from_scaled over scale * L^2; a bracket that leaves the span is a bug
-    in the caller's closure, not a property of the input.
+    for LieAlgebra.scaled_bracket.  Each [b_a, b_b] bracketed must lie in the
+    span, or InternalCheckError is raised: a bracket that leaves it is a bug
+    in the caller's closure, not a property of the input.  Its coordinates,
+    read through a pivot -> index map, are scale * L^2 times the true ones,
+    nonzero only.  A Commutator brackets only the pairs its pairs() lists,
+    as every other commutator is zero; any other bracket takes every pair.
     """
     L, rows = space.integer_rows
     # the basis is rows / L, so [b_a, b_b] = w / (scale * L^2), whose
     # coordinate on b_i is its entry at pivots[i]
     index = {p: i for i, p in enumerate(space.pivots)}
-    r = len(rows)
+    pairs = bracket.pairs(rows) if isinstance(bracket, Commutator) else combinations(range(len(rows)), 2)
     table = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            w = bracket(rows[a], rows[b])
-            if space.scaled_residual(w.items()):
-                raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
-            table[(a, b)] = {index[p]: c for p, c in w.items() if p in index}
-    return LieAlgebra.from_scaled(r, scale * L * L, table, name=name)
+    for a, b in pairs:
+        w = bracket(rows[a], rows[b])
+        if space.scaled_residual(w.items()):
+            raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
+        if w := {index[p]: c for p, c in w.items() if p in index}:
+            table[(a, b)] = w
+    return table
+
+
+def span_algebra(space: Subspace, bracket: Bracket, scale: int, name: str | None = None) -> LieAlgebra:
+    """The bracket-closed span as an abstract algebra in its RREF basis: span_table over scale * L^2."""
+    L = space.integer_rows[0]
+    return LieAlgebra.from_scaled(space.dim, scale * L * L, span_table(space, bracket), name=name)
 
 
 def generated_subalgebra(parent: LieAlgebra, vectors: Iterable[Sequence[Scalar]]) -> Subalgebra:
@@ -824,6 +834,7 @@ __all__ = [
     "radical",
     "saturate",
     "span_algebra",
+    "span_table",
     "stable_series",
     "sub_radical",
     "sub_to_algebra",

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lieideal
-from lieideal import catalog
+from lieideal import catalog, liealg
 from lieideal.cli import run
 from lieideal.exactlin import Subspace
 from lieideal.liealg import Subalgebra, sub_to_algebra
@@ -112,6 +112,27 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
     code = run(["validate", str(path)])
     assert code == 2
     assert "(0, 1, 2)" in capsys.readouterr().err
+
+
+def test_validate_reports_the_loaders_verdict(capsys, tmp_path, monkeypatch):
+    # the loader walks Jacobi once and refuses an invalid file before validate
+    # reports; a valid file is not walked a second time
+    path = tmp_path / "sl2.lie"
+    catalog.save(catalog.get("sl2").algebra, str(path))
+    walks = []
+    check = catalog.validate
+    monkeypatch.setattr(catalog, "validate", lambda g: walks.append(g.dim) or check(g))
+    monkeypatch.setattr(liealg, "validate", lambda g: pytest.fail("validated twice"))
+    bad = tmp_path / "bad.lie"
+    bad.write_text("dim 3\nbracket 0 1 2 1\nbracket 0 2 0 1\nbracket 1 2 1 5\n")
+    assert run(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: Jacobi identity fails at triple (i,j,k)=(0, 1, 2)\n"
+    code, human, payload = invoke(capsys, "validate", str(path))
+    assert code == 0 and walks == [3, 3]
+    assert human == f"{path}: valid Lie algebra (antisymmetry and Jacobi hold)\n"
+    assert payload["payload"] == {"dim": 3, "message": "valid Lie algebra (antisymmetry and Jacobi hold)", "valid": True}
+    assert payload["checks"] == [{"name": "validate", "status": "pass", "detail": payload["payload"]["message"]}]
 
 
 def test_missing_file_exits_two(capsys):

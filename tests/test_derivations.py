@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from lieideal import catalog
+from lieideal import catalog, derivations, liealg
 from lieideal.derivations import (
     derivation_algebra,
     derivation_tower,
@@ -18,6 +18,7 @@ from lieideal.derivations import (
 )
 from lieideal.exactlin import Mat
 from lieideal.liealg import (
+    InternalCheckError,
     LieAlgebra,
     Subalgebra,
     center,
@@ -29,6 +30,7 @@ from lieideal.liealg import (
     subalgebra,
     validate,
 )
+from lieideal.suites import check_adjoint_identity
 
 
 def test_dimension_abelian():
@@ -312,6 +314,73 @@ def test_cache_hit_is_named_for_the_callers_algebra():
     assert first.algebra.name == "D(heisenberg3)" and first.base is h
     again = derivation_algebra(h)
     assert again.algebra.name == "D(heisenberg3)" and again.base is h
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The names of the derivation algebras LieAlgebra.from_scaled builds and validate checks, from a cold cache."""
+    seen = {"from_scaled": [], "validate": []}
+    from_scaled, check = LieAlgebra.from_scaled, liealg.validate
+
+    def note(step, name):
+        if name is not None and name.startswith("D("):
+            seen[step].append(name)
+
+    def counted_from_scaled(dim, scale, table, name=None):
+        note("from_scaled", name)
+        return from_scaled(dim, scale, table, name=name)
+
+    def counted_validate(g):
+        note("validate", g.name)
+        return check(g)
+
+    monkeypatch.setattr(LieAlgebra, "from_scaled", staticmethod(counted_from_scaled))
+    # validate_or_raise reads validate from liealg's namespace
+    monkeypatch.setattr(liealg, "validate", counted_validate)
+    derivation_algebra.cache_clear()
+    yield seen
+    derivation_algebra.cache_clear()
+
+
+def test_span_readers_build_no_derivation_algebra(builds):
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        g = entry.algebra
+        is_characteristic(g, derived_subalgebra(full_subalgebra(g)))
+        assert is_complete(g) == entry.expected["complete"]
+        check_adjoint_identity(name, g)
+        assert derivation_algebra(g).dim == entry.expected["dim_derivations"]
+    assert derivation_algebra.cache_info().misses == len(catalog.list_names())
+    assert builds == {"from_scaled": [], "validate": []}
+
+
+def test_holomorph_builds_the_derivation_algebra_once(builds):
+    h = catalog.get("heisenberg3").algebra
+    other = h.renamed("other")
+    holomorph(h)
+    holomorph(h)
+    built = {"from_scaled": ["D(heisenberg3)"], "validate": ["D(heisenberg3)"]}
+    assert builds == built
+    first = derivation_algebra(h).algebra
+    # a renamed cache hit reads the solve's algebra: nothing more is built or validated
+    holomorph(other)
+    da = derivation_algebra(other)
+    assert builds == built
+    assert da.algebra.name == "D(other)" and da.algebra == first
+    assert da.algebra.integer_constants is first.integer_constants
+    assert derivation_algebra.cache_info().misses == 1
+
+
+def test_the_closure_check_runs_on_every_solve(builds, monkeypatch):
+    # E_01 is no derivation of sl2, and the span it joins is not closed under
+    # the commutator: the solve raises before any DerivationAlgebra exists
+    g = catalog.get("sl2").algebra
+    kernel = derivations._leibniz_kernel
+    monkeypatch.setattr(derivations, "_leibniz_kernel", lambda g: [*kernel(g), {1: 1}])
+    monkeypatch.setattr(derivations.DerivationAlgebra, "algebra", property(lambda _: pytest.fail("algebra read")))
+    with pytest.raises(InternalCheckError, match="escaped the closed span"):
+        is_characteristic(g, full_subalgebra(g))
+    assert builds == {"from_scaled": [], "validate": []}
 
 
 def test_derivations_unchanged_by_fractional_rescaling():

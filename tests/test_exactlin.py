@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -475,6 +476,38 @@ def test_commutator_matches_dense_products(case):
     assert flat == reference_commutator(n, enumerate(xs), enumerate(ys))
     # entries that cancel are dropped, not kept as zeros
     assert all(flat.values())
+
+
+def supports_meet(n, x, y):
+    """A column index of one operand's support is a row index of the other's, read entry by entry."""
+    return any(i % n == j // n or j % n == i // n for i, _ in x for j, _ in y)
+
+
+@st.composite
+def sparse_square_rows(draw, max_n=6):
+    # a few entries per row, so that many pairs of rows miss each other
+    n = draw(st.integers(1, max_n))
+    entry = st.dictionaries(st.integers(0, n * n - 1), st.integers(-3, 3).filter(bool), max_size=4)
+    return n, [tuple(sorted(row.items())) for row in draw(st.lists(entry, max_size=10))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_square_rows())
+def test_commutator_pairs_are_the_pairs_whose_supports_meet(case):
+    n, rows = case
+    pairs = Commutator(n).pairs(rows)
+    every = list(itertools.combinations(range(len(rows)), 2))
+    assert pairs == [(a, b) for a, b in every if supports_meet(n, rows[a], rows[b])]
+    # the commutator of every pair left out is zero
+    for a, b in set(every) - set(pairs):
+        assert reference_commutator(n, rows[a], rows[b]) == {}
+
+
+def test_commutator_pairs_of_matrix_units():
+    # E_ab and E_cd meet iff b == c or d == a
+    units = [((0, 1),), ((1, 1),), ((7, 1),), ((3, 1),)]  # E_00, E_01, E_21, E_10 in gl(3)
+    assert Commutator(3).pairs(units) == [(0, 1), (0, 3), (1, 3), (2, 3)]
+    assert Commutator(3).pairs([]) == [] and Commutator(3).pairs([((4, 1),)]) == []
 
 
 def test_commutator_drops_cancelled_entries():

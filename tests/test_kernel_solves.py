@@ -14,6 +14,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from reference import dense, unit
@@ -577,6 +579,36 @@ def test_span_algebra_and_quotient_match_the_fraction_path(label):
     named = span_algebra(da.span, Commutator(n), 1, name="D")
     assert named == want and named.name == "D"
     assert da.algebra == want
+
+
+@pytest.mark.parametrize("label", IDS)
+def test_commutator_pairs_of_every_derivation_span(label):
+    # the pairs of D(g)'s RREF rows that Commutator.pairs lists are those whose
+    # supports meet, entry by entry, and every other commutator is zero
+    g, _ = corpus()[label]
+    n = g.dim
+    rows = derivation_algebra(g).span.integer_rows[1]
+    every = list(itertools.combinations(range(len(rows)), 2))
+    pairs = Commutator(n).pairs(rows)
+    meets = [(a, b) for a, b in every if any(i % n == j // n or j % n == i // n for i, _ in rows[a] for j, _ in rows[b])]
+    assert pairs == meets
+    square = flat_commutator(n)
+    for a, b in set(every) - set(pairs):
+        assert not any(square(dense(n * n, rows[a]), dense(n * n, rows[b])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.dictionaries(st.integers(0, n * n - 1), st.integers(-2, 2).filter(bool), max_size=3), max_size=3),
+)))
+def test_span_algebra_on_matrix_closures_matches_every_pair_densely(case):
+    # the closure of a few sparse matrices under the commutator, bracketed over
+    # the pairs Commutator.pairs lists, against every pair a < b by the reference
+    n, mats = case
+    space = closure(Subspace.span(n * n, mats), Commutator(n))
+    want = ref_span_algebra(n * n, flat_commutator(n), space.basis.entries)
+    assert span_algebra(space, Commutator(n), 1) == want
 
 
 @pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
