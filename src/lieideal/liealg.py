@@ -7,9 +7,9 @@ the c_ijk, where [e_i, e_j] = sum_k c_ijk e_k, and num[i][j] holds the pairs
 stored, and memory grows with the number of nonzero constants, not with dim^3.
 Every builder hands its [e_i, e_j], i < j, to LieAlgebra.from_scaled as
 integers over one scale, which it reduces by their gcd once: span_algebra and
-D(g) (span_table's checked coordinates over the bracket's scale times L^2;
-a Commutator brackets only the pairs whose supports meet), direct_sum, quotient (the
-residuals of the numerators, over den * L) and the holomorph.  from_brackets,
+D(g) (span_table's checked coordinates over the bracket's scale times L^2; a
+Commutator brackets only the pairs whose supports meet), direct_sum, quotient
+(the residuals of the numerators, over den * L) and the holomorph.  from_brackets,
 for files and the catalog, clears its Fractions' denominators once and hands
 the integers on; the dense __init__ stores its tensor as given.
 One kernel per operation works on sparse vectors, integers in, integers out:
@@ -547,8 +547,8 @@ def span_table(space: Subspace, bracket: Bracket) -> dict[tuple[int, int], dict[
         w = bracket(rows[a], rows[b])
         if space.scaled_residual(w.items()):
             raise InternalCheckError(f"[basis {a}, basis {b}] escaped the closed span")
-        if w := {index[p]: c for p, c in w.items() if p in index}:
-            table[(a, b)] = w
+        if coords := {index[p]: c for p, c in w.items() if p in index}:
+            table[(a, b)] = coords
     return table
 
 
