@@ -3,14 +3,17 @@
 A derivation of g is an endomorphism f with f([x,y]) = [f(x),y] + [x,f(y)].
 The solver treats the n^2 matrix entries of f (row-major) as unknowns and
 takes the exact kernel of the stacked Leibniz constraints over all basis
-pairs, assembled from the numerators in LieAlgebra.integer_constants and never
+pairs, read from the numerators in LieAlgebra.integer_constants and never
 divided by their denominator den: the system is homogeneous, and the inner
 derivations, taken as den * ad_{e_i}, span the same subspace.  The system is
-solved on the solution side, by exactlin.solution_basis: most of its rows are
-redundant, and each is checked against the few solutions left rather than
-reduced against up to n^2 pivots, so Echelon only takes the final span to its
-canonical RREF.  Those kernel rows fix the structure constants of D(g)
-deterministically: liealg.span_table reads them off the kernel, with
+solved on the solution side, in exactlin.SolutionBasis, with no equation
+built as a row: its dots with the few solutions left are summed straight from
+the constants.  On sparse constants most equations are redundant, many
+repeating an earlier one up to scale, and cost only those products; the rest
+go to SolutionBasis.eliminate.  Repeats and the order of the equations change no
+result, as Echelon then takes the final span to its canonical RREF.  Those
+kernel rows fix the structure constants of D(g) deterministically:
+liealg.span_table reads them off the kernel, with
 exactlin.Commutator on the integer-scaled flattened rows as the bracket, and
 checks on every solve that each commutator stays in the kernel.  It brackets
 only the pairs whose supports meet (Commutator.pairs), as every other
@@ -32,7 +35,7 @@ algebra is the solve's, built once and renamed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -42,10 +45,10 @@ from types import MappingProxyType
 from .exactlin import (
     Commutator,
     Mat,
+    SolutionBasis,
     Subspace,
     Vector,
     dense_vector,
-    solution_basis,
     sparse_vector,
 )
 from .liealg import (
@@ -128,38 +131,53 @@ class DerivationAlgebra:
         return dense_vector(self.dim, ((i, q / g.integer_constants[0]) for i, q in coords.items()))
 
 
-def _leibniz_rows(g: LieAlgebra) -> Iterator[Iterable[tuple[int, int]]]:
-    """The Leibniz equations in numerators; unknowns f_ab at index a*n + b.
+def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
+    """Integer basis of the Leibniz system's solutions, in flattened endomorphism coordinates.
 
-    For i < j and each output coordinate k the pair touches:
+    The unknowns are the entries f_ab, at index a*n + b.  For i < j and each
+    output coordinate k the pair touches, the equation reads
       sum_m c_ijm f_km - sum_a c_ajk f_ai + sum_b c_bik f_bj = 0,
-    the last sum being -sum_b c_ibk f_bj by antisymmetry.  into[j][k] lists
-    the (a, c_ajk), so a pair with [e_i, e_j] = 0 visits only the k that some
-    [e_a, e_j] or [e_b, e_i] reaches.
+    the last sum being -sum_b c_ibk f_bj by antisymmetry, in the numerators
+    of integer_constants: num[i][j] lists the (m, c_ijm) and into[j][k] the
+    (a, c_ajk), so a pair with [e_i, e_j] = 0 visits only the k that some
+    [e_a, e_j] or [e_b, e_i] reaches.  No equation is built: each term is
+    dotted straight into the solutions nonzero at its unknown, and the dots
+    of an equation that touches one go to SolutionBasis.eliminate, which
+    changes nothing when all are zero, as for every equation that repeats
+    an earlier one up to scale.  Neither repeats nor the order of the
+    equations change the span that comes out, only which integer basis of
+    it; integer_span puts the span in canonical RREF.
     """
     n = g.dim
-    nz = g.integer_constants[1]
+    num = g.integer_constants[1]
     into: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
     for a in range(n):
         for j in range(n):
-            for k, v in nz[a][j]:
+            for k, v in num[a][j]:
                 into[j].setdefault(k, []).append((a, v))
+    solutions = SolutionBasis(n * n)
+    basis, at, eliminate = solutions.vectors, solutions.at, solutions.eliminate
     for i in range(n):
         into_i = into[i]
         for j in range(i + 1, n):
-            ij, into_j = nz[i][j], into[j]
-            for k in range(n) if ij else sorted(into_i.keys() | into_j.keys()):
-                row = {k * n + m: v for m, v in ij}
+            ij, into_j = num[i][j], into[j]
+            for k in range(n) if ij else into_i.keys() | into_j.keys():
+                dots: dict[int, int] = {}
+                for m, v in ij:
+                    c = k * n + m
+                    for t in at[c]:
+                        dots[t] = dots.get(t, 0) + v * basis[t][c]
                 for a, v in into_j.get(k, ()):
-                    row[a * n + i] = row.get(a * n + i, 0) - v
+                    c = a * n + i
+                    for t in at[c]:
+                        dots[t] = dots.get(t, 0) - v * basis[t][c]
                 for b, v in into_i.get(k, ()):
-                    row[b * n + j] = row.get(b * n + j, 0) + v
-                yield row.items()
-
-
-def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
-    """Integer basis of the Leibniz system's solutions, in flattened endomorphism coordinates."""
-    return solution_basis(g.dim * g.dim, _leibniz_rows(g))
+                    c = b * n + j
+                    for t in at[c]:
+                        dots[t] = dots.get(t, 0) + v * basis[t][c]
+                if dots:
+                    eliminate(dots)
+    return list(basis.values())
 
 
 def _d_name(g: LieAlgebra) -> str | None:
@@ -213,8 +231,8 @@ def leibniz_defect(g: LieAlgebra, f: Mat) -> Vector | None:
     """First nonzero f([ei,ej]) - [f ei, ej] - [ei, f ej], pairs i < j in order, or None if f derives.
 
     Summed on g's integer numerators and on f's columns times d, the lcm of f's
-    denominators, both read once.  It reads neither _leibniz_rows nor
-    solution_basis, so it checks the solve independently.
+    denominators, both read once.  It shares nothing with _leibniz_kernel or
+    SolutionBasis, so it checks the solve independently.
     """
     n, (den, num) = g.dim, g.integer_constants
     if f.shape != (n, n):
@@ -380,8 +398,9 @@ def is_characteristic(g: LieAlgebra, h: Subalgebra) -> bool:
     if not is_ideal(g, h):
         raise ValueError("is_characteristic needs an ideal")
     n = g.dim
+    hrows = [dict(u) for u in h.space.integer_rows[1]]
     for f in derivation_algebra(g).span.integer_rows[1]:
-        for u in map(dict, h.space.integer_rows[1]):
+        for u in hrows:
             # f(u) from the flattened entries f_ab = f[a * n + b]
             image: dict[int, int] = {}
             for idx, v in f:

@@ -30,9 +30,11 @@ pivot column it holds and ``rref_rows`` only rescales; it builds no Fraction
 and clears denominators only for a row that holds one.  ``Subspace.span`` is
 the one row reduction, and its ``dim`` the only rank.  Kernels are solved two ways:
 ``column_kernel`` reduces the equations into ``Echelon`` and reads its
-``nullspace_rows``, while ``solution_basis`` keeps the solutions instead and
-skips every row they already satisfy, the side that wins on the tall,
-redundant Leibniz system of D(g).  ``lift`` maps coordinates in a subspace's
+``nullspace_rows``, while ``SolutionBasis`` keeps the solutions instead: its
+caller dots each equation with the few solutions that touch it, and
+``eliminate`` skips an equation whose dots are all zero, the side that wins
+on the tall, redundant Leibniz system of D(g), whose equations are never
+built as rows.  ``lift`` maps coordinates in a subspace's
 RREF basis back to its ambient.  ``Commutator`` brackets matrices flattened
 row-major, the order in which ``LieAlgebra.scaled_adjoint``, the one adjoint
 kernel, flattens den * ad_x; it lays each operand out once per instance, and
@@ -316,28 +318,37 @@ class Echelon:
         return list(basis.values())
 
 
-def solution_basis(ncols: int, rows: Iterable[SparseItems]) -> list[dict[int, int]]:
-    """Integer basis of {x in Q^ncols : row . x = 0 for every row}, kept on the solution side.
+class SolutionBasis:
+    """Integer basis of the solutions of the equations eliminated so far, kept on the solution side.
 
-    The basis starts as the unit vectors, held by id with a column -> ids
-    index, and each row is dotted only with the vectors it touches.  A row
-    with every dot zero is skipped: once the basis is small, most rows of a
-    redundant system cost a few products, not a reduction against every
-    pivot.  Otherwise the sparsest vector with a nonzero dot (ties to the
-    lowest id) leaves the basis, and cancels the dot of every other vector
-    hit, each of which is made primitive again.  Rows may hold zeros.
+    ``vectors`` starts as the unit vectors of Q^ncols, held by id, and ``at``
+    maps each column to the ids of the vectors nonzero there, so an equation
+    sum_c a_c x_c = 0 is dotted only with the vectors it touches: the dot of
+    vector i is the sum of a_c * vectors[i][c] over the entries c with i in
+    at[c].  The caller computes those dots as it likes and hands them to
+    ``eliminate``; an equation that every vector it touches satisfies costs
+    those few products and nothing more, so the side wins on a tall,
+    redundant system, where a row reduction would meet every equation.
     """
-    basis = {c: {c: 1} for c in range(ncols)}
-    at: list[set[int]] = [{c} for c in range(ncols)]  # column -> ids nonzero there
-    for row in rows:
-        dots: dict[int, int] = {}
-        get = dots.get
-        for c, a in row:
-            for i in at[c]:
-                dots[i] = get(i, 0) + a * basis[i][c]
+
+    __slots__ = ("vectors", "at")
+
+    def __init__(self, ncols: int):
+        self.vectors: dict[int, dict[int, int]] = {c: {c: 1} for c in range(ncols)}
+        self.at: list[set[int]] = [{c} for c in range(ncols)]
+
+    def eliminate(self, dots: Mapping[int, int]) -> None:
+        """Keep only the solutions of one more equation, given its dot with each vector it touches.
+
+        Zero dots may be among them, and all zero changes nothing.  Otherwise
+        the sparsest vector with a nonzero dot (ties to the lowest id) leaves
+        the basis and cancels the dot of every other vector hit, each of
+        which is made primitive again.
+        """
         hit = [i for i, d in dots.items() if d]
         if not hit:
-            continue
+            return
+        basis, at = self.vectors, self.at
         p = min(hit, key=lambda i: (len(basis[i]), i))
         pivot, dp = basis.pop(p), dots[p]
         for c in pivot:
@@ -345,7 +356,7 @@ def solution_basis(ncols: int, rows: Iterable[SparseItems]) -> list[dict[int, in
         for i in hit:
             if i == p:
                 continue
-            # dp * v - dv * pivot has a zero dot with the row
+            # dp * v - dv * pivot has a zero dot with the equation
             dv = dots[i]
             new = {c: x * dp for c, x in basis[i].items()}
             for c, x in pivot.items():
@@ -360,7 +371,6 @@ def solution_basis(ncols: int, rows: Iterable[SparseItems]) -> list[dict[int, in
                     new[c] = -dv * x
                     at[c].add(i)
             basis[i] = _primitive(new)
-    return list(basis.values())
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each suite runs a batch of checks over a deterministic corpus (catalog
 algebras, constructed extensions, and seeded random solvable algebras) and
-returns one CheckResult per check.  Suites:
+returns one CheckResult per check, with the check's wall time in seconds
+(only ``verify --timings`` prints it).  Suites:
 
   perfect   - perfect subideals are ideals (with chains); constructive
               counterexamples for every non-perfect catalog algebra;
@@ -21,7 +22,8 @@ returns one CheckResult per check.  Suites:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import catalog
@@ -73,6 +75,7 @@ class CheckResult:
     name: str
     status: str  # pass | fail | hypothesis-not-satisfied | error
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -90,15 +93,16 @@ def check(cond: object, msg: str) -> None:
 
 
 def _run_check(suite: str, name: str, fn) -> CheckResult:
+    start = time.perf_counter()
     try:
-        detail = fn()
+        status, detail = "pass", fn() or ""
     except HypothesisError as exc:
-        return CheckResult(suite, name, "hypothesis-not-satisfied", str(exc))
+        status, detail = "hypothesis-not-satisfied", str(exc)
     except AssertionError as exc:
-        return CheckResult(suite, name, "fail", str(exc))
+        status, detail = "fail", str(exc)
     except Exception as exc:  # noqa: BLE001 - reported, not raised
-        return CheckResult(suite, name, "error", f"{type(exc).__name__}: {exc}")
-    return CheckResult(suite, name, "pass", detail or "")
+        status, detail = "error", f"{type(exc).__name__}: {exc}"
+    return CheckResult(suite, name, status, detail, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +777,8 @@ def suite_selfnorm(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_oracle(seed: int = 0) -> list[CheckResult]:
-    results = []
+def oracle_corpus(seed: int) -> list[tuple[str, LieAlgebra]]:
+    """The oracle suite's algebras: seven catalog ones and up to three random solvable ones of dim 1-3."""
     algebras: list[tuple[str, LieAlgebra]] = [
         (name, catalog.get(name).algebra)
         for name in ("abelian(1)", "abelian(2)", "abelian(3)", "heisenberg3", "aff1", "sl2", "so3")
@@ -788,8 +792,12 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
         if 1 <= g.dim <= 3:
             algebras.append((f"random_solvable_{added}(dim {g.dim})", g))
             added += 1
+    return algebras
 
-    for label, g in algebras:
+
+def suite_oracle(seed: int = 0) -> list[CheckResult]:
+    results = []
+    for label, g in oracle_corpus(seed):
 
         def run(g=g):
             grid = enumerate_grid_subalgebras(g)

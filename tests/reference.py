@@ -79,11 +79,11 @@ def rref(n, rows):
         if k is None:
             continue
         m[r], m[k] = m[k], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
+        m[r] = [x / m[r][c] if x else x for x in m[r]]
         for t in range(len(m)):
             if t != r and m[t][c]:
                 f = m[t][c]
-                m[t] = [a - f * b for a, b in zip(m[t], m[r])]
+                m[t] = [a - f * b if b else a for a, b in zip(m[t], m[r])]
         r += 1
     return tuple(tuple(row) for row in m[:r])
 

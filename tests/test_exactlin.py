@@ -14,6 +14,7 @@ from lieideal.exactlin import (
     Echelon,
     Inertia,
     Mat,
+    SolutionBasis,
     Subspace,
     inertia,
     intersect,
@@ -22,7 +23,6 @@ from lieideal.exactlin import (
     orthogonal_complement,
     parse_rational,
     rat,
-    solution_basis,
     subspace_sum,
 )
 
@@ -573,6 +573,18 @@ def tall_systems(draw):
         else:
             rows.append([(c, draw(entry)) for c in range(ncols)])
     return ncols, rows
+
+
+def solution_basis(ncols, rows):
+    """The SolutionBasis of the rows: each row's dots summed over the vectors at its columns, then eliminated."""
+    solutions = SolutionBasis(ncols)
+    for row in rows:
+        dots = {}
+        for c, a in row:
+            for i in solutions.at[c]:
+                dots[i] = dots.get(i, 0) + a * solutions.vectors[i][c]
+        solutions.eliminate(dots)
+    return list(solutions.vectors.values())
 
 
 def reference_kernel(ncols, rows):

@@ -627,11 +627,13 @@ def test_direct_sum_and_holomorph_match_the_fraction_path(index):
 
 # --- the Leibniz solve against the Echelon route it replaced -----------------
 #
-# derivations._leibniz_kernel keeps a basis of the solutions of the rows read
-# so far (exactlin.solution_basis) and builds each pair's rows only at the
-# output coordinates it touches.  The reference is the route before that: every
+# derivations._leibniz_kernel keeps a basis of the solutions of the equations
+# read so far (exactlin.SolutionBasis), visits each pair only at the output
+# coordinates it touches and sums each equation's dots straight from the
+# constants, building no row.  The reference is the route before that: every
 # pair's n rows built from all a and b and reduced into Echelon, whose
-# nullspace_rows are the kernel.
+# nullspace_rows are the kernel.  The dense reference.derivations checks it too,
+# on the small ambients and on dense changes of basis.
 
 
 def old_leibniz_span(g):
@@ -700,6 +702,66 @@ def test_leibniz_kernel_matches_the_echelon_route_on_perfect_holomorphs(label):
     assert len(ambients) == 5
     for g in ambients:
         assert_solved_as_before(g)
+
+
+def kernel_span(g):
+    """The span of _leibniz_kernel's vectors, solved afresh rather than read from the cache."""
+    return Subspace.integer_span(g.dim * g.dim, map(dict.items, derivations._leibniz_kernel(g)))
+
+
+@pytest.mark.parametrize("label", ["sl2", "so3", "sl2_rad2", "sl2_sum_so3"])
+def test_leibniz_kernel_matches_the_echelon_route_on_perfect_direct_sums(label):
+    # the suite's three-summand direct sums, where most equations repeat an
+    # earlier one up to scale; with the holomorphs above, all 80 ambients
+    h = perfect_specimens()[label]
+    ambients = [inst.g for inst in chain_instances(label, h) if " in H(" not in inst.label]
+    assert len(ambients) == 15
+    for g in ambients:
+        assert_solved_as_before(g)
+
+
+@pytest.mark.parametrize("label", ["sl2", "so3", "sl2_rad2", "sl2_sum_so3"])
+def test_leibniz_kernel_matches_the_reference_on_perfect_ambients_to_dim_8(label):
+    h = perfect_specimens()[label]
+    small = [inst.g for inst in chain_instances(label, h) if inst.g.dim <= 8]
+    assert small
+    for g in small:
+        assert kernel_span(g).basis.entries == reference.derivations(g.dim, g.brackets())
+
+
+def rebased_by_reference(g, rng):
+    """g in a seeded basis f_a = sum_i p[a][i] e_i, p in GL(n) with entries in {-1, 0, 1}, as brackets.
+
+    [f_a, f_b] = w has coordinates x = w p^-1, so x_m = sum_k w_k q[k][m] for
+    q = p^-1, read off the RREF of [p | 1]; all from the reference.
+    """
+    n, consts = g.dim, g.brackets()
+    while True:
+        p = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+        if len(reference.rref(n, p)) == n:
+            break
+    q = [row[n:] for row in reference.rref(2 * n, [row + unit(n, a) for a, row in enumerate(p)])]
+    q_t = [list(col) for col in zip(*q)]
+    brackets = {}
+    for a, b in itertools.combinations(range(n), 2):
+        x = reference.apply(q_t, reference.bracket(consts, p[a], p[b]))
+        brackets[(a, b)] = {m: v for m, v in enumerate(x) if v}
+    return brackets
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_leibniz_kernel_matches_the_reference_on_dense_changes_of_basis(seed):
+    # dense rational constants, where few equations repeat and the
+    # elimination does the work; dim D(g) is a basis invariant
+    names = [name for name in catalog.list_names() if catalog.get(name).algebra.dim <= 5]
+    assert len(names) == 11
+    for name in names:
+        g = catalog.get(name).algebra
+        brackets = rebased_by_reference(g, random.Random(f"{seed}:{name}"))
+        rebased = LieAlgebra.from_brackets(g.dim, brackets)
+        want = reference.derivations(g.dim, brackets)
+        assert kernel_span(rebased).basis.entries == want
+        assert len(want) == derivation_algebra(g).dim
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
