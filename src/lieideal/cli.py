@@ -49,7 +49,6 @@ class RunReport:
     command: list[str]
     checks: list[dict] = field(default_factory=list)
     payload: dict = field(default_factory=dict)
-    timings: dict | None = None  # verify --timings only, so default output stays deterministic
 
     def add(self, name: str, status: str, detail: str = "") -> None:
         self.checks.append({"name": name, "status": status, "detail": detail})
@@ -59,10 +58,11 @@ class RunReport:
         return 1 if any(c["status"] in ("fail", "error") for c in self.checks) else 0
 
     def to_json(self) -> str:
-        out = {"command": self.command, "checks": self.checks, "payload": self.payload}
-        if self.timings is not None:
-            out["timings"] = self.timings
-        return json.dumps(out, indent=2, sort_keys=True)
+        return json.dumps(
+            {"command": self.command, "checks": self.checks, "payload": self.payload},
+            indent=2,
+            sort_keys=True,
+        )
 
 
 def _load_source(src: str) -> LieAlgebra:
@@ -281,14 +281,7 @@ def cmd_normalizer_tower(args, report: RunReport) -> None:
 
 def cmd_verify(args, report: RunReport) -> None:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    before = derivation_algebra.cache_info()
     results = run_suites(names, seed=args.seed, min_random=args.random)
-    if args.timings:
-        after = derivation_algebra.cache_info()
-        report.timings = {
-            "checks": [{"name": f"{res.suite}: {res.name}", "seconds": res.seconds} for res in results],
-            "derivation_cache": {"hits": after.hits - before.hits, "misses": after.misses - before.misses},
-        }
     for res in results:
         report.add(f"{res.suite}: {res.name}", res.status, res.detail)
         print(f"[{res.status:>24s}] {res.suite}: {res.name}" + (f" - {res.detail}" if res.detail else ""))
@@ -400,11 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", type=nonnegative, default=50, help="randomized corpus size")
-    p.add_argument(
-        "--timings",
-        action="store_true",
-        help="add each check's seconds and the derivation cache's hits and misses under a 'timings' key",
-    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("catalog", help="list or show the named algebras")

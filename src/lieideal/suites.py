@@ -2,8 +2,7 @@
 
 Each suite runs a batch of checks over a deterministic corpus (catalog
 algebras, constructed extensions, and seeded random solvable algebras) and
-returns one CheckResult per check, with the check's wall time in seconds
-(only ``verify --timings`` prints it).  Suites:
+returns one CheckResult per check.  Suites:
 
   perfect   - perfect subideals are ideals (with chains); constructive
               counterexamples for every non-perfect catalog algebra;
@@ -22,8 +21,7 @@ returns one CheckResult per check, with the check's wall time in seconds
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
@@ -75,7 +73,6 @@ class CheckResult:
     name: str
     status: str  # pass | fail | hypothesis-not-satisfied | error
     detail: str = ""
-    seconds: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -93,16 +90,15 @@ def check(cond: object, msg: str) -> None:
 
 
 def _run_check(suite: str, name: str, fn) -> CheckResult:
-    start = time.perf_counter()
     try:
-        status, detail = "pass", fn() or ""
+        detail = fn()
     except HypothesisError as exc:
-        status, detail = "hypothesis-not-satisfied", str(exc)
+        return CheckResult(suite, name, "hypothesis-not-satisfied", str(exc))
     except AssertionError as exc:
-        status, detail = "fail", str(exc)
+        return CheckResult(suite, name, "fail", str(exc))
     except Exception as exc:  # noqa: BLE001 - reported, not raised
-        status, detail = "error", f"{type(exc).__name__}: {exc}"
-    return CheckResult(suite, name, status, detail, time.perf_counter() - start)
+        return CheckResult(suite, name, "error", f"{type(exc).__name__}: {exc}")
+    return CheckResult(suite, name, "pass", detail or "")
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +773,8 @@ def suite_selfnorm(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def oracle_corpus(seed: int) -> list[tuple[str, LieAlgebra]]:
-    """The oracle suite's algebras: seven catalog ones and up to three random solvable ones of dim 1-3."""
+def suite_oracle(seed: int = 0) -> list[CheckResult]:
+    results = []
     algebras: list[tuple[str, LieAlgebra]] = [
         (name, catalog.get(name).algebra)
         for name in ("abelian(1)", "abelian(2)", "abelian(3)", "heisenberg3", "aff1", "sl2", "so3")
@@ -792,12 +788,8 @@ def oracle_corpus(seed: int) -> list[tuple[str, LieAlgebra]]:
         if 1 <= g.dim <= 3:
             algebras.append((f"random_solvable_{added}(dim {g.dim})", g))
             added += 1
-    return algebras
 
-
-def suite_oracle(seed: int = 0) -> list[CheckResult]:
-    results = []
-    for label, g in oracle_corpus(seed):
+    for label, g in algebras:
 
         def run(g=g):
             grid = enumerate_grid_subalgebras(g)

@@ -138,12 +138,6 @@ def subideal_chain(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> SubidealV
     step is an ideal of the previous one, so when the series bottoms out at
     h the reversed series is the desired chain.  If it stabilizes strictly
     above h, no chain exists.
-
-    The chain is a shortest one, so len(chain) - 1 is the subideal defect of
-    h.  For any chain h = m_0 <| ... <| m_r = ambient, induction gives
-    l_i <= m_{r-i}: if l_i <= m_{r-i}, then m_{r-i-1} & l_i is an ideal of
-    l_i that contains h, so it contains l_{i+1}.  Hence l_r <= h, and the
-    series reaches h within r steps.
     """
     amb = as_subalgebra(ambient)
     series = stable_series(amb, lambda current: ideal_closure(current, h), amb.parent.dim + 2)

@@ -317,21 +317,6 @@ def test_verify_reproducible_bit_for_bit(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_verify_timings_are_opt_in_and_change_no_other_output(capsys):
-    argv = ["verify", "--suite", "oracle", "--seed", "1"]
-    code, human, payload = invoke(capsys, *argv)
-    assert code == 0 and "timings" not in payload
-    code, timed_human, timed = invoke(capsys, *argv, "--timings")
-    assert code == 0 and timed_human == human
-    timings = timed.pop("timings")
-    assert timed == {**payload, "command": [*argv, "--timings"]}
-    # the timed checks are the reported ones, in the same order
-    assert [t["name"] for t in timings["checks"]] == [c["name"] for c in payload["checks"]]
-    assert all(type(t["seconds"]) is float and t["seconds"] >= 0 for t in timings["checks"])
-    # "derivation dimensions" reads D(g) of six algebras, solved by the run before
-    assert timings["derivation_cache"] == {"hits": 6, "misses": 0}
-
-
 def test_abelian_above_cap_exits_two(capsys):
     assert run(["validate", "catalog:abelian(257)"]) == 2
     err = capsys.readouterr().err

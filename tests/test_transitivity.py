@@ -24,7 +24,7 @@ from lieideal.liealg import (
     validate,
     zero_subalgebra,
 )
-from lieideal.suites import NON_PERFECT_NAMES, oracle_corpus
+from lieideal.suites import NON_PERFECT_NAMES
 from lieideal.transitivity import (
     HypothesisError,
     IdealChain,
@@ -577,43 +577,6 @@ def test_oracle_with_chain_links_matches_decision(name):
         verdict = subideal_chain(g, h)
         links = list(verdict.chain.links) if verdict else []
         assert subideal_oracle(grid + links, h) == bool(verdict)
-
-
-def shortest_chain_steps(candidates, h):
-    """Fewest 'is an ideal of' steps from h up to its parent through the candidates, breadth first, or None.
-
-    Each step goes to a strictly larger candidate containing the current link,
-    as subideal_oracle's do.
-    """
-    level, seen, steps = [h], {h.space}, 0
-    while level:
-        if any(link.dim == link.parent.dim for link in level):
-            return steps
-        nxt = []
-        for current in level:
-            for cand in candidates:
-                if cand.space in seen or cand.dim <= current.dim or not cand.space.contains(current.space):
-                    continue
-                if is_ideal(cand, current):
-                    seen.add(cand.space)
-                    nxt.append(cand)
-        level, steps = nxt, steps + 1
-    return None
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_a_positive_verdict_is_a_shortest_chain(seed):
-    # the closure series is a shortest chain, so len(chain) - 1 is the
-    # subideal defect: no chain through the grid spans and its links is shorter
-    positive = 0
-    for _, g in oracle_corpus(seed):
-        grid = enumerate_grid_subalgebras(g)
-        for h in grid:
-            verdict = subideal_chain(g, h)
-            if verdict:
-                positive += 1
-                assert shortest_chain_steps(grid + list(verdict.chain.links), h) == len(verdict.chain) - 1
-    assert positive > 0
 
 
 def test_zero_subalgebra_edge_cases():
