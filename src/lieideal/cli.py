@@ -331,86 +331,86 @@ def cmd_catalog(args, report: RunReport) -> None:
 # ---------------------------------------------------------------------------
 
 
+def integer(text: str) -> int:
+    """An integer on the command line: ASCII digits after an optional minus sign."""
+    # the file format's digit rule: int() alone would read 1_0 and ٣ as 10 and 3
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def nonnegative(text: str) -> int:
     """A count given on the command line: an integer, zero or more."""
-    if (n := int(text)) < 0:
+    if (n := integer(text)) < 0:
         raise argparse.ArgumentTypeError(f"{n} is negative")
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
+def arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+SOURCE, SUB = arg("source"), arg("--sub", required=True)
+
+# name: (help, handler, arguments), in the order ``-h`` lists them
+COMMANDS = {
+    "validate": ("check a structure-constant file", cmd_validate, [SOURCE]),
+    "info": ("dimensions and structural flags", cmd_info, [SOURCE]),
+    "derivations": ("derivation algebra summary", cmd_derivations, [SOURCE]),
+    "tower": ("derivation tower of a centerless algebra", cmd_tower,
+              [SOURCE, arg("--max-steps", type=nonnegative, default=None)]),
+    "subideal": ("decide subideality, emit a chain", cmd_subideal,
+                 [SOURCE, arg("--sub", required=True,
+                              help="semicolon-separated coordinate vectors")]),
+    "ideal": ("decide whether a subalgebra is an ideal", cmd_ideal, [SOURCE, SUB]),
+    "counterexample": ("embed a non-perfect algebra as a non-ideal subideal, certified",
+                       cmd_counterexample, [SOURCE]),
+    "normalizer-tower": ("iterated normalizers until stable", cmd_normalizer_tower, [SOURCE, SUB]),
+    "verify": ("run the theorem-verification suites", cmd_verify,
+               [arg("--suite", default="all", choices=("all",) + SUITE_NAMES),
+                arg("--seed", type=integer, default=0),
+                arg("--random", type=nonnegative, default=50, help="randomized corpus size")]),
+    "catalog": ("list or show the named algebras", cmd_catalog,
+                [arg("action", choices=("list", "show")), arg("name", nargs="?")]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command if it names none.
+
+    Only a run whose first token names no command (``-h``, no arguments, a
+    typo) prints the list of commands, so only such a run registers them all.
+    """
     parser = argparse.ArgumentParser(
         prog="lieideal",
         description="exact computations on Lie ideals: subideal chains, "
         "transitivity criteria, derivation towers",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a structure-constant file")
-    p.add_argument("source")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("info", help="dimensions and structural flags")
-    p.add_argument("source")
-    p.set_defaults(fn=cmd_info)
-
-    p = sub.add_parser("derivations", help="derivation algebra summary")
-    p.add_argument("source")
-    p.set_defaults(fn=cmd_derivations)
-
-    p = sub.add_parser("tower", help="derivation tower of a centerless algebra")
-    p.add_argument("source")
-    p.add_argument("--max-steps", type=nonnegative, default=None)
-    p.set_defaults(fn=cmd_tower)
-
-    p = sub.add_parser("subideal", help="decide subideality, emit a chain")
-    p.add_argument("source")
-    p.add_argument("--sub", required=True, help="semicolon-separated coordinate vectors")
-    p.set_defaults(fn=cmd_subideal)
-
-    p = sub.add_parser("ideal", help="decide whether a subalgebra is an ideal")
-    p.add_argument("source")
-    p.add_argument("--sub", required=True)
-    p.set_defaults(fn=cmd_ideal)
-
-    p = sub.add_parser(
-        "counterexample",
-        help="embed a non-perfect algebra as a non-ideal subideal, certified",
-    )
-    p.add_argument("source")
-    p.set_defaults(fn=cmd_counterexample)
-
-    p = sub.add_parser("normalizer-tower", help="iterated normalizers until stable")
-    p.add_argument("source")
-    p.add_argument("--sub", required=True)
-    p.set_defaults(fn=cmd_normalizer_tower)
-
-    p = sub.add_parser("verify", help="run the theorem-verification suites")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=("all",) + SUITE_NAMES,
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random", type=nonnegative, default=50, help="randomized corpus size")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("catalog", help="list or show the named algebras")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?")
-    p.set_defaults(fn=cmd_catalog)
-
+    known = command in COMMANDS
+    # a lone subparser would print as {info} in the usage line of an error (an
+    # extra argument); the full build keeps "required: command" for no command
+    metavar = "{" + ",".join(COMMANDS) + "}" if known else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if known else COMMANDS:
+        help_text, fn, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # built on every call, like the one parser a one-shot process builds
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize other codes
         return 2 if exc.code not in (0,) else 0
-    report = RunReport(command=list(argv) if argv is not None else sys.argv[1:])
+    report = RunReport(command=argv)
     try:
         args.fn(args, report)
     except InputError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 
 import lieideal
 from lieideal import catalog, liealg
-from lieideal.cli import run
+from lieideal.cli import COMMANDS, build_parser, run
 from lieideal.exactlin import Subspace
 from lieideal.liealg import Subalgebra, sub_to_algebra
 
@@ -349,6 +350,110 @@ def test_negative_verify_random_exits_two(capsys):
     # zero random pairs leaves the fixed part of the corpus
     code, human, _ = invoke(capsys, "verify", "--suite", "radical", "--random", "0")
     assert code == 0 and "34 subideal pairs" in human
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "1_0"],
+        ["verify", "--seed", "\u0663"],
+        ["verify", "--seed", "+3"],
+        ["verify", "--random", "1_0"],
+        ["verify", "--random", "\u0663"],
+        ["tower", "catalog:sl2", "--max-steps", "\u0663"],
+        ["tower", "catalog:sl2", "--max-steps", "1_0"],
+        ["tower", "catalog:sl2", "--max-steps", " 3"],
+    ],
+    ids=["seed 1_0", "seed arabic 3", "seed +3", "random 1_0", "random arabic 3",
+         "max-steps arabic 3", "max-steps 1_0", "max-steps space 3"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    # the file format's digit rule: int() alone would run these as 10 and 3
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"argument {argv[-2]}: invalid " in captured.err and repr(argv[-1]) in captured.err
+
+
+def test_integer_options_keep_their_ascii_values():
+    assert build_parser("verify").parse_args(["verify", "--seed", "-1"]).seed == -1
+    assert build_parser("verify").parse_args(["verify", "--seed", "0"]).seed == 0
+    assert build_parser("verify").parse_args(["verify", "--random", "007"]).random == 7
+    assert build_parser("tower").parse_args(["tower", "s", "--max-steps", "0"]).max_steps == 0
+
+
+def _usage_cases(name):
+    """``name -h`` and its usage errors: no arguments, one too many, a bad choice."""
+    options = [option for flags, _ in COMMANDS[name][2] for option in flags]
+    required = {
+        "catalog": ["list", "aff1"],
+        "verify": [],
+    }.get(name, ["catalog:sl2"] + (["--sub", "1,0,0"] if "--sub" in options else []))
+    cases = [[name, "-h"], [name, *required, "extra"]]
+    if required:
+        cases.append([name])
+    if name == "verify":
+        cases.append([name, "--suite", "nope"])
+    if name == "catalog":
+        cases.append([name, "frob"])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_commands_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in _usage_cases(name):
+        printed = []
+        for parser in (build_parser(name), build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            printed.append((exc.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1], argv
+        code, captured = printed[0]
+        assert (code, bool(captured.out), bool(captured.err)) in ((0, True, False), (2, False, True))
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_a_command_builds_its_own_parser_only(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    assert invoke(capsys, "catalog", "list")[0] == 0
+    assert len(built) == 2
+    # a one-shot process: the command comes from sys.argv
+    monkeypatch.setattr(sys, "argv", ["lieideal", "info", "catalog:sl2"])
+    built.clear()
+    code = run()
+    payload = json.loads(capsys.readouterr().out.partition("--- machine-readable ---")[2])
+    assert code == 0 and len(built) == 2
+    assert payload["command"] == ["info", "catalog:sl2"] and payload["payload"]["dim"] == 3
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["-x"], ["inf", "catalog:sl2"]])
+def test_usage_without_a_command_builds_every_parser(capsys, monkeypatch, argv):
+    built = _count_parsers(monkeypatch)
+    assert run(argv) == (0 if argv == ["-h"] else 2)
+    assert len(built) == 1 + len(COMMANDS) == 11
+    captured = capsys.readouterr()
+    assert "{" + ",".join(COMMANDS) + "}" in captured.out + captured.err
+
+
+def test_no_command_names_the_missing_argument(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([]) == 2
+    assert capsys.readouterr().err.endswith("lieideal: error: the following arguments are required: command\n")
+    monkeypatch.setattr(sys, "argv", ["lieideal"])
+    assert run() == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: command\n")
 
 
 @pytest.mark.parametrize(
