@@ -6,6 +6,9 @@ Subspace arguments are semicolon-separated rational coordinate vectors, e.g.
 followed by a machine-readable JSON section.  Exit codes: 0 when no check
 failed (a mathematically negative verdict is still a successful run), 1 when
 a check failed or errored, 2 on malformed input.
+
+A run builds only the parser of the command its first argument names, and
+every command's parser only for ``-h`` and usage errors that name no command.
 """
 
 from __future__ import annotations
@@ -377,11 +380,7 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of every command if it names none.
-
-    Only a run whose first token names no command (``-h``, no arguments, a
-    typo) prints the list of commands, so only such a run registers them all.
-    """
+    """The parser of ``command`` alone, or of every command if it names none."""
     parser = argparse.ArgumentParser(
         prog="lieideal",
         description="exact computations on Lie ideals: subideal chains, "
