@@ -1,8 +1,14 @@
 """Theorem-verification corpora and the named acceptance suites.
 
-Each suite runs a batch of checks over a deterministic corpus (catalog
-algebras, constructed extensions, and seeded random solvable algebras) and
-returns one CheckResult per check.  Suites:
+Each suite checks a deterministic corpus (catalog algebras, constructed
+extensions, and seeded random solvable algebras).  A suite is a generator
+``suite_X(seed, min_random)`` of (check name, check) pairs; a check is a
+callable that returns its detail line or raises.  Only the runner,
+run_suites, names the suite and assigns statuses: it runs each check as
+soon as it is yielded and turns HypothesisError, a failed check and any
+other exception into a CheckResult.  An exception raised while a suite
+builds its corpus, outside every check, propagates out of the runner.
+Suites:
 
   perfect   - perfect subideals are ideals (with chains); constructive
               counterexamples for every non-perfect catalog algebra;
@@ -21,6 +27,7 @@ returns one CheckResult per check.  Suites:
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +71,9 @@ from .transitivity import (
     subideal_oracle,
 )
 
-SUITE_NAMES = ("perfect", "complete", "radical", "forms", "selfnorm", "oracle")
+
+# what a suite yields: (check name, check), the check returning its detail line
+Checks = Iterator[tuple[str, Callable[[], "str | None"]]]
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,19 @@ def check(cond: object, msg: str) -> None:
     """Fail the current check unless cond holds; unlike assert, kept under -O."""
     if not cond:
         raise CheckFailure(msg)
+
+
+def expect(should_hold: bool, criterion):
+    """Return criterion()'s report; fail unless its hypotheses held exactly when
+    should_hold.  A HypothesisError that was expected is re-raised, so the
+    runner reports it as hypothesis-not-satisfied."""
+    try:
+        report = criterion()
+    except HypothesisError:
+        check(not should_hold, "hypotheses unexpectedly failed")
+        raise
+    check(should_hold, "hypotheses unexpectedly verified")
+    return report
 
 
 def _run_check(suite: str, name: str, fn) -> CheckResult:
@@ -114,6 +136,28 @@ class ChainInstance:
     g: LieAlgebra
     h_sub: Subalgebra
     k_sub: Subalgebra
+
+
+def _nested(h: LieAlgebra, partner: LieAlgebra, extend) -> tuple[LieAlgebra, Subalgebra, Subalgebra]:
+    """(g, h, k) for k = h + partner and (g, emb_k, _) = extend(k), with h and
+    k as subalgebras of g."""
+    k, emb_h, _ = direct_sum(h, partner)
+    g, emb_k, _ = extend(k)
+    return g, Subalgebra(g, emb_k.compose(emb_h).image()), Subalgebra(g, emb_k.image())
+
+
+def _draws(seed: int, count: int, attempts: int, accept) -> list[tuple[str, LieAlgebra]]:
+    """The first count labelled random solvable algebras that accept keeps,
+    from at most attempts draws of random.Random(seed)."""
+    rng = random.Random(seed)
+    found: list[tuple[str, LieAlgebra]] = []
+    for _ in range(attempts):
+        if len(found) == count:
+            break
+        g = random_solvable_algebra(rng, matrix_size=3, generators=2)
+        if accept(g):
+            found.append((f"random_solvable_{len(found)}(dim {g.dim})", g))
+    return found
 
 
 def perfect_specimens() -> dict[str, LieAlgebra]:
@@ -157,22 +201,12 @@ def chain_instances(h_label: str, h: LieAlgebra) -> list[ChainInstance]:
     """
     out = []
     for pname in _HOLOMORPH_PARTNERS:
-        partner = catalog.get(pname).algebra
-        k, emb_h, _ = direct_sum(h, partner)
-        g, emb_k, _ = holomorph(k)
-        h_sub = Subalgebra(g, emb_k.compose(emb_h).image())
-        k_sub = Subalgebra(g, emb_k.image())
-        out.append(ChainInstance(f"{h_label} in H({h_label}+{pname})", g, h_sub, k_sub))
+        nested = _nested(h, catalog.get(pname).algebra, holomorph)
+        out.append(ChainInstance(f"{h_label} in H({h_label}+{pname})", *nested))
     for p1name, p2name in _SUM_PARTNERS:
-        p1 = catalog.get(p1name).algebra
         p2 = catalog.get(p2name).algebra
-        k, emb_h, _ = direct_sum(h, p1)
-        g, emb_k, _ = direct_sum(k, p2)
-        h_sub = Subalgebra(g, emb_k.compose(emb_h).image())
-        k_sub = Subalgebra(g, emb_k.image())
-        out.append(
-            ChainInstance(f"{h_label} in ({h_label}+{p1name})+{p2name}", g, h_sub, k_sub)
-        )
+        nested = _nested(h, catalog.get(p1name).algebra, lambda k: direct_sum(k, p2))
+        out.append(ChainInstance(f"{h_label} in ({h_label}+{p1name})+{p2name}", *nested))
     return out
 
 
@@ -187,23 +221,6 @@ NON_PERFECT_NAMES = (
 )
 
 
-def random_centerless_solvable(rng: random.Random, count: int) -> list[LieAlgebra]:
-    """Seeded centerless solvable algebras of dimension <= 6 with small D(g)."""
-    found: list[LieAlgebra] = []
-    attempts = 0
-    while len(found) < count and attempts < 200:
-        attempts += 1
-        g = random_solvable_algebra(rng, matrix_size=3, generators=2)
-        if not (2 <= g.dim <= 6):
-            continue
-        if center(g).dim != 0:
-            continue
-        if derivation_algebra(g).dim > 12:
-            continue
-        found.append(g)
-    return found
-
-
 def radical_corpus(
     seed: int, min_random: int = 50
 ) -> list[tuple[str, Subalgebra, Subalgebra, IdealChain]]:
@@ -216,40 +233,40 @@ def radical_corpus(
     """
     pairs: list[tuple[str, Subalgebra, Subalgebra, IdealChain]] = []
 
-    def add_if_subideal(label: str, amb: Subalgebra, space: Subspace) -> bool:
-        if space == amb.space:
-            h = amb
-        else:
-            try:
-                h = Subalgebra(amb.parent, space)
-            except ValueError:
-                return False
-        verdict = subideal_chain(amb, h)
-        if not verdict:
-            return False
-        pairs.append((label, amb, h, verdict.chain))
-        return True
+    def add_subideals(prefix: str, amb: Subalgebra, candidates) -> int:
+        """Add each first-seen (tag, space) candidate that is a subideal of amb; count them."""
+        added = 0
+        seen: set[Subspace] = set()
+        for tag, space in candidates:
+            if space in seen:
+                continue
+            seen.add(space)
+            if space == amb.space:
+                h = amb
+            else:
+                try:
+                    h = Subalgebra(amb.parent, space)
+                except ValueError:
+                    continue
+            verdict = subideal_chain(amb, h)
+            if verdict:
+                pairs.append((f"{prefix}:{tag}", amb, h, verdict.chain))
+                added += 1
+        return added
 
     for name in catalog.list_names():
         entry = catalog.get(name)
         g = entry.algebra
         amb = full_subalgebra(g)
         full = amb.space
-        derived = bracket_spaces(g, full, full)
-        candidates: list[tuple[str, Subspace]] = [
+        candidates = [
             ("full", full),
-            ("derived", derived),
+            ("derived", bracket_spaces(g, full, full)),
             ("center", center(g).space),
             ("radical", sub_radical(amb)),
+            *entry.tagged_subalgebras.items(),
         ]
-        for tag, space in entry.tagged_subalgebras.items():
-            candidates.append((tag, space))
-        seen: set[Subspace] = set()
-        for tag, space in candidates:
-            if space in seen:
-                continue
-            seen.add(space)
-            add_if_subideal(f"{name}:{tag}", amb, space)
+        add_subideals(name, amb, candidates)
 
     rng = random.Random(seed)
     random_count = 0
@@ -269,7 +286,7 @@ def radical_corpus(
                 ("mixin_factor", emb_mix.image()),
             ]
         else:
-            g, emb_base = base, None
+            g = base
             spaces = []
         amb = full_subalgebra(g)
         full = amb.space
@@ -279,13 +296,8 @@ def radical_corpus(
         if any(coords):
             gen = generated_subalgebra(g, [coords])
             spaces.append(("generated", gen.space))
-        seen2: set[Subspace] = set()
-        for tag, space in spaces:
-            if space in seen2 or space.dim == 0:
-                continue
-            seen2.add(space)
-            if add_if_subideal(f"random{guard}:{tag}", amb, space):
-                random_count += 1
+        nonzero = [(tag, space) for tag, space in spaces if space.dim]
+        random_count += add_subideals(f"random{guard}", amb, nonzero)
     if random_count < min_random:
         raise RuntimeError(
             f"random corpus generation stalled: {random_count} < {min_random}"
@@ -298,8 +310,7 @@ def radical_corpus(
 # ---------------------------------------------------------------------------
 
 
-def suite_perfect(seed: int = 0) -> list[CheckResult]:
-    results = []
+def suite_perfect(seed: int, min_random: int) -> Checks:
     all_instances: list[ChainInstance] = []
     for label, h in perfect_specimens().items():
         instances = chain_instances(label, h)
@@ -313,31 +324,24 @@ def suite_perfect(seed: int = 0) -> list[CheckResult]:
                 check(chain.verify(), inst.label)
             return f"{len(instances)} chains, all ideals"
 
-        results.append(_run_check("perfect", f"forward transitivity [{label}]", run))
+        yield f"forward transitivity [{label}]", run
 
     for name in NON_PERFECT_NAMES:
 
         def run(name=name):
+            # verify() re-verifies the chain and that the escaping value leaves h
             cert = counterexample_extension(catalog.get(name).algebra)
             check(cert.verify(), "certificate failed re-verification")
-            check(cert.chain.verify(), "chain failed re-verification")
-            h_space = cert.chain.links[0].space
-            check(
-                not h_space.contains_vector(cert.escaping_value),
-                "witness bracket value lies in h",
-            )
-            return (
-                f"ambient dim {cert.ambient.dim}, chain dims {cert.chain.dims()}"
-            )
+            return f"ambient dim {cert.ambient.dim}, chain dims {cert.chain.dims()}"
 
-        results.append(_run_check("perfect", f"counterexample [{name}]", run))
+        yield f"counterexample [{name}]", run
 
     def run_characteristic():
         for inst in all_instances:
             check(is_characteristic(inst.g, inst.h_sub), inst.label)
         return f"{len(all_instances)} ambient algebras, derivations preserve h"
 
-    results.append(_run_check("perfect", "characteristic ideals", run_characteristic))
+    yield "characteristic ideals", run_characteristic
 
     def run_non_characteristic():
         aff1 = catalog.get("aff1").algebra
@@ -348,10 +352,7 @@ def suite_perfect(seed: int = 0) -> list[CheckResult]:
         check(not is_characteristic(k, h), "expected a derivation moving aff1 out")
         return "aff1+abelian(1) has a derivation moving the aff1 factor"
 
-    results.append(
-        _run_check("perfect", "non-characteristic witness", run_non_characteristic)
-    )
-    return results
+    yield "non-characteristic witness", run_non_characteristic
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +361,16 @@ def suite_perfect(seed: int = 0) -> list[CheckResult]:
 
 
 def tower_corpus(seed: int) -> list[tuple[str, LieAlgebra]]:
-    sl2 = catalog.get("sl2").algebra
-    aff1 = catalog.get("aff1").algebra
-    so3 = catalog.get("so3").algebra
+    names = ("sl2", "aff1", "so3", "sl2_sum_aff1", "sl2_rad2")
+    out = [(name, catalog.get(name).algebra) for name in names]
     # almost abelian with distinct weights: centerless, tower gains a stage
-    almost_abelian = LieAlgebra.from_brackets(
-        3, {(0, 1): {1: 1}, (0, 2): {2: 2}}, name="almost_abelian(1,2)"
-    )
-    out = [
-        ("sl2", sl2),
-        ("aff1", aff1),
-        ("so3", so3),
-        ("sl2_sum_aff1", catalog.get("sl2_sum_aff1").algebra),
-        ("sl2_rad2", catalog.get("sl2_rad2").algebra),
-        ("almost_abelian(1,2)", almost_abelian),
-    ]
-    rng = random.Random(seed)
-    for idx, g in enumerate(random_centerless_solvable(rng, 2)):
-        out.append((f"random_solvable_{idx}(dim {g.dim})", g))
-    return out
+    label = "almost_abelian(1,2)"
+    out.append((label, LieAlgebra.from_brackets(3, {(0, 1): {1: 1}, (0, 2): {2: 2}}, name=label)))
+
+    def centerless_small(g: LieAlgebra) -> bool:
+        return 2 <= g.dim <= 6 and center(g).dim == 0 and derivation_algebra(g).dim <= 12
+
+    return out + _draws(seed, 2, 200, centerless_small)
 
 
 def check_adjoint_identity(label: str, g: LieAlgebra) -> int:
@@ -398,8 +390,7 @@ def check_adjoint_identity(label: str, g: LieAlgebra) -> int:
     return len(rows) * n
 
 
-def suite_complete(seed: int = 0) -> list[CheckResult]:
-    results = []
+def suite_complete(seed: int, min_random: int) -> Checks:
     corpus = tower_corpus(seed)
 
     for label, g in corpus:
@@ -418,7 +409,7 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
                 f"{tower.stabilized_at}, dims {tuple(s.dim for s in tower.stages)}"
             )
 
-        results.append(_run_check("complete", f"derivation tower [{label}]", run))
+        yield f"derivation tower [{label}]", run
 
     lemma_algebras = [(name, catalog.get(name).algebra) for name in catalog.list_names()]
     lemma_algebras += corpus
@@ -427,7 +418,7 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
         count = sum(check_adjoint_identity(label, g) for label, g in lemma_algebras)
         return f"{count} matrix identities verified"
 
-    results.append(_run_check("complete", "adjoint bracket identity", run_lemma))
+    yield "adjoint bracket identity", run_lemma
 
     complete_h = ("aff1", "sl2", "so3")
     centerless_partners = (
@@ -444,11 +435,7 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
         for h_name in complete_h:
             h = catalog.get(h_name).algebra
             for p_name in centerless_partners:
-                partner = catalog.get(p_name).algebra
-                k, emb_h, _ = direct_sum(h, partner)
-                g, emb_k, _ = holomorph(k)
-                h_sub = Subalgebra(g, emb_k.compose(emb_h).image())
-                k_sub = Subalgebra(g, emb_k.image())
+                g, h_sub, k_sub = _nested(h, catalog.get(p_name).algebra, holomorph)
                 report = check_complete_subideal(h_sub, k_sub, g)
                 check(
                     report.ideal_in_g and report.decomposition_ok,
@@ -462,8 +449,7 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
         check(count >= 10, f"only {count} instances")
         return f"{count} instances: ideal and k = h (+) c_k(h) verified"
 
-    results.append(_run_check("complete", "complete subideals", run_complete_subideal))
-    return results
+    yield "complete subideals", run_complete_subideal
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +457,7 @@ def suite_complete(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_radical(seed: int = 0, min_random: int = 50) -> list[CheckResult]:
-    results = []
+def suite_radical(seed: int, min_random: int) -> Checks:
     corpus = radical_corpus(seed, min_random)
 
     def run_intersection():
@@ -481,7 +466,7 @@ def suite_radical(seed: int = 0, min_random: int = 50) -> list[CheckResult]:
             check(report.ok, label)
         return f"{len(corpus)} subideal pairs (seed {seed})"
 
-    results.append(_run_check("radical", "radical intersection identity", run_intersection))
+    yield "radical intersection identity", run_intersection
 
     def run_levi():
         for label, amb, h, chain in corpus:
@@ -489,8 +474,7 @@ def suite_radical(seed: int = 0, min_random: int = 50) -> list[CheckResult]:
             check(report.agree, label)
         return f"{len(corpus)} subideal pairs, three-way agreement"
 
-    results.append(_run_check("radical", "radical ideal criteria", run_levi))
-    return results
+    yield "radical ideal criteria", run_levi
 
 
 # ---------------------------------------------------------------------------
@@ -538,24 +522,17 @@ def _form_cases() -> list[tuple[str, LieAlgebra, SymForm, Subspace, Subspace, bo
     return cases
 
 
-def suite_forms(seed: int = 0) -> list[CheckResult]:
-    results = []
-
+def suite_forms(seed: int, min_random: int) -> Checks:
     for label, g, form, h_space, k_space, should_hold in _form_cases():
 
         def run(g=g, form=form, h_space=h_space, k_space=k_space, should_hold=should_hold):
             h = Subalgebra(g, h_space)
             k = Subalgebra(g, k_space)
-            try:
-                report = check_skew_form_criterion(g, form, h, k)
-            except HypothesisError:
-                check(not should_hold, "hypotheses unexpectedly failed")
-                raise
-            check(should_hold, "hypotheses unexpectedly verified")
+            report = expect(should_hold, lambda: check_skew_form_criterion(g, form, h, k))
             check(report.consistent, "subideal and ideal verdicts disagree")
             return f"subideal={report.subideal}, ideal={report.ideal}"
 
-        results.append(_run_check("forms", f"definite form [{label}]", run))
+        yield f"definite form [{label}]", run
 
     def run_cartan_sl2():
         entry = catalog.get("sl2")
@@ -582,7 +559,7 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
         check(rep2.consistent and rep2.ideal, "sl2 must be an ideal of itself, consistently")
         return "u = span(E-F), p = span(H, E+F), inertias (0,1,0)/(2,0,0)"
 
-    results.append(_run_check("forms", "cartan eigenspaces [sl2]", run_cartan_sl2))
+    yield "cartan eigenspaces [sl2]", run_cartan_sl2
 
     def run_cartan_identity_rejected():
         g = catalog.get("sl2").algebra
@@ -593,9 +570,7 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
             return "identity on sl2 rejected: twisted form indefinite"
         raise CheckFailure("identity involution on sl2 was not rejected")
 
-    results.append(
-        _run_check("forms", "cartan involution rejection [sl2]", run_cartan_identity_rejected)
-    )
+    yield "cartan involution rejection [sl2]", run_cartan_identity_rejected
 
     def run_cartan_so3():
         entry = catalog.get("so3")
@@ -608,7 +583,7 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
         )
         return "compact form: u = so3, p = 0"
 
-    results.append(_run_check("forms", "cartan eigenspaces [so3]", run_cartan_so3))
+    yield "cartan eigenspaces [so3]", run_cartan_so3
 
     def run_cartan_mixed():
         sl2 = catalog.get("sl2").algebra
@@ -632,8 +607,7 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
         )
         return "u-containing subalgebra of sl2+so3: neither subideal nor ideal"
 
-    results.append(_run_check("forms", "cartan criterion [sl2+so3]", run_cartan_mixed))
-    return results
+    yield "cartan criterion [sl2+so3]", run_cartan_mixed
 
 
 # ---------------------------------------------------------------------------
@@ -641,122 +615,50 @@ def suite_forms(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_selfnorm(seed: int = 0) -> list[CheckResult]:
-    results = []
-    sl2_entry = catalog.get("sl2")
-    sl2 = sl2_entry.algebra
-    gl2_entry = catalog.get("gl2")
-    heis_entry = catalog.get("heisenberg3")
-    heis = heis_entry.algebra
-    so3_entry = catalog.get("so3")
-    so3 = so3_entry.algebra
-    sl2_ab1, e_sl2, e_ab1 = direct_sum(sl2, catalog.get("abelian(1)").algebra)
+def _tagged(name: str, tag: str) -> Subalgebra:
+    """The subalgebra that catalog algebra name tags as tag."""
+    entry = catalog.get(name)
+    return Subalgebra(entry.algebra, entry.tagged_subalgebras[tag])
 
-    cases: list[tuple[str, dict, bool]] = [
-        (
-            "perfect: sl2 in gl2",
-            dict(
-                g=gl2_entry.algebra,
-                h=Subalgebra(gl2_entry.algebra, gl2_entry.tagged_subalgebras["sl2"]),
-                hypothesis="perfect",
-            ),
-            True,
-        ),
-        (
-            "perfect: sl2 factor in sl2+abelian(1)",
-            dict(
-                g=sl2_ab1,
-                h=Subalgebra(sl2_ab1, e_sl2.image()),
-                hypothesis="perfect",
-            ),
-            True,
-        ),
-        (
-            "central radical: center of heisenberg3",
-            dict(
-                g=heis,
-                h=Subalgebra(heis, heis_entry.tagged_subalgebras["center"]),
-                hypothesis="central_radical",
-            ),
-            True,
-        ),
-        (
-            "central radical: abelian factor of sl2+abelian(1)",
-            dict(
-                g=sl2_ab1,
-                h=Subalgebra(sl2_ab1, e_ab1.image()),
-                hypothesis="central_radical",
-            ),
-            True,
-        ),
-        (
-            "central radical: xz plane of heisenberg3 (expected skip)",
-            dict(
-                g=heis,
-                h=Subalgebra(heis, heis_entry.tagged_subalgebras["xz_plane"]),
-                hypothesis="central_radical",
-            ),
-            False,
-        ),
-        (
-            "skew form: axis of so3",
-            dict(
-                g=so3,
-                h=Subalgebra(so3, so3_entry.tagged_subalgebras["axis"]),
-                hypothesis="skew_form",
-                form=so3_entry.tagged_forms["minus_killing"],
-            ),
-            True,
-        ),
-        (
-            "compact: axis of so3",
-            dict(
-                g=so3,
-                h=Subalgebra(so3, so3_entry.tagged_subalgebras["axis"]),
-                hypothesis="compact",
-                form=so3_entry.tagged_forms["minus_killing"],
-            ),
-            True,
-        ),
-        (
-            "compactly embedded: compact line of sl2",
-            dict(
-                g=sl2,
-                h=Subalgebra(sl2, sl2_entry.tagged_subalgebras["compact_line"]),
-                hypothesis="compactly_embedded",
-                form=sl2_entry.tagged_forms["compact_embedding"],
-            ),
-            True,
-        ),
-        (
-            "cartan: compact line of sl2",
-            dict(
-                g=sl2,
-                h=Subalgebra(sl2, sl2_entry.tagged_subalgebras["compact_line"]),
-                hypothesis="cartan",
-                involution=sl2_entry.tagged_maps["cartan_involution"],
-            ),
-            True,
-        ),
+
+def suite_selfnorm(seed: int, min_random: int) -> Checks:
+    sl2_entry = catalog.get("sl2")
+    sl2_ab1, e_sl2, e_ab1 = direct_sum(sl2_entry.algebra, catalog.get("abelian(1)").algebra)
+    sl2_factor = Subalgebra(sl2_ab1, e_sl2.image())
+    ab1_factor = Subalgebra(sl2_ab1, e_ab1.image())
+    so3_form = {"form": catalog.get("so3").tagged_forms["minus_killing"]}
+    sl2_form = {"form": sl2_entry.tagged_forms["compact_embedding"]}
+    sl2_theta = {"involution": sl2_entry.tagged_maps["cartan_involution"]}
+
+    # (hypothesis tag, its form or involution, what h is, h, should_hold)
+    cases: list[tuple[str, dict, str, Subalgebra, bool]] = [
+        ("perfect", {}, "sl2 in gl2", _tagged("gl2", "sl2"), True),
+        ("perfect", {}, "sl2 factor in sl2+abelian(1)", sl2_factor, True),
+        ("central_radical", {}, "center of heisenberg3", _tagged("heisenberg3", "center"), True),
+        ("central_radical", {}, "abelian factor of sl2+abelian(1)", ab1_factor, True),
+        ("central_radical", {}, "xz plane of heisenberg3 (expected skip)",
+         _tagged("heisenberg3", "xz_plane"), False),
+        ("skew_form", so3_form, "axis of so3", _tagged("so3", "axis"), True),
+        ("compact", so3_form, "axis of so3", _tagged("so3", "axis"), True),
+        ("compactly_embedded", sl2_form, "compact line of sl2", _tagged("sl2", "compact_line"), True),
+        ("cartan", sl2_theta, "compact line of sl2", _tagged("sl2", "compact_line"), True),
     ]
 
     verified_tags = set()
-    for label, kwargs, should_hold in cases:
+    for hypothesis, extra, what, h, should_hold in cases:
 
-        def run(kwargs=kwargs, should_hold=should_hold):
-            try:
-                report = check_self_normalizing_theorem(**kwargs)
-            except HypothesisError:
-                check(not should_hold, "hypothesis unexpectedly failed")
-                raise
-            check(should_hold, "hypothesis unexpectedly verified")
-            check(report.self_normalizing, "normalizer is not self-normalizing")
-            verified_tags.add(kwargs["hypothesis"])
-            return (
-                f"N has dim {report.normalizer_of_h.dim}; self-normalizing"
+        def run(hypothesis=hypothesis, extra=extra, h=h, should_hold=should_hold):
+            report = expect(
+                should_hold,
+                lambda: check_self_normalizing_theorem(
+                    g=h.parent, h=h, hypothesis=hypothesis, **extra
+                ),
             )
+            check(report.self_normalizing, "normalizer is not self-normalizing")
+            verified_tags.add(hypothesis)
+            return f"N has dim {report.normalizer_of_h.dim}; self-normalizing"
 
-        results.append(_run_check("selfnorm", f"self-normalizing [{label}]", run))
+        yield f"self-normalizing [{hypothesis.replace('_', ' ')}: {what}]", run
 
     def run_coverage():
         needed = {"perfect", "central_radical", "compactly_embedded", "cartan"}
@@ -764,8 +666,7 @@ def suite_selfnorm(seed: int = 0) -> list[CheckResult]:
         check(not missing, f"no verifying instance for tags {sorted(missing)}")
         return f"verified tags: {sorted(verified_tags)}"
 
-    results.append(_run_check("selfnorm", "hypothesis tag coverage", run_coverage))
-    return results
+    yield "hypothesis tag coverage", run_coverage
 
 
 # ---------------------------------------------------------------------------
@@ -773,21 +674,12 @@ def suite_selfnorm(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_oracle(seed: int = 0) -> list[CheckResult]:
-    results = []
+def suite_oracle(seed: int, min_random: int) -> Checks:
     algebras: list[tuple[str, LieAlgebra]] = [
         (name, catalog.get(name).algebra)
         for name in ("abelian(1)", "abelian(2)", "abelian(3)", "heisenberg3", "aff1", "sl2", "so3")
     ]
-    rng = random.Random(seed)
-    added = 0
-    guard = 0
-    while added < 3 and guard < 100:
-        guard += 1
-        g = random_solvable_algebra(rng, matrix_size=3, generators=2)
-        if 1 <= g.dim <= 3:
-            algebras.append((f"random_solvable_{added}(dim {g.dim})", g))
-            added += 1
+    algebras += _draws(seed, 3, 100, lambda g: 1 <= g.dim <= 3)
 
     for label, g in algebras:
 
@@ -804,7 +696,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
                 )
             return f"{len(grid)} subalgebras, verdicts agree"
 
-        results.append(_run_check("oracle", f"subideal oracle [{label}]", run))
+        yield f"subideal oracle [{label}]", run
 
     def run_derivation_dims():
         expected = {
@@ -820,8 +712,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
             check(da.dim == dim, f"dim D({name}) = {da.dim}, expected {dim}")
         return f"{len(expected)} frozen derivation dimensions match"
 
-    results.append(_run_check("oracle", "derivation dimensions", run_derivation_dims))
-    return results
+    yield "derivation dimensions", run_derivation_dims
 
 
 # ---------------------------------------------------------------------------
@@ -829,14 +720,15 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-_SUITE_FUNCS = {
-    "perfect": lambda seed, min_random: suite_perfect(seed),
-    "complete": lambda seed, min_random: suite_complete(seed),
-    "radical": lambda seed, min_random: suite_radical(seed, min_random),
-    "forms": lambda seed, min_random: suite_forms(seed),
-    "selfnorm": lambda seed, min_random: suite_selfnorm(seed),
-    "oracle": lambda seed, min_random: suite_oracle(seed),
+SUITES = {
+    "perfect": suite_perfect,
+    "complete": suite_complete,
+    "radical": suite_radical,
+    "forms": suite_forms,
+    "selfnorm": suite_selfnorm,
+    "oracle": suite_oracle,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(
@@ -844,9 +736,12 @@ def run_suites(
     seed: int = 0,
     min_random: int = 50,
 ) -> list[CheckResult]:
+    """One CheckResult per check of the named suites, each check run as soon
+    as its suite yields it."""
     results = []
-    for name in names:
-        if name not in _SUITE_FUNCS:
-            raise ValueError(f"unknown suite {name!r}")
-        results.extend(_SUITE_FUNCS[name](seed, min_random))
+    for suite in names:
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}")
+        for name, fn in SUITES[suite](seed, min_random):
+            results.append(_run_check(suite, name, fn))
     return results
