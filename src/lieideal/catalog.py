@@ -12,6 +12,7 @@ File format (strict, UTF-8, one field per line; '#' starts a comment):
     name heisenberg3
     bracket 0 1 2 1
 
+``dim`` comes exactly once and ``name`` at most once; a second one is refused.
 Each ``bracket i j k v`` line sets [e_i, e_j] += v e_k with 0 <= i < j < dim,
 0 <= k < dim (ASCII digits only, as for dim) and v a rational like ``-3/2``.  The (j, i) entries are implied
 by antisymmetry and are rejected if written out.  Omitted pairs are zero.
@@ -267,6 +268,8 @@ def loads(text: str) -> LieAlgebra:
             if dim > MAX_DIM:
                 raise ParseError(f"dim {dim} exceeds the maximum {MAX_DIM}", lineno)
         elif parts[0] == "name":
+            if name is not None:
+                raise ParseError("duplicate name field", lineno)
             if len(parts) < 2:
                 raise ParseError("name needs an argument", lineno)
             name = line.split(None, 1)[1]

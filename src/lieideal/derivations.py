@@ -31,6 +31,12 @@ the realization maps and the coordinates handed back to callers are dense.
 derivation_algebra caches the solve on the algebra's structure, which
 ignores names; a hit is handed back renamed for the caller's algebra, and its
 algebra is the solve's, built once and renamed.
+
+theorem_derived_check is a criterion with transitivity's contract: it raises
+HypothesisError when g has a center, TheoremViolationError when its two sides
+(D(g) complete, g an ideal of D^2(g)) disagree, and otherwise returns the
+side they agree on.  The constructions raise InternalCheckError when a
+re-check of what they built fails.
 """
 
 from __future__ import annotations
@@ -52,12 +58,15 @@ from .exactlin import (
     sparse_vector,
 )
 from .liealg import (
+    HypothesisError,
     InternalCheckError,
     LieAlgebra,
     LinMap,
     Subalgebra,
+    TheoremViolationError,
     block_embedding,
     center,
+    is_homomorphism,
     is_ideal,
     span_table,
     validate_or_raise,
@@ -350,8 +359,6 @@ def derivation_tower(g: LieAlgebra, max_steps: int | None = None) -> TowerReport
 
 
 def _check_tower_embedding(emb: LinMap) -> None:
-    from .liealg import is_homomorphism
-
     if emb.kernel().dim != 0:
         raise InternalCheckError("tower embedding is not injective")
     if not is_homomorphism(emb):
@@ -361,21 +368,15 @@ def _check_tower_embedding(emb: LinMap) -> None:
         raise InternalCheckError("tower embedding image is not an ideal")
 
 
-@dataclass(frozen=True)
-class DerivedTowerCheck:
-    """Both sides of: D(g) is complete iff g is an ideal of D^2(g)."""
+def theorem_derived_check(g: LieAlgebra) -> bool:
+    """D(g) is complete iff g is an ideal of D^2(g), for centerless g; returns
+    whether D(g) is complete.
 
-    lhs_complete: bool
-    rhs_ideal: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.lhs_complete == self.rhs_ideal
-
-
-def theorem_derived_check(g: LieAlgebra) -> DerivedTowerCheck:
+    g sits in D^2(g) through ad twice.  Raises TheoremViolationError when the
+    two sides disagree.
+    """
     if center(g).dim != 0:
-        raise ValueError("check needs a centerless algebra")
+        raise HypothesisError("check needs a centerless algebra")
     da1 = derivation_algebra(g)
     d1 = da1.algebra
     da2 = derivation_algebra(d1)
@@ -388,7 +389,9 @@ def theorem_derived_check(g: LieAlgebra) -> DerivedTowerCheck:
         image_rows.append(inner2)
     image = Subalgebra(d2, Subspace.span(d2.dim, image_rows))
     rhs = is_ideal(d2, image)
-    return DerivedTowerCheck(lhs_complete=lhs, rhs_ideal=rhs)
+    if lhs != rhs:
+        raise TheoremViolationError(f"tower theorem sides disagree: complete={lhs}, ideal={rhs}")
+    return lhs
 
 
 def is_characteristic(g: LieAlgebra, h: Subalgebra) -> bool:

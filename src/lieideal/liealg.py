@@ -74,6 +74,14 @@ class InternalCheckError(AssertionError):
     """Two independent computations of the same fact disagreed: a bug."""
 
 
+class HypothesisError(ValueError):
+    """A theorem's hypothesis failed to verify; the check does not apply."""
+
+
+class TheoremViolationError(InternalCheckError):
+    """A proven statement came out false on verified inputs: a bug."""
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its nonzero structure constants."""
 

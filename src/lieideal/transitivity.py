@@ -11,9 +11,17 @@ The remaining operations package the structural criteria under which a
 subideal is forced to be an honest ideal (perfectness, completeness of the
 subalgebra with centerless middle, radical placement, skew-symmetry with
 respect to a definite form, Cartan eigenspace containment) together with the
-self-normalizing-normalizer consequence.  The subideal oracle at the end
-searches for a chain of ideals among an explicit list of candidate
-subalgebras; it does not run the closure series it cross-checks.
+self-normalizing-normalizer consequence.  Each criterion ends one of three
+ways: HypothesisError when a hypothesis fails to verify,
+TheoremViolationError when the conclusion fails (a bug), and otherwise it
+returns its evidence: the chain (perfect transitivity), c_k(h) (complete
+subideals), r_h (radical intersection), N_g(h) (self-normalizing) or the
+one verdict its equivalent sides agree on (levi_criterion, the form and
+Cartan criteria).  The exceptions live in liealg and are re-exported here.
+
+The subideal oracle at the end searches for a chain of ideals among an
+explicit list of candidate subalgebras; it does not run the closure series
+it cross-checks.
 """
 
 from __future__ import annotations
@@ -23,13 +31,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .derivations import derivation_algebra, holomorph, is_complete, is_derivation
 from .exactlin import Commutator, Inertia, Mat, Subspace, Vector, column_kernel, intersect, subspace_sum
 from .liealg import (
+    HypothesisError,
     InternalCheckError,
     LieAlgebra,
     LinMap,
     Subalgebra,
     SymForm,
+    TheoremViolationError,
     as_subalgebra,
     bracket_spaces,
     center,
@@ -51,14 +62,6 @@ from .liealg import (
     sub_to_algebra,
     validate_or_raise,
 )
-
-
-class HypothesisError(ValueError):
-    """A theorem's hypothesis failed to verify; the check does not apply."""
-
-
-class TheoremViolationError(InternalCheckError):
-    """A proven statement came out false on verified inputs: a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +218,6 @@ def counterexample_extension(h: LieAlgebra) -> CounterexampleCertificate:
     holomorph of k the bracket of (a suitable element of h) with f lands in
     the abelianization coordinates, outside h.
     """
-    from .derivations import derivation_algebra, holomorph, is_derivation
-
     hsub = full_subalgebra(h)
     derived = derived_subalgebra(hsub)
     if derived.space.dim == h.dim:
@@ -262,23 +263,12 @@ def counterexample_extension(h: LieAlgebra) -> CounterexampleCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompleteSubidealReport:
-    ideal_in_g: bool
-    centralizer_in_k: Subalgebra
-    decomposition_ok: bool
-
-
-def check_complete_subideal(
-    h: Subalgebra, k: Subalgebra, g: LieAlgebra
-) -> CompleteSubidealReport:
-    """Complete h with h <| k <| g and centerless k forces h <| g.
+def check_complete_subideal(h: Subalgebra, k: Subalgebra, g: LieAlgebra) -> Subalgebra:
+    """Complete h with h <| k <| g and centerless k forces h <| g; returns c_k(h).
 
     Also verifies the decomposition k = h (+) c_k(h): spanning, transverse,
     and with vanishing cross-bracket.
     """
-    from .derivations import is_complete
-
     if h.parent != g or k.parent != g:
         raise ValueError("subalgebras live in a different parent algebra")
     if not k.space.contains(h.space):
@@ -293,28 +283,18 @@ def check_complete_subideal(
     if not is_ideal(g, h):
         raise TheoremViolationError("complete subideal with centerless middle is not an ideal")
     c_sub = Subalgebra(g, intersect(k.space, centralizer(g, h).space))
-    sum_ok = subspace_sum(h.space, c_sub.space) == k.space
-    transverse = intersect(h.space, c_sub.space).dim == 0
-    cross_zero = bracket_spaces(g, h.space, c_sub.space).dim == 0
-    ok = sum_ok and transverse and cross_zero
-    if not ok:
+    if not (
+        subspace_sum(h.space, c_sub.space) == k.space
+        and intersect(h.space, c_sub.space).dim == 0
+        and bracket_spaces(g, h.space, c_sub.space).dim == 0
+    ):
         raise TheoremViolationError("k = h (+) c_k(h) decomposition failed")
-    return CompleteSubidealReport(True, c_sub, ok)
+    return c_sub
 
 
 # ---------------------------------------------------------------------------
 # radical criteria
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadicalIntersectionReport:
-    radical_h: Subspace
-    radical_g_meet_h: Subspace
-
-    @property
-    def ok(self) -> bool:
-        return self.radical_h == self.radical_g_meet_h
 
 
 def _certified_subideal(
@@ -335,51 +315,35 @@ def _certified_subideal(
 
 def check_radical_intersection(
     ambient: LieAlgebra | Subalgebra, h: Subalgebra, chain: IdealChain
-) -> RadicalIntersectionReport:
-    """r_h = r_g /\\ h for subideals h of g, given a chain certifying h <|<| g."""
+) -> Subspace:
+    """r_h = r_g /\\ h for subideals h of g, given a chain certifying h <|<| g; returns r_h."""
     amb = _certified_subideal(ambient, h, chain)
     rh = sub_radical(h)
-    rg = sub_radical(amb)
-    report = RadicalIntersectionReport(rh, intersect(rg, h.space))
-    if not report.ok:
+    meet = intersect(sub_radical(amb), h.space)
+    if rh != meet:
         raise TheoremViolationError(
-            f"radical identity failed: dim r_h = {report.radical_h.dim}, "
-            f"dim (r_g /\\ h) = {report.radical_g_meet_h.dim}"
+            f"radical identity failed: dim r_h = {rh.dim}, dim (r_g /\\ h) = {meet.dim}"
         )
-    return report
+    return rh
 
 
-@dataclass(frozen=True)
-class LeviCriterionReport:
-    ideal: bool
-    radical_ideal: bool
-    radical_bracket: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.ideal == self.radical_ideal == self.radical_bracket
-
-
-def levi_criterion(
-    ambient: LieAlgebra | Subalgebra, h: Subalgebra, chain: IdealChain
-) -> LeviCriterionReport:
-    """For subideals h, 'h ideal', 'r_h ideal', and '[r_h, g] in h' coincide.
+def levi_criterion(ambient: LieAlgebra | Subalgebra, h: Subalgebra, chain: IdealChain) -> bool:
+    """For subideals h, 'h ideal', 'r_h ideal', and '[r_h, g] in h' coincide; returns that verdict.
 
     chain certifies h <|<| g, as for check_radical_intersection.
     """
     amb = _certified_subideal(ambient, h, chain)
-    g = amb.parent
     rh = sub_radical(h)
     a = is_ideal(amb, h)
-    image_rh = bracket_spaces(g, amb.space, rh)
+    image_rh = bracket_spaces(amb.parent, amb.space, rh)
     b = rh.contains(image_rh)
     c = h.space.contains(image_rh)
-    report = LeviCriterionReport(a, b, c)
-    if not report.agree:
+    if not a == b == c:
         raise TheoremViolationError(
-            f"radical criteria disagree on a subideal: {report}"
+            f"radical criteria disagree on a subideal: ideal={a}, "
+            f"radical_ideal={b}, radical_bracket={c}"
         )
-    return report
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -431,32 +395,18 @@ def verify_skew_form_hypotheses(
     return on_h, on_m
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """subideal <=> ideal equivalence on one embedding."""
-
-    subideal: bool
-    ideal: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.subideal == self.ideal
-
-
-def _subideal_iff_ideal(k: Subalgebra, h: Subalgebra, criterion: str) -> EquivalenceReport:
-    """Both verdicts on h in k, once a criterion's hypotheses hold; they must agree."""
+def _subideal_iff_ideal(k: Subalgebra, h: Subalgebra, criterion: str) -> bool:
+    """Whether h is an ideal of k, once a criterion's hypotheses hold and so
+    subideal and ideal agree; raises TheoremViolationError if they do not."""
     sub = bool(subideal_chain(k, h))
     idl = is_ideal(k, h)
-    report = EquivalenceReport(sub, idl)
-    if not report.consistent:
+    if sub != idl:
         raise TheoremViolationError(f"{criterion} criterion violated: subideal={sub}, ideal={idl}")
-    return report
+    return idl
 
 
-def check_skew_form_criterion(
-    g: LieAlgebra, form: SymForm, h: Subalgebra, k: Subalgebra
-) -> EquivalenceReport:
-    """Under the verified form hypotheses, h subideal of k iff h ideal of k."""
+def check_skew_form_criterion(g: LieAlgebra, form: SymForm, h: Subalgebra, k: Subalgebra) -> bool:
+    """Under the verified form hypotheses, h subideal of k iff h ideal of k; returns the verdict."""
     if not k.space.contains(h.space):
         raise ValueError("h is not contained in k")
     verify_skew_form_hypotheses(g, form, h)
@@ -533,10 +483,8 @@ def require_cartan_eigenspace(g: LieAlgebra, theta: LinMap, h: Subalgebra) -> No
         raise HypothesisError("h contains neither Cartan eigenspace")
 
 
-def check_cartan_criterion(
-    g: LieAlgebra, theta: LinMap, h: Subalgebra, k: Subalgebra
-) -> EquivalenceReport:
-    """Subalgebras containing a Cartan eigenspace: subideal of k iff ideal of k."""
+def check_cartan_criterion(g: LieAlgebra, theta: LinMap, h: Subalgebra, k: Subalgebra) -> bool:
+    """h containing a Cartan eigenspace: subideal of k iff ideal of k; returns the verdict."""
     require_cartan_eigenspace(g, theta, h)
     if not k.space.contains(h.space):
         raise ValueError("h is not contained in k")
@@ -559,21 +507,14 @@ def is_self_normalizing(g: LieAlgebra, h: Subalgebra) -> bool:
     return normalizer(g, h).space == h.space
 
 
-@dataclass(frozen=True)
-class SelfNormalizingReport:
-    hypothesis: str
-    normalizer_of_h: Subalgebra
-    self_normalizing: bool
-
-
 def check_self_normalizing_theorem(
     g: LieAlgebra,
     h: Subalgebra,
     hypothesis: str,
     form: SymForm | None = None,
     involution: LinMap | None = None,
-) -> SelfNormalizingReport:
-    """Verify one hypothesis tag, then check N_g(h) is self-normalizing.
+) -> Subalgebra:
+    """Verify one hypothesis tag, then check N_g(h) is self-normalizing; returns N_g(h).
 
     Tags: 'perfect' (h perfect); 'central_radical' (r_h inside z(g));
     'skew_form' (the definite-form hypotheses for the supplied form);
@@ -611,12 +552,11 @@ def check_self_normalizing_theorem(
     else:
         raise ValueError(f"unknown hypothesis tag {hypothesis!r}")
     n_h = normalizer(g, h)
-    ok = is_self_normalizing(g, n_h)
-    if not ok:
+    if not is_self_normalizing(g, n_h):
         raise TheoremViolationError(
             f"normalizer is not self-normalizing under hypothesis {hypothesis!r}"
         )
-    return SelfNormalizingReport(hypothesis, n_h, ok)
+    return n_h
 
 
 # ---------------------------------------------------------------------------

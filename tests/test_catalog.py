@@ -132,6 +132,16 @@ def test_duplicate_entry_rejected():
         catalog.loads("dim 2\nbracket 0 1 1 1\nbracket 0 1 1 2\n")
 
 
+def test_duplicate_fields_rejected_at_the_second():
+    # a second name would otherwise replace the first without a word
+    for text, message in (
+        ("dim 2\nname a\nname b\nbracket 0 1 1 1\n", "line 3: duplicate name field"),
+        ("dim 2\ndim 2\n", "line 2: duplicate dim field"),
+    ):
+        with pytest.raises(catalog.ParseError, match=f"^{message}$"):
+            catalog.loads(text)
+
+
 def test_unknown_field_rejected():
     with pytest.raises(catalog.ParseError):
         catalog.loads("dim 2\nflavor strange\n")

@@ -1,10 +1,13 @@
 """The suite runner's own contract: the runner names the suite and turns each
 check's outcome into a status, checks collected before any runs give the same
 results, failed checks are reported, even under -O, a run of the radical suite
-solves each radical once, decides each pair once and keeps none, and the
-adjoint bracket identity fails on a map that is no derivation."""
+solves each radical once, decides each pair once and keeps none, the
+adjoint bracket identity fails on a map that is no derivation, and each
+criterion whose conclusion fails raises TheoremViolationError, which its
+suite check reports as a fail."""
 
 import dataclasses
+import operator
 import os
 import subprocess
 import sys
@@ -13,23 +16,23 @@ from pathlib import Path
 
 import pytest
 
-from lieideal import catalog, liealg, suites, transitivity
+from lieideal import catalog, derivations, liealg, suites, transitivity
+from lieideal.exactlin import Subspace
+from lieideal.liealg import Subalgebra, TheoremViolationError, direct_sum, full_subalgebra
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Every self-normalizing report comes back negative, so every check of the
-# selfnorm suite must fail, whether or not asserts are compiled in.
+# No normalizer is self-normalizing, so every check of the selfnorm suite
+# whose hypotheses verify must fail, and the tag coverage with them, whether or
+# not asserts are compiled in; the expected skip stops at its hypothesis.
 SABOTAGED_SELFNORM = """
 import sys
-from types import SimpleNamespace
-from lieideal import suites
+from lieideal import suites, transitivity
 
-def broken(**kwargs):
-    return SimpleNamespace(self_normalizing=False, normalizer_of_h=None)
-
-suites.check_self_normalizing_theorem = broken
+transitivity.is_self_normalizing = lambda g, h: False
 statuses = [r.status for r in suites.run_suites(["selfnorm"])]
-print(sys.flags.optimize, len(statuses), statuses.count("fail"))
+skipped = statuses.count("hypothesis-not-satisfied")
+print(sys.flags.optimize, len(statuses), statuses.count("fail"), skipped)
 """
 
 
@@ -113,10 +116,10 @@ def test_sabotaged_suite_fails_under_python_O():
         check=True,
         timeout=120,
     ).stdout
-    optimize, total, failed = map(int, out.split())
+    optimize, total, failed, skipped = map(int, out.split())
     assert optimize == 1
     assert total >= 10
-    assert failed == total
+    assert (failed, skipped) == (total - 1, 1)
 
 
 def test_radical_suite_solves_each_radical_once(monkeypatch):
@@ -186,3 +189,117 @@ def test_adjoint_identity_fails_on_a_non_derivation(monkeypatch):
     (lemma,) = [r for r in results if r.name == "adjoint bracket identity"]
     assert lemma.status == "fail"
     assert lemma.detail == "[f, ad_X] != ad_f(X) on heisenberg3"
+
+
+def _wrong_in(caller, real, wrong):
+    """real, except that a call made from the function named caller returns wrong(value)."""
+
+    def patched(*args):
+        value = real(*args)
+        return wrong(value) if sys._getframe(1).f_code.co_name == caller else value
+
+    return patched
+
+
+def _other_space(space):
+    return Subspace.full(space.ambient_dim) if space.dim == 0 else Subspace.zero(space.ambient_dim)
+
+
+def _perfect_in_itself():
+    g = catalog.get("sl2").algebra
+    transitivity.check_perfect_transitivity(g, full_subalgebra(g))
+
+
+def _complete_in_holomorph():
+    aff1 = catalog.get("aff1").algebra
+    g, h, k = suites._nested(aff1, aff1, derivations.holomorph)
+    transitivity.check_complete_subideal(h, k, g)
+
+
+def _decided_x_line(criterion):
+    def run():
+        heis = catalog.get("heisenberg3").algebra
+        h = Subalgebra(heis, Subspace.span(3, [[1, 0, 0]]))
+        criterion(heis, h, transitivity.subideal_chain(heis, h).chain)
+
+    return run
+
+
+def _axis_of_so3():
+    entry = catalog.get("so3")
+    g = entry.algebra
+    h, form = Subalgebra(g, entry.tagged_subalgebras["axis"]), entry.tagged_forms["minus_killing"]
+    transitivity.check_skew_form_criterion(g, form, h, full_subalgebra(g))
+
+
+def _sl2_in_itself_by_cartan():
+    entry = catalog.get("sl2")
+    g, theta = entry.algebra, entry.tagged_maps["cartan_involution"]
+    transitivity.check_cartan_criterion(g, theta, full_subalgebra(g), full_subalgebra(g))
+
+
+def _sl2_factor_normalizer():
+    g, e1, _ = direct_sum(catalog.get("sl2").algebra, catalog.abelian(1))
+    transitivity.check_self_normalizing_theorem(g, Subalgebra(g, e1.image()), "perfect")
+
+
+def _derived_tower_of_sl2():
+    derivations.theorem_derived_check(catalog.get("sl2").algebra)
+
+
+# both equivalence criteria end in _subideal_iff_ideal
+FORMS_CHECKS = ("definite form", "cartan eigenspaces [sl2]", "cartan criterion")
+
+# (module, predicate, the function whose call to it gives a wrong answer, the
+# wrong answer, a call of a criterion that reads it, suite, the checks that
+# reach the wrong answer); the predicate reads the criterion's conclusion
+VIOLATIONS = {
+    "perfect transitivity": (
+        transitivity, "is_ideal", "check_perfect_transitivity", operator.not_,
+        _perfect_in_itself, "perfect", ("forward transitivity",),
+    ),
+    "complete subideal": (
+        transitivity, "subspace_sum", "check_complete_subideal", _other_space,
+        _complete_in_holomorph, "complete", ("complete subideals",),
+    ),
+    "radical intersection": (
+        transitivity, "intersect", "check_radical_intersection", _other_space,
+        _decided_x_line(transitivity.check_radical_intersection), "radical",
+        ("radical intersection",),
+    ),
+    "levi criterion": (
+        transitivity, "is_ideal", "levi_criterion", operator.not_,
+        _decided_x_line(transitivity.levi_criterion), "radical", ("radical ideal criteria",),
+    ),
+    "definite form": (
+        transitivity, "is_ideal", "_subideal_iff_ideal", operator.not_,
+        _axis_of_so3, "forms", FORMS_CHECKS,
+    ),
+    "cartan eigenspace": (
+        transitivity, "is_ideal", "_subideal_iff_ideal", operator.not_,
+        _sl2_in_itself_by_cartan, "forms", FORMS_CHECKS,
+    ),
+    "self-normalizing": (
+        transitivity, "is_self_normalizing", "check_self_normalizing_theorem", operator.not_,
+        _sl2_factor_normalizer, "selfnorm", ("self-normalizing", "hypothesis tag coverage"),
+    ),
+    "derivation tower": (
+        derivations, "is_ideal", "theorem_derived_check", operator.not_,
+        _derived_tower_of_sl2, "complete", ("derivation tower",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VIOLATIONS)
+def test_a_failed_conclusion_raises_and_fails_its_check(monkeypatch, case):
+    module, predicate, caller, wrong, criterion, suite, checks = VIOLATIONS[case]
+    monkeypatch.setattr(module, predicate, _wrong_in(caller, getattr(module, predicate), wrong))
+    with pytest.raises(TheoremViolationError):
+        criterion()
+    results = suites.run_suites([suite], seed=0, min_random=5)
+    # the checks that reach the wrong answer fail, or skip on a failed
+    # hypothesis first; every other check of the suite is untouched
+    reached = [r for r in results if r.name.startswith(checks)]
+    assert any(r.status == "fail" for r in reached)
+    assert all(r.status in ("fail", "hypothesis-not-satisfied") for r in reached)
+    assert all(r.ok for r in results if not r.name.startswith(checks))
