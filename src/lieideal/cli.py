@@ -28,11 +28,11 @@ from .liealg import (
     LieAlgebra,
     Subalgebra,
     ValidationReport,
+    _radical,
     center,
     derived_subalgebra,
     full_subalgebra,
     is_ideal,
-    radical,
 )
 from .suites import SUITE_NAMES, run_suites
 from .transitivity import (
@@ -161,16 +161,18 @@ def cmd_validate(args, report: RunReport) -> None:
 
 def cmd_info(args, report: RunReport) -> None:
     g = _load_source(args.source)
-    dim_derived = derived_subalgebra(full_subalgebra(g)).dim
-    dim_radical = radical(g).dim
+    # [g, g] and the center once each: radical and is_complete would take them again
+    derived = derived_subalgebra(full_subalgebra(g))
+    dim_radical = _radical(g, derived.space).dim
+    dim_center = center(g).dim
     info = {
         "name": g.name,
         "dim": g.dim,
-        "dim_center": center(g).dim,
-        "dim_derived": dim_derived,
+        "dim_center": dim_center,
+        "dim_derived": derived.dim,
         "dim_radical": dim_radical,
-        "perfect": dim_derived == g.dim,
-        "complete": is_complete(g),
+        "perfect": derived.dim == g.dim,
+        "complete": dim_center == 0 and (da := derivation_algebra(g)).inner.dim == da.dim,
         "semisimple": dim_radical == 0,
     }
     report.payload.update(info)

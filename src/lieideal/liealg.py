@@ -20,9 +20,14 @@ bracket subspace rows take them on Subspace.integer_rows, since no scale moves
 a span or a membership: is_ideal, centralizer, normalizer and the closure
 check on Subalgebra read bracket_residual; bracket_spaces spans
 scaled_bracket's output, over the pairs a < b of u's rows when v == u.
+Membership work brackets only what can still escape, by one lemma
+(fresh_rows): for u inside w, w's RREF rows at the pivots u lacks span w
+together with u.  is_ideal takes x over the ambient's rows at the pivots h
+lacks, as [h, h] lies in h already.
 Two bounded loops reach every fixed point.  saturate spans a space with the
 residuals that escape it until none does, and a round that does not raise
-the dimension raises InternalCheckError: closure, ideal_closure.
+the dimension raises InternalCheckError: closure, ideal_closure.  Each round
+after the first hands escaping only the rows the last one added.
 stable_series takes terms until one repeats, and raises past its bound: the
 derived, lower central, subideal and normalizer series, all monotone.
 validate sums Jacobi once per basis pair, over the nonzero constants only,
@@ -43,7 +48,7 @@ from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -507,13 +512,33 @@ Bracket = Callable[[SparseItems, SparseItems], dict[int, Fraction | int]]
 T = TypeVar("T")
 
 
-def saturate(space: Subspace, escaping: Callable[[Subspace], list[SparseItems]]) -> Subspace:
-    """space spanned with the nonzero residuals escaping(space) returns, until it returns none."""
-    while new := escaping(space):
+def fresh_rows(grown: Subspace, old: Subspace) -> list[IntRow]:
+    """grown's RREF rows at the pivots old lacks, for old inside grown: with old they span grown.
+
+    old's pivots are among grown's.  For v in grown, v minus its combination
+    of old's rows (by its entries at old's pivots) is zero at those pivots,
+    so its RREF coordinates in grown, its entries at grown's pivots, fall on
+    these rows alone.
+    """
+    have = set(old.pivots)
+    return [row for p, row in zip(grown.pivots, grown.integer_rows[1]) if p not in have]
+
+
+def saturate(
+    space: Subspace, escaping: Callable[[Subspace, Sequence[IntRow]], list[SparseItems]]
+) -> Subspace:
+    """space spanned with the nonzero residuals escaping(space, fresh) returns, until it returns none.
+
+    fresh is every row of space in the first round and then the rows the last
+    round added (fresh_rows), so a round brackets only what can still escape:
+    once [a, s_{t-1}] lies in s_t, [a, s_t] lies in s_t iff [a, fresh_t] does.
+    """
+    fresh: Sequence[IntRow] = space.integer_rows[1]
+    while new := escaping(space, fresh):
         grown = Subspace.integer_span(space.ambient_dim, [*space.integer_rows[1], *new])
         if grown.dim <= space.dim:
             raise InternalCheckError(f"a round of residuals left the dimension at {space.dim}")
-        space = grown
+        space, fresh = grown, fresh_rows(grown, space)
     return space
 
 
@@ -528,10 +553,24 @@ def stable_series(first: T, step: Callable[[T], T], bound: int) -> list[T]:
 
 
 def closure(space: Subspace, bracket: Bracket) -> Subspace:
-    """Smallest subspace containing space and closed under bracket, or any fixed nonzero multiple of it."""
-    return saturate(space, lambda s: [
-        w.items() for x, y in combinations(s.integer_rows[1], 2) if (w := s.scaled_residual(bracket(x, y).items()))
-    ])
+    """Smallest subspace containing space and closed under bracket, or any fixed nonzero multiple of it.
+
+    s_t = s_{t-1} + span(fresh), so [s_t, s_t] lies in [s_{t-1}, s_{t-1}],
+    inside s_t already, plus [s_t, fresh]: a round brackets each fresh row
+    with s_t's older rows and the fresh rows in pairs a < b, which in the
+    first round are all of them.
+    """
+
+    def escaping(s: Subspace, fresh: Sequence[IntRow]) -> list[SparseItems]:
+        new = {row[0][0] for row in fresh}  # a row's first entry is at its pivot
+        old = [row for row in s.integer_rows[1] if row[0][0] not in new]
+        return [
+            w.items()
+            for x, y in chain(product(old, fresh), combinations(fresh, 2))
+            if (w := s.scaled_residual(bracket(x, y).items()))
+        ]
+
+    return saturate(space, escaping)
 
 
 def span_table(space: Subspace, bracket: Bracket) -> dict[tuple[int, int], dict[int, int]]:
@@ -599,7 +638,12 @@ def as_subalgebra(g: Subalgebra | LieAlgebra) -> Subalgebra:
 
 
 def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
-    """[ambient, h] contained in h.  Requires h inside the ambient space."""
+    """[ambient, h] contained in h.  Requires h inside the ambient space.
+
+    h and the ambient's fresh_rows over h span the ambient, and [h, h] lies
+    in h, so x ranges over those rows only: (dim ambient - dim h) * dim h
+    brackets for an ideal.
+    """
     amb = as_subalgebra(ambient)
     if h.parent != amb.parent:
         raise ValueError("subalgebras live in different parent algebras")
@@ -607,7 +651,7 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
         raise ValueError("h is not contained in the ambient subalgebra")
     # stop at the first [x, y] that escapes h
     residual, space, ys = amb.parent.bracket_residual, h.space, h.space.integer_rows[1]
-    return not any(residual(x, y, space) for x in amb.space.integer_rows[1] for y in ys)
+    return not any(residual(x, y, space) for x in fresh_rows(amb.space, space) for y in ys)
 
 
 def center(g: LieAlgebra) -> Subalgebra:
@@ -689,9 +733,14 @@ def radical(g: LieAlgebra) -> Subalgebra:
     the two semisimplicity tests (radical = 0, Killing nondegenerate) must
     agree.  Any mismatch is an internal bug, not a property of the input.
     """
-    K = _killing_numerators(g)
     full = Subspace.full(g.dim)
-    rad_space = integer_complement(K, bracket_spaces(g, full, full))
+    return _radical(g, bracket_spaces(g, full, full))
+
+
+def _radical(g: LieAlgebra, derived: Subspace) -> Subalgebra:
+    """radical(g), for a caller that holds derived = [g, g] already."""
+    K = _killing_numerators(g)
+    rad_space = integer_complement(K, derived)
     rad = Subalgebra(g, rad_space)
     if not is_solvable_space(g, rad_space):
         raise InternalCheckError("radical candidate is not solvable")
@@ -827,6 +876,7 @@ __all__ = [
     "derived_series",
     "derived_subalgebra",
     "direct_sum",
+    "fresh_rows",
     "full_subalgebra",
     "generated_subalgebra",
     "is_automorphism",

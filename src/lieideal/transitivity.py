@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .derivations import derivation_algebra, holomorph, is_complete, is_derivation
-from .exactlin import Commutator, Inertia, Mat, Subspace, Vector, column_kernel, intersect, subspace_sum
+from .exactlin import Commutator, Inertia, IntRow, Mat, Subspace, Vector, column_kernel, intersect, subspace_sum
 from .liealg import (
     HypothesisError,
     InternalCheckError,
@@ -104,7 +104,8 @@ class IdealChain:
 def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra:
     """Smallest ideal of the ambient algebra containing h: saturate under [ambient, -].
 
-    Monotone, so any ideal containing h contains every round's span.
+    Monotone, so any ideal containing h contains every round's span.  A
+    round brackets the ambient's rows with the rows the last round added only.
     """
     amb = as_subalgebra(ambient)
     if h.parent != amb.parent:
@@ -112,8 +113,8 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
     g, xs = amb.parent, amb.space.integer_rows[1]
-    return Subalgebra(g, saturate(h.space, lambda s: [
-        w.items() for x in xs for y in s.integer_rows[1] if (w := g.bracket_residual(x, y, s))
+    return Subalgebra(g, saturate(h.space, lambda s, fresh: [
+        w.items() for x in xs for y in fresh if (w := g.bracket_residual(x, y, s))
     ]))
 
 
@@ -564,13 +565,11 @@ def check_self_normalizing_theorem(
 # ---------------------------------------------------------------------------
 
 
-def _grid_lines(n: int) -> list[Vector]:
-    """One representative per {-1,0,1}-direction in Q^n: first nonzero entry 1."""
-    return [
-        tuple(Fraction(x) for x in coords)
-        for coords in itertools.product((-1, 0, 1), repeat=n)
-        if next((x for x in coords if x), 0) == 1
-    ]
+def _grid_lines(n: int) -> list[IntRow]:
+    """One representative per {-1,0,1}-direction in Q^n, first nonzero entry 1, as a sparse row."""
+    grid = itertools.product((-1, 0, 1), repeat=n)
+    rows = (tuple((i, x) for i, x in enumerate(coords) if x) for coords in grid)
+    return [row for row in rows if row and row[0][1] == 1]
 
 
 def enumerate_grid_subalgebras(g: LieAlgebra) -> list[Subalgebra]:
@@ -587,7 +586,7 @@ def enumerate_grid_subalgebras(g: LieAlgebra) -> list[Subalgebra]:
     spaces: set[Subspace] = {Subspace.zero(g.dim), Subspace.full(g.dim)}
     for r in (1, 2):
         for combo in itertools.combinations(lines, r):
-            spaces.add(Subspace.span(g.dim, combo))
+            spaces.add(Subspace.integer_span(g.dim, combo))
     out = []
     for space in spaces:
         try:

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lieideal
-from lieideal import catalog, liealg
+from lieideal import catalog, cli, derivations, liealg
 from lieideal.cli import COMMANDS, build_parser, run
 from lieideal.exactlin import Subspace
 from lieideal.liealg import Subalgebra, sub_to_algebra
@@ -105,6 +106,30 @@ def test_validate_and_info_on_file(capsys, tmp_path):
     assert code == 0
     info = payload["payload"]
     assert info["dim"] == 3 and info["perfect"] and info["complete"] and info["semisimple"]
+
+
+@pytest.mark.parametrize("name", ["sl2", "gl2", "sl2_rad2"])
+def test_info_takes_the_center_and_the_derived_algebra_once(capsys, monkeypatch, name):
+    seen = []
+    real_center, real_spaces = liealg.center, liealg.bracket_spaces
+
+    def center(g):
+        seen.append("center")
+        return real_center(g)
+
+    def bracket_spaces(g, u, v):
+        if u.dim == v.dim == g.dim:
+            seen.append("[g, g]")
+        return real_spaces(g, u, v)
+
+    monkeypatch.setattr(cli, "center", center)
+    monkeypatch.setattr(derivations, "center", center)
+    monkeypatch.setattr(liealg, "bracket_spaces", bracket_spaces)
+    derivations.derivation_algebra.cache_clear()
+    code, _, payload = invoke(capsys, "info", f"catalog:{name}")
+    assert code == 0 and payload["payload"]["dim"] == catalog.get(name).algebra.dim
+    # a solvable g is left out: its radical is g, whose derived series takes [g, g] again
+    assert sorted(seen) == ["[g, g]", "center"]
 
 
 def test_validate_rejects_bad_file(capsys, tmp_path):
@@ -468,3 +493,19 @@ def test_closed_stdout_ends_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_every_public_name_resolves_lazily():
+    for name in lieideal.__all__:
+        assert getattr(lieideal, name) is getattr(importlib.import_module(f"lieideal.{lieideal._HOME[name]}"), name)
+    assert set(lieideal.__all__) <= set(dir(lieideal))
+    with pytest.raises(AttributeError):
+        lieideal.no_such_name
+
+
+def test_importing_the_catalog_loads_neither_derivations_nor_transitivity():
+    # the setup path: a one-shot start that reads the catalog loads only what it imports
+    env = {**os.environ, "PYTHONPATH": str(Path(lieideal.__file__).resolve().parents[1])}
+    probe = "import sys, lieideal.catalog; print(*sorted(m for m in sys.modules if m.startswith('lieideal')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["lieideal", "lieideal.catalog", "lieideal.exactlin", "lieideal.liealg"]

@@ -461,6 +461,57 @@ def test_is_ideal_and_ideal_closure_match_dense(label):
 
 
 
+def rebased_line_first(g, u, h_rows, rng):
+    """rebased_by a seeded dense basis with f_0 = u and f_1, ..., f_(n-1) in a hyperplane holding h but not u.
+
+    Every vector of h then has coordinate 0 equal to 0, so an ambient holding
+    u has pivot 0 and h does not.
+    """
+    n = g.dim
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    phi = next(a for a in reference.nullspace(n, h_rows) if dot(a, u))
+    while True:
+        p = [list(u)]
+        for _ in range(n - 1):
+            r = [Fraction(rng.choice((-1, 0, 1))) for _ in range(n)]
+            c = dot(phi, r) / dot(phi, u)
+            p.append([a - c * b for a, b in zip(r, u)])
+        if len(reference.rref(n, p)) == n:
+            return rebased_by(g, p)
+
+
+def test_is_ideal_on_proper_ambients_whose_first_pivot_h_lacks():
+    # the ambient is h plus a line u; in the new basis the ambient's first
+    # row is the one outside h and its rows at h's pivots are h's own, so
+    # every escaping bracket of a negative case has that first row as x
+    verdicts = []
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        g = entry.algebra
+        if g.dim > 5:
+            continue
+        subs = subalgebras(g, entry.tagged_subalgebras.values())
+        rng = random.Random(name)
+        n = g.dim
+        for amb, h in itertools.product(subs, repeat=2):
+            if not (0 < h.dim == amb.dim - 1 and amb.dim < n and amb.space.contains(h.space)):
+                continue
+            u = next(r for r in amb.space.basis.entries if not h.space.contains_vector(r))
+            brackets, move = rebased_line_first(g, u, h.space.basis.entries, rng)
+            g2 = LieAlgebra.from_brackets(n, brackets)
+            amb2, h2 = (Subalgebra(g2, Subspace.span(n, map(move, k.space.basis.entries))) for k in (amb, h))
+            assert amb2.space.pivots[0] == 0 not in h2.space.pivots
+            at_h = [r for p, r in zip(amb2.space.pivots, amb2.space.integer_rows[1]) if p in h2.space.pivots]
+            assert Subspace.integer_span(n, at_h) == h2.space
+            want = reference.is_ideal(n, brackets, amb2.space.basis.entries, h2.space.basis.entries)
+            assert is_ideal(amb2, h2) == want == is_ideal(amb, h)
+            verdicts.append(want)
+    assert verdicts.count(True) > 50 and verdicts.count(False) >= 5
+
+
 # --- the fused bracket residual and the closures that add only what escapes --
 
 
@@ -729,24 +780,29 @@ def test_leibniz_kernel_matches_the_reference_on_perfect_ambients_to_dim_8(label
         assert kernel_span(g).basis.entries == reference.derivations(g.dim, g.brackets())
 
 
-def rebased_by_reference(g, rng):
-    """g in a seeded basis f_a = sum_i p[a][i] e_i, p in GL(n) with entries in {-1, 0, 1}, as brackets.
+def rebased_by(g, p):
+    """g in the basis f_a = sum_i p[a][i] e_i, as brackets, and the map of coordinates into it.
 
-    [f_a, f_b] = w has coordinates x = w p^-1, so x_m = sum_k w_k q[k][m] for
+    A vector w has coordinates x = w p^-1, so x_m = sum_k w_k q[k][m] for
     q = p^-1, read off the RREF of [p | 1]; all from the reference.
     """
     n, consts = g.dim, g.brackets()
-    while True:
-        p = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
-        if len(reference.rref(n, p)) == n:
-            break
-    q = [row[n:] for row in reference.rref(2 * n, [row + unit(n, a) for a, row in enumerate(p)])]
+    q = [row[n:] for row in reference.rref(2 * n, [list(row) + unit(n, a) for a, row in enumerate(p)])]
     q_t = [list(col) for col in zip(*q)]
     brackets = {}
     for a, b in itertools.combinations(range(n), 2):
         x = reference.apply(q_t, reference.bracket(consts, p[a], p[b]))
         brackets[(a, b)] = {m: v for m, v in enumerate(x) if v}
-    return brackets
+    return brackets, lambda w: reference.apply(q_t, w)
+
+
+def rebased_by_reference(g, rng):
+    """g in a seeded basis f_a = sum_i p[a][i] e_i, p in GL(n) with entries in {-1, 0, 1}, as brackets."""
+    n = g.dim
+    while True:
+        p = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+        if len(reference.rref(n, p)) == n:
+            return rebased_by(g, p)[0]
 
 
 @pytest.mark.parametrize("seed", range(3))

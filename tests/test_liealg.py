@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from lieideal import catalog
+from lieideal import catalog, liealg, transitivity
 from lieideal.derivations import derivation_algebra, holomorph, is_characteristic
 from lieideal.exactlin import Mat, Subspace, inertia, intersect, subspace_sum
 from lieideal.liealg import (
@@ -525,16 +525,93 @@ def test_lower_central_series_stalls_on_non_nilpotent(aff1):
 
 def test_saturate_spans_the_residuals_until_none_escapes():
     # each round hands back the next unit vector, up to e_2
-    space = saturate(Subspace.zero(4), lambda s: [((s.dim, 1),)] if s.dim < 3 else [])
+    space = saturate(Subspace.zero(4), lambda s, fresh: [((s.dim, 1),)] if s.dim < 3 else [])
     assert space == Subspace.axes(4, 0, 3)
-    assert saturate(space, lambda s: []) is space
+    assert saturate(space, lambda s, fresh: []) is space
 
 
 def test_saturate_refuses_a_residual_already_in_the_span():
     # 2 e_0 lies in the line, so spanning it leaves the dimension at 1
     line = Subspace.span(3, [[1, 0, 0]])
     with pytest.raises(InternalCheckError):
-        saturate(line, lambda s: [((0, 2),)])
+        saturate(line, lambda s, fresh: [((0, 2),)])
+
+
+def test_saturate_hands_round_2_only_the_rows_at_new_pivots():
+    # the line at pivot 1 grows by e_0 + 2 e_3, whose pivot 0 comes first
+    line = Subspace.span(4, [[0, 1, 1, 0]])
+    seen = []
+
+    def escaping(s, fresh):
+        seen.append(list(fresh))
+        return [((0, 1), (3, 2))] if s.dim == 1 else []
+
+    plane = saturate(line, escaping)
+    assert plane.pivots == (0, 1)
+    assert seen == [list(line.integer_rows[1]), [((0, 1), (3, 2))]]
+
+
+def spy_rounds(monkeypatch, module):
+    """(space, fresh rows) of every round of module's saturate, recorded as it runs."""
+    rounds = []
+
+    def spy(space, escaping):
+        def watched(s, fresh):
+            rounds.append((s, tuple(fresh)))
+            return escaping(s, fresh)
+
+        return saturate(space, watched)
+
+    monkeypatch.setattr(module, "saturate", spy)
+    return rounds
+
+
+def assert_fresh_rows_add_up(rounds, start, final):
+    # round 1 takes every row; each later one the rows at the pivots the last space lacked
+    assert rounds[0] == (start, start.integer_rows[1]) and rounds[-1][0] == final
+    for (before, _), (after, fresh) in zip(rounds, rounds[1:]):
+        assert fresh == tuple(r for p, r in zip(after.pivots, after.integer_rows[1]) if p not in before.pivots)
+    assert sum(len(fresh) for _, fresh in rounds) == final.dim
+
+
+def test_saturate_hands_each_row_of_a_closure_to_escaping_once(monkeypatch):
+    deepest = 0
+    for label, amb, h, chain in radical_corpus(1):
+        for outer in (full_subalgebra(amb.parent), amb):
+            rounds = spy_rounds(monkeypatch, transitivity)
+            assert_fresh_rows_add_up(rounds, h.space, ideal_closure(outer, h).space)
+            deepest = max(deepest, len(rounds))
+    rng = random.Random(5)
+    for seed in range(6):
+        g = random_solvable_algebra(random.Random(seed), 3, 2)
+        for _ in range(4):
+            start = Subspace.span(g.dim, [[rng.randint(-1, 1) for _ in range(g.dim)] for _ in range(2)])
+            rounds = spy_rounds(monkeypatch, liealg)
+            assert_fresh_rows_add_up(rounds, start, generated_subalgebra(g, start.basis.entries).space)
+            deepest = max(deepest, len(rounds))
+    # some closure took three rounds that grew it, so later rounds hand out fewer rows
+    assert deepest >= 4
+
+
+def test_is_ideal_brackets_only_the_ambient_rows_h_lacks(monkeypatch):
+    calls = []
+    real = LieAlgebra.bracket_residual
+
+    def counted(self, x, y, space):
+        calls.append((x, y))
+        return real(self, x, y, space)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_residual", counted)
+    links = 0
+    for seed in range(2):
+        for label, amb, h, chain in radical_corpus(seed):
+            # each link of a chain is an ideal of the next one
+            for inner, outer in zip(chain.links, chain.links[1:]):
+                calls.clear()
+                assert is_ideal(outer, inner)
+                assert len(calls) == (outer.dim - inner.dim) * inner.dim
+                links += 1
+    assert links > 100
 
 
 def test_stable_series_stops_before_the_first_repeat_within_its_bound():

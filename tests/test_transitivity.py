@@ -545,8 +545,10 @@ def test_oracle_examples(heis, sl2):
 def test_grid_lines_are_one_per_direction(n):
     lines = _grid_lines(n)
     assert len(lines) == (3**n - 1) // 2
-    assert all(next(x for x in v if x) == 1 for v in lines)
-    assert len({Subspace.span(n, [v]) for v in lines}) == len(lines)
+    # sparse integer rows: entries +-1 at increasing indices, the first one 1
+    assert all(v[0][1] == 1 and {x for _, x in v} <= {-1, 1} for v in lines)
+    assert all([i for i, _ in v] == sorted({i for i, _ in v}) for v in lines)
+    assert len({Subspace.integer_span(n, [v]) for v in lines}) == len(lines)
 
 
 @pytest.mark.parametrize("name", SMALL_CATALOG)
