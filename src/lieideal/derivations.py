@@ -17,10 +17,19 @@ liealg.span_table reads them off the kernel, with
 exactlin.Commutator on the integer-scaled flattened rows as the bracket, and
 checks on every solve that each commutator stays in the kernel.  It brackets
 only the pairs whose supports meet (Commutator.pairs), as every other
-commutator is zero.  The abstract algebra D(g) is built from that table, and
-validated, only when DerivationAlgebra.algebra is first read: the callers
-that read only the span (is_characteristic, is_complete, the dimension)
-never build it.  Each inner den * ad_{e_i},
+commutator is zero.  The abstract algebra D(g) is built from that table
+only when DerivationAlgebra.built is first read, and walked by validate only
+when DerivationAlgebra.algebra is: the callers that read only the span
+(is_characteristic, is_complete, the dimension) never build it, and the
+holomorph builds it without walking it, by a lemma.  In g = h x| D(h), for
+i < n = dim h and D's basis f_a, f_b, the Jacobi triple (e_i, f_a, f_b)
+holds exactly when the table's [f_a, f_b] and f_a f_b - f_b f_a agree on
+e_i.  So once every triple that meets h holds, D's table is the commutator
+of its realization maps, the kernel's RREF rows, which are independent, and
+Jacobi inside D follows from associativity.  The walk visits i < n first,
+so a walk limited to those reports the full walk's first failing triple,
+and it catches every change to D's table, also one that D's own walk lets
+pass.  Each inner den * ad_{e_i},
 which LieAlgebra.scaled_adjoint flattens the same way, is checked to lie in
 the kernel by its scaled residual, and its coordinates are read at the
 kernel's pivots.  The holomorph takes its constants from h's and D(h)'s
@@ -82,9 +91,11 @@ class DerivationAlgebra:
     at index a * n + b of its row.  ``table`` is span_table's: the nonzero
     coordinates of [b_a, b_b], a < b, over L^2, for the pairs of the span's
     RREF basis whose supports meet, each checked to stay in the span when
-    the solve ran; every other pair's commutator is zero.  ``algebra`` is
-    built from it on first read.  A renamed cache hit keeps the solve in
-    ``solved`` and reads its algebra, so D(g) is built once per structure.
+    the solve ran; every other pair's commutator is zero.  ``built`` is
+    built from it on first read, and ``algebra`` is that same object once
+    validate has walked it.  A renamed cache hit keeps the solve in
+    ``solved`` and renames its built and walks its algebra, so D(g) is built
+    and walked once per structure.
     """
 
     base: LieAlgebra
@@ -98,12 +109,20 @@ class DerivationAlgebra:
         return self.span.dim
 
     @cached_property
-    def algebra(self) -> LieAlgebra:
-        """D(base) in the span's RREF basis, from the table over L^2, validated."""
+    def built(self) -> LieAlgebra:
+        """D(base) in the span's RREF basis, from the table over L^2, not yet walked."""
         if self.solved is not None:
-            return self.solved.algebra.renamed(_d_name(self.base))
+            return self.solved.built.renamed(_d_name(self.base))
         L = self.span.integer_rows[0]
-        return validate_or_raise(LieAlgebra.from_scaled(self.dim, L * L, self.table, name=_d_name(self.base)))
+        return LieAlgebra.from_scaled(self.dim, L * L, self.table, name=_d_name(self.base))
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """built, once validate has walked it: once per structure, on the solve's."""
+        if self.solved is None:
+            return validate_or_raise(self.built)
+        self.solved.algebra  # walks the solve's built once per structure
+        return self.built
 
     @cached_property
     def realization(self) -> tuple[LinMap, ...]:
@@ -283,14 +302,24 @@ def holomorph(h: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinMap]:
     Coordinates: the first dim(h) axes carry h, the rest carry D(h).  The
     bracket is [(X,f),(Y,g)] = ([X,Y] + f(Y) - g(X), [f,g]); the h part is
     an ideal, the derivation part a subalgebra.
+
+    One walk checks it, D(h)'s own included.  For i < n = dim h and D's
+    basis f_a, f_b, Jacobi on (e_i, f_a, f_b) holds exactly when the table's
+    [f_a, f_b] is f_a f_b - f_b f_a on e_i.  Once every triple that meets h
+    holds, D(h)'s table is the commutator of its realization maps, the
+    kernel's independent RREF rows, so its own triples hold by associativity
+    and validate leaves them out (implied=dim D(h)).  D(h) is built from its
+    table and not walked; embed_d's source is what DerivationAlgebra.algebra
+    returns once read.
     """
     da = derivation_algebra(h)
+    dh = da.built
     n, d = h.dim, da.dim
     N = n + d
     # h's constants, the derivations' entries and D(h)'s constants over one lcm
     L, rows = da.span.integer_rows
-    scale = lcm(h.integer_constants[0], L, da.algebra.integer_constants[0])
-    table = {**h.scaled_table(scale), **da.algebra.scaled_table(scale, n)}
+    scale = lcm(h.integer_constants[0], L, dh.integer_constants[0])
+    table = {**h.scaled_table(scale), **dh.scaled_table(scale, n)}
     s = scale // L
     for a, f in enumerate(rows):
         # [e_j, f] = -f(e_j), minus column j of f = rows[a] / L
@@ -298,8 +327,10 @@ def holomorph(h: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinMap]:
             k, j = divmod(idx, n)
             table.setdefault((j, n + a), {})[k] = -v * s
     name = None if h.name is None else f"H({h.name})"
-    g = validate_or_raise(LieAlgebra.from_scaled(N, scale, table, name=name))
-    embed_h, embed_d = block_embedding(h, g, 0), block_embedding(da.algebra, g, n)
+    # D(h)'s own triples follow from those that meet h (the docstring's
+    # lemma), and the walk reaches them last: it leaves them out
+    g = validate_or_raise(LieAlgebra.from_scaled(N, scale, table, name=name), implied=d)
+    embed_h, embed_d = block_embedding(h, g, 0), block_embedding(dh, g, n)
     h_part = Subalgebra(g, embed_h.image())
     if not is_ideal(g, h_part):
         raise InternalCheckError("holomorph base part is not an ideal")

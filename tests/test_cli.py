@@ -108,7 +108,7 @@ def test_validate_and_info_on_file(capsys, tmp_path):
     assert info["dim"] == 3 and info["perfect"] and info["complete"] and info["semisimple"]
 
 
-@pytest.mark.parametrize("name", ["sl2", "gl2", "sl2_rad2"])
+@pytest.mark.parametrize("name", ["sl2", "gl2", "sl2_rad2", "aff1", "heisenberg3", "upper_triangular(3)"])
 def test_info_takes_the_center_and_the_derived_algebra_once(capsys, monkeypatch, name):
     seen = []
     real_center, real_spaces = liealg.center, liealg.bracket_spaces
@@ -128,7 +128,6 @@ def test_info_takes_the_center_and_the_derived_algebra_once(capsys, monkeypatch,
     derivations.derivation_algebra.cache_clear()
     code, _, payload = invoke(capsys, "info", f"catalog:{name}")
     assert code == 0 and payload["payload"]["dim"] == catalog.get(name).algebra.dim
-    # a solvable g is left out: its radical is g, whose derived series takes [g, g] again
     assert sorted(seen) == ["[g, g]", "center"]
 
 

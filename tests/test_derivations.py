@@ -1,4 +1,7 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +33,7 @@ from lieideal.liealg import (
     subalgebra,
     validate,
 )
-from lieideal.suites import check_adjoint_identity
+from lieideal.suites import check_adjoint_identity, run_suites
 
 
 def test_dimension_abelian():
@@ -329,9 +332,9 @@ def builds(monkeypatch):
         note("from_scaled", name)
         return from_scaled(dim, scale, table, name=name)
 
-    def counted_validate(g):
+    def counted_validate(g, **kw):
         note("validate", g.name)
-        return check(g)
+        return check(g, **kw)
 
     monkeypatch.setattr(LieAlgebra, "from_scaled", staticmethod(counted_from_scaled))
     # validate_or_raise reads validate from liealg's namespace
@@ -356,18 +359,29 @@ def test_span_readers_build_no_derivation_algebra(builds):
 def test_holomorph_builds_the_derivation_algebra_once(builds):
     h = catalog.get("heisenberg3").algebra
     other = h.renamed("other")
+    _, _, embed_d = holomorph(h)
     holomorph(h)
-    holomorph(h)
-    built = {"from_scaled": ["D(heisenberg3)"], "validate": ["D(heisenberg3)"]}
-    assert builds == built
+    # the holomorph's own walk covers D(h)'s triples: D(h) is built, not walked
+    assert builds == {"from_scaled": ["D(heisenberg3)"], "validate": []}
     first = derivation_algebra(h).algebra
+    built = {"from_scaled": ["D(heisenberg3)"], "validate": ["D(heisenberg3)"]}
+    assert builds == built and first is embed_d.source
+    assert derivation_algebra(h).algebra is first and builds == built
     # a renamed cache hit reads the solve's algebra: nothing more is built or validated
-    holomorph(other)
+    _, _, embed_other = holomorph(other)
     da = derivation_algebra(other)
     assert builds == built
-    assert da.algebra.name == "D(other)" and da.algebra == first
+    assert da.algebra.name == "D(other)" and da.algebra == first == embed_other.source
     assert da.algebra.integer_constants is first.integer_constants
     assert derivation_algebra.cache_info().misses == 1
+
+
+def test_a_renamed_hit_read_first_walks_the_solve_once(builds):
+    h = catalog.get("aff1").algebra
+    derivation_algebra(h)
+    for name in ("one", "two"):
+        assert derivation_algebra(h.renamed(name)).algebra.name == f"D({name})"
+    assert builds == {"from_scaled": ["D(aff1)"], "validate": ["D(aff1)"]}
 
 
 def test_the_closure_check_runs_on_every_solve(builds, monkeypatch):
@@ -380,6 +394,78 @@ def test_the_closure_check_runs_on_every_solve(builds, monkeypatch):
     with pytest.raises(InternalCheckError, match="escaped the closed span"):
         is_characteristic(g, full_subalgebra(g))
     assert builds == {"from_scaled": [], "validate": []}
+
+
+def moved(da, a, b, k, delta):
+    """da with coordinate k of [b_a, b_b] in its table moved by delta, not a renamed hit."""
+    table = {key: dict(row) for key, row in da.table.items()}
+    row = table.setdefault((a, b), {})
+    row[k] = row.get(k, 0) + delta
+    # solved=None: a renamed hit would build its algebra from the solve's table
+    return replace(da, table=table, solved=None)
+
+
+@pytest.fixture
+def holomorph_walks(monkeypatch):
+    """The (algebra, implied) pairs handed to derivations.validate_or_raise with implied > 0."""
+    walks = []
+    real = derivations.validate_or_raise
+
+    def spy(g, *, implied=0):
+        if implied:
+            walks.append((g, implied))
+        return real(g, implied=implied)
+
+    monkeypatch.setattr(derivations, "validate_or_raise", spy)
+    return walks
+
+
+def holomorph_over(monkeypatch, h, bad):
+    """holomorph(h) with derivation_algebra handing it bad; raises on a corrupted table."""
+    with monkeypatch.context() as m:
+        m.setattr(derivations, "derivation_algebra", lambda g: bad)
+        with pytest.raises(ValueError, match="Jacobi identity fails"):
+            holomorph(h)
+
+
+@pytest.mark.parametrize("name", ["aff1", "abelian(2)"])
+def test_holomorph_catches_a_corrupted_derivation_table_that_passes_its_own_walk(monkeypatch, name):
+    # span_table's coordinate read mutated: every single-coordinate change of
+    # D(h)'s table makes the holomorph raise, and some pass validate on D alone
+    h = catalog.get(name).algebra
+    da = derivation_algebra(h)
+    passed_alone = 0
+    for (a, b), k in product(combinations(range(da.dim), 2), range(da.dim)):
+        bad = moved(da, a, b, k, 1)
+        passed_alone += validate(bad.built).ok
+        holomorph_over(monkeypatch, h, bad)
+    assert passed_alone > 0
+
+
+def test_the_holomorph_walk_reports_what_the_full_walk_does(monkeypatch, holomorph_walks):
+    names = catalog.list_names()
+    for name in names:
+        holomorph(catalog.get(name).algebra)
+    # the perfect suite builds 4 specimens x 5 partners + 7 counterexample holomorphs
+    assert all(r.ok for r in run_suites(["perfect"], seed=0))
+    assert len(holomorph_walks) == len(names) + 27
+    rng = random.Random(0)
+    corruptions = passed_alone = 0
+    for name in names:
+        h = catalog.get(name).algebra
+        da = derivation_algebra(h)
+        if da.dim < 2:
+            continue
+        for _ in range(20):
+            a, b = sorted(rng.sample(range(da.dim), 2))
+            bad = moved(da, a, b, rng.randrange(da.dim), rng.choice((-2, -1, 1, 2)))
+            passed_alone += validate(bad.built).ok
+            corruptions += 1
+            holomorph_over(monkeypatch, h, bad)
+    assert len(holomorph_walks) == len(names) + 27 + corruptions
+    assert passed_alone > 0
+    for g, implied in holomorph_walks:
+        assert validate(g, implied=implied) == validate(g)
 
 
 def test_derivations_unchanged_by_fractional_rescaling():
