@@ -37,9 +37,10 @@ integer_constants and the kernel's integer_rows over one lcm, through
 LieAlgebra.from_scaled, and embeds h and D(h) as blocks of coordinates.  Only
 the realization maps and the coordinates handed back to callers are dense.
 
-derivation_algebra caches the solve on the algebra's structure, which
-ignores names; a hit is handed back renamed for the caller's algebra, and its
-algebra is the solve's, built once and renamed.
+derivation_algebra is an lru_cache keyed on the algebra's structure, which
+ignores names: every algebra of one structure gets the same DerivationAlgebra,
+named after the first of them to be solved, so D(g) and its realization are
+built at most once per structure and D(g) is walked at most once.
 
 theorem_derived_check is a criterion with transitivity's contract: it raises
 HypothesisError when g has a center, TheoremViolationError when its two sides
@@ -51,7 +52,7 @@ re-check of what they built fails.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -93,16 +94,15 @@ class DerivationAlgebra:
     RREF basis whose supports meet, each checked to stay in the span when
     the solve ran; every other pair's commutator is zero.  ``built`` is
     built from it on first read, and ``algebra`` is that same object once
-    validate has walked it.  A renamed cache hit keeps the solve in
-    ``solved`` and renames its built and walks its algebra, so D(g) is built
-    and walked once per structure.
+    validate has walked it.  derivation_algebra hands one object to every
+    algebra of a structure, so D(g) is built and walked once per structure,
+    named after ``base``, the first of them to be solved.
     """
 
     base: LieAlgebra
     inner: Subspace
     span: Subspace
     table: Mapping[tuple[int, int], Mapping[int, int]] = field(repr=False, compare=False)
-    solved: DerivationAlgebra | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -111,18 +111,14 @@ class DerivationAlgebra:
     @cached_property
     def built(self) -> LieAlgebra:
         """D(base) in the span's RREF basis, from the table over L^2, not yet walked."""
-        if self.solved is not None:
-            return self.solved.built.renamed(_d_name(self.base))
         L = self.span.integer_rows[0]
-        return LieAlgebra.from_scaled(self.dim, L * L, self.table, name=_d_name(self.base))
+        name = None if self.base.name is None else f"D({self.base.name})"
+        return LieAlgebra.from_scaled(self.dim, L * L, self.table, name=name)
 
     @cached_property
     def algebra(self) -> LieAlgebra:
-        """built, once validate has walked it: once per structure, on the solve's."""
-        if self.solved is None:
-            return validate_or_raise(self.built)
-        self.solved.algebra  # walks the solve's built once per structure
-        return self.built
+        """built, once validate has walked it."""
+        return validate_or_raise(self.built)
 
     @cached_property
     def realization(self) -> tuple[LinMap, ...]:
@@ -152,7 +148,7 @@ class DerivationAlgebra:
     def adjoint_coordinates(self, x) -> Vector:
         """Coordinates of ad_x inside D(base): those of den * ad_x, over den.
 
-        ad_x is a member by linearity, since _solve checks every ad_{e_i}.
+        ad_x is a member by linearity, since derivation_algebra checks every ad_{e_i}.
         """
         g = self.base
         coords = self.span.coordinates(g.scaled_adjoint(sparse_vector(g.dim, x).items()))
@@ -208,20 +204,18 @@ def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
     return list(basis.values())
 
 
-def _d_name(g: LieAlgebra) -> str | None:
-    return None if g.name is None else f"D({g.name})"
-
-
 # 256 solves keep every hit of `verify --suite all` (81 hits, 135 misses at
 # seed 0) while bounding what a long-lived process holds
 @lru_cache(maxsize=256)
-def _solve(g: LieAlgebra) -> DerivationAlgebra:
-    """Solve the Leibniz system and package D(g).
+def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
+    """D(g): the Leibniz system solved and packaged once per structure.
 
-    The bracket table is the commutator of the realization matrices, taken
-    on the flattened kernel rows, checked to stay in the kernel and
-    re-expressed in it; the inner subspace is the span of the adjoint maps'
-    coordinates.
+    The cache treats equal structures alike whatever their names: a hit for
+    another algebra of g's structure is the same object, whose base is the
+    first of them to be solved.  The bracket table is the commutator of the
+    realization matrices, taken on the flattened kernel rows, checked to stay
+    in the kernel and re-expressed in it; the inner subspace is the span of
+    the adjoint maps' coordinates.
     """
     n = g.dim
     kernel = Subspace.integer_span(n * n, map(dict.items, _leibniz_kernel(g)))
@@ -235,24 +229,6 @@ def _solve(g: LieAlgebra) -> DerivationAlgebra:
         inner_rows.append([(r, ad[p]) for r, p in enumerate(kernel.pivots) if p in ad])
     inner = Subspace.integer_span(kernel.dim, inner_rows)
     return DerivationAlgebra(base=g, inner=inner, span=kernel, table=table)
-
-
-def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
-    """D(g), solved once per structure and named after the caller's algebra.
-
-    The cache treats equal structures alike whatever their names; a hit for
-    another algebra object is repackaged around the caller's algebra as a new
-    DerivationAlgebra that keeps the solve, so D(g)'s algebra is built at most
-    once per structure, on its first read, and handed to the hit renamed.
-    """
-    da = _solve(g)
-    if da.base is g:
-        return da
-    return replace(da, base=g, solved=da)
-
-
-derivation_algebra.cache_info = _solve.cache_info
-derivation_algebra.cache_clear = _solve.cache_clear
 
 
 def leibniz_defect(g: LieAlgebra, f: Mat) -> Vector | None:
@@ -308,8 +284,9 @@ def holomorph(h: LieAlgebra) -> tuple[LieAlgebra, LinMap, LinMap]:
     [f_a, f_b] is f_a f_b - f_b f_a on e_i.  Once every triple that meets h
     holds, D(h)'s table is the commutator of its realization maps, the
     kernel's independent RREF rows, so its own triples hold by associativity
-    and validate leaves them out (implied=dim D(h)).  D(h) is built from its
-    table and not walked; embed_d's source is what DerivationAlgebra.algebra
+    and validate leaves them out (implied=dim D(h)).  D(h) is
+    derivation_algebra(h).built, not walked: one object for every algebra of
+    h's structure, and embed_d's source is what DerivationAlgebra.algebra
     returns once read.
     """
     da = derivation_algebra(h)
@@ -368,10 +345,10 @@ def derivation_tower(g: LieAlgebra, max_steps: int | None = None) -> TowerReport
         max_steps = g.dim * g.dim + 1
     stages = [g]
     embeddings: list[LinMap] = []
-    for _ in range(max_steps):
+    while not is_complete(stages[-1]):
+        if len(embeddings) >= max_steps:
+            return TowerReport(tuple(stages), tuple(embeddings), None)
         current = stages[-1]
-        if is_complete(current):
-            return TowerReport(tuple(stages), tuple(embeddings), len(stages) - 1)
         da = derivation_algebra(current)
         nxt = da.algebra
         if center(nxt).dim != 0:
@@ -384,9 +361,7 @@ def derivation_tower(g: LieAlgebra, max_steps: int | None = None) -> TowerReport
         _check_tower_embedding(emb)
         stages.append(nxt)
         embeddings.append(emb)
-    if is_complete(stages[-1]):
-        return TowerReport(tuple(stages), tuple(embeddings), len(stages) - 1)
-    return TowerReport(tuple(stages), tuple(embeddings), None)
+    return TowerReport(tuple(stages), tuple(embeddings), len(stages) - 1)
 
 
 def _check_tower_embedding(emb: LinMap) -> None:

@@ -381,9 +381,13 @@ def validate(g: LieAlgebra, *, implied: int = 0) -> ValidationReport:
 
 
 def validate_or_raise(g: LieAlgebra, *, implied: int = 0) -> LieAlgebra:
+    """g, re-checked after a construction from verified input: a failure is a bug.
+
+    Input read from text is checked by catalog.loads, which raises ParseError.
+    """
     report = validate(g, implied=implied)
     if not report.ok:
-        raise ValueError(report.message())
+        raise InternalCheckError(report.message())
     return g
 
 

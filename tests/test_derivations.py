@@ -1,3 +1,4 @@
+import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -233,6 +234,14 @@ def test_tower_budget_report():
     assert tower.stabilized_at is None
 
 
+def test_a_tower_that_stabilizes_on_its_last_step_is_within_budget():
+    # sl2_rad2's first stage is complete: one step reaches it, and the
+    # budget check comes only after the completeness check
+    tower = derivation_tower(catalog.get("sl2_rad2").algebra, max_steps=1)
+    assert not tower.exceeded_budget
+    assert tower.stabilized_at == 1 and len(tower.stages) == 2 and len(tower.embeddings) == 1
+
+
 def test_theorem_derived_check_examples():
     # both sides hold: True comes back only when they agree on it
     for name in ("sl2", "aff1"):
@@ -300,24 +309,6 @@ def test_is_characteristic_requires_ideal():
         is_characteristic(g, subalgebra(g, [[1, 0, 0]]))
 
 
-def test_cache_hit_is_named_for_the_callers_algebra():
-    h = catalog.get("heisenberg3").algebra
-    first = derivation_algebra(h)
-    other = LieAlgebra.from_brackets(h.dim, h.brackets(), name="other")
-    before = derivation_algebra.cache_info()
-    da = derivation_algebra(other)
-    after = derivation_algebra.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert after.maxsize is not None
-    assert da.base is other and da.algebra.name == "D(other)"
-    assert da.algebra == first.algebra and da.span == first.span
-    assert all(f.source is other and f.target is other for f in da.realization)
-    # the cached value is left as it was
-    assert first.algebra.name == "D(heisenberg3)" and first.base is h
-    again = derivation_algebra(h)
-    assert again.algebra.name == "D(heisenberg3)" and again.base is h
-
-
 @pytest.fixture
 def builds(monkeypatch):
     """The names of the derivation algebras LieAlgebra.from_scaled builds and validate checks, from a cold cache."""
@@ -356,32 +347,40 @@ def test_span_readers_build_no_derivation_algebra(builds):
     assert builds == {"from_scaled": [], "validate": []}
 
 
+def test_derivation_algebra_is_the_bounded_cache():
+    assert isinstance(derivation_algebra, functools._lru_cache_wrapper)
+    assert derivation_algebra.cache_info().maxsize == 256
+
+
+def test_a_renamed_hit_is_the_solved_object(builds):
+    # the cache ignores names: every algebra of one structure gets one object,
+    # named after the first of them to be solved
+    h = catalog.get("heisenberg3").algebra
+    da = derivation_algebra(h)
+    assert derivation_algebra(h.renamed("other")) is da
+    info = derivation_algebra.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert da.base is h and da.built.name == "D(heisenberg3)"
+    assert derivation_algebra(h.renamed("third")).realization is da.realization
+
+
 def test_holomorph_builds_the_derivation_algebra_once(builds):
     h = catalog.get("heisenberg3").algebra
     other = h.renamed("other")
     _, _, embed_d = holomorph(h)
     holomorph(h)
     # the holomorph's own walk covers D(h)'s triples: D(h) is built, not walked
-    assert builds == {"from_scaled": ["D(heisenberg3)"], "validate": []}
-    first = derivation_algebra(h).algebra
-    built = {"from_scaled": ["D(heisenberg3)"], "validate": ["D(heisenberg3)"]}
-    assert builds == built and first is embed_d.source
-    assert derivation_algebra(h).algebra is first and builds == built
-    # a renamed cache hit reads the solve's algebra: nothing more is built or validated
-    _, _, embed_other = holomorph(other)
-    da = derivation_algebra(other)
+    built = {"from_scaled": ["D(heisenberg3)"], "validate": []}
     assert builds == built
-    assert da.algebra.name == "D(other)" and da.algebra == first == embed_other.source
-    assert da.algebra.integer_constants is first.integer_constants
+    # a renamed hit embeds the same D(h): nothing more is built
+    _, _, embed_other = holomorph(other)
+    assert embed_other.source is embed_d.source is derivation_algebra(h).built
+    assert builds == built
+    first = derivation_algebra(other).algebra
+    walked = {"from_scaled": ["D(heisenberg3)"], "validate": ["D(heisenberg3)"]}
+    assert builds == walked and first is embed_d.source
+    assert derivation_algebra(h).algebra is first and builds == walked
     assert derivation_algebra.cache_info().misses == 1
-
-
-def test_a_renamed_hit_read_first_walks_the_solve_once(builds):
-    h = catalog.get("aff1").algebra
-    derivation_algebra(h)
-    for name in ("one", "two"):
-        assert derivation_algebra(h.renamed(name)).algebra.name == f"D({name})"
-    assert builds == {"from_scaled": ["D(aff1)"], "validate": ["D(aff1)"]}
 
 
 def test_the_closure_check_runs_on_every_solve(builds, monkeypatch):
@@ -397,12 +396,11 @@ def test_the_closure_check_runs_on_every_solve(builds, monkeypatch):
 
 
 def moved(da, a, b, k, delta):
-    """da with coordinate k of [b_a, b_b] in its table moved by delta, not a renamed hit."""
+    """da with coordinate k of [b_a, b_b] in its table moved by delta."""
     table = {key: dict(row) for key, row in da.table.items()}
     row = table.setdefault((a, b), {})
     row[k] = row.get(k, 0) + delta
-    # solved=None: a renamed hit would build its algebra from the solve's table
-    return replace(da, table=table, solved=None)
+    return replace(da, table=table)
 
 
 @pytest.fixture
@@ -424,7 +422,7 @@ def holomorph_over(monkeypatch, h, bad):
     """holomorph(h) with derivation_algebra handing it bad; raises on a corrupted table."""
     with monkeypatch.context() as m:
         m.setattr(derivations, "derivation_algebra", lambda g: bad)
-        with pytest.raises(ValueError, match="Jacobi identity fails"):
+        with pytest.raises(InternalCheckError, match="Jacobi identity fails"):
             holomorph(h)
 
 

@@ -852,20 +852,20 @@ def test_a_lost_kernel_vector_fails_a_check_on_complete_algebras(name, monkeypat
     for kept in drops:
         monkeypatch.setattr(derivations, "_leibniz_kernel", lambda _, kept=kept: kept)
         with pytest.raises(InternalCheckError):
-            derivations._solve.__wrapped__(g)
+            derivations.derivation_algebra.__wrapped__(g)
 
 
 def test_a_lost_outer_derivation_is_caught_by_the_reference(monkeypatch):
     # heisenberg3 has outer derivations: leaving one out can keep a closed span
-    # that holds every inner one, so no check in _solve fires, and only the
-    # comparison with the Echelon route sees the loss
+    # that holds every inner one, so no check in derivation_algebra fires, and
+    # only the comparison with the Echelon route sees the loss
     g = catalog.get("heisenberg3").algebra
     ref = old_leibniz_span(g)
     silent = 0
     for kept in _drops(g):
         monkeypatch.setattr(derivations, "_leibniz_kernel", lambda _, kept=kept: kept)
         try:
-            da = derivations._solve.__wrapped__(g)
+            da = derivations.derivation_algebra.__wrapped__(g)
         except InternalCheckError:
             continue
         silent += 1

@@ -95,6 +95,14 @@ def test_validate_jacobi_violation():
     assert report.jacobi_failure == (0, 1, 2)
 
 
+def test_a_failed_construction_recheck_is_an_internal_check_error():
+    # validate_or_raise re-checks what a construction built from verified
+    # input, so a failure is the program's fault, not a ValueError of input
+    g = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+    with pytest.raises(InternalCheckError, match=r"Jacobi identity fails at triple \(i,j,k\)=\(0, 1, 2\)"):
+        liealg.validate_or_raise(g)
+
+
 @pytest.mark.parametrize(
     "brackets",
     [
