@@ -5,7 +5,8 @@ Subspace arguments are semicolon-separated rational coordinate vectors, e.g.
 ``--sub "1,0,0;0,1/2,1"``.  Every command prints a human-readable report
 followed by a machine-readable JSON section.  Exit codes: 0 when no check
 failed (a mathematically negative verdict is still a successful run), 1 when
-a check failed or errored, 2 on malformed input.
+a check failed or errored (a failed internal re-check is reported as an
+errored check), 2 on malformed input.
 
 A run builds only the parser of the command its first argument names, and
 every command's parser only for ``-h`` and usage errors that name no command.
@@ -25,6 +26,7 @@ from . import catalog
 from .derivations import derivation_algebra, derivation_tower, is_complete
 from .exactlin import Subspace, parse_rational
 from .liealg import (
+    InternalCheckError,
     LieAlgebra,
     Subalgebra,
     ValidationReport,
@@ -417,6 +419,12 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        # a library re-check failed (TheoremViolationError is one too): a bug,
+        # reported as an errored check, as verify reports it
+        detail = f"{type(exc).__name__}: {exc}"
+        print(f"error: {detail}", file=sys.stderr)
+        report.add(args.command, "error", detail)
     print("--- machine-readable ---")
     print(report.to_json())
     return report.exit_code

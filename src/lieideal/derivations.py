@@ -20,8 +20,8 @@ only the pairs whose supports meet (Commutator.pairs), as every other
 commutator is zero.  The abstract algebra D(g) is built from that table
 only when DerivationAlgebra.built is first read, and walked by validate only
 when DerivationAlgebra.algebra is: the callers that read only the span
-(is_characteristic, is_complete, the dimension) never build it, and the
-holomorph builds it without walking it, by a lemma.  In g = h x| D(h), for
+(is_complete, the dimension) never build it, and the holomorph builds it
+without walking it, by a lemma.  In g = h x| D(h), for
 i < n = dim h and D's basis f_a, f_b, the Jacobi triple (e_i, f_a, f_b)
 holds exactly when the table's [f_a, f_b] and f_a f_b - f_b f_a agree on
 e_i.  So once every triple that meets h holds, D's table is the commutator
@@ -37,6 +37,16 @@ integer_constants and the kernel's integer_rows over one lcm, through
 LieAlgebra.from_scaled, and embeds h and D(h) as blocks of coordinates.  Only
 the realization maps and the coordinates handed back to callers are dense.
 
+is_characteristic solves no D(g) at all.  "f maps h into h" is a set of
+linear forms in f's entries, which SolutionBasis.dots reads against the
+solutions of the Leibniz equations of the pairs inside h's pivot columns
+first: those contain Der(g), so forms vanishing there prove h characteristic,
+as they always do for a perfect ideal on its own coordinates.  Only
+otherwise do the remaining pairs follow, and a form that still has a nonzero
+dot names a derivation moving h, the negative answer's certificate, which
+leibniz_defect re-checks.  The solve of a set of pairs is _leibniz_solve,
+which _leibniz_kernel runs on every pair i < j in order.
+
 derivation_algebra is an lru_cache keyed on the algebra's structure, which
 ignores names: every algebra of one structure gets the same DerivationAlgebra,
 named after the first of them to be solved, so D(g) and its realization are
@@ -51,10 +61,11 @@ re-check of what they built fails.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import lcm
 from types import MappingProxyType
 
@@ -158,8 +169,20 @@ class DerivationAlgebra:
 def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
     """Integer basis of the Leibniz system's solutions, in flattened endomorphism coordinates.
 
-    The unknowns are the entries f_ab, at index a*n + b.  For i < j and each
-    output coordinate k the pair touches, the equation reads
+    Every pair i < j in order, solved into a fresh SolutionBasis.  Neither
+    repeated equations nor their order change the span that comes out, only
+    which integer basis of it; integer_span puts the span in canonical RREF.
+    """
+    solutions = SolutionBasis(g.dim * g.dim)
+    _leibniz_solve(g, combinations(range(g.dim), 2), solutions)
+    return list(solutions.vectors.values())
+
+
+def _leibniz_solve(g: LieAlgebra, pairs: Iterable[tuple[int, int]], solutions: SolutionBasis) -> None:
+    """Keep in solutions only what also solves the Leibniz equations of the given pairs i < j.
+
+    The unknowns are the entries f_ab, at index a*n + b.  For a pair i < j
+    and each output coordinate k it touches, the equation reads
       sum_m c_ijm f_km - sum_a c_ajk f_ai + sum_b c_bik f_bj = 0,
     the last sum being -sum_b c_ibk f_bj by antisymmetry, in the numerators
     of integer_constants: num[i][j] lists the (m, c_ijm) and into[j][k] the
@@ -168,9 +191,7 @@ def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
     dotted straight into the solutions nonzero at its unknown, and the dots
     of an equation that touches one go to SolutionBasis.eliminate, which
     changes nothing when all are zero, as for every equation that repeats
-    an earlier one up to scale.  Neither repeats nor the order of the
-    equations change the span that comes out, only which integer basis of
-    it; integer_span puts the span in canonical RREF.
+    an earlier one up to scale.
     """
     n = g.dim
     num = g.integer_constants[1]
@@ -179,32 +200,28 @@ def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
         for j in range(n):
             for k, v in num[a][j]:
                 into[j].setdefault(k, []).append((a, v))
-    solutions = SolutionBasis(n * n)
     basis, at, eliminate = solutions.vectors, solutions.at, solutions.eliminate
-    for i in range(n):
-        into_i = into[i]
-        for j in range(i + 1, n):
-            ij, into_j = num[i][j], into[j]
-            for k in range(n) if ij else into_i.keys() | into_j.keys():
-                dots: dict[int, int] = {}
-                for m, v in ij:
-                    c = k * n + m
-                    for t in at[c]:
-                        dots[t] = dots.get(t, 0) + v * basis[t][c]
-                for a, v in into_j.get(k, ()):
-                    c = a * n + i
-                    for t in at[c]:
-                        dots[t] = dots.get(t, 0) - v * basis[t][c]
-                for b, v in into_i.get(k, ()):
-                    c = b * n + j
-                    for t in at[c]:
-                        dots[t] = dots.get(t, 0) + v * basis[t][c]
-                if dots:
-                    eliminate(dots)
-    return list(basis.values())
+    for i, j in pairs:
+        ij, into_i, into_j = num[i][j], into[i], into[j]
+        for k in range(n) if ij else into_i.keys() | into_j.keys():
+            dots: dict[int, int] = {}
+            for m, v in ij:
+                c = k * n + m
+                for t in at[c]:
+                    dots[t] = dots.get(t, 0) + v * basis[t][c]
+            for a, v in into_j.get(k, ()):
+                c = a * n + i
+                for t in at[c]:
+                    dots[t] = dots.get(t, 0) - v * basis[t][c]
+            for b, v in into_i.get(k, ()):
+                c = b * n + j
+                for t in at[c]:
+                    dots[t] = dots.get(t, 0) + v * basis[t][c]
+            if dots:
+                eliminate(dots)
 
 
-# 256 solves keep every hit of `verify --suite all` (81 hits, 135 misses at
+# 256 solves keep every hit of `verify --suite all` (75 hits, 60 misses at
 # seed 0) while bounding what a long-lived process holds
 @lru_cache(maxsize=256)
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
@@ -401,21 +418,52 @@ def theorem_derived_check(g: LieAlgebra) -> bool:
 
 
 def is_characteristic(g: LieAlgebra, h: Subalgebra) -> bool:
-    """Every derivation of g maps h into h.  h must be an ideal of g."""
+    """Every derivation of g maps h into h.  h must be an ideal of g.
+
+    Decided on the Leibniz equations, with no D(g) built.  "f maps h into h"
+    is a set of linear forms in f's flattened entries: for each integer row u
+    of h and each column k off h's pivots, entry k of h.space.scaled_residual(f u),
+    L (f u)_k - sum_p (f u)_p R_p[k] over h's scaled RREF rows R_p.  The
+    equations of the pairs of h's pivot columns go first: their solutions
+    contain Der(g), so if every form vanishes on them, h is characteristic.
+    For a perfect ideal on its own coordinates they always settle it, as
+    they read (f [e_p, e_q])_k = 0 for every k off h and the [e_p, e_q] span
+    h.  Otherwise the remaining pairs follow in the same SolutionBasis, whose
+    solutions are then exactly Der(g): a form that still has a nonzero dot
+    gives the answer no, and that solution is the certificate, a derivation
+    moving h, re-checked by leibniz_defect, which shares nothing with the
+    solve, before it is believed.
+    """
     if h.parent != g:
         raise ValueError("subalgebra of a different algebra")
     if not is_ideal(g, h):
         raise ValueError("is_characteristic needs an ideal")
-    n = g.dim
-    hrows = [dict(u) for u in h.space.integer_rows[1]]
-    for f in derivation_algebra(g).span.integer_rows[1]:
-        for u in hrows:
-            # f(u) from the flattened entries f_ab = f[a * n + b]
-            image: dict[int, int] = {}
-            for idx, v in f:
-                a, b = divmod(idx, n)
-                if b in u:
-                    image[a] = image.get(a, 0) + v * u[b]
-            if h.space.scaled_residual(image.items()):
-                return False
-    return True
+    n, space = g.dim, h.space
+    L, rows = space.integer_rows
+    # column k off the pivots -> (a, coefficient of (f u)_a in the form's entry k)
+    through = {k: [(k, L)] for k in range(n) if k not in space.off_pivot}
+    for p, rest in space.off_pivot.items():
+        for k, r in rest:
+            through[k].append((p, -r))
+    # (f u)_a = sum_b f_ab u_b, so the form's coefficient of f_ab is c_a u_b
+    forms = [[(a * n + b, c * x) for a, c in coefs for b, x in u] for u in rows for coefs in through.values()]
+    if not forms:  # h = 0 or h = g
+        return True
+    solutions = SolutionBasis(n * n)
+    inside = set(space.pivots)
+    remaining = ((i, j) for i, j in combinations(range(n), 2) if not {i, j} <= inside)
+    for pairs in (combinations(space.pivots, 2), remaining):
+        _leibniz_solve(g, pairs, solutions)
+        # a solution on which some form is nonzero
+        moving = next((t for form in forms for t in solutions.dots(form)), None)
+        if moving is None:
+            return True
+    f = [[Fraction(0)] * n for _ in range(n)]
+    for idx, v in solutions.vectors[moving].items():
+        f[idx // n][idx % n] = Fraction(v)
+    witness = Mat(f, cols=n)
+    moved = any(space.scaled_residual(enumerate(witness.apply(u))) for u in space.basis.entries)
+    if leibniz_defect(g, witness) is not None or not moved:
+        raise InternalCheckError("the solution moving h is not a derivation that moves h")
+    return False
+

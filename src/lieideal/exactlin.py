@@ -31,7 +31,8 @@ and clears denominators only for a row that holds one.  ``Subspace.span`` is
 the one row reduction, and its ``dim`` the only rank.  Kernels are solved two ways:
 ``column_kernel`` reduces the equations into ``Echelon`` and reads its
 ``nullspace_rows``, while ``SolutionBasis`` keeps the solutions instead: its
-caller dots each equation with the few solutions that touch it, and
+caller dots each equation with the few solutions that touch it (``dots`` does
+so for an equation given as sparse items), and
 ``eliminate`` skips an equation whose dots are all zero, the side that wins
 on the tall, redundant Leibniz system of D(g), whose equations are never
 built as rows.  ``lift`` maps coordinates in a subspace's
@@ -336,6 +337,18 @@ class SolutionBasis:
     def __init__(self, ncols: int):
         self.vectors: dict[int, dict[int, int]] = {c: {c: 1} for c in range(ncols)}
         self.at: list[set[int]] = [{c} for c in range(ncols)]
+
+    def dots(self, equation: SparseItems) -> dict[int, int]:
+        """The equation's nonzero dots with the vectors it touches, by id.
+
+        Empty exactly when every solution so far satisfies it.
+        """
+        basis, at = self.vectors, self.at
+        out: dict[int, int] = {}
+        for c, a in equation:
+            for t in at[c]:
+                out[t] = out.get(t, 0) + a * basis[t][c]
+        return {t: d for t, d in out.items() if d}
 
     def eliminate(self, dots: Mapping[int, int]) -> None:
         """Keep only the solutions of one more equation, given its dot with each vector it touches.

@@ -57,6 +57,29 @@ def matmul(a, b):
     return [apply(columns, row) for row in a]
 
 
+def seeded_gl(n, rng):
+    """A matrix of GL(n, Q) with entries in {-1, 0, 1}, drawn from rng until one is invertible."""
+    while True:
+        p = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+        if len(rref(n, p)) == n:
+            return p
+
+
+def rebased(n, consts, p):
+    """consts in the basis f_a = sum_i p[a][i] e_i, as brackets, and the map of coordinates into it.
+
+    A vector w has coordinates x = w p^-1, so x_m = sum_k w_k q[k][m] for
+    q = p^-1, read off the RREF of [p | 1].
+    """
+    q = [row[n:] for row in rref(2 * n, [list(row) + unit(n, a) for a, row in enumerate(p)])]
+    q_t = [list(col) for col in zip(*q)]
+    brackets = {}
+    for a, b in combinations(range(n), 2):
+        x = apply(q_t, bracket(consts, p[a], p[b]))
+        brackets[(a, b)] = {m: v for m, v in enumerate(x) if v}
+    return brackets, lambda w: apply(q_t, w)
+
+
 def commutator(a, b):
     return [[x - y for x, y in zip(r, s)] for r, s in zip(matmul(a, b), matmul(b, a))]
 

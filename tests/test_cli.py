@@ -139,6 +139,26 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
     assert "(0, 1, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [liealg.InternalCheckError, liealg.TheoremViolationError])
+def test_a_failed_internal_check_is_reported_not_raised(capsys, monkeypatch, error):
+    # a re-check inside the library failing is a bug: the run reports it as an
+    # errored check and exits 1, with no traceback
+    def broken(g):
+        raise error("re-check failed")
+
+    monkeypatch.setattr(cli, "counterexample_extension", broken)
+    assert run(["counterexample", "catalog:aff1"]) == 1
+    out, err = capsys.readouterr()
+    detail = f"{error.__name__}: re-check failed"
+    assert err == f"error: {detail}\n"
+    assert out.startswith("--- machine-readable ---\n")
+    assert json.loads(out.partition("\n")[2]) == {
+        "command": ["counterexample", "catalog:aff1"],
+        "checks": [{"name": "counterexample", "status": "error", "detail": detail}],
+        "payload": {},
+    }
+
+
 def test_validate_reports_the_loaders_verdict(capsys, tmp_path, monkeypatch):
     # the loader walks Jacobi once and refuses an invalid file before validate
     # reports; a valid file is not walked a second time

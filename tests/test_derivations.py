@@ -20,7 +20,7 @@ from lieideal.derivations import (
     leibniz_defect,
     theorem_derived_check,
 )
-from lieideal.exactlin import Mat
+from lieideal.exactlin import Mat, Subspace
 from lieideal.liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -31,10 +31,11 @@ from lieideal.liealg import (
     full_subalgebra,
     is_homomorphism,
     is_ideal,
+    radical,
     subalgebra,
     validate,
 )
-from lieideal.suites import check_adjoint_identity, run_suites
+from lieideal.suites import chain_instances, check_adjoint_identity, perfect_specimens, radical_corpus, run_suites
 
 
 def test_dimension_abelian():
@@ -303,6 +304,107 @@ def test_aff1_factor_is_not_characteristic():
     assert not is_characteristic(k, h)
 
 
+def stabilizes(g, h):
+    """The full reading: every row of D(g)'s solved kernel maps h into h."""
+    n = g.dim
+    hrows = [dict(u) for u in h.space.integer_rows[1]]
+    for f in derivation_algebra(g).span.integer_rows[1]:
+        for u in hrows:
+            image = {}
+            for idx, v in f:
+                a, b = divmod(idx, n)
+                if b in u:
+                    image[a] = image.get(a, 0) + v * u[b]
+            if h.space.scaled_residual(image.items()):
+                return False
+    return True
+
+
+def characteristic_pairs(source):
+    """(g, h) ideal pairs: the perfect suite's 80 ambients with h and with k = h + partner,
+    the catalog's derived, center, radical and tagged ideals, or a seed's radical corpus."""
+    if source == "perfect ambients":
+        instances = [inst for label, h in perfect_specimens().items() for inst in chain_instances(label, h)]
+        assert len(instances) == 80
+        return [(inst.g, sub) for inst in instances for sub in (inst.h_sub, inst.k_sub)]
+    if source == "catalog":
+        pairs = []
+        for name in catalog.list_names():
+            entry = catalog.get(name)
+            g = entry.algebra
+            subs = [derived_subalgebra(full_subalgebra(g)), center(g), radical(g)]
+            subs += [Subalgebra(g, space) for space in entry.tagged_subalgebras.values()]
+            pairs += [(g, h) for h in subs if is_ideal(g, h)]
+        return pairs
+    seed = int(source.removeprefix("radical corpus "))
+    return [(amb.parent, h) for _, amb, h, _ in radical_corpus(seed) if is_ideal(amb.parent, h)]
+
+
+@pytest.mark.parametrize(
+    "source, negatives",
+    [("perfect ambients", 24), ("catalog", 1)] + [(f"radical corpus {s}", n) for s, n in enumerate((1, 1, 2, 2))],
+)
+def test_is_characteristic_matches_the_full_reading(source, negatives):
+    answers = []
+    for g, h in characteristic_pairs(source):
+        answer = is_characteristic(g, h)
+        assert answer == stabilizes(g, h), (g.name, h.space.pivots)
+        answers.append(answer)
+    assert answers.count(False) == negatives and answers.count(True) > negatives
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """One entry per _leibniz_solve call: is_characteristic makes one per batch of pairs it runs."""
+    calls = []
+    real = derivations._leibniz_solve
+    monkeypatch.setattr(derivations, "_leibniz_solve", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_is_characteristic_matches_the_full_reading_in_a_seeded_basis(solves):
+    # perfect ideals and their k = h + partner, moved by a dense change of basis
+    # off the coordinates: the pairs inside h no longer settle every answer,
+    # so the remaining pairs run, to both answers
+    runs = {True: [], False: []}
+    rng = random.Random(0)
+    for label, h in perfect_specimens().items():
+        for inst in chain_instances(label, h):
+            n = inst.g.dim
+            if n > 7:
+                continue
+            brackets, move = reference.rebased(n, inst.g.brackets(), reference.seeded_gl(n, rng))
+            g = LieAlgebra.from_brackets(n, brackets)
+            for sub in (inst.h_sub, inst.k_sub):
+                moved = Subalgebra(g, Subspace.span(n, map(move, sub.space.basis.entries)))
+                want = stabilizes(g, moved)
+                solves.clear()
+                assert is_characteristic(g, moved) == want
+                runs[want].append(len(solves))
+                if sub is inst.h_sub:
+                    assert want  # a perfect ideal is characteristic
+    assert len(runs[True]) >= 15 and len(runs[False]) >= 5
+    # both batches ran for some positive answers, and for every negative one
+    assert 2 in runs[True] and set(runs[False]) == {2}
+
+
+def test_a_perfect_ideal_on_its_coordinates_is_settled_by_the_pairs_inside_it(solves):
+    for label, h in perfect_specimens().items():
+        for inst in chain_instances(label, h):
+            solves.clear()
+            assert is_characteristic(inst.g, inst.h_sub) and solves == [1]
+
+
+def test_a_witness_that_is_no_derivation_is_an_internal_check_error(monkeypatch):
+    # the center of heisenberg3 has one pivot, so no pair lies inside it and
+    # only the remaining pairs could settle it: with the solve gone, the unit
+    # matrices are left as solutions, and the one moving z out is no derivation
+    g = catalog.get("heisenberg3").algebra
+    monkeypatch.setattr(derivations, "_leibniz_solve", lambda g, pairs, solutions: None)
+    with pytest.raises(InternalCheckError, match="moving h"):
+        is_characteristic(g, subalgebra(g, [[0, 0, 1]]))
+
+
 def test_is_characteristic_requires_ideal():
     g = catalog.get("heisenberg3").algebra
     with pytest.raises(ValueError):
@@ -391,7 +493,7 @@ def test_the_closure_check_runs_on_every_solve(builds, monkeypatch):
     monkeypatch.setattr(derivations, "_leibniz_kernel", lambda g: [*kernel(g), {1: 1}])
     monkeypatch.setattr(derivations.DerivationAlgebra, "algebra", property(lambda _: pytest.fail("algebra read")))
     with pytest.raises(InternalCheckError, match="escaped the closed span"):
-        is_characteristic(g, full_subalgebra(g))
+        is_complete(g)
     assert builds == {"from_scaled": [], "validate": []}
 
 

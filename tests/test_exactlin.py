@@ -610,6 +610,25 @@ def test_solution_basis_spans_the_echelon_nullspace(case):
         assert all(sum(a * v.get(c, 0) for c, a in row) == 0 for row in rows)
 
 
+@settings(max_examples=150, deadline=None)
+@given(tall_systems())
+@example((3, [[(0, 1), (1, -1)], [(0, 2), (1, -2)], [(2, 0)]]))
+def test_solution_basis_dots_are_the_dense_dot_products(case):
+    # each row's dots are read before the row is eliminated, with the dense
+    # dots handed to eliminate, so the basis moves on as the dots said
+    ncols, rows = case
+    solutions = SolutionBasis(ncols)
+    for row in rows:
+        eq = reference.dense(ncols, row)
+        want = {}
+        for t, v in solutions.vectors.items():
+            d = sum(a * b for a, b in zip(eq, reference.dense(ncols, v.items())))
+            if d:
+                want[t] = int(d)
+        assert solutions.dots(row) == want
+        solutions.eliminate(want)
+
+
 def test_solution_basis_pinned_cases():
     assert solution_basis(0, []) == []
     assert solution_basis(0, [[]]) == []

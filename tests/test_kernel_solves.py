@@ -462,7 +462,7 @@ def test_is_ideal_and_ideal_closure_match_dense(label):
 
 
 def rebased_line_first(g, u, h_rows, rng):
-    """rebased_by a seeded dense basis with f_0 = u and f_1, ..., f_(n-1) in a hyperplane holding h but not u.
+    """reference.rebased to a seeded dense basis with f_0 = u and f_1, ..., f_(n-1) in a hyperplane holding h but not u.
 
     Every vector of h then has coordinate 0 equal to 0, so an ambient holding
     u has pivot 0 and h does not.
@@ -480,7 +480,7 @@ def rebased_line_first(g, u, h_rows, rng):
             c = dot(phi, r) / dot(phi, u)
             p.append([a - c * b for a, b in zip(r, u)])
         if len(reference.rref(n, p)) == n:
-            return rebased_by(g, p)
+            return reference.rebased(n, g.brackets(), p)
 
 
 def test_is_ideal_on_proper_ambients_whose_first_pivot_h_lacks():
@@ -780,31 +780,6 @@ def test_leibniz_kernel_matches_the_reference_on_perfect_ambients_to_dim_8(label
         assert kernel_span(g).basis.entries == reference.derivations(g.dim, g.brackets())
 
 
-def rebased_by(g, p):
-    """g in the basis f_a = sum_i p[a][i] e_i, as brackets, and the map of coordinates into it.
-
-    A vector w has coordinates x = w p^-1, so x_m = sum_k w_k q[k][m] for
-    q = p^-1, read off the RREF of [p | 1]; all from the reference.
-    """
-    n, consts = g.dim, g.brackets()
-    q = [row[n:] for row in reference.rref(2 * n, [list(row) + unit(n, a) for a, row in enumerate(p)])]
-    q_t = [list(col) for col in zip(*q)]
-    brackets = {}
-    for a, b in itertools.combinations(range(n), 2):
-        x = reference.apply(q_t, reference.bracket(consts, p[a], p[b]))
-        brackets[(a, b)] = {m: v for m, v in enumerate(x) if v}
-    return brackets, lambda w: reference.apply(q_t, w)
-
-
-def rebased_by_reference(g, rng):
-    """g in a seeded basis f_a = sum_i p[a][i] e_i, p in GL(n) with entries in {-1, 0, 1}, as brackets."""
-    n = g.dim
-    while True:
-        p = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
-        if len(reference.rref(n, p)) == n:
-            return rebased_by(g, p)[0]
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_leibniz_kernel_matches_the_reference_on_dense_changes_of_basis(seed):
     # dense rational constants, where few equations repeat and the
@@ -813,7 +788,8 @@ def test_leibniz_kernel_matches_the_reference_on_dense_changes_of_basis(seed):
     assert len(names) == 11
     for name in names:
         g = catalog.get(name).algebra
-        brackets = rebased_by_reference(g, random.Random(f"{seed}:{name}"))
+        p = reference.seeded_gl(g.dim, random.Random(f"{seed}:{name}"))
+        brackets = reference.rebased(g.dim, g.brackets(), p)[0]
         rebased = LieAlgebra.from_brackets(g.dim, brackets)
         want = reference.derivations(g.dim, brackets)
         assert kernel_span(rebased).basis.entries == want
