@@ -3,8 +3,8 @@
 The catalog is one table, ``_TABLE``: each row gives an algebra's structure
 (its dimension and [e_i, e_j] brackets, or the two entries it is the direct
 sum of), its frozen facts in ``FACTS`` order, and its tagged subalgebras,
-forms and maps.  Adding an algebra means adding one row.  ``abelian(n)`` is
-the one parametric family.
+forms and maps.  Adding an algebra means adding one row; a parametric family,
+``abelian(n)`` the only one, is a row of ``_FAMILIES``.
 
 File format (strict, UTF-8, one field per line; '#' starts a comment):
 
@@ -17,7 +17,7 @@ Each ``bracket i j k v`` line sets [e_i, e_j] += v e_k with 0 <= i < j < dim,
 0 <= k < dim (ASCII digits only, as for dim) and v a rational like ``-3/2``.  The (j, i) entries are implied
 by antisymmetry and are rejected if written out.  Omitted pairs are zero.
 Loading validates antisymmetry and Jacobi and reports the first violation.
-An oversized ``dim`` or ``v`` is rejected at its line, before anything is built.
+An oversized ``dim``, index or ``v`` is rejected at its line, before it is read.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .liealg import LieAlgebra, LinMap, SymForm, direct_sum, validate, validate_
 
 
 # Above every algebra the suites build (at most 72); it bounds files and
-# abelian(n) alike.  validate sums the Jacobi terms once per basis pair, over
+# family members alike.  validate sums the Jacobi terms once per basis pair, over
 # the nonzero structure constants only, so a sparse file at the cap loads in
 # well under a second (a dim-256 file with one bracket in about 0.03 s); a
 # dense one costs what its structure constants cost.
@@ -182,40 +182,40 @@ _TABLE: dict[str, _Row] = {
     ),
 }
 
-_ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
-
-
-def _alg(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]], name: str) -> LieAlgebra:
-    return validate_or_raise(LieAlgebra.from_brackets(dim, brackets, name=name))
-
 
 def abelian(n: int) -> LieAlgebra:
     if n < 1:
         raise CatalogError("abelian(n) needs n >= 1")
     if n > MAX_DIM:
         raise CatalogError(f"abelian({n}) exceeds the maximum dim {MAX_DIM}")
-    return _alg(n, {}, f"abelian({n})")
+    return validate_or_raise(LieAlgebra.from_brackets(n, {}, name=f"abelian({n})"))
+
+
+# family -> (builder, arity, dim, closed-form facts in FACTS order or None)
+_FAMILIES = {"abelian": (abelian, 1, lambda n: n, lambda n: (n, n, 0, n, n * n, False, False, False))}
+# family(p[,p...]), each p at most 9 ASCII digits after an optional minus, far
+# within int()'s 4300; get then refuses leading zeros: one spelling, one cache entry
+_MEMBER = re.compile(r"(\w+)\((-?[0-9]{1,9}(?:,-?[0-9]{1,9})*)\)")
 
 
 @lru_cache(maxsize=None)
 def get(name: str) -> CatalogEntry:
-    """Catalog lookup; unknown names raise CatalogError."""
-    m = _ABELIAN_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        if m.group(1) != str(n):
-            # one spelling per algebra, so one cache entry and one name
+    """A ``_TABLE`` row, else a family member; unknown or malformed names raise CatalogError."""
+    if (row := _TABLE.get(name)) is None:
+        m = _MEMBER.fullmatch(name)
+        ns = [int(p) for p in m[2].split(",")] if m else []
+        if not (m and m[1] in _FAMILIES and len(ns) == _FAMILIES[m[1]][1]):
+            raise CatalogError(f"unknown catalog algebra {name!r}")
+        build, _, dim, facts = _FAMILIES[m[1]]
+        if ",".join(map(str, ns)) != m[2]:
             raise CatalogError(f"catalog name {name!r}: write n without leading zeros")
-        g = abelian(n)
-        facts = (n, n, 0, n, n * n, False, False, False)
-        return CatalogEntry(name=name, algebra=g, expected=dict(zip(FACTS, facts)))
-    if name not in _TABLE:
-        raise CatalogError(f"unknown catalog algebra {name!r}")
-    row = _TABLE[name]
+        if dim(*ns) > MAX_DIM:
+            raise CatalogError(f"{name} exceeds the maximum dim {MAX_DIM}")
+        return CatalogEntry(name=name, algebra=build(*ns), expected=dict(zip(FACTS, facts(*ns) if facts else ())))
     if row.summands:
         g = validate_or_raise(direct_sum(*(get(t).algebra for t in row.summands))[0].renamed(name))
     else:
-        g = _alg(*row.structure, name)
+        g = validate_or_raise(LieAlgebra.from_brackets(*row.structure, name=name))
     return CatalogEntry(
         name=name,
         algebra=g,
@@ -264,7 +264,11 @@ def loads(text: str) -> LieAlgebra:
                 raise ParseError("duplicate dim field", lineno)
             if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise ParseError("dim needs one integer argument", lineno)
-            dim = int(parts[1])
+            # int() raises past 4300 digits: a dim longer than MAX_DIM's is not read
+            digits = parts[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DIM)):
+                raise ParseError(f"dim exceeds the maximum {MAX_DIM}", lineno)
+            dim = int(digits)
             if dim > MAX_DIM:
                 raise ParseError(f"dim {dim} exceeds the maximum {MAX_DIM}", lineno)
         elif parts[0] == "name":
@@ -278,10 +282,13 @@ def loads(text: str) -> LieAlgebra:
                 raise ParseError("bracket before dim", lineno)
             if len(parts) != 5:
                 raise ParseError("bracket needs i j k v", lineno)
-            # dim's rule: int() alone would take 1_0 and non-ASCII digits
+            # dim's rules: int() alone would take 1_0 and non-ASCII digits, and raise past 4300
             if not all(p.isascii() and p.isdigit() for p in parts[1:4]):
                 raise ParseError("bracket indices i j k must be unsigned ASCII integers", lineno)
-            i, j, k = map(int, parts[1:4])
+            digits = [p.lstrip("0") or "0" for p in parts[1:4]]
+            if max(map(len, digits)) > len(str(MAX_DIM)):
+                raise ParseError(f"bracket index exceeds the maximum dim {MAX_DIM}", lineno)
+            i, j, k = map(int, digits)
             try:
                 v = parse_rational(parts[4])
             except (ValueError, ZeroDivisionError) as exc:

@@ -39,7 +39,8 @@ def test_abelian_parametric():
         catalog.get(f"abelian({catalog.MAX_DIM + 1})")
 
 
-@pytest.mark.parametrize("name", catalog.list_names())
+# abelian(5), (8) and (16) are family members outside `catalog list`
+@pytest.mark.parametrize("name", catalog.list_names() + ["abelian(5)", "abelian(8)", "abelian(16)"])
 def test_expected_facts_recompute(name):
     # goldens are regression locks; every one must re-derive
     entry = catalog.get(name)
@@ -54,6 +55,56 @@ def test_expected_facts_recompute(name):
     assert expected["perfect"] == is_perfect(full)
     assert expected["complete"] == is_complete(g)
     assert expected["semisimple"] == (radical(g).dim == 0)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "abelian(2)\n",  # a second spelling of abelian(2)
+        "abelian(\u0663)",  # an Arabic-Indic three
+        "abelian(\uff13)",  # a fullwidth three
+        "abelian(2,3)",
+        "abelian()",
+        "abelian(+2)",
+        "abelian(-0)",
+        "abelian(" + "9" * 5000 + ")",  # past int()'s 4300 digits
+    ],
+    ids=["newline", "arabic", "fullwidth", "arity", "empty", "plus", "minus zero", "5000 digits"],
+)
+def test_malformed_family_names_raise(name):
+    with pytest.raises(catalog.CatalogError):
+        catalog.get(name)
+
+
+def test_a_row_wins_over_a_family_member(monkeypatch):
+    # upper_triangular(3) is a row; a family of that name must not replace it
+    row = catalog.get("upper_triangular(3)")
+    catalog.get.cache_clear()
+    try:
+        monkeypatch.setitem(catalog._FAMILIES, "upper_triangular", (catalog.abelian, 1, lambda n: n, None))
+        entry = catalog.get("upper_triangular(3)")
+        assert entry.algebra.c == row.algebra.c
+        assert dict(entry.tagged_subalgebras) == dict(row.tagged_subalgebras)
+        assert dict(entry.expected) == dict(row.expected)
+        # other members come from the family
+        assert catalog.get("upper_triangular(4)").algebra.dim == 4
+    finally:
+        catalog.get.cache_clear()
+
+
+def test_a_family_without_facts_expects_nothing(monkeypatch):
+    catalog.get.cache_clear()
+    try:
+        monkeypatch.setitem(catalog._FAMILIES, "plain", (catalog.abelian, 1, lambda n: n, None))
+        entry = catalog.get("plain(2)")
+        assert entry.name == "plain(2)" and entry.algebra.dim == 2
+        assert dict(entry.expected) == {}
+        # the dim is capped before the builder runs
+        monkeypatch.setitem(catalog._FAMILIES, "huge", (pytest.fail, 1, lambda n: n * n, None))
+        with pytest.raises(catalog.CatalogError, match="^huge\\(17\\) exceeds the maximum dim 256$"):
+            catalog.get("huge(17)")
+    finally:
+        catalog.get.cache_clear()
 
 
 def test_tagged_subalgebras_are_closed():
@@ -160,6 +211,25 @@ def test_bracket_before_dim_rejected():
 def test_index_out_of_range_rejected():
     with pytest.raises(catalog.ParseError):
         catalog.loads("dim 2\nbracket 0 1 5 1\n")
+
+
+def test_oversized_integers_rejected_before_int():
+    # int() raises ValueError past 4300 digits; the bound comes first
+    nines = "9" * 5000
+    for text, line in (
+        (f"dim {nines}\n", 1),
+        (f"dim 3\nbracket 0 1 {nines} 1\n", 2),
+        (f"dim 3\nbracket {nines} 1 2 1\n", 2),
+    ):
+        with pytest.raises(catalog.ParseError) as exc:
+            catalog.loads(text)
+        assert exc.value.line == line
+
+
+def test_leading_zeros_in_file_integers_still_load():
+    zeros = "0" * 5000
+    g = catalog.loads(f"dim 0003\nbracket 000 001 {zeros}2 1\n")
+    assert g.c == catalog.get("heisenberg3").algebra.c
 
 
 def test_dim_above_cap_rejected_at_its_line():

@@ -265,10 +265,12 @@ def test_bracket_index_outside_ascii_digits_exits_two(capsys, tmp_path):
 
 def test_dim_above_cap_in_file_exits_two(capsys, tmp_path):
     path = tmp_path / "big.lie"
-    path.write_text("dim 257\nbracket 0 1 2 1\n")
-    assert run(["validate", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "line 1" in err and "Traceback" not in err
+    # past 4300 digits int() would raise ValueError
+    for dim in ("257", "9" * 5000):
+        path.write_text(f"dim {dim}\nbracket 0 1 2 1\n")
+        assert run(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "Traceback" not in err
     # a digit to str.isdigit, but not to int()
     path.write_text("dim \u00b2\n")
     assert run(["validate", str(path)]) == 2
@@ -336,14 +338,45 @@ def test_catalog_show_unknown_exits_two(capsys):
         (["catalog", "show", "nosuch"], "unknown catalog algebra 'nosuch'"),
         (["info", "catalog:abelian(0)"], "abelian(n) needs n >= 1"),
         (["info", "catalog:abelian(007)"], "catalog name 'abelian(007)': write n without leading zeros"),
+        (["info", "catalog:abelian(257)"], "abelian(257) exceeds the maximum dim 256"),
+        (["info", "catalog:abelian(-1)"], "abelian(n) needs n >= 1"),
+        (["info", "catalog:abelian(2,3)"], "unknown catalog algebra 'abelian(2,3)'"),
+        # int() alone would raise ValueError past 4300 digits
+        (["info", f"catalog:abelian({'9' * 5000})"], f"unknown catalog algebra 'abelian({'9' * 5000})'"),
+        # a second spelling of abelian(2), and a non-ASCII digit
+        (["info", "catalog:abelian(2)\n"], "unknown catalog algebra 'abelian(2)\\n'"),
+        (["info", "catalog:abelian(\u0663)"], "unknown catalog algebra 'abelian(\u0663)'"),
     ],
-    ids=["info unknown", "show unknown", "abelian(0)", "abelian(007)"],
+    ids=[
+        "info unknown",
+        "show unknown",
+        "abelian(0)",
+        "abelian(007)",
+        "abelian(257)",
+        "abelian(-1)",
+        "abelian(2,3)",
+        "abelian(5000 nines)",
+        "abelian(2) newline",
+        "abelian(arabic 3)",
+    ],
 )
 def test_catalog_errors_print_the_message_unquoted(capsys, argv, message):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_catalog_show_prints_no_expected_block_without_facts(capsys, monkeypatch):
+    catalog.get.cache_clear()
+    try:
+        monkeypatch.setitem(catalog._FAMILIES, "plain", (catalog.abelian, 1, lambda n: n, None))
+        code, human, payload = invoke(capsys, "catalog", "show", "plain(2)")
+    finally:
+        catalog.get.cache_clear()
+    assert code == 0
+    assert "# expected:" not in human and payload["payload"]["expected"] == {}
+    assert "# expected:" in invoke(capsys, "catalog", "show", "abelian(2)")[1]
 
 
 def test_verify_single_suite(capsys):
