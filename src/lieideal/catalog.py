@@ -196,6 +196,15 @@ _FAMILIES = {"abelian": (abelian, 1, lambda n: n, lambda n: (n, n, 0, n, n * n, 
 # family(p[,p...]), each p at most 9 ASCII digits after an optional minus, far
 # within int()'s 4300; get then refuses leading zeros: one spelling, one cache entry
 _MEMBER = re.compile(r"(\w+)\((-?[0-9]{1,9}(?:,-?[0-9]{1,9})*)\)")
+# a name is outside input of any length: an error quotes at most this many of its characters
+_QUOTED = 60
+
+
+def _quoted(name: str) -> str:
+    """repr(name), or of its first _QUOTED characters followed by its length when longer."""
+    if len(name) <= _QUOTED:
+        return repr(name)
+    return f"{name[:_QUOTED]!r}... ({len(name)} characters)"
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +214,7 @@ def get(name: str) -> CatalogEntry:
         m = _MEMBER.fullmatch(name)
         ns = [int(p) for p in m[2].split(",")] if m else []
         if not (m and m[1] in _FAMILIES and len(ns) == _FAMILIES[m[1]][1]):
-            raise CatalogError(f"unknown catalog algebra {name!r}")
+            raise CatalogError(f"unknown catalog algebra {_quoted(name)}")
         build, _, dim, facts = _FAMILIES[m[1]]
         if ",".join(map(str, ns)) != m[2]:
             raise CatalogError(f"catalog name {name!r}: write n without leading zeros")

@@ -24,6 +24,9 @@ items as they are: ``Subspace.scaled_residual`` (L times the residual, visiting
 only the vector's own entries through a read-only pivot -> row map) and
 ``Subspace.integer_span``.  ``residual``, ``contains_vector`` and ``span`` check
 and clear what comes from outside, call them and hand back Fractions.
+``Subspace.axis_set`` marks a coordinate subspace, whose RREF rows are unit
+vectors: a vector lies in it exactly when its support does, and
+``contains`` decides by that support rule.
 ``Echelon`` keeps gcd-normalized integer rows in reduced form as it grows,
 each zero at every other pivot, so an incoming row is eliminated once per
 pivot column it holds and ``rref_rows`` only rescales; it builds no Fraction
@@ -462,6 +465,20 @@ class Subspace:
             {p: tuple(e for e in row if e[0] != p) for p, row in zip(self.pivots, rows)}
         )
 
+    @cached_property
+    def axis_set(self) -> frozenset[int] | None:
+        """The pivots, when every RREF row is a unit vector (then L = 1); else None.
+
+        Such a space is a coordinate subspace, spanned by the axes e_p it
+        holds, and the support rule decides membership in it: a vector lies
+        in it exactly when its support lies in axis_set.  The rule is exact,
+        as every off_pivot row is empty and L = 1, so scaled_residual returns
+        the vector's own nonzero entries off the pivots, unchanged.  Built
+        once and not a field, so equality and hashing never see it.
+        """
+        L, rows = self.integer_rows
+        return frozenset(self.pivots) if L == 1 and all(len(row) == 1 for row in rows) else None
+
     def scaled_residual(self, v: SparseItems) -> dict[int, Fraction | int]:
         """L times (v minus its combination of the rows), nonzero entries only.
 
@@ -507,9 +524,17 @@ class Subspace:
         return {i: q for i, p in enumerate(self.pivots) if (q := rat(at(p)))}
 
     def contains(self, other: "Subspace | Sequence[Fraction]") -> bool:
+        """other inside self, for a subspace or a vector of the same ambient.
+
+        A subspace is inside when each of its integer rows has no residual.
+        When self is coordinate (axis_set), that is the support rule: each
+        row's support lies in axis_set, and no residual is formed.
+        """
         if isinstance(other, Subspace):
             if other.ambient_dim != self.ambient_dim:
                 raise ValueError("ambient dimension mismatch")
+            if (axes := self.axis_set) is not None:
+                return all(j in axes for row in other.integer_rows[1] for j, _ in row)
             return not any(map(self.scaled_residual, other.integer_rows[1]))
         return self.contains_vector(other)
 

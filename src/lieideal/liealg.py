@@ -20,6 +20,10 @@ bracket subspace rows take them on Subspace.integer_rows, since no scale moves
 a span or a membership: is_ideal, centralizer, normalizer and the closure
 check on Subalgebra read bracket_residual; bracket_spaces spans
 scaled_bracket's output, over the pairs a < b of u's rows when v == u.
+On coordinate subspaces (Subspace.axis_set) the closure check, is_ideal and
+transitivity.ideal_closure read axis_residual instead, by the support rule:
+[e_p, e_q] lies in such a space exactly when num[p][q]'s support does, which
+is exact because no constructor stores a zero constant.
 Membership work brackets only what can still escape, by one lemma
 (fresh_rows): for u inside w, w's RREF rows at the pivots u lacks span w
 together with u.  is_ideal takes x over the ambient's rows at the pivots h
@@ -279,6 +283,19 @@ class LieAlgebra:
                     out[k] = out.get(k, 0) - c * b
         return {k: v for k, v in out.items() if v}
 
+    def axis_residual(self, i: int, j: int, axes: frozenset[int]) -> IntRow:
+        """bracket_residual(e_i, e_j, S) for the coordinate subspace S whose axis_set is axes.
+
+        The support rule: [e_i, e_j] lies in S exactly when every k in
+        num[i][j] lies in axes.  It is exact because no constructor stores a
+        zero constant and S's scaled_residual of a vector is its entries off
+        the axes, unchanged (L = 1): these are the entries of num[i][j] off
+        the axes, in increasing k, read in the same orientation as
+        bracket_residual reads them.
+        """
+        terms = self.integer_constants[1][i][j]
+        return tuple(e for e in terms if e[0] not in axes) if terms else ()
+
     def scaled_adjoint(self, x: SparseItems) -> dict[int, Fraction | int]:
         """den * ad_x flattened row-major, as its nonzero entries by index.
 
@@ -464,7 +481,10 @@ class Subalgebra:
     """A bracket-closed subspace of a parent algebra.
 
     The constructor rejects subspaces that are not closed; use
-    generated_subalgebra to take closures explicitly.  The radical, once
+    generated_subalgebra to take closures explicitly.  It brackets the pairs
+    a < b of the space's rows, in order; on a coordinate space (axis_set) the
+    pair of axes p, q is closed exactly when num[p][q]'s support lies in
+    the space, the support rule, read by axis_residual.  The radical, once
     sub_radical solves it, is kept on the object and lives as long as it.
     """
 
@@ -473,15 +493,18 @@ class Subalgebra:
     def __init__(self, parent: LieAlgebra, space: Subspace):
         if space.ambient_dim != parent.dim:
             raise ValueError("subspace ambient dimension != algebra dimension")
-        rows = space.integer_rows[1]
+        rows, axes, piv = space.integer_rows[1], space.axis_set, space.pivots
         # every bracket lies in Q^n, so only a proper subspace can fail
         if space.dim < parent.dim:
-            for a in range(len(rows)):
-                for b in range(a + 1, len(rows)):
-                    if parent.bracket_residual(rows[a], rows[b], space):
-                        raise ValueError(
-                            f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
-                        )
+            for a, b in combinations(range(len(rows)), 2):
+                if (
+                    parent.bracket_residual(rows[a], rows[b], space)
+                    if axes is None
+                    else parent.axis_residual(piv[a], piv[b], axes)
+                ):
+                    raise ValueError(
+                        f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
+                    )
         self.parent = parent
         self.space = space
         self._radical: Subspace | None = None
@@ -651,16 +674,20 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
 
     h and the ambient's fresh_rows over h span the ambient, and [h, h] lies
     in h, so x ranges over those rows only: (dim ambient - dim h) * dim h
-    brackets for an ideal.
+    brackets for an ideal.  When the ambient and h are both coordinate
+    (axis_set), x and y are axes e_p and e_q, and the support rule decides
+    each pair: [e_p, e_q] lies in h exactly when num[p][q]'s support does.
     """
     amb = as_subalgebra(ambient)
     if h.parent != amb.parent:
         raise ValueError("subalgebras live in different parent algebras")
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
+    g, space, xs = amb.parent, h.space, fresh_rows(amb.space, h.space)
     # stop at the first [x, y] that escapes h
-    residual, space, ys = amb.parent.bracket_residual, h.space, h.space.integer_rows[1]
-    return not any(residual(x, y, space) for x in fresh_rows(amb.space, space) for y in ys)
+    if amb.space.axis_set is not None and (axes := space.axis_set) is not None:
+        return not any(g.axis_residual(p, q, axes) for ((p, _),) in xs for q in space.pivots)
+    return not any(g.bracket_residual(x, y, space) for x in xs for y in space.integer_rows[1])
 
 
 def center(g: LieAlgebra) -> Subalgebra:

@@ -30,9 +30,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .derivations import derivation_algebra, holomorph, is_complete, is_derivation
-from .exactlin import Commutator, Inertia, IntRow, Mat, Subspace, Vector, column_kernel, intersect, subspace_sum
+from .exactlin import Commutator, Inertia, IntRow, Mat, SparseItems, Subspace, Vector, column_kernel, intersect, subspace_sum
 from .liealg import (
     HypothesisError,
     InternalCheckError,
@@ -106,16 +107,26 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
 
     Monotone, so any ideal containing h contains every round's span.  A
     round brackets the ambient's rows with the rows the last round added only.
+    In a round where the ambient and the current span are both coordinate
+    (axis_set), every row is an axis and the support rule gives each pair's
+    residual: the entries of num[p][q] off the span's axes, the rows
+    bracket_residual would give, in the same order.
     """
     amb = as_subalgebra(ambient)
     if h.parent != amb.parent:
         raise ValueError("subalgebras live in different parent algebras")
     if not amb.space.contains(h.space):
         raise ValueError("h is not contained in the ambient subalgebra")
-    g, xs = amb.parent, amb.space.integer_rows[1]
-    return Subalgebra(g, saturate(h.space, lambda s, fresh: [
-        w.items() for x in xs for y in fresh if (w := g.bracket_residual(x, y, s))
-    ]))
+    g, xs, amb_axes = amb.parent, amb.space.integer_rows[1], amb.space.axis_set
+
+    def escaping(s: Subspace, fresh: Sequence[IntRow]) -> list[SparseItems]:
+        if amb_axes is not None and (axes := s.axis_set) is not None:
+            return [
+                w for p in amb.space.pivots for ((q, _),) in fresh if (w := g.axis_residual(p, q, axes))
+            ]
+        return [w.items() for x in xs for y in fresh if (w := g.bracket_residual(x, y, s))]
+
+    return Subalgebra(g, saturate(h.space, escaping))
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,17 @@ def test_malformed_family_names_raise(name):
         catalog.get(name)
 
 
+def test_an_unknown_name_is_quoted_to_a_bounded_length():
+    for name, shown in [
+        ("x" * 60, repr("x" * 60)),
+        ("x" * 61, repr("x" * 60) + "... (61 characters)"),
+        ("\x00" * 5000, repr("\x00" * 60) + "... (5000 characters)"),
+    ]:
+        with pytest.raises(catalog.CatalogError) as err:
+            catalog.get(name)
+        assert str(err.value) == f"unknown catalog algebra {shown}"
+
+
 def test_a_row_wins_over_a_family_member(monkeypatch):
     # upper_triangular(3) is a row; a family of that name must not replace it
     row = catalog.get("upper_triangular(3)")

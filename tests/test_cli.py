@@ -341,8 +341,9 @@ def test_catalog_show_unknown_exits_two(capsys):
         (["info", "catalog:abelian(257)"], "abelian(257) exceeds the maximum dim 256"),
         (["info", "catalog:abelian(-1)"], "abelian(n) needs n >= 1"),
         (["info", "catalog:abelian(2,3)"], "unknown catalog algebra 'abelian(2,3)'"),
-        # int() alone would raise ValueError past 4300 digits
-        (["info", f"catalog:abelian({'9' * 5000})"], f"unknown catalog algebra 'abelian({'9' * 5000})'"),
+        # int() alone would raise ValueError past 4300 digits; the message
+        # quotes the name's first 60 characters and its length, not all of it
+        (["info", f"catalog:abelian({'9' * 5000})"], f"unknown catalog algebra 'abelian({'9' * 52}'... (5009 characters)"),
         # a second spelling of abelian(2), and a non-ASCII digit
         (["info", "catalog:abelian(2)\n"], "unknown catalog algebra 'abelian(2)\\n'"),
         (["info", "catalog:abelian(\u0663)"], "unknown catalog algebra 'abelian(\u0663)'"),

@@ -602,15 +602,22 @@ def test_saturate_hands_each_row_of_a_closure_to_escaping_once(monkeypatch):
 
 
 def test_is_ideal_brackets_only_the_ambient_rows_h_lacks(monkeypatch):
+    # each pair is read once, by bracket_residual or, on coordinate spaces, by
+    # axis_residual; calls records which kernel read it
     calls = []
-    real = LieAlgebra.bracket_residual
+    real_general, real_axes = LieAlgebra.bracket_residual, LieAlgebra.axis_residual
 
-    def counted(self, x, y, space):
-        calls.append((x, y))
-        return real(self, x, y, space)
+    def general(self, x, y, space):
+        calls.append("general")
+        return real_general(self, x, y, space)
 
-    monkeypatch.setattr(LieAlgebra, "bracket_residual", counted)
-    links = 0
+    def axes(self, i, j, axis_set):
+        calls.append("axes")
+        return real_axes(self, i, j, axis_set)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_residual", general)
+    monkeypatch.setattr(LieAlgebra, "axis_residual", axes)
+    links, paths = 0, set()
     for seed in range(2):
         for label, amb, h, chain in radical_corpus(seed):
             # each link of a chain is an ideal of the next one
@@ -618,8 +625,10 @@ def test_is_ideal_brackets_only_the_ambient_rows_h_lacks(monkeypatch):
                 calls.clear()
                 assert is_ideal(outer, inner)
                 assert len(calls) == (outer.dim - inner.dim) * inner.dim
+                paths.update(calls)
                 links += 1
     assert links > 100
+    assert paths == {"general", "axes"}
 
 
 def test_stable_series_stops_before_the_first_repeat_within_its_bound():
