@@ -13,9 +13,11 @@ File format (strict, UTF-8, one field per line; '#' starts a comment):
     bracket 0 1 2 1
 
 ``dim`` comes exactly once and ``name`` at most once; a second one is refused.
-Each ``bracket i j k v`` line sets [e_i, e_j] += v e_k with 0 <= i < j < dim,
-0 <= k < dim (ASCII digits only, as for dim) and v a rational like ``-3/2``.  The (j, i) entries are implied
-by antisymmetry and are rejected if written out.  Omitted pairs are zero.
+Each ``bracket i j k v`` line sets the coefficient of e_k in [e_i, e_j] to v,
+with 0 <= i < j < dim, 0 <= k < dim and v a rational like ``-3/2``, all in
+ASCII digits, as for dim; a second line for the same (i, j, k) is refused.
+The (j, i) entries are implied by antisymmetry and are rejected if written
+out.  Omitted pairs are zero.
 Loading validates antisymmetry and Jacobi and reports the first violation.
 An oversized ``dim``, index or ``v`` is rejected at its line, before it is read.
 """
@@ -26,10 +28,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .exactlin import Mat, Subspace, parse_rational
+from .exactlin import Mat, Subspace, parse_literal
 from .liealg import LieAlgebra, LinMap, SymForm, direct_sum, validate, validate_or_raise
 
 
@@ -261,8 +264,8 @@ def save(g: LieAlgebra, path: str) -> None:
 def loads(text: str) -> LieAlgebra:
     dim: int | None = None
     name: str | None = None
-    seen: set[tuple[int, int, int]] = set()
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    # (i, j) -> {k: (numerator, denominator)} of the coefficient of e_k in [e_i, e_j]
+    brackets: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -299,7 +302,7 @@ def loads(text: str) -> LieAlgebra:
                 raise ParseError(f"bracket index exceeds the maximum dim {MAX_DIM}", lineno)
             i, j, k = map(int, digits)
             try:
-                v = parse_rational(parts[4])
+                v = parse_literal(parts[4])
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad bracket record: {exc}", lineno) from None
             if not (0 <= i < j < dim):
@@ -308,15 +311,19 @@ def loads(text: str) -> LieAlgebra:
                 )
             if not (0 <= k < dim):
                 raise ParseError(f"k={k} out of range", lineno)
-            if (i, j, k) in seen:
+            row = brackets.setdefault((i, j), {})
+            if k in row:
                 raise ParseError(f"duplicate bracket entry ({i},{j},{k})", lineno)
-            seen.add((i, j, k))
-            brackets.setdefault((i, j), {})[k] = v
+            row[k] = v
         else:
             raise ParseError(f"unknown field {parts[0]!r}", lineno)
     if dim is None:
         raise ParseError("missing dim field")
-    g = LieAlgebra.from_brackets(dim, brackets, name=name)
+    # the values over the lcm of their denominators, each in lowest terms: the
+    # integer_constants from_brackets would store, with no Fraction built
+    den = lcm(*(d for row in brackets.values() for _, d in row.values()))
+    table = {key: {k: n * (den // d) for k, (n, d) in row.items()} for key, row in brackets.items()}
+    g = LieAlgebra.from_scaled(dim, den, table, name=name)
     report = validate(g)
     if not report.ok:
         raise ParseError(report.message())

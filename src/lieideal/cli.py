@@ -136,12 +136,21 @@ def _fmt_vector(v) -> list[str]:
     return [str(x) for x in v]
 
 
+def _fmt_rows(s: Subspace) -> list[list[str]]:
+    """s's RREF rows as str(Fraction) would print their entries, read off integer_rows."""
+    L, rows = s.integer_rows
+    out = []
+    for row in rows:
+        v = ["0"] * s.ambient_dim
+        for j, x in row:
+            g = math.gcd(x, L)
+            v[j] = str(x // g) if g == L else f"{x // g}/{L // g}"
+        out.append(v)
+    return out
+
+
 def _fmt_subspace(s: Subspace) -> dict:
-    return {
-        "ambient_dim": s.ambient_dim,
-        "dim": s.dim,
-        "basis": [_fmt_vector(row) for row in s.basis.entries],
-    }
+    return {"ambient_dim": s.ambient_dim, "dim": s.dim, "basis": _fmt_rows(s)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +200,9 @@ def cmd_derivations(args, report: RunReport) -> None:
     report.payload["dim_inner"] = da.inner.dim
     complete = is_complete(g)
     report.payload["complete"] = complete
-    report.payload["basis"] = [
-        [_fmt_vector(row) for row in f.matrix.entries] for f in da.realization
-    ]
+    # each row of D(g)'s span is an n x n matrix flattened row-major
+    n = g.dim
+    report.payload["basis"] = [[row[r : r + n] for r in range(0, n * n, n)] for row in _fmt_rows(da.span)]
     report.add("derivations", "pass")
     print(f"dim D(g) = {da.dim}, inner = {da.inner.dim}, complete = {complete}")
 
@@ -226,7 +235,7 @@ def cmd_subideal(args, report: RunReport) -> None:
         report.add("subideal", "pass", f"chain dims {chain.dims()}")
         print(f"subideal: yes, chain dims {chain.dims()}")
         for idx, link in enumerate(chain.links):
-            rows = ["(" + ", ".join(_fmt_vector(r)) + ")" for r in link.space.basis.entries]
+            rows = ["(" + ", ".join(r) + ")" for r in _fmt_rows(link.space)]
             print(f"  l_{idx} (dim {link.dim}): {'; '.join(rows) if rows else 'zero'}")
     else:
         report.payload["floor"] = _fmt_subspace(verdict.floor.space)

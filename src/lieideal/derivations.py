@@ -35,7 +35,8 @@ the kernel by its scaled residual, and its coordinates are read at the
 kernel's pivots.  The holomorph takes its constants from h's and D(h)'s
 integer_constants and the kernel's integer_rows over one lcm, through
 LieAlgebra.from_scaled, and embeds h and D(h) as blocks of coordinates.  Only
-the realization maps and the coordinates handed back to callers are dense.
+the realization maps, which tests read (the command line prints the span's
+integer_rows), and the coordinates handed back to callers are dense.
 
 is_characteristic solves no D(g) at all.  "f maps h into h" is a set of
 linear forms in f's entries, which SolutionBasis.dots reads against the
@@ -133,7 +134,10 @@ class DerivationAlgebra:
 
     @cached_property
     def realization(self) -> tuple[LinMap, ...]:
-        """The span's RREF rows, integer_rows over L, as dense matrices built on first use."""
+        """The span's RREF rows, integer_rows over L, as dense matrices built on first use.
+
+        Read by tests only: the command line formats the span's integer_rows.
+        """
         n = self.base.dim
         L, rows = self.span.integer_rows
         maps = []

@@ -16,9 +16,14 @@ subspace is stored once, as ``Subspace.integer_rows`` = (L, rows): its unique
 reduced row-echelon rows times the lcm L of their denominators, so equal
 subspaces have equal fields.  One scale on every row changes no span, kernel or
 membership, so every kernel reads the integers, and so do the builders (the
-holomorph takes D(g)'s span as ``integer_rows``); only formatting, forms, maps
-and D(g)'s realization read the dense Fraction view ``Subspace.basis``, or
-build their own from ``integer_rows`` over L.  Sparse vectors are dicts from
+holomorph takes D(g)'s span as ``integer_rows``) and the command line's
+formatting, which prints each entry of ``integer_rows`` over L in lowest
+terms.  Only is_characteristic's re-check of its certificate reads the dense
+Fraction view ``Subspace.basis``, and D(g)'s realization, which only tests
+read, builds its own from ``integer_rows`` over L.  A literal from outside is
+read once, by ``parse_literal``, into (numerator, denominator): a plain
+integer or ratio in ASCII digits by int(), anything else by Fraction after
+its length is bounded.  Sparse vectors are dicts from
 index to nonzero value, ints kept as ints.  Two integer kernels take sparse
 items as they are: ``Subspace.scaled_residual`` (L times the residual, visiting
 only the vector's own entries through a read-only pivot -> row map) and
@@ -76,18 +81,48 @@ def rat(x: Scalar) -> Fraction:
 # so a literal's length plus its exponent is bounded first, as MAX_DIM bounds dim
 MAX_LITERAL_DIGITS = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
+# an integer or a ratio of two in ASCII digits, which int() reads as Fraction would
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """A literal from outside, like "-3/4" or "1.5e-3"; ValueError if malformed or too long."""
+def parse_literal(text: str) -> tuple[int, int]:
+    """A literal from outside, like "-3/4" or "1.5e-3", as (numerator, denominator) in lowest terms.
+
+    ValueError if malformed, too long, not ASCII or holding an underscore, and
+    ZeroDivisionError for a zero denominator; a plain integer or ratio is read
+    by int(), anything else by Fraction.
+    """
+    plain = _PLAIN.fullmatch(text)
+    if plain and len(text) <= MAX_LITERAL_DIGITS:
+        n = int(plain[1])
+        if plain[2] is None:
+            return n, 1
+        d = int(plain[2])
+        if d:  # n/0 is Fraction's to refuse
+            g = gcd(n, d)
+            return n // g, d // g
+    return _fraction_literal(text)
+
+
+def _fraction_literal(text: str) -> tuple[int, int]:
+    """parse_literal through Fraction alone: the path of every literal that is not plain."""
     # Fraction reads "1_0" as 10 from Python 3.11 on and refuses it before, so
-    # an underscore is refused here on every version
+    # an underscore is refused here on every version; it reads other scripts'
+    # digits too, which no other integer of a file or the command line takes
     if "_" in text:
         raise ValueError(f"underscore in literal {text!r}")
+    if not text.isascii():
+        raise ValueError(f"non-ASCII character {next(c for c in text if not c.isascii())!r} in literal")
     m = len(text) <= MAX_LITERAL_DIGITS and _EXPONENT.search(text)
     if len(text) + (abs(int(m.group(1))) if m else 0) > MAX_LITERAL_DIGITS:
         raise ValueError(f"literal longer than {MAX_LITERAL_DIGITS} digits, exponent included")
-    return Fraction(text)
+    q = Fraction(text)
+    return q.numerator, q.denominator
+
+
+def parse_rational(text: str) -> Fraction:
+    """parse_literal(text) as a Fraction."""
+    return Fraction(*parse_literal(text))
 
 
 def over_lcm(items: SparseItems) -> tuple[int, dict[int, int]]:

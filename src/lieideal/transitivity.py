@@ -61,6 +61,7 @@ from .liealg import (
     stable_series,
     sub_radical,
     sub_to_algebra,
+    validate,
     validate_or_raise,
 )
 
@@ -111,6 +112,11 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     (axis_set), every row is an axis and the support rule gives each pair's
     residual: the entries of num[p][q] off the span's axes, the rows
     bracket_residual would give, in the same order.
+
+    In a Lie algebra the closure is a subalgebra, so one that is not raises
+    InternalCheckError.  A tensor that is not antisymmetric can give one that
+    is not: only when the closure check fails is the parent validated, and a
+    failed validate raises ValueError with its message.
     """
     amb = as_subalgebra(ambient)
     if h.parent != amb.parent:
@@ -126,7 +132,13 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
             ]
         return [w.items() for x in xs for y in fresh if (w := g.bracket_residual(x, y, s))]
 
-    return Subalgebra(g, saturate(h.space, escaping))
+    space = saturate(h.space, escaping)
+    try:
+        return Subalgebra(g, space)
+    except ValueError as exc:
+        if not (report := validate(g)).ok:
+            raise ValueError(report.message()) from None
+        raise InternalCheckError(f"ideal closure: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,7 @@ from lieideal import catalog
 from lieideal.exactlin import Subspace
 from lieideal.derivations import derivation_algebra, is_complete
 from lieideal.liealg import (
+    LieAlgebra,
     center,
     derived_subalgebra,
     full_subalgebra,
@@ -152,6 +157,48 @@ def test_rational_values_roundtrip():
     assert catalog.dumps(g) == text
 
 
+def querygen():
+    """perfbench/querygen.py, the generator of the query-dense workload's dense rational files."""
+    spec = importlib.util.spec_from_file_location(
+        "querygen", Path(__file__).resolve().parents[1] / "perfbench" / "querygen.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def fraction_loads(text):
+    """A valid file read with Fraction values and LieAlgebra.from_brackets."""
+    dim, name, brackets = None, None, {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("dim "):
+            dim = int(line.split()[1])
+        elif line.startswith("name "):
+            name = line.split(None, 1)[1]
+        elif line:
+            i, j, k, v = line.split()[1:]
+            brackets.setdefault((int(i), int(j)), {})[int(k)] = Fraction(v)
+    return LieAlgebra.from_brackets(dim, brackets, name=name)
+
+
+def test_loads_stores_what_from_brackets_stores():
+    texts = [catalog.dumps(catalog.get(name).algebra) for name in catalog.list_names()]
+    gen = querygen()
+    dense = [text for seed in range(4) for text in gen.make_inputs(seed).files.values()]
+    assert len(dense) == 280 and sum("/" in text for text in dense) > 80
+    # values not in lowest terms, a zero over 5, and one pair's row over mixed denominators
+    texts += dense + [
+        "dim 3\nbracket 0 1 2 2/4\n",
+        "dim 3\nname odd\nbracket 0 1 0 -6/4\nbracket 0 1 1 0/5\nbracket 0 1 2 10/4\n",
+        "dim 4\nbracket 1 3 0 -0\nbracket 1 3 2 7/21\nbracket 1 3 3 -5/6\n",
+    ]
+    for text in texts:
+        got, want = catalog.loads(text), fraction_loads(text)
+        assert got.integer_constants == want.integer_constants and got.name == want.name, text
+
+
 def test_comments_and_blank_lines():
     g = catalog.loads("# a comment\n\ndim 2\nname demo\nbracket 0 1 1 1  # inline\n")
     assert g.name == "demo"
@@ -178,6 +225,10 @@ def test_parse_error_carries_line_number():
         # int() reads these indices as 10 and 3
         ("dim 12\nbracket 0 1 1_0 1\n", 2),
         ("dim 12\nbracket 0 1 \u0663 1\n", 2),
+        # Fraction reads these literals as 3, and refuses 3/ as the int() path must
+        ("dim 3\nbracket 0 1 2 \u0663\n", 2),
+        ("dim 3\nbracket 0 1 2 \uff13\n", 2),
+        ("dim 3\nbracket 0 1 2 3/\n", 2),
     ):
         with pytest.raises(catalog.ParseError) as exc:
             catalog.loads(text)

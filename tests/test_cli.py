@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -253,6 +254,20 @@ def test_underscore_in_a_literal_exits_two(capsys, tmp_path):
     assert "line 2" in err and "underscore" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
+def test_a_non_ascii_digit_in_a_literal_exits_two(capsys, tmp_path, digit):
+    # Fraction reads an Arabic-Indic and a fullwidth three as 3; dims, indices
+    # and integer options already refuse them, and so do literals
+    assert run(["subideal", "catalog:heisenberg3", "--sub", f"{digit},0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "bad coordinate in basis spec" in err and "non-ASCII" in err and "Traceback" not in err
+    path = tmp_path / "digit.lie"
+    path.write_text(f"dim 3\nbracket 0 1 2 {digit}\n", encoding="utf-8")
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "non-ASCII" in err and "Traceback" not in err
+
+
 def test_bracket_index_outside_ascii_digits_exits_two(capsys, tmp_path):
     # int() would load [e_0, e_1] = e_10 and e_3
     path = tmp_path / "idx.lie"
@@ -293,6 +308,39 @@ def test_derivations_command(capsys):
     assert code == 0
     assert payload["payload"]["dim_derivations"] == 6
     assert payload["payload"]["complete"] is False
+
+
+def test_answer_rows_print_as_their_fractions_do():
+    # the rows are read off integer_rows: x / L reduced by gcd(x, L), as str(Fraction) prints it
+    rnd = random.Random(0)
+    reduced = negative = 0
+    for _ in range(300):
+        n = rnd.randint(1, 6)
+        vectors = [[Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)) for _ in range(n)] for _ in range(rnd.randint(1, n))]
+        s = Subspace.span(n, vectors)
+        assert cli._fmt_rows(s) == [[str(x) for x in row] for row in s.basis.entries]
+        L, rows = s.integer_rows
+        reduced += any(1 < math.gcd(x, L) < L for row in rows for _, x in row)
+        negative += any(x < 0 for row in rows for _, x in row)
+    assert reduced > 50 and negative > 50
+
+
+@pytest.mark.parametrize(
+    "source",
+    # sl2 and aff1 with rational constants, whose derivations have rational entries
+    ["dim 3\nbracket 0 1 1 2/3\nbracket 0 2 2 -2/3\nbracket 1 2 0 3/2\n", "dim 2\nbracket 0 1 1 -3/2\n"]
+    + [f"catalog:{name}" for name in catalog.list_names()],
+)
+def test_derivations_print_the_realization(capsys, tmp_path, source):
+    if not source.startswith("catalog:"):
+        path = tmp_path / "g.lie"
+        path.write_text(source)
+        source = str(path)
+    code, human, payload = invoke(capsys, "derivations", source)
+    assert code == 0
+    da = derivations.derivation_algebra(cli._load_source(source))
+    want = [[[str(x) for x in row] for row in f.matrix.entries] for f in da.realization]
+    assert payload["payload"]["basis"] == want and len(want) == da.dim
 
 
 def test_tower_command(capsys):

@@ -8,6 +8,7 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import reference
+from lieideal import exactlin
 from lieideal.exactlin import (
     MAX_LITERAL_DIGITS,
     Commutator,
@@ -21,6 +22,7 @@ from lieideal.exactlin import (
     lift,
     nullspace,
     orthogonal_complement,
+    parse_literal,
     parse_rational,
     rat,
     subspace_sum,
@@ -71,6 +73,62 @@ def test_rat_parsing():
             parse_rational(text)
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
+
+
+def literal_outcome(read, text):
+    """read(text), or the type and message of the exception it raised."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+LITERALS = {
+    "3": (3, 1),
+    "-3": (-3, 1),
+    "-0": (0, 1),
+    "+3": (3, 1),
+    "2/4": (1, 2),
+    "0/5": (0, 1),
+    "-6/-4": ValueError,
+    "007/014": (1, 2),
+    "3/": ValueError,
+    "-3/": ValueError,
+    "/3": ValueError,
+    "--1": ValueError,
+    "1/0": ZeroDivisionError,
+    "0/0": ZeroDivisionError,
+    "1.5e-3": (3, 2000),
+    "\u0663": ValueError,  # an Arabic-Indic three, which Fraction reads as 3
+    "\uff13": ValueError,  # a fullwidth three
+    "1/\u0663": ValueError,
+    "1_0": ValueError,
+    "9" * 5000: ValueError,
+    "9" * MAX_LITERAL_DIGITS: (10**MAX_LITERAL_DIGITS - 1, 1),
+}
+
+
+@pytest.mark.parametrize("text", LITERALS, ids=lambda t: t if len(t) < 20 else f"{len(t)} digits")
+def test_parse_literal_reads_plain_literals_as_fraction_does(text):
+    got, want = literal_outcome(parse_literal, text), LITERALS[text]
+    # the int() path and the Fraction path: the same value, or the same refusal
+    assert got == literal_outcome(exactlin._fraction_literal, text)
+    if isinstance(want, tuple):
+        assert got == want == (Fraction(text).numerator, Fraction(text).denominator)
+        assert parse_rational(text) == Fraction(text)
+    else:
+        assert got[0] is want
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="-+/0123456789.e_\u0663", max_size=8),
+        st.from_regex(r"-?[0-9]{0,5}(/-?[0-9]{0,5})?", fullmatch=True),
+    )
+)
+def test_parse_literal_matches_its_fraction_path(text):
+    assert literal_outcome(parse_literal, text) == literal_outcome(exactlin._fraction_literal, text)
 
 
 def test_rref_identity():

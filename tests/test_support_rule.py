@@ -30,6 +30,7 @@ from lieideal.liealg import (
     quotient,
     saturate,
     sub_to_algebra,
+    validate,
 )
 from lieideal.suites import NON_PERFECT_NAMES, chain_instances, perfect_specimens
 from lieideal.transitivity import counterexample_extension
@@ -75,7 +76,7 @@ def checked_ideal_closure(monkeypatch, amb, h):
 
     Also returns, per round, whether the round's span was coordinate.  An
     algebra that is not antisymmetric can have an ideal closure that is not
-    a subalgebra; both paths then refuse it with one message.
+    a subalgebra; both paths then refuse it with validate's message.
     """
     g, xs = amb.parent, amb.space.integer_rows[1]
     rounds = []
@@ -95,11 +96,20 @@ def checked_ideal_closure(monkeypatch, amb, h):
 
 
 def general_ideal_closure(amb, h):
-    """outcome(ideal_closure(amb, h)) as bracket_residual ran it on every span."""
+    """outcome(ideal_closure(amb, h)) as bracket_residual ran it on every span.
+
+    A closure that is no subalgebra is refused with validate's message, which
+    only a tensor that is not a Lie algebra can give.
+    """
     g, xs = amb.parent, amb.space.integer_rows[1]
-    return outcome(lambda: Subalgebra(g, saturate(
+    space = saturate(
         h.space, lambda s, fresh: [w.items() for x in xs for y in fresh if (w := g.bracket_residual(x, y, s))]
-    )))
+    )
+    if escape(g, space) is None:
+        return space
+    report = validate(g)
+    assert not report.ok, "the ideal closure in a Lie algebra is a subalgebra"
+    return report.message()
 
 
 def compare_spaces(monkeypatch, g, spaces):
@@ -284,6 +294,14 @@ def test_a_non_antisymmetric_tensor_is_read_in_the_kernels_orientation(monkeypat
     # the orientation decides: span(e0, e1) is closed, and span(e0) is no ideal of span(e0, e1)
     s01 = Subalgebra(g, Subspace.axes(4, 0, 2))
     assert not is_ideal(s01, Subalgebra(g, Subspace.axes(4, 0, 1)))
+    # the ideal closure of span(e1) in span(e1, e3) takes [e3, e1] = e0 / 2 and
+    # [e1, e0] = e2, and [e0, e2] = e3 escapes span(e0, e1, e2): the refusal
+    # names what is wrong with the tensor, not with a span never asked for
+    monkeypatch.undo()
+    s13 = Subalgebra(g, Subspace.span(4, [unit(4, 1), unit(4, 3)]))
+    with pytest.raises(ValueError) as refused:
+        transitivity.ideal_closure(s13, Subalgebra(g, Subspace.axes(4, 1, 2)))
+    assert str(refused.value) == validate(g).message() == "antisymmetry fails at (i,j,k)=(0, 1, 2)"
 
 
 # --- the premise: no constructor stores a zero constant -----------------------

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 import reference
-from lieideal import catalog
+from lieideal import catalog, transitivity
 from lieideal.derivations import holomorph
 from lieideal.exactlin import Mat, Subspace, intersect, subspace_sum
 from lieideal.liealg import (
+    InternalCheckError,
     LieAlgebra,
     LinMap,
     Subalgebra,
@@ -74,6 +75,14 @@ def test_closure_of_e_line_is_all_of_sl2(sl2):
 def test_closure_of_x_line_in_heisenberg(heis):
     h = subalgebra(heis, [[1, 0, 0]])
     assert ideal_closure(heis, h).space == Subspace.span(3, [[1, 0, 0], [0, 0, 1]])
+
+
+def test_a_closure_that_is_no_subalgebra_of_a_lie_algebra_is_an_internal_error(sl2, monkeypatch):
+    # in a Lie algebra the ideal closure is a subalgebra, so a round that
+    # ended anywhere else is a bug, not bad input; span(E, F) holds no [E, F] = H
+    monkeypatch.setattr(transitivity, "saturate", lambda space, escaping: Subspace.span(3, [[0, 1, 0], [0, 0, 1]]))
+    with pytest.raises(InternalCheckError, match=r"^ideal closure: subspace is not bracket-closed"):
+        ideal_closure(sl2, subalgebra(sl2, [[0, 1, 0]]))
 
 
 # --- subideal decision ------------------------------------------------------
