@@ -32,7 +32,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .exactlin import Mat, Subspace, parse_literal
+from .exactlin import Mat, Subspace, parse_literal, quoted
 from .liealg import LieAlgebra, LinMap, SymForm, direct_sum, validate, validate_or_raise
 
 
@@ -199,15 +199,6 @@ _FAMILIES = {"abelian": (abelian, 1, lambda n: n, lambda n: (n, n, 0, n, n * n, 
 # family(p[,p...]), each p at most 9 ASCII digits after an optional minus, far
 # within int()'s 4300; get then refuses leading zeros: one spelling, one cache entry
 _MEMBER = re.compile(r"(\w+)\((-?[0-9]{1,9}(?:,-?[0-9]{1,9})*)\)")
-# a name is outside input of any length: an error quotes at most this many of its characters
-_QUOTED = 60
-
-
-def _quoted(name: str) -> str:
-    """repr(name), or of its first _QUOTED characters followed by its length when longer."""
-    if len(name) <= _QUOTED:
-        return repr(name)
-    return f"{name[:_QUOTED]!r}... ({len(name)} characters)"
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +208,7 @@ def get(name: str) -> CatalogEntry:
         m = _MEMBER.fullmatch(name)
         ns = [int(p) for p in m[2].split(",")] if m else []
         if not (m and m[1] in _FAMILIES and len(ns) == _FAMILIES[m[1]][1]):
-            raise CatalogError(f"unknown catalog algebra {_quoted(name)}")
+            raise CatalogError(f"unknown catalog algebra {quoted(name, 60)}")
         build, _, dim, facts = _FAMILIES[m[1]]
         if ",".join(map(str, ns)) != m[2]:
             raise CatalogError(f"catalog name {name!r}: write n without leading zeros")
@@ -316,7 +307,7 @@ def loads(text: str) -> LieAlgebra:
                 raise ParseError(f"duplicate bracket entry ({i},{j},{k})", lineno)
             row[k] = v
         else:
-            raise ParseError(f"unknown field {parts[0]!r}", lineno)
+            raise ParseError(f"unknown field {quoted(parts[0])}", lineno)
     if dim is None:
         raise ParseError("missing dim field")
     # the values over the lcm of their denominators, each in lowest terms: the

@@ -35,8 +35,8 @@ the kernel by its scaled residual, and its coordinates are read at the
 kernel's pivots.  The holomorph takes its constants from h's and D(h)'s
 integer_constants and the kernel's integer_rows over one lcm, through
 LieAlgebra.from_scaled, and embeds h and D(h) as blocks of coordinates.  Only
-the realization maps, which tests read (the command line prints the span's
-integer_rows), and the coordinates handed back to callers are dense.
+the coordinates handed back to callers are dense; the command line prints
+the span's integer_rows.
 
 is_characteristic solves no D(g) at all.  "f maps h into h" is a set of
 linear forms in f's entries, which SolutionBasis.dots reads against the
@@ -50,8 +50,8 @@ which _leibniz_kernel runs on every pair i < j in order.
 
 derivation_algebra is an lru_cache keyed on the algebra's structure, which
 ignores names: every algebra of one structure gets the same DerivationAlgebra,
-named after the first of them to be solved, so D(g) and its realization are
-built at most once per structure and D(g) is walked at most once.
+named after the first of them to be solved, so D(g) is built and walked
+at most once per structure.
 
 theorem_derived_check is a criterion with transitivity's contract: it raises
 HypothesisError when g has a center, TheoremViolationError when its two sides
@@ -97,7 +97,7 @@ from .liealg import (
 
 @dataclass(frozen=True)
 class DerivationAlgebra:
-    """D(base): the solution span, its checked bracket table and the matrix realization.
+    """D(base): the solution span and its checked bracket table.
 
     ``span`` is the solution space of the Leibniz system in flattened
     (row-major) endomorphism coordinates: entry (a, b) of a derivation sits
@@ -131,22 +131,6 @@ class DerivationAlgebra:
     def algebra(self) -> LieAlgebra:
         """built, once validate has walked it."""
         return validate_or_raise(self.built)
-
-    @cached_property
-    def realization(self) -> tuple[LinMap, ...]:
-        """The span's RREF rows, integer_rows over L, as dense matrices built on first use.
-
-        Read by tests only: the command line formats the span's integer_rows.
-        """
-        n = self.base.dim
-        L, rows = self.span.integer_rows
-        maps = []
-        for row in rows:
-            m = [[Fraction(0)] * n for _ in range(n)]
-            for idx, v in row:
-                m[idx // n][idx % n] = Fraction(v, L)
-            maps.append(LinMap(self.base, self.base, Mat(m, cols=n)))
-        return tuple(maps)
 
     def coordinates_of(self, endo: Mat) -> Vector:
         """Coordinates of an endomorphism in the derivation basis.

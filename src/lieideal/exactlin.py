@@ -19,12 +19,12 @@ membership, so every kernel reads the integers, and so do the builders (the
 holomorph takes D(g)'s span as ``integer_rows``) and the command line's
 formatting, which prints each entry of ``integer_rows`` over L in lowest
 terms.  Only is_characteristic's re-check of its certificate reads the dense
-Fraction view ``Subspace.basis``, and D(g)'s realization, which only tests
-read, builds its own from ``integer_rows`` over L.  A literal from outside is
-read once, by ``parse_literal``, into (numerator, denominator): a plain
-integer or ratio in ASCII digits by int(), anything else by Fraction after
-its length is bounded.  Sparse vectors are dicts from
-index to nonzero value, ints kept as ints.  Two integer kernels take sparse
+Fraction view ``Subspace.basis``.  A literal from outside is read once, by
+``parse_literal``, into (numerator, denominator): a plain integer or ratio in
+ASCII digits by int(), anything else by Fraction after its length is bounded.
+``quoted`` is the one rule by which an error message quotes text from
+outside, cut to a bounded length.  Sparse vectors are dicts from index to
+nonzero value, ints kept as ints.  Two integer kernels take sparse
 items as they are: ``Subspace.scaled_residual`` (L times the residual, visiting
 only the vector's own entries through a read-only pivot -> row map) and
 ``Subspace.integer_span``.  ``residual``, ``contains_vector`` and ``span`` check
@@ -85,6 +85,18 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def quoted(text: str, width: int = 20) -> str:
+    """repr(text), or of its first width characters followed by its length when longer.
+
+    Text from outside can be of any length.  A literal's refusal and a .lie
+    field name quote 20 characters, as their messages name a file, a line or
+    a record already; a catalog name quotes 60.
+    """
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
 def parse_literal(text: str) -> tuple[int, int]:
     """A literal from outside, like "-3/4" or "1.5e-3", as (numerator, denominator) in lowest terms.
 
@@ -110,13 +122,17 @@ def _fraction_literal(text: str) -> tuple[int, int]:
     # an underscore is refused here on every version; it reads other scripts'
     # digits too, which no other integer of a file or the command line takes
     if "_" in text:
-        raise ValueError(f"underscore in literal {text!r}")
+        raise ValueError(f"underscore in literal {quoted(text)}")
     if not text.isascii():
         raise ValueError(f"non-ASCII character {next(c for c in text if not c.isascii())!r} in literal")
     m = len(text) <= MAX_LITERAL_DIGITS and _EXPONENT.search(text)
     if len(text) + (abs(int(m.group(1))) if m else 0) > MAX_LITERAL_DIGITS:
         raise ValueError(f"literal longer than {MAX_LITERAL_DIGITS} digits, exponent included")
-    q = Fraction(text)
+    try:
+        q = Fraction(text)
+    except ValueError:
+        # Fraction's own message, with the literal quoted by the one rule
+        raise ValueError(f"Invalid literal for Fraction: {quoted(text)}") from None
     return q.numerator, q.denominator
 
 

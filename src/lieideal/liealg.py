@@ -13,13 +13,14 @@ Commutator brackets only the pairs whose supports meet), direct_sum, quotient
 for files and the catalog, clears its Fractions' denominators once and hands
 the integers on; the dense __init__ stores its tensor as given.
 One kernel per operation works on sparse vectors, integers in, integers out:
-scaled_bracket returns den * [x, y], scaled_adjoint den * ad_x, flattened
-row-major, and bracket_residual(x, y, space) the scaled residual of
-den * [x, y] in space, in one pass over the products.  The routines that
-bracket subspace rows take them on Subspace.integer_rows, since no scale moves
-a span or a membership: is_ideal, centralizer, normalizer and the closure
-check on Subalgebra read bracket_residual; bracket_spaces spans
-scaled_bracket's output, over the pairs a < b of u's rows when v == u.
+scaled_bracket returns den * [x, y] and scaled_adjoint den * ad_x, flattened
+row-major.  The routines that bracket subspace rows take them on
+Subspace.integer_rows, since no scale moves a span or a membership, and a
+bracket's membership is read by the one membership kernel,
+space.scaled_residual(scaled_bracket(x, y).items()): is_ideal, centralizer,
+normalizer, the closure check on Subalgebra and transitivity.ideal_closure,
+and closure and span_table on the bracket they are handed; bracket_spaces
+spans scaled_bracket's output, over the pairs a < b of u's rows when v == u.
 On coordinate subspaces (Subspace.axis_set) the closure check, is_ideal and
 transitivity.ideal_closure read axis_residual instead, by the support rule:
 [e_p, e_q] lies in such a space exactly when num[p][q]'s support does, which
@@ -252,46 +253,15 @@ class LieAlgebra:
                         out[k] = out.get(k, 0) + s * v
         return {k: v for k, v in out.items() if v}
 
-    def bracket_residual(
-        self, x: SparseItems, y: SparseItems, space: Subspace
-    ) -> dict[int, Fraction | int]:
-        """space.scaled_residual(scaled_bracket(x, y).items()), in one pass over the products.
-
-        The one membership kernel for brackets: empty iff [x, y] lies in
-        space.  A product off space's pivots is summed as it comes; one at a
-        pivot is summed first and brings in the rest of its row once.
-        """
-        num = self.integer_constants[1]
-        L = space.integer_rows[0]
-        off_pivot = space.off_pivot
-        out: dict[int, Fraction | int] = {}
-        at_pivot: dict[int, Fraction | int] = {}
-        for i, xi in x:
-            numi = num[i]
-            for j, yj in y:
-                terms = numi[j]
-                if terms:
-                    s = xi * yj
-                    for k, v in terms:
-                        acc = at_pivot if k in off_pivot else out
-                        acc[k] = acc.get(k, 0) + s * v
-        if L != 1:
-            out = {k: L * v for k, v in out.items()}
-        for p, c in at_pivot.items():
-            if c:
-                for k, b in off_pivot[p]:
-                    out[k] = out.get(k, 0) - c * b
-        return {k: v for k, v in out.items() if v}
-
     def axis_residual(self, i: int, j: int, axes: frozenset[int]) -> IntRow:
-        """bracket_residual(e_i, e_j, S) for the coordinate subspace S whose axis_set is axes.
+        """S.scaled_residual(scaled_bracket(e_i, e_j).items()) for the coordinate S with axis_set axes.
 
         The support rule: [e_i, e_j] lies in S exactly when every k in
         num[i][j] lies in axes.  It is exact because no constructor stores a
         zero constant and S's scaled_residual of a vector is its entries off
         the axes, unchanged (L = 1): these are the entries of num[i][j] off
         the axes, in increasing k, read in the same orientation as
-        bracket_residual reads them.
+        scaled_bracket reads them.
         """
         terms = self.integer_constants[1][i][j]
         return tuple(e for e in terms if e[0] not in axes) if terms else ()
@@ -498,7 +468,7 @@ class Subalgebra:
         if space.dim < parent.dim:
             for a, b in combinations(range(len(rows)), 2):
                 if (
-                    parent.bracket_residual(rows[a], rows[b], space)
+                    space.scaled_residual(parent.scaled_bracket(rows[a], rows[b]).items())
                     if axes is None
                     else parent.axis_residual(piv[a], piv[b], axes)
                 ):
@@ -533,10 +503,6 @@ def subalgebra(parent: LieAlgebra, vectors: Iterable[Sequence[Scalar]]) -> Subal
 
 def full_subalgebra(g: LieAlgebra) -> Subalgebra:
     return Subalgebra(g, Subspace.full(g.dim))
-
-
-def zero_subalgebra(g: LieAlgebra) -> Subalgebra:
-    return Subalgebra(g, Subspace.zero(g.dim))
 
 
 # a sparse bracket: two SparseItems in, the nonzero entries of the result out
@@ -687,7 +653,9 @@ def is_ideal(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> bool:
     # stop at the first [x, y] that escapes h
     if amb.space.axis_set is not None and (axes := space.axis_set) is not None:
         return not any(g.axis_residual(p, q, axes) for ((p, _),) in xs for q in space.pivots)
-    return not any(g.bracket_residual(x, y, space) for x in xs for y in space.integer_rows[1])
+    return not any(
+        space.scaled_residual(g.scaled_bracket(x, y).items()) for x in xs for y in space.integer_rows[1]
+    )
 
 
 def center(g: LieAlgebra) -> Subalgebra:
@@ -705,7 +673,7 @@ def _bracket_kernel(g: LieAlgebra, ys: Sequence[SparseItems], target: Subspace) 
     for i in range(n):
         col: dict[int, int] = {}
         for t, y in enumerate(ys):
-            w = g.bracket_residual(((i, 1),), y, target)
+            w = target.scaled_residual(g.scaled_bracket(((i, 1),), y).items())
             col.update((t * n + k, v) for k, v in w.items())
         columns.append(col)
     return Subalgebra(g, column_kernel(columns))
@@ -936,5 +904,4 @@ __all__ = [
     "subalgebra",
     "validate",
     "validate_or_raise",
-    "zero_subalgebra",
 ]

@@ -110,8 +110,9 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
     round brackets the ambient's rows with the rows the last round added only.
     In a round where the ambient and the current span are both coordinate
     (axis_set), every row is an axis and the support rule gives each pair's
-    residual: the entries of num[p][q] off the span's axes, the rows
-    bracket_residual would give, in the same order.
+    residual: the entries of num[p][q] off the span's axes, the rows the
+    general round's scaled_residual of scaled_bracket would give, in the same
+    order.
 
     In a Lie algebra the closure is a subalgebra, so one that is not raises
     InternalCheckError.  A tensor that is not antisymmetric can give one that
@@ -130,7 +131,7 @@ def ideal_closure(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra
             return [
                 w for p in amb.space.pivots for ((q, _),) in fresh if (w := g.axis_residual(p, q, axes))
             ]
-        return [w.items() for x in xs for y in fresh if (w := g.bracket_residual(x, y, s))]
+        return [w.items() for x in xs for y in fresh if (w := s.scaled_residual(g.scaled_bracket(x, y).items()))]
 
     space = saturate(h.space, escaping)
     try:

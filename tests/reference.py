@@ -186,3 +186,15 @@ def derivations(n, consts):
                 row[m * n + j] -= b[i][m][k]
             equations.append(row)
     return rref(n * n, nullspace(n * n, equations))
+
+
+def matrices(n, integer_rows):
+    """A span's (L, rows) of sparse n x n matrices flattened row-major, as dense matrices over L."""
+    L, rows = integer_rows
+    out = []
+    for row in rows:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for idx, v in row:
+            m[idx // n][idx % n] = Fraction(v, L)
+        out.append(m)
+    return out

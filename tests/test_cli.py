@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lieideal
+import reference
 from lieideal import catalog, cli, derivations, liealg
 from lieideal.cli import COMMANDS, build_parser, run
 from lieideal.exactlin import Subspace
@@ -254,6 +255,31 @@ def test_underscore_in_a_literal_exits_two(capsys, tmp_path):
     assert "line 2" in err and "underscore" in err and "Traceback" not in err
 
 
+def test_long_outside_input_is_quoted_to_a_bounded_length(capsys, tmp_path, monkeypatch):
+    # a literal or a field name of any length: its error line quotes its first
+    # 20 characters and its length, and a short one is quoted whole
+    nines = "9" * 5000
+    monkeypatch.chdir(tmp_path)
+    Path("u.lie").write_text(f"dim 3\nbracket 0 1 2 1_{nines}\n")
+    Path("f.lie").write_text(f"dim 3\n{'f' * 5000} 0 1 2 1\n")
+    cut = "'1_999999999999999999'... (5002 characters)"
+    sub = ["subideal", "catalog:heisenberg3", "--sub"]
+    for argv, want in [
+        ([*sub, f"1_{nines},0,0"], f"bad coordinate in basis spec: underscore in literal {cut}"),
+        (["validate", "u.lie"], f"u.lie: line 2: bad bracket record: underscore in literal {cut}"),
+        (["validate", "f.lie"], f"f.lie: line 2: unknown field {'f' * 20!r}... (5000 characters)"),
+        (
+            [*sub, f"{'x' * 999},0,0"],
+            f"bad coordinate in basis spec: Invalid literal for Fraction: {'x' * 20!r}... (999 characters)",
+        ),
+        ([*sub, "1_999,0,0"], "bad coordinate in basis spec: underscore in literal '1_999'"),
+        ([*sub, "1/2x,0,0"], "bad coordinate in basis spec: Invalid literal for Fraction: '1/2x'"),
+    ]:
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {want}\n" and len(err.encode()) <= 120
+
+
 @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
 def test_a_non_ascii_digit_in_a_literal_exits_two(capsys, tmp_path, digit):
     # Fraction reads an Arabic-Indic and a fullwidth three as 3; dims, indices
@@ -339,7 +365,7 @@ def test_derivations_print_the_realization(capsys, tmp_path, source):
     code, human, payload = invoke(capsys, "derivations", source)
     assert code == 0
     da = derivations.derivation_algebra(cli._load_source(source))
-    want = [[[str(x) for x in row] for row in f.matrix.entries] for f in da.realization]
+    want = [[[str(x) for x in row] for row in m] for m in reference.matrices(da.base.dim, da.span.integer_rows)]
     assert payload["payload"]["basis"] == want and len(want) == da.dim
 
 

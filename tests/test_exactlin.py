@@ -131,6 +131,18 @@ def test_parse_literal_matches_its_fraction_path(text):
     assert literal_outcome(parse_literal, text) == literal_outcome(exactlin._fraction_literal, text)
 
 
+def test_a_refused_literal_is_quoted_by_the_one_rule():
+    # up to 20 characters a literal keeps Fraction's own message, and past them it is cut
+    for text in ("1/2x", "abc", "1..2", "x" * 20):
+        with pytest.raises(ValueError) as want:
+            Fraction(text)
+        assert literal_outcome(parse_literal, text) == (ValueError, str(want.value))
+    assert literal_outcome(parse_literal, "x" * 21) == (
+        ValueError,
+        f"Invalid literal for Fraction: {'x' * 20!r}... (21 characters)",
+    )
+
+
 def test_rref_identity():
     u = Subspace.span(3, Mat.identity(3).entries)
     assert u.basis == Mat.identity(3)

@@ -602,20 +602,20 @@ def test_saturate_hands_each_row_of_a_closure_to_escaping_once(monkeypatch):
 
 
 def test_is_ideal_brackets_only_the_ambient_rows_h_lacks(monkeypatch):
-    # each pair is read once, by bracket_residual or, on coordinate spaces, by
-    # axis_residual; calls records which kernel read it
+    # each pair is read once, by scaled_bracket (whose residual is taken) or,
+    # on coordinate spaces, by axis_residual; calls records which kernel read it
     calls = []
-    real_general, real_axes = LieAlgebra.bracket_residual, LieAlgebra.axis_residual
+    real_general, real_axes = LieAlgebra.scaled_bracket, LieAlgebra.axis_residual
 
-    def general(self, x, y, space):
+    def general(self, x, y):
         calls.append("general")
-        return real_general(self, x, y, space)
+        return real_general(self, x, y)
 
     def axes(self, i, j, axis_set):
         calls.append("axes")
         return real_axes(self, i, j, axis_set)
 
-    monkeypatch.setattr(LieAlgebra, "bracket_residual", general)
+    monkeypatch.setattr(LieAlgebra, "scaled_bracket", general)
     monkeypatch.setattr(LieAlgebra, "axis_residual", axes)
     links, paths = 0, set()
     for seed in range(2):
@@ -929,7 +929,6 @@ HANDED_BACK = {
     "coordinates": lambda q: _span(q).coordinates({0: q(2), 1: q(7), 2: q(6)}),
     "basis": lambda q: _span(q).basis.entries,
     "brackets()": lambda q: _heis(q).brackets(),
-    "realization": lambda q: [f.matrix.entries for f in derivation_algebra(_heis(q)).realization],
 }
 
 

@@ -3,9 +3,9 @@
 A subspace whose RREF rows are unit vectors has an ``axis_set``, and four
 membership loops decide on it by support alone: the closure check on
 Subalgebra, is_ideal, the rounds of ideal_closure and Subspace.contains.
-Each is compared here with the general kernels it replaces
-(bracket_residual, scaled_residual), kept below as the code they ran, and,
-on the catalog, with the dense reference.  The rule rests on one premise,
+Each is compared here with the general kernel it replaces, scaled_residual
+(of scaled_bracket for a bracket), kept below as the code they ran, and, on
+the catalog, with the dense reference.  The rule rests on one premise,
 that no constructor stores a zero structure constant, tested last.
 """
 
@@ -38,17 +38,22 @@ from lieideal.transitivity import counterexample_extension
 # --- the general kernels, as the four loops ran them on every subspace ------
 
 
+def bracket_residual(g, x, y, space):
+    """The general membership test of [x, y]: space's scaled_residual of den * [x, y]."""
+    return space.scaled_residual(g.scaled_bracket(x, y).items())
+
+
 def general_escape(g, space):
     """The closure check's message for the first pair a < b whose bracket escapes, or None."""
     rows = space.integer_rows[1]
     for a, b in combinations(range(len(rows)), 2):
-        if g.bracket_residual(rows[a], rows[b], space):
+        if bracket_residual(g, rows[a], rows[b], space):
             return f"subspace is not bracket-closed: [basis {a}, basis {b}] escapes"
     return None
 
 
 def general_is_ideal(g, amb, h):
-    return not any(g.bracket_residual(x, y, h) for x in fresh_rows(amb, h) for y in h.integer_rows[1])
+    return not any(bracket_residual(g, x, y, h) for x in fresh_rows(amb, h) for y in h.integer_rows[1])
 
 
 def general_contains(s, t):
@@ -84,7 +89,7 @@ def checked_ideal_closure(monkeypatch, amb, h):
     def checked(space, escaping):
         def both(s, fresh):
             got = [tuple(w) for w in escaping(s, fresh)]
-            want = [tuple(w.items()) for x in xs for y in fresh if (w := g.bracket_residual(x, y, s))]
+            want = [tuple(w.items()) for x in xs for y in fresh if (w := bracket_residual(g, x, y, s))]
             assert got == want
             rounds.append(s.axis_set is not None)
             return got
@@ -103,7 +108,7 @@ def general_ideal_closure(amb, h):
     """
     g, xs = amb.parent, amb.space.integer_rows[1]
     space = saturate(
-        h.space, lambda s, fresh: [w.items() for x in xs for y in fresh if (w := g.bracket_residual(x, y, s))]
+        h.space, lambda s, fresh: [w.items() for x in xs for y in fresh if (w := bracket_residual(g, x, y, s))]
     )
     if escape(g, space) is None:
         return space
@@ -240,7 +245,7 @@ def test_some_catalog_subset_escapes_at_its_last_pair_only():
         for axes in axis_subsets(g.dim):
             s = Subspace.span(g.dim, [unit(g.dim, i) for i in axes])
             pairs = list(combinations(axes, 2))
-            escaping = [(p, q) for p, q in pairs if g.bracket_residual(((p, 1),), ((q, 1),), s)]
+            escaping = [(p, q) for p, q in pairs if bracket_residual(g, ((p, 1),), ((q, 1),), s)]
             last_only += escaping == pairs[-1:] != []
     assert last_only > 0
 

@@ -23,7 +23,6 @@ from lieideal.liealg import (
     is_solvable_space,
     subalgebra,
     validate,
-    zero_subalgebra,
 )
 from lieideal.suites import NON_PERFECT_NAMES
 from lieideal.transitivity import (
@@ -200,7 +199,7 @@ def test_chain_through_another_parent_does_not_verify(sl2, heis):
     assert not foreign.verify()
     assert not replace(cert, chain=foreign).verify()
     # another parent of the same dimension
-    assert not IdealChain((zero_subalgebra(heis), full_subalgebra(sl2))).verify()
+    assert not IdealChain((Subalgebra(heis, Subspace.zero(heis.dim)), full_subalgebra(sl2))).verify()
 
 
 def test_counterexample_refused_for_perfect(sl2):
@@ -579,10 +578,8 @@ def test_oracle_with_chain_links_matches_decision(name):
 
 
 def test_zero_subalgebra_edge_cases():
-    from lieideal.liealg import zero_subalgebra
-
     g = catalog.get("sl2_sum_aff1").algebra
-    z = zero_subalgebra(g)
+    z = Subalgebra(g, Subspace.zero(g.dim))
     verdict = subideal_chain(g, z)
     assert verdict and verdict.chain.dims() == (0, 5)
     assert check_radical_intersection(g, z, verdict.chain).dim == 0
@@ -605,7 +602,7 @@ def test_is_ideal_and_ideal_closure_match_span_reference(name):
     entry = catalog.get(name)
     g = entry.algebra
     full = full_subalgebra(g)
-    subs = [full, zero_subalgebra(g), center(g), derived_subalgebra(full)]
+    subs = [full, Subalgebra(g, Subspace.zero(g.dim)), center(g), derived_subalgebra(full)]
     subs += [Subalgebra(g, s) for s in entry.tagged_subalgebras.values()]
     if g.dim <= 3:
         subs += enumerate_grid_subalgebras(g)
