@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import catalog
 from .derivations import derivation_algebra, derivation_tower, is_complete
-from .exactlin import Subspace, parse_rational
+from .exactlin import Subspace, parse_rational, quoted
 from .liealg import (
     InternalCheckError,
     LieAlgebra,
@@ -347,18 +347,22 @@ def cmd_catalog(args, report: RunReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def integer(text: str) -> int:
-    """An integer on the command line: ASCII digits after an optional minus sign."""
+def integer(text: str, kind: str = "integer") -> int:
+    """An integer on the command line: ASCII digits after an optional minus sign.
+
+    A refusal quotes the text by exactlin.quoted, where argparse would echo
+    a ValueError's text whole, in argparse's words: "invalid <kind> value".
+    """
     # the file format's digit rule: int() alone would read 1_0 and ٣ as 10 and 3
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
+        raise argparse.ArgumentTypeError(f"invalid {kind} value: {quoted(text)}")
     return int(text)
 
 
 def nonnegative(text: str) -> int:
     """A count given on the command line: an integer, zero or more."""
-    if (n := integer(text)) < 0:
+    if (n := integer(text, "nonnegative")) < 0:
         raise argparse.ArgumentTypeError(f"{n} is negative")
     return n
 

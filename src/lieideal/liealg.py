@@ -28,7 +28,8 @@ is exact because no constructor stores a zero constant.
 Membership work brackets only what can still escape, by one lemma
 (fresh_rows): for u inside w, w's RREF rows at the pivots u lacks span w
 together with u.  is_ideal takes x over the ambient's rows at the pivots h
-lacks, as [h, h] lies in h already.
+lacks, as [h, h] lies in h already.  centralizer and normalizer take x over
+the ambient's rows too, and exactlin.lift maps a proper ambient's kernel back.
 Two bounded loops reach every fixed point.  saturate spans a space with the
 residuals that escape it until none does, and a round that does not raise
 the dimension raises InternalCheckError: closure, ideal_closure.  Each round
@@ -663,34 +664,48 @@ def center(g: LieAlgebra) -> Subalgebra:
     return Subalgebra(g, column_kernel([g.scaled_adjoint(((i, 1),)) for i in range(g.dim)]))
 
 
-def _bracket_kernel(g: LieAlgebra, ys: Sequence[SparseItems], target: Subspace) -> Subalgebra:
-    """{x : [x, y] in target for every y}: column i stacks the residuals of the [e_i, y].
+def _bracket_kernel(amb: Subalgebra, ys: Sequence[SparseItems], target: Subspace) -> Subalgebra:
+    """{x in amb : [x, y] in target for every y}: column a stacks the residuals of the [x_a, y].
 
+    x_a ranges over amb's integer rows, so the kernel holds coordinates in
+    those rows, and exactlin.lift maps it back to g's coordinates.  A full
+    amb's rows are the unit vectors, so its kernel is the answer as it stands.
     Every column carries the same scale, den * L, so the kernel is unchanged.
     """
+    g, space = amb.parent, amb.space
     n = g.dim
     columns = []
-    for i in range(n):
+    for x in space.integer_rows[1]:
         col: dict[int, int] = {}
         for t, y in enumerate(ys):
-            w = target.scaled_residual(g.scaled_bracket(((i, 1),), y).items())
+            w = target.scaled_residual(g.scaled_bracket(x, y).items())
             col.update((t * n + k, v) for k, v in w.items())
         columns.append(col)
-    return Subalgebra(g, column_kernel(columns))
+    kernel = column_kernel(columns)
+    return Subalgebra(g, kernel if space.dim == n else lift(space, kernel))
 
 
-def centralizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
-    """{x : [x, y] = 0 for all y in h}."""
-    if h.parent != g:
+def centralizer(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra:
+    """{x in the ambient : [x, y] = 0 for all y in h}.
+
+    The ambient is g or a subalgebra k of it, as for is_ideal: c_k(h) is
+    solved over k's dim k rows, not as c_g(h) met with k.
+    """
+    amb = as_subalgebra(ambient)
+    if h.parent != amb.parent:
         raise ValueError("subalgebra of a different algebra")
-    return _bracket_kernel(g, h.space.integer_rows[1], Subspace.zero(g.dim))
+    return _bracket_kernel(amb, h.space.integer_rows[1], Subspace.zero(amb.parent.dim))
 
 
-def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
-    """{x : [x, h] inside h}; closure under brackets is checked on build."""
-    if h.parent != g:
+def normalizer(ambient: LieAlgebra | Subalgebra, h: Subalgebra) -> Subalgebra:
+    """{x in the ambient : [x, h] inside h}, over the ambient's rows as centralizer.
+
+    Closure under brackets is checked on build.
+    """
+    amb = as_subalgebra(ambient)
+    if h.parent != amb.parent:
         raise ValueError("subalgebra of a different algebra")
-    return _bracket_kernel(g, h.space.integer_rows[1], h.space)
+    return _bracket_kernel(amb, h.space.integer_rows[1], h.space)
 
 
 def _killing_numerators(g: LieAlgebra) -> list[list[int]]:

@@ -291,8 +291,10 @@ def counterexample_extension(h: LieAlgebra) -> CounterexampleCertificate:
 def check_complete_subideal(h: Subalgebra, k: Subalgebra, g: LieAlgebra) -> Subalgebra:
     """Complete h with h <| k <| g and centerless k forces h <| g; returns c_k(h).
 
-    Also verifies the decomposition k = h (+) c_k(h): spanning, transverse,
-    and with vanishing cross-bracket.
+    z(k) = c_k(k) and c_k(h) are solved inside k (centralizer with k as the
+    ambient), over k's rows, not in all of g.  Also verifies the
+    decomposition k = h (+) c_k(h): spanning, transverse, and with vanishing
+    cross-bracket.
     """
     if h.parent != g or k.parent != g:
         raise ValueError("subalgebras live in a different parent algebra")
@@ -302,12 +304,12 @@ def check_complete_subideal(h: Subalgebra, k: Subalgebra, g: LieAlgebra) -> Suba
         raise HypothesisError("h is not complete")
     if not (is_ideal(k, h) and is_ideal(g, k)):
         raise HypothesisError("h <| k <| g does not hold")
-    # z(k) and c_k(h) in g's coordinates: k meets the centralizers in g
-    if intersect(k.space, centralizer(g, k).space).dim != 0:
+    # z(k) = c_k(k) and c_k(h), each solved over k's rows in g's coordinates
+    if centralizer(k, k).dim != 0:
         raise HypothesisError("k does not have trivial center")
     if not is_ideal(g, h):
         raise TheoremViolationError("complete subideal with centerless middle is not an ideal")
-    c_sub = Subalgebra(g, intersect(k.space, centralizer(g, h).space))
+    c_sub = centralizer(k, h)
     if not (
         subspace_sum(h.space, c_sub.space) == k.space
         and intersect(h.space, c_sub.space).dim == 0
@@ -596,21 +598,34 @@ def _grid_lines(n: int) -> list[IntRow]:
     return [row for row in rows if row and row[0][1] == 1]
 
 
-def enumerate_grid_subalgebras(g: LieAlgebra) -> list[Subalgebra]:
-    """All bracket-closed spans of <= 2 grid directions, plus 0 and g itself.
+def grid_subspaces(n: int) -> list[Subspace]:
+    """0, Q^n and every span of one or two grid directions in Q^n, each once.
 
-    The grid is every +-1/0 coordinate direction; suitable only for dim <= 3
+    The grid is every +-1/0 coordinate direction; suitable only for n <= 3,
     where subalgebras relevant to small structure constants are spanned this
-    way.  Callers enumerate once per algebra and hand the list to
-    subideal_oracle.
+    way.  The list depends on n alone, so a caller with several algebras of
+    one dimension spans it once (suite_oracle, once per run).
     """
-    if g.dim > 3:
+    if n > 3:
         raise ValueError("grid enumeration is limited to dimension <= 3")
-    lines = _grid_lines(g.dim)
-    spaces: set[Subspace] = {Subspace.zero(g.dim), Subspace.full(g.dim)}
+    lines = _grid_lines(n)
+    spaces: set[Subspace] = {Subspace.zero(n), Subspace.full(n)}
     for r in (1, 2):
         for combo in itertools.combinations(lines, r):
-            spaces.add(Subspace.integer_span(g.dim, combo))
+            spaces.add(Subspace.integer_span(n, combo))
+    return list(spaces)
+
+
+def enumerate_grid_subalgebras(
+    g: LieAlgebra, spaces: Sequence[Subspace] | None = None
+) -> list[Subalgebra]:
+    """The bracket-closed ones among spaces, by default grid_subspaces(g.dim).
+
+    Callers enumerate once per algebra and hand the list to subideal_oracle.
+    """
+    spaces = grid_subspaces(g.dim) if spaces is None else spaces
+    if any(space.ambient_dim != g.dim for space in spaces):
+        raise ValueError("subspace ambient dimension != algebra dimension")
     out = []
     for space in spaces:
         try:
@@ -651,25 +666,36 @@ def subideal_oracle(candidates: list[Subalgebra], h: Subalgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def random_matrix_closure(
+    rng: random.Random, matrix_size: int = 3, generators: int = 2
+) -> tuple[Subspace, Commutator]:
+    """The bracket closure of random upper-triangular matrices, with the Commutator it was taken under.
+
+    Matrices are flattened row-major integer rows, entries drawn from
+    [-2, 2] on and above the diagonal, row by row.  The closure's dimension
+    is known before any algebra is built from it (closure_algebra).
+    """
+    n = matrix_size
+    mats = []
+    for _ in range(generators):
+        draws = ((i * n + j, rng.randint(-2, 2)) for i in range(n) for j in range(i, n))
+        mats.append(tuple((idx, v) for idx, v in draws if v))
+    bracket = Commutator(n)
+    return closure(Subspace.integer_span(n * n, mats), bracket), bracket
+
+
+def closure_algebra(space: Subspace, bracket: Commutator) -> LieAlgebra:
+    """A random_matrix_closure as an abstract algebra, in the closure's canonical basis."""
+    return validate_or_raise(span_algebra(space, bracket, 1, name=f"solvable(dim {space.dim})"))
+
+
 def random_solvable_algebra(
     rng: random.Random, matrix_size: int = 3, generators: int = 2
 ) -> LieAlgebra:
     """Bracket closure of random upper-triangular matrices.
 
     Upper-triangular matrices form a solvable matrix Lie algebra, so the
-    closure is solvable and Jacobi holds for free; the structure constants
-    are read off in the closure's canonical basis.  Matrices are handled
-    flattened row-major throughout, with entries drawn from [-2, 2].
+    closure is solvable and Jacobi holds for free: closure_algebra of a
+    random_matrix_closure.
     """
-    n = matrix_size
-    mats = [
-        [
-            Fraction(rng.randint(-2, 2)) if j >= i else Fraction(0)
-            for i in range(n)
-            for j in range(n)
-        ]
-        for _ in range(generators)
-    ]
-    bracket = Commutator(n)
-    space = closure(Subspace.span(n * n, mats), bracket)
-    return validate_or_raise(span_algebra(space, bracket, 1, name=f"solvable(dim {space.dim})"))
+    return closure_algebra(*random_matrix_closure(rng, matrix_size, generators))

@@ -82,14 +82,19 @@ def test_malformed_family_names_raise(name):
 
 
 def test_an_unknown_name_is_quoted_to_a_bounded_length():
+    # the quoted form is at most 62 bytes: repr writes \x00 as four and UTF-8 é as two
     for name, shown in [
         ("x" * 60, repr("x" * 60)),
         ("x" * 61, repr("x" * 60) + "... (61 characters)"),
-        ("\x00" * 5000, repr("\x00" * 60) + "... (5000 characters)"),
+        ("\x00" * 5000, repr("\x00" * 15) + "... (5000 characters)"),
+        ("\xe9" * 5000, repr("\xe9" * 30) + "... (5000 characters)"),
+        ("\xe9" * 30, repr("\xe9" * 30)),
+        ("\xe9" * 31, repr("\xe9" * 30) + "... (31 characters)"),
     ]:
         with pytest.raises(catalog.CatalogError) as err:
             catalog.get(name)
         assert str(err.value) == f"unknown catalog algebra {shown}"
+        assert len(str(err.value).encode()) <= 120
 
 
 def test_a_row_wins_over_a_family_member(monkeypatch):

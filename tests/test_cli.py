@@ -527,6 +527,30 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
     assert f"argument {argv[-2]}: invalid " in captured.err and repr(argv[-1]) in captured.err
 
 
+@pytest.mark.parametrize(
+    ("argv", "kind"),
+    [
+        (["verify", "--seed"], "integer"),
+        (["verify", "--random"], "nonnegative"),
+        (["tower", "catalog:sl2", "--max-steps"], "nonnegative"),
+    ],
+    ids=["seed", "random", "max-steps"],
+)
+def test_a_refused_integer_option_is_quoted_by_the_one_rule(capsys, argv, kind):
+    # argparse would echo a ValueError's text whole: 5,000 digits in the error line
+    flag = argv[-1]
+    for value, shown in [
+        ("1_" + "9" * 5000, "'1_999999999999999999'... (5002 characters)"),
+        ("1_9", "'1_9'"),
+        ("\x01" * 5000, repr("\x01" * 5) + "... (5000 characters)"),
+    ]:
+        assert run([*argv, value]) == 2
+        captured = capsys.readouterr()
+        line = captured.err.splitlines()[-1]
+        assert captured.out == "" and line.endswith(f"error: argument {flag}: invalid {kind} value: {shown}")
+        assert len(line.encode()) < 120
+
+
 def test_integer_options_keep_their_ascii_values():
     assert build_parser("verify").parse_args(["verify", "--seed", "-1"]).seed == -1
     assert build_parser("verify").parse_args(["verify", "--seed", "0"]).seed == 0

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -141,6 +142,32 @@ def test_a_refused_literal_is_quoted_by_the_one_rule():
         ValueError,
         f"Invalid literal for Fraction: {'x' * 20!r}... (21 characters)",
     )
+
+
+def quoted_by_characters(text, width):
+    """The rule before the byte bound: the first width characters, whatever their repr."""
+    return repr(text) if len(text) <= width else f"{text[:width]!r}... ({len(text)} characters)"
+
+
+@given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=70))
+def test_quoted_keeps_printable_ascii_as_it_was(text):
+    for width in (20, 60):
+        assert exactlin.quoted(text, width) == quoted_by_characters(text, width)
+
+
+@given(st.text(max_size=200), st.sampled_from([1, 20, 60]))
+@example("\x01" * 5000, 20)
+@example("\xe9" * 5000, 60)
+@example("\U0001f600" * 100, 20)
+def test_quoted_form_fits_in_width_plus_two_bytes(text, width):
+    # repr writes a control character as four bytes and UTF-8 takes two or more for é
+    shown = exactlin.quoted(text, width)
+    note = f"... ({len(text)} characters)"
+    head = shown.removesuffix(note)
+    # the quoted head is the text, or a prefix of it followed by the text's length
+    assert ast.literal_eval(head) == text if head == shown else text.startswith(ast.literal_eval(head))
+    if not (text[:width].isascii() and text[:width].isprintable()):
+        assert len(head.encode()) <= width + 2
 
 
 def test_rref_identity():

@@ -53,7 +53,7 @@ from lieideal.liealg import (
     sub_radical,
     sub_to_algebra,
 )
-from lieideal.suites import chain_instances, check_adjoint_identity, perfect_specimens
+from lieideal.suites import chain_instances, check_adjoint_identity, perfect_specimens, tower_corpus
 from lieideal.transitivity import enumerate_grid_subalgebras, ideal_closure, random_solvable_algebra
 
 
@@ -204,6 +204,68 @@ def test_centralizer_and_normalizer_match_dense(label):
         ann = reference.nullspace(n, h.space.basis.entries)
         stacked = [row for ad in ads for row in reference.matmul(ann, ad)]
         assert spans(normalizer(g, h).space, reference.nullspace(n, stacked))
+
+
+def ref_solved_in(n, consts, k_rows, h_rows, target_rows):
+    """{x in span(k_rows) : [x, y] in span(target_rows) for y in h_rows}, dense.
+
+    x = sum_a c_a k_a; an annihilator row of the target times [k_a, y] is
+    linear in c, one equation per y and per row: the reference nullspace in c,
+    times k's rows.
+    """
+    ann = reference.nullspace(n, target_rows) if target_rows else [unit(n, t) for t in range(n)]
+    rows = []
+    for y in h_rows:
+        columns = [reference.bracket(consts, x, y) for x in k_rows]
+        rows += [[sum(a * b for a, b in zip(r, column)) for column in columns] for r in ann]
+    return reference.matmul(reference.nullspace(len(k_rows), rows), k_rows) if k_rows else []
+
+
+@pytest.mark.parametrize("label", IDS)
+def test_centralizer_and_normalizer_in_a_subalgebra_meet_the_ones_in_g(label):
+    # solved over k's rows and lifted, c_k(h) and N_k(h) are k met with c_g(h) and N_g(h)
+    g, tags = corpus()[label]
+    n, consts = g.dim, g.brackets()
+    subs = subalgebras(g, tags)
+    in_g = {h: (centralizer(g, h).space, normalizer(g, h).space) for h in subs}
+    for k in subs:
+        ks = k.space.basis.entries
+        for h in subs:
+            c_k, n_k = centralizer(k, h), normalizer(k, h)
+            assert c_k.parent == g and n_k.parent == g
+            assert c_k.space == intersect(k.space, in_g[h][0])
+            assert n_k.space == intersect(k.space, in_g[h][1])
+            if h.dim <= 1 < k.dim < n:  # the reference on lines h, for proper k
+                hs = h.space.basis.entries
+                assert spans(c_k.space, ref_solved_in(n, consts, ks, hs, []))
+                assert spans(n_k.space, ref_solved_in(n, consts, ks, hs, hs))
+
+
+def test_a_full_ambient_solves_as_the_algebra_does():
+    g = catalog.get("sl2_sum_aff1").algebra
+    full = full_subalgebra(g)
+    for h in subalgebras(g, list(catalog.get("sl2_sum_aff1").tagged_subalgebras.values())):
+        assert centralizer(full, h) == centralizer(g, h)
+        assert normalizer(full, h) == normalizer(g, h)
+    other = full_subalgebra(catalog.get("sl2").algebra)
+    with pytest.raises(ValueError, match="different algebra"):
+        centralizer(full, other)
+    with pytest.raises(ValueError, match="different algebra"):
+        normalizer(other, full)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_centralizer_in_the_tower_corpus_image_meets_the_one_in_its_holomorph(seed):
+    # as check_complete_subideal solves z(k) and c_k(h): k is an algebra's image in its holomorph
+    for label, alg in tower_corpus(seed):
+        big, emb, _ = holomorph(alg)
+        k = Subalgebra(big, emb.image())
+        derived = derived_subalgebra(full_subalgebra(alg)).space.basis.entries
+        lines = [[v] for v in Mat.identity(alg.dim).entries]
+        hs = [Subalgebra(big, Subspace.span(big.dim, map(emb.apply, rows))) for rows in (derived, *lines)]
+        for h in [k, Subalgebra(big, Subspace.zero(big.dim)), *hs]:
+            assert centralizer(k, h).space == intersect(k.space, centralizer(big, h).space), label
+            assert normalizer(k, h).space == intersect(k.space, normalizer(big, h).space), label
 
 
 @pytest.mark.parametrize("label", IDS)

@@ -1,14 +1,17 @@
 """The suite runner's own contract: the runner names the suite and turns each
 check's outcome into a status, checks collected before any runs give the same
 results, failed checks are reported, even under -O, a run of the radical suite
-solves each radical once, decides each pair once and keeps none, the
+solves each radical once, decides each pair once and keeps none, the seeded
+random draws are the ones built one by one before the dimension window, the
 adjoint bracket identity fails on a map that is no derivation, and each
 criterion whose conclusion fails raises TheoremViolationError, which its
 suite check reports as a fail."""
 
 import dataclasses
+import hashlib
 import operator
 import os
+import random
 import subprocess
 import sys
 from collections.abc import Mapping
@@ -168,6 +171,61 @@ def test_radical_suite_decides_each_pair_once(monkeypatch):
     # every candidate of the corpus once; the two checks re-verify the kept chains
     assert len(decided) == 105
     assert results[0].detail.startswith("85 subideal pairs")
+
+
+def _draws_building_every_one(seed, count, attempts, accept):
+    """_draws with no dimension window: each draw built and validated, accept alone choosing."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(attempts):
+        if len(found) == count:
+            break
+        g = transitivity.random_solvable_algebra(rng, matrix_size=3, generators=2)
+        if accept(g):
+            found.append((f"random_solvable_{len(found)}(dim {g.dim})", g))
+    return found
+
+
+def _labelled_constants(draws):
+    return [(label, g.integer_constants) for label, g in draws]
+
+
+# sha256 of the repr of (label, integer_constants) of the oracle's draws and
+# then the tower corpus's, seed by seed over 0-7, before the dimension window
+DRAWS_DIGEST = "703833fd35f182cfd5bcdb4df86f9e172301bbef9e80273f9a760892453b208e"
+
+
+def test_draws_in_a_window_are_the_draws_built_one_by_one(monkeypatch):
+    built = []
+    real = suites.closure_algebra
+
+    def counting(space, bracket):
+        built.append(space.dim)
+        return real(space, bracket)
+
+    monkeypatch.setattr(suites, "closure_algebra", counting)
+    digest = hashlib.sha256()
+    for seed in range(8):
+        built.clear()
+        oracle = suites._draws(seed, 3, 100, range(1, 4))
+        assert _labelled_constants(oracle) == _labelled_constants(
+            _draws_building_every_one(seed, 3, 100, lambda g: 1 <= g.dim <= 3)
+        )
+        # only the draws inside the window are built, so every one built is kept
+        assert built == [g.dim for _, g in oracle]
+        built.clear()
+        tower = [(label, g) for label, g in suites.tower_corpus(seed) if label.startswith("random_solvable")]
+
+        def centerless_small(g):
+            return 2 <= g.dim <= 6 and liealg.center(g).dim == 0 and derivations.derivation_algebra(g).dim <= 12
+
+        assert _labelled_constants(tower) == _labelled_constants(
+            _draws_building_every_one(seed, 2, 200, centerless_small)
+        )
+        assert all(2 <= dim <= 6 for dim in built)
+        for label, g in oracle + tower:
+            digest.update(repr((label, g.integer_constants)).encode())
+    assert digest.hexdigest() == DRAWS_DIGEST
 
 
 def test_adjoint_identity_fails_on_a_non_derivation(monkeypatch):

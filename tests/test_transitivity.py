@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import reference
-from lieideal import catalog, transitivity
+from lieideal import catalog, suites, transitivity
 from lieideal.derivations import holomorph
 from lieideal.exactlin import Mat, Subspace, intersect, subspace_sum
 from lieideal.liealg import (
@@ -21,6 +21,7 @@ from lieideal.liealg import (
     full_subalgebra,
     is_ideal,
     is_solvable_space,
+    normalizer,
     subalgebra,
     validate,
 )
@@ -38,6 +39,7 @@ from lieideal.transitivity import (
     _grid_lines,
     counterexample_extension,
     enumerate_grid_subalgebras,
+    grid_subspaces,
     ideal_closure,
     is_self_normalizing,
     levi_criterion,
@@ -317,9 +319,13 @@ def test_complete_subideal_matches_the_abstract_route(h_name, p_name):
     h, k = Subalgebra(g, emb_k.compose(emb_h).image()), Subalgebra(g, emb_k.image())
     z_k, c_k = _centralizers_in_k(h, k, g)
     assert intersect(k.space, centralizer(g, k).space).basis.entries == z_k
+    assert centralizer(k, k).space.basis.entries == z_k
     assert len(z_k) == 0
     c_sub = check_complete_subideal(h, k, g)
+    # solved over k's rows, c_k(h) is k met with c_g(h), as N_k(h) is with N_g(h)
+    assert c_sub == centralizer(k, h)
     assert c_sub.space == intersect(k.space, centralizer(g, h).space)
+    assert normalizer(k, h).space == intersect(k.space, normalizer(g, h).space)
     assert c_sub.space.basis.entries == c_k
     assert len(c_k) == k.dim - h.dim
 
@@ -329,6 +335,7 @@ def test_complete_subideal_rejects_a_centered_middle(sl2):
     h, k = Subalgebra(g, e1.image()), full_subalgebra(g)
     z_k, _ = _centralizers_in_k(h, k, g)
     assert intersect(k.space, centralizer(g, k).space).basis.entries == z_k
+    assert centralizer(k, k).space.basis.entries == z_k
     assert len(z_k) == 1
     with pytest.raises(HypothesisError, match="trivial center"):
         check_complete_subideal(h, k, g)
@@ -557,6 +564,35 @@ def test_grid_lines_are_one_per_direction(n):
     assert all(v[0][1] == 1 and {x for _, x in v} <= {-1, 1} for v in lines)
     assert all([i for i, _ in v] == sorted({i for i, _ in v}) for v in lines)
     assert len({Subspace.integer_span(n, [v]) for v in lines}) == len(lines)
+
+
+def _grid_closed_by_reference(g):
+    """The spans of 0, g and one or two grid directions that the reference finds bracket-closed."""
+    n, consts = g.dim, g.brackets()
+    # one direction per line: its first nonzero entry is 1
+    lines = [v for v in itertools.product((-1, 0, 1), repeat=n) if [x for x in v if x][:1] == [1]]
+    spans = [[], [reference.unit(n, i) for i in range(n)]]
+    spans += [list(combo) for r in (1, 2) for combo in itertools.combinations(lines, r)]
+    rank = lambda rows: len(reference.rref(n, rows))
+    return {Subspace.span(n, rows) for rows in spans if rank(reference.closure(n, consts, rows)) == rank(rows)}
+
+
+def test_grid_subalgebras_from_shared_spaces_match_the_per_algebra_enumeration():
+    # the oracle spans the grid once per dimension and filters it per algebra
+    draws = [g for seed in range(8) for _, g in suites._draws(seed, 3, 100, range(1, 4))]
+    algebras = [catalog.get(name).algebra for name in SMALL_CATALOG] + draws
+    spaces = {n: grid_subspaces(n) for n in (1, 2, 3)}
+    for g in algebras:
+        shared = enumerate_grid_subalgebras(g, spaces[g.dim])
+        assert shared == enumerate_grid_subalgebras(g)
+        assert {h.space for h in shared} == _grid_closed_by_reference(g)
+    # the shared lists are read, never changed
+    assert spaces == {n: grid_subspaces(n) for n in (1, 2, 3)}
+    assert [len(spaces[n]) for n in (1, 2, 3)] == [2, 6, 40]
+    with pytest.raises(ValueError, match="ambient dimension"):
+        enumerate_grid_subalgebras(catalog.get("sl2").algebra, spaces[2])
+    with pytest.raises(ValueError, match="dimension <= 3"):
+        grid_subspaces(4)
 
 
 @pytest.mark.parametrize("name", SMALL_CATALOG)
