@@ -90,15 +90,14 @@ def quoted(text: str, width: int = 20) -> str:
 
     Text from outside can be of any length.  A literal's refusal and a .lie
     field name quote 20 characters, as their messages name a file, a line or
-    a record already; a catalog name quotes 60.  Past printable ASCII, repr
-    writes a control character as four bytes and UTF-8 takes two or more for
-    a letter like é, so such text is cut further, until its repr fits in
+    a record already; a catalog name quotes 60.  repr writes a backslash as
+    two bytes and a control character as four, and UTF-8 takes two or more
+    for a letter like é, so the head is cut further until its repr fits in
     width + 2 bytes: the bound is on the quoted form, not on characters.
     """
     head = text[:width]
-    if not (head.isascii() and head.isprintable()):
-        while len(repr(head).encode()) > width + 2:
-            head = head[:-1]
+    while len(repr(head).encode()) > width + 2:
+        head = head[:-1]
     if head == text:
         return repr(text)
     return f"{head!r}... ({len(text)} characters)"

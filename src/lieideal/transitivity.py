@@ -616,16 +616,11 @@ def grid_subspaces(n: int) -> list[Subspace]:
     return list(spaces)
 
 
-def enumerate_grid_subalgebras(
-    g: LieAlgebra, spaces: Sequence[Subspace] | None = None
-) -> list[Subalgebra]:
-    """The bracket-closed ones among spaces, by default grid_subspaces(g.dim).
+def enumerate_grid_subalgebras(g: LieAlgebra, spaces: Sequence[Subspace]) -> list[Subalgebra]:
+    """The bracket-closed ones among spaces, a grid_subspaces(g.dim) list.
 
     Callers enumerate once per algebra and hand the list to subideal_oracle.
     """
-    spaces = grid_subspaces(g.dim) if spaces is None else spaces
-    if any(space.ambient_dim != g.dim for space in spaces):
-        raise ValueError("subspace ambient dimension != algebra dimension")
     out = []
     for space in spaces:
         try:

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, example, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -151,6 +151,8 @@ def quoted_by_characters(text, width):
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=70))
 def test_quoted_keeps_printable_ascii_as_it_was(text):
+    # text that repr writes as itself, between the quotes: no backslash, not both quote kinds
+    assume(repr(text)[1:-1] == text)
     for width in (20, 60):
         assert exactlin.quoted(text, width) == quoted_by_characters(text, width)
 
@@ -159,15 +161,18 @@ def test_quoted_keeps_printable_ascii_as_it_was(text):
 @example("\x01" * 5000, 20)
 @example("\xe9" * 5000, 60)
 @example("\U0001f600" * 100, 20)
+@example("\\" * 5000, 60)
+@example("\\" * 15, 20)
+@example("'\"" * 30, 20)
 def test_quoted_form_fits_in_width_plus_two_bytes(text, width):
-    # repr writes a control character as four bytes and UTF-8 takes two or more for é
+    # repr writes a backslash as two bytes and a control character as four,
+    # and UTF-8 takes two or more for é
     shown = exactlin.quoted(text, width)
     note = f"... ({len(text)} characters)"
     head = shown.removesuffix(note)
     # the quoted head is the text, or a prefix of it followed by the text's length
     assert ast.literal_eval(head) == text if head == shown else text.startswith(ast.literal_eval(head))
-    if not (text[:width].isascii() and text[:width].isprintable()):
-        assert len(head.encode()) <= width + 2
+    assert len(head.encode()) <= width + 2
 
 
 def test_rref_identity():

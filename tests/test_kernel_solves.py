@@ -54,7 +54,12 @@ from lieideal.liealg import (
     sub_to_algebra,
 )
 from lieideal.suites import chain_instances, check_adjoint_identity, perfect_specimens, tower_corpus
-from lieideal.transitivity import enumerate_grid_subalgebras, ideal_closure, random_solvable_algebra
+from lieideal.transitivity import (
+    enumerate_grid_subalgebras,
+    grid_subspaces,
+    ideal_closure,
+    random_solvable_algebra,
+)
 
 
 def spans(space, rows):
@@ -160,7 +165,7 @@ def subalgebras(g, tags):
     subs |= {center(g), derived_subalgebra(full_subalgebra(g))}
     subs |= {Subalgebra(g, Subspace.span(g.dim, [{i: 1}])) for i in range(g.dim)}
     if g.dim <= 3:
-        subs |= set(enumerate_grid_subalgebras(g))
+        subs |= set(enumerate_grid_subalgebras(g, grid_subspaces(g.dim)))
     return sorted(subs, key=lambda h: (h.dim, h.space.pivots, h.space.integer_rows))
 
 

@@ -552,8 +552,8 @@ def test_small_catalog_is_every_name_of_dim_at_most_3():
 
 
 def test_oracle_examples(heis, sl2):
-    assert subideal_oracle(enumerate_grid_subalgebras(heis), subalgebra(heis, [[1, 0, 0]]))
-    assert not subideal_oracle(enumerate_grid_subalgebras(sl2), subalgebra(sl2, [[0, 1, 0]]))
+    assert subideal_oracle(enumerate_grid_subalgebras(heis, grid_subspaces(heis.dim)), subalgebra(heis, [[1, 0, 0]]))
+    assert not subideal_oracle(enumerate_grid_subalgebras(sl2, grid_subspaces(sl2.dim)), subalgebra(sl2, [[0, 1, 0]]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -584,13 +584,11 @@ def test_grid_subalgebras_from_shared_spaces_match_the_per_algebra_enumeration()
     spaces = {n: grid_subspaces(n) for n in (1, 2, 3)}
     for g in algebras:
         shared = enumerate_grid_subalgebras(g, spaces[g.dim])
-        assert shared == enumerate_grid_subalgebras(g)
+        assert shared == enumerate_grid_subalgebras(g, grid_subspaces(g.dim))
         assert {h.space for h in shared} == _grid_closed_by_reference(g)
     # the shared lists are read, never changed
     assert spaces == {n: grid_subspaces(n) for n in (1, 2, 3)}
     assert [len(spaces[n]) for n in (1, 2, 3)] == [2, 6, 40]
-    with pytest.raises(ValueError, match="ambient dimension"):
-        enumerate_grid_subalgebras(catalog.get("sl2").algebra, spaces[2])
     with pytest.raises(ValueError, match="dimension <= 3"):
         grid_subspaces(4)
 
@@ -598,7 +596,7 @@ def test_grid_subalgebras_from_shared_spaces_match_the_per_algebra_enumeration()
 @pytest.mark.parametrize("name", SMALL_CATALOG)
 def test_oracle_searches_only_its_candidates(name):
     g = catalog.get(name).algebra
-    for h in enumerate_grid_subalgebras(g):
+    for h in enumerate_grid_subalgebras(g, grid_subspaces(g.dim)):
         assert subideal_oracle([], h) == (h.dim == g.dim)
         assert subideal_oracle([full_subalgebra(g)], h) == is_ideal(g, h)
 
@@ -606,7 +604,7 @@ def test_oracle_searches_only_its_candidates(name):
 @pytest.mark.parametrize("name", SMALL_CATALOG)
 def test_oracle_with_chain_links_matches_decision(name):
     g = catalog.get(name).algebra
-    grid = enumerate_grid_subalgebras(g)
+    grid = enumerate_grid_subalgebras(g, grid_subspaces(g.dim))
     for h in grid:
         verdict = subideal_chain(g, h)
         links = list(verdict.chain.links) if verdict else []
@@ -641,7 +639,7 @@ def test_is_ideal_and_ideal_closure_match_span_reference(name):
     subs = [full, Subalgebra(g, Subspace.zero(g.dim)), center(g), derived_subalgebra(full)]
     subs += [Subalgebra(g, s) for s in entry.tagged_subalgebras.values()]
     if g.dim <= 3:
-        subs += enumerate_grid_subalgebras(g)
+        subs += enumerate_grid_subalgebras(g, grid_subspaces(g.dim))
     n, consts = g.dim, g.brackets()
     for amb in subs:
         for h in subs:
