@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -70,6 +71,11 @@ class RunReport:
         )
 
 
+def shown(text: str, width: int = 20) -> str:
+    """text as it is when exactlin.quoted keeps it whole, else quoted's cut form."""
+    return text if (cut := quoted(text, width)) == repr(text) else cut
+
+
 def _load_source(src: str) -> LieAlgebra:
     if src.startswith("catalog:"):
         name = src.split(":", 1)[1]
@@ -77,16 +83,17 @@ def _load_source(src: str) -> LieAlgebra:
             return catalog.get(name).algebra
         except catalog.CatalogError as exc:
             raise InputError(str(exc)) from None
+    path = shown(src, 100)  # an ordinary path, a temporary one included, fits
     try:
         return catalog.load(src)
     except FileNotFoundError:
-        raise InputError(f"no such file: {src}") from None
+        raise InputError(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
-        raise InputError(f"{src}: not UTF-8 text (byte {exc.start})") from None
-    except OSError as exc:  # a directory, or no permission
-        raise InputError(f"cannot read {src}: {exc.strerror}") from None
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:  # a directory, no permission, or a name too long
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except catalog.ParseError as exc:
-        raise InputError(f"{src}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
 
 
 # Row reduction multiplies coordinates together, so the spec is bounded as a
@@ -209,8 +216,6 @@ def cmd_derivations(args, report: RunReport) -> None:
 
 def cmd_tower(args, report: RunReport) -> None:
     g = _load_source(args.source)
-    if center(g).dim != 0:
-        raise InputError("derivation tower needs a centerless algebra")
     tower = derivation_tower(g, max_steps=args.max_steps)
     dims = [s.dim for s in tower.stages]
     report.payload["stage_dims"] = dims
@@ -256,10 +261,7 @@ def cmd_ideal(args, report: RunReport) -> None:
 
 def cmd_counterexample(args, report: RunReport) -> None:
     g = _load_source(args.source)
-    try:
-        cert = counterexample_extension(g)
-    except HypothesisError as exc:
-        raise InputError(str(exc)) from None
+    cert = counterexample_extension(g)
     report.payload["ambient_dim"] = cert.ambient.dim
     report.payload["chain_dims"] = list(cert.chain.dims())
     report.payload["chain"] = [_fmt_subspace(s.space) for s in cert.chain.links]
@@ -396,13 +398,26 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of every command if it names none."""
-    parser = argparse.ArgumentParser(
+class Parser(argparse.ArgumentParser):
+    """argparse's parser, whose errors cut by shown each argument of argv they echo, in repr or as it is."""
+
+    argv: Sequence[str] = ()
+
+    def error(self, message: str):
+        for text in self.argv:
+            if (cut := shown(text)) != text:
+                message = message.replace(repr(text), cut).replace(text, cut)
+        super().error(message)
+
+
+def build_parser(command: str | None = None, argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command if it names none, cutting argv in errors."""
+    parser = Parser(
         prog="lieideal",
         description="exact computations on Lie ideals: subideal chains, "
         "transitivity criteria, derivation towers",
     )
+    parser.argv = argv
     known = command in COMMANDS
     # a lone subparser would print as {info} in the usage line of an error (an
     # extra argument); the full build keeps "required: command" for no command
@@ -411,6 +426,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in [command] if known else COMMANDS:
         help_text, fn, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
+        p.argv = argv
         for flags, options in arguments:
             p.add_argument(*flags, **options)
         p.set_defaults(fn=fn)
@@ -420,7 +436,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # built on every call, like the one parser a one-shot process builds
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser(argv[0] if argv else None, argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -429,7 +445,7 @@ def run(argv: list[str] | None = None) -> int:
     report = RunReport(command=argv)
     try:
         args.fn(args, report)
-    except InputError as exc:
+    except (InputError, HypothesisError) as exc:  # HypothesisError: a command's precondition
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

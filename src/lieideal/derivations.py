@@ -21,43 +21,36 @@ commutator is zero.  The abstract algebra D(g) is built from that table
 only when DerivationAlgebra.built is first read, and walked by validate only
 when DerivationAlgebra.algebra is: the callers that read only the span
 (is_complete, the dimension) never build it, and the holomorph builds it
-without walking it, by a lemma.  In g = h x| D(h), for
-i < n = dim h and D's basis f_a, f_b, the Jacobi triple (e_i, f_a, f_b)
-holds exactly when the table's [f_a, f_b] and f_a f_b - f_b f_a agree on
-e_i.  So once every triple that meets h holds, D's table is the commutator
-of its realization maps, the kernel's RREF rows, which are independent, and
-Jacobi inside D follows from associativity.  The walk visits i < n first,
-so a walk limited to those reports the full walk's first failing triple,
-and it catches every change to D's table, also one that D's own walk lets
-pass.  Each inner den * ad_{e_i},
-which LieAlgebra.scaled_adjoint flattens the same way, is checked to lie in
-the kernel by its scaled residual, and its coordinates are read at the
-kernel's pivots.  The holomorph takes its constants from h's and D(h)'s
-integer_constants and the kernel's integer_rows over one lcm, through
-LieAlgebra.from_scaled, and embeds h and D(h) as blocks of coordinates.  Only
-the coordinates handed back to callers are dense; the command line prints
-the span's integer_rows.
+without walking it, by the lemma in its docstring.  Each inner
+den * ad_{e_i}, which LieAlgebra.scaled_adjoint flattens the same way, is
+checked to lie in the kernel by its scaled residual, and its coordinates,
+its entries at the kernel's pivots, are kept as DerivationAlgebra.ad.  The
+holomorph takes its constants from h's and D(h)'s integer_constants and the
+kernel's integer_rows over one lcm, through LieAlgebra.from_scaled, and
+embeds h and D(h) as blocks of coordinates.  Only the coordinates handed
+back to callers are dense; the command line prints the span's integer_rows.
 
-is_characteristic solves no D(g) at all.  "f maps h into h" is a set of
-linear forms in f's entries, which SolutionBasis.dots reads against the
-solutions of the Leibniz equations of the pairs inside h's pivot columns
-first: those contain Der(g), so forms vanishing there prove h characteristic,
-as they always do for a perfect ideal on its own coordinates.  Only
-otherwise do the remaining pairs follow, and a form that still has a nonzero
-dot names a derivation moving h, the negative answer's certificate, which
-leibniz_defect re-checks.  The solve of a set of pairs is _leibniz_solve,
-which _leibniz_kernel runs on every pair i < j in order.
+is_characteristic solves no D(g) at all: "f maps h into h" is a set of
+linear forms in f's entries, read against the solutions of the Leibniz
+equations, those of the pairs inside h first, as its docstring sets out.
+The solve of a set of pairs is _leibniz_solve, which _leibniz_kernel runs on
+every pair i < j in order.
 
 derivation_algebra is an lru_cache keyed on the algebra's structure, which
 ignores names: every algebra of one structure gets the same DerivationAlgebra,
 named after the first of them to be solved, so D(g) is built and walked
 at most once per structure.
 
-theorem_derived_check is a criterion with transitivity's contract: it raises
-HypothesisError when g has a center, TheoremViolationError when its two sides
-(D(g) complete, g an ideal of D^2(g)) disagree, and otherwise returns the
-side they agree on.  The constructions raise InternalCheckError when a
-re-check of what they built fails.
+The tower and the tower theorem reach ad: g -> D(g) only through
+adjoint_embedding, which reads its columns off DerivationAlgebra.ad and
+checks the map once.  derivation_tower embeds each stage that is not
+complete in the next, and theorem_derived_check takes g's image in D^2(g)
+through two of them.  Both raise HypothesisError when g has a center;
+theorem_derived_check, a criterion with transitivity's contract, raises
+TheoremViolationError when its two sides (D(g) complete, g an ideal of
+D^2(g)) disagree, and otherwise returns the side they agree on.  The
+constructions raise InternalCheckError when a re-check of what they built
+fails.
 """
 
 from __future__ import annotations
@@ -72,12 +65,12 @@ from types import MappingProxyType
 
 from .exactlin import (
     Commutator,
+    IntRow,
     Mat,
     SolutionBasis,
     Subspace,
     Vector,
     dense_vector,
-    sparse_vector,
 )
 from .liealg import (
     HypothesisError,
@@ -101,17 +94,20 @@ class DerivationAlgebra:
 
     ``span`` is the solution space of the Leibniz system in flattened
     (row-major) endomorphism coordinates: entry (a, b) of a derivation sits
-    at index a * n + b of its row.  ``table`` is span_table's: the nonzero
-    coordinates of [b_a, b_b], a < b, over L^2, for the pairs of the span's
-    RREF basis whose supports meet, each checked to stay in the span when
-    the solve ran; every other pair's commutator is zero.  ``built`` is
-    built from it on first read, and ``algebra`` is that same object once
-    validate has walked it.  derivation_algebra hands one object to every
-    algebra of a structure, so D(g) is built and walked once per structure,
-    named after ``base``, the first of them to be solved.
+    at index a * n + b of its row.  Row i of ``ad`` holds the coordinates of
+    den * ad_{e_i} on the span's RREF basis, and ``inner`` is their span.
+    ``table`` is span_table's: the nonzero coordinates of [b_a, b_b], a < b,
+    over L^2, for the pairs of the span's RREF basis whose supports meet,
+    each checked to stay in the span when the solve ran; every other pair's
+    commutator is zero.  ``built`` is built from it on first read, and
+    ``algebra`` is that same object once validate has walked it.
+    derivation_algebra hands one object to every algebra of a structure, so
+    D(g) is built and walked once per structure, named after ``base``, the
+    first of them to be solved.
     """
 
     base: LieAlgebra
+    ad: tuple[IntRow, ...] = field(repr=False, compare=False)
     inner: Subspace
     span: Subspace
     table: Mapping[tuple[int, int], Mapping[int, int]] = field(repr=False, compare=False)
@@ -143,15 +139,6 @@ class DerivationAlgebra:
         if coords is None:
             raise ValueError("endomorphism is not in the derivation span")
         return dense_vector(self.dim, coords.items())
-
-    def adjoint_coordinates(self, x) -> Vector:
-        """Coordinates of ad_x inside D(base): those of den * ad_x, over den.
-
-        ad_x is a member by linearity, since derivation_algebra checks every ad_{e_i}.
-        """
-        g = self.base
-        coords = self.span.coordinates(g.scaled_adjoint(sparse_vector(g.dim, x).items()))
-        return dense_vector(self.dim, ((i, q / g.integer_constants[0]) for i, q in coords.items()))
 
 
 def _leibniz_kernel(g: LieAlgebra) -> list[dict[int, int]]:
@@ -219,21 +206,21 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     another algebra of g's structure is the same object, whose base is the
     first of them to be solved.  The bracket table is the commutator of the
     realization matrices, taken on the flattened kernel rows, checked to stay
-    in the kernel and re-expressed in it; the inner subspace is the span of
-    the adjoint maps' coordinates.
+    in the kernel and re-expressed in it; ad holds the adjoint maps'
+    coordinates, and inner is their span.
     """
     n = g.dim
     kernel = Subspace.integer_span(n * n, map(dict.items, _leibniz_kernel(g)))
     table = MappingProxyType(span_table(kernel, Commutator(n)))
-    inner_rows = []
+    ad = []
     for i in range(n):
-        ad = g.scaled_adjoint(((i, 1),))
-        if kernel.scaled_residual(ad.items()):
+        flat = g.scaled_adjoint(((i, 1),))
+        if kernel.scaled_residual(flat.items()):
             raise InternalCheckError("inner derivation escaped the solution span")
         # a member's coordinate on kernel row r is its entry at pivots[r]
-        inner_rows.append([(r, ad[p]) for r, p in enumerate(kernel.pivots) if p in ad])
-    inner = Subspace.integer_span(kernel.dim, inner_rows)
-    return DerivationAlgebra(base=g, inner=inner, span=kernel, table=table)
+        ad.append(tuple((r, flat[p]) for r, p in enumerate(kernel.pivots) if p in flat))
+    inner = Subspace.integer_span(kernel.dim, ad)
+    return DerivationAlgebra(base=g, ad=tuple(ad), inner=inner, span=kernel, table=table)
 
 
 def leibniz_defect(g: LieAlgebra, f: Mat) -> Vector | None:
@@ -340,66 +327,63 @@ class TowerReport:
 def derivation_tower(g: LieAlgebra, max_steps: int | None = None) -> TowerReport:
     """Iterate D until a complete stage appears or the budget runs out.
 
-    Requires trivial center; each stage is embedded in the next through its
-    adjoint representation (faithful, by centerlessness) and every stage is
-    re-checked centerless, which the tower theorem guarantees.
+    Raises HypothesisError when g has a center.  Each stage that is not
+    complete is embedded in the next by adjoint_embedding, whose injectivity
+    check re-checks that the stage is centerless, as the tower theorem
+    guarantees; a complete stage is centerless by definition, and the last
+    stage of a tower out of budget is not re-checked.
     """
     if center(g).dim != 0:
-        raise ValueError("derivation tower needs a centerless algebra")
+        raise HypothesisError("derivation tower needs a centerless algebra")
     if max_steps is None:
         max_steps = g.dim * g.dim + 1
-    stages = [g]
-    embeddings: list[LinMap] = []
+    stages, embeddings = [g], []
     while not is_complete(stages[-1]):
         if len(embeddings) >= max_steps:
             return TowerReport(tuple(stages), tuple(embeddings), None)
-        current = stages[-1]
-        da = derivation_algebra(current)
-        nxt = da.algebra
-        if center(nxt).dim != 0:
-            raise InternalCheckError("derivation algebra of a centerless algebra has center")
-        cols = [
-            da.adjoint_coordinates(current.basis_vector(i))
-            for i in range(current.dim)
-        ]
-        emb = LinMap(current, nxt, Mat.from_columns(cols, rows=nxt.dim))
-        _check_tower_embedding(emb)
-        stages.append(nxt)
-        embeddings.append(emb)
+        embeddings.append(adjoint_embedding(stages[-1]))
+        stages.append(embeddings[-1].target)
     return TowerReport(tuple(stages), tuple(embeddings), len(stages) - 1)
 
 
-def _check_tower_embedding(emb: LinMap) -> None:
-    if emb.kernel().dim != 0:
-        raise InternalCheckError("tower embedding is not injective")
+def adjoint_embedding(g: LieAlgebra) -> LinMap:
+    """ad: g -> D(g), x -> ad_x, for centerless g: column i is DerivationAlgebra.ad's row i over den.
+
+    Checked once, raising InternalCheckError on any failure: its image has
+    dimension dim g, so it is injective; the image is a subalgebra and an
+    ideal of D(g); and the map is a homomorphism.
+    """
+    da = derivation_algebra(g)
+    d, den = da.algebra, g.integer_constants[0]
+    cols = [dense_vector(da.dim, ((r, Fraction(v, den)) for r, v in row)) for row in da.ad]
+    emb = LinMap(g, d, Mat.from_columns(cols, rows=da.dim))
+    space = emb.image()
+    if space.dim != g.dim:
+        raise InternalCheckError("adjoint embedding is not injective")
+    try:
+        image = Subalgebra(d, space)
+    except ValueError as exc:
+        raise InternalCheckError(f"adjoint embedding image: {exc}") from None
+    if not is_ideal(d, image):
+        raise InternalCheckError("adjoint embedding image is not an ideal")
     if not is_homomorphism(emb):
-        raise InternalCheckError("tower embedding is not a homomorphism")
-    image = Subalgebra(emb.target, emb.image())
-    if not is_ideal(emb.target, image):
-        raise InternalCheckError("tower embedding image is not an ideal")
+        raise InternalCheckError("adjoint embedding is not a homomorphism")
+    return emb
 
 
 def theorem_derived_check(g: LieAlgebra) -> bool:
     """D(g) is complete iff g is an ideal of D^2(g), for centerless g; returns
     whether D(g) is complete.
 
-    g sits in D^2(g) through ad twice.  Raises TheoremViolationError when the
-    two sides disagree.
+    g sits in D^2(g) through adjoint_embedding twice, each map checked.
+    Raises TheoremViolationError when the two sides disagree.
     """
     if center(g).dim != 0:
         raise HypothesisError("check needs a centerless algebra")
-    da1 = derivation_algebra(g)
-    d1 = da1.algebra
-    da2 = derivation_algebra(d1)
-    d2 = da2.algebra
-    lhs = is_complete(d1)
-    image_rows = []
-    for i in range(g.dim):
-        inner1 = da1.adjoint_coordinates(g.basis_vector(i))
-        inner2 = da2.adjoint_coordinates(inner1)
-        image_rows.append(inner2)
-    image = Subalgebra(d2, Subspace.span(d2.dim, image_rows))
-    rhs = is_ideal(d2, image)
+    ad1 = adjoint_embedding(g)
+    ad2 = adjoint_embedding(ad1.target)
+    lhs = is_complete(ad1.target)
+    rhs = is_ideal(ad2.target, Subalgebra(ad2.target, ad2.compose(ad1).image()))
     if lhs != rhs:
         raise TheoremViolationError(f"tower theorem sides disagree: complete={lhs}, ideal={rhs}")
     return lhs

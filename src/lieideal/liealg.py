@@ -858,11 +858,8 @@ def is_homomorphism(f: LinMap) -> bool:
 
 
 def is_automorphism(f: LinMap) -> bool:
-    if f.source != f.target:
-        return False
-    if f.kernel().dim != 0:
-        return False
-    return is_homomorphism(f)
+    """An endomorphism whose image has full dimension, so bijective, and a homomorphism."""
+    return f.source == f.target and f.image().dim == f.source.dim and is_homomorphism(f)
 
 
 def sub_to_algebra(h: Subalgebra) -> LieAlgebra:

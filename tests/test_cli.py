@@ -377,8 +377,10 @@ def test_tower_command(capsys):
 
 
 def test_tower_rejects_centered_algebra(capsys):
+    # derivation_tower's HypothesisError, refused as malformed input
     assert run(["tower", "catalog:heisenberg3"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: derivation tower needs a centerless algebra\n")
 
 
 def test_normalizer_tower_command(capsys):
@@ -549,6 +551,44 @@ def test_a_refused_integer_option_is_quoted_by_the_one_rule(capsys, argv, kind):
         line = captured.err.splitlines()[-1]
         assert captured.out == "" and line.endswith(f"error: argument {flag}: invalid {kind} value: {shown}")
         assert len(line.encode()) < 120
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    ("argv", "shown"),
+    [
+        (["verify", "--suite", LONG], "invalid choice: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters) (choose from"),
+        ([LONG], "invalid choice: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters) (choose from"),
+        (["info", "a", "b", LONG], "unrecognized arguments: b 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+        (["info", "/nonexist/" + LONG], f"cannot read {repr('/nonexist/' + 'x' * 90)}... (5010 characters): "),
+    ],
+    ids=["suite choice", "command", "unrecognized", "path"],
+)
+def test_long_outside_input_is_cut_in_every_error_line(capsys, argv, shown):
+    # argparse and the loader would echo it whole: a 5,000-byte error line
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and shown in captured.err
+    assert max(len(line.encode()) for line in captured.err.splitlines()) <= 250
+
+
+def test_an_argument_that_fits_keeps_the_message_argparse_wrote(capsys):
+    # 20 characters fit, 21 are cut, as quoted cuts a literal
+    for value, shown in [("x" * 20, repr("x" * 20)), ("x" * 21, repr("x" * 20) + "... (21 characters)")]:
+        for argv in (["verify", "--suite", value], [value], ["info", "a", value]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            with pytest.raises(SystemExit):  # given no argv, the parser cuts nothing
+                build_parser(argv[0]).parse_args(argv)
+            plain = capsys.readouterr().err
+            if len(value) == 20:
+                assert err == plain
+            else:
+                assert plain.replace(repr(value), shown).replace(value, shown) == err != plain
+    assert run(["info", "/nonexist/" + "x" * 90]) == 2
+    assert capsys.readouterr().err == f"error: no such file: /nonexist/{'x' * 90}\n"
 
 
 def test_integer_options_keep_their_ascii_values():

@@ -22,6 +22,7 @@ from lieideal.derivations import (
 )
 from lieideal.exactlin import Mat, Subspace
 from lieideal.liealg import (
+    HypothesisError,
     InternalCheckError,
     LieAlgebra,
     Subalgebra,
@@ -225,8 +226,10 @@ def test_tower_of_sl2_rad2_gains_one_stage():
 
 
 def test_tower_rejects_centered_algebra():
-    with pytest.raises(ValueError):
+    # a failed hypothesis, as for theorem_derived_check, and still a ValueError
+    with pytest.raises(HypothesisError, match="derivation tower needs a centerless algebra"):
         derivation_tower(catalog.get("heisenberg3").algebra)
+    assert issubclass(HypothesisError, ValueError)
 
 
 def test_tower_budget_report():
@@ -249,6 +252,52 @@ def test_theorem_derived_check_examples():
         assert theorem_derived_check(catalog.get(name).algebra) is True
     g, _, _ = direct_sum(catalog.get("sl2").algebra, catalog.get("aff1").algebra)
     assert theorem_derived_check(g) is True
+
+
+def jordan(n):
+    """J_n(1): x acting on v_1, ..., v_n by the unipotent Jordan block, [x, v_j] = v_j + v_(j-1)."""
+    brackets = {(0, j): {j: 1, j - 1: 1} if j > 1 else {1: 1} for j in range(1, n + 1)}
+    return LieAlgebra.from_brackets(n + 1, brackets, name=f"J_{n}(1)")
+
+
+@pytest.mark.parametrize(("n", "dims", "verdicts"), [
+    (2, [3, 4, 5], [False, True, True]),
+    (3, [4, 6, 8, 9], [False, False, True, True]),
+])
+def test_jordan_towers_reach_the_false_side_of_the_tower_theorem(n, dims, verdicts):
+    # no suite's tower stabilizes later than stage 1, so none checks that g
+    # fails to be an ideal of D^2(g) when D(g) is not complete
+    tower = derivation_tower(jordan(n))
+    assert [s.dim for s in tower.stages] == dims and tower.stabilized_at == n
+    assert [theorem_derived_check(s) for s in tower.stages] == verdicts
+    # True exactly when the tower stabilizes by the next stage
+    assert verdicts == [k + 1 >= n for k in range(len(dims))]
+
+
+def flipped(da, i, e):
+    """da with the sign of entry e of its ad row i flipped."""
+    row = tuple((r, -v if t == e else v) for t, (r, v) in enumerate(da.ad[i]))
+    return replace(da, ad=da.ad[:i] + (row,) + da.ad[i + 1 :])
+
+
+@pytest.mark.parametrize("g", [catalog.get("sl2_rad2").algebra, jordan(3)], ids=["sl2_rad2", "J_3(1)"])
+def test_a_flipped_adjoint_column_is_an_internal_check_error(monkeypatch, g):
+    da, solve = derivation_algebra(g), derivation_algebra
+    messages = set()
+    for i, row in enumerate(da.ad):
+        for e in range(len(row)):
+            bad = flipped(da, i, e)
+            monkeypatch.setattr(derivations, "derivation_algebra", lambda h: bad if h == g else solve(h))
+            for check in (theorem_derived_check, derivation_tower):
+                with pytest.raises(InternalCheckError) as exc:
+                    check(g)
+                messages.add(str(exc.value).partition(":")[0])
+    # on sl2_rad2 some flipped image is not even bracket-closed, which
+    # Subalgebra refuses with a ValueError: that is an internal check too
+    expected = {"adjoint embedding is not a homomorphism"}
+    if g.name == "sl2_rad2":
+        expected.add("adjoint embedding image")
+    assert messages == expected
 
 
 def test_derivations_of_derivation_algebra_vanishing_on_inner_are_zero():

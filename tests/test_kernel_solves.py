@@ -353,7 +353,7 @@ def test_sub_to_algebra_matches_dense(label):
 #
 # sub_radical used to carry a subspace of sub_to_algebra(h)'s coordinates back
 # to the parent through a dense inclusion, the matrix whose columns are h's
-# RREF basis.  DerivationAlgebra.adjoint_coordinates used to solve for the
+# RREF basis.  The coordinates of ad_x in D(g) used to be solved for from the
 # dense ad_x, flattened.  The references keep those routes.
 
 # the catalog, rescaled to den > 1 and sheared off the coordinate axes
@@ -382,17 +382,24 @@ def test_adjoint_coordinates_match_the_matrix_route(label):
     rng = random.Random(g.dim)
     da = derivation_algebra(g)
     for d in (da, derivation_algebra(da.algebra)):  # on g, then on D(g)
-        n = d.base.dim
+        n, den = d.base.dim, d.base.integer_constants[0]
         xs = [d.base.basis_vector(i) for i in range(n)]
         xs += [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)) for _ in range(3)]
         # in an RREF basis, ad_x flattened row-major has its entries at the pivots as coordinates
         consts, basis = d.base.brackets(), reference.rref(n * n, d.span.basis.entries)
-        for x in xs:
-            flat = [v for row in reference.ad(consts, x) for v in row]
-            got = d.adjoint_coordinates(x)
-            assert got == tuple(flat[p] for p in reference.pivots(basis))
-            assert reference.apply(list(zip(*basis)), got) == flat
-            assert all(type(v) is Fraction for v in got)
+        ref = [[v for row in reference.ad(consts, x) for v in row] for x in xs]
+        ref_coords = [[flat[p] for p in reference.pivots(basis)] for flat in ref]
+        # row i of ad is den * ad_(e_i)'s coordinates, and ad_x is linear in x
+        assert len(d.ad) == n and all(type(v) is int for row in d.ad for _, v in row)
+        ad = list(zip(*(dense(d.dim, ((r, Fraction(v, den)) for r, v in row)) for row in d.ad)))
+        for x, flat, coords in zip(xs, ref, ref_coords):
+            assert reference.apply(ad, x) == coords
+            assert reference.apply(list(zip(*basis)), coords) == flat
+        assert d.inner == Subspace.span(d.dim, ref_coords[:n])
+        if center(d.base).dim == 0:
+            emb = derivations.adjoint_embedding(d.base)
+            assert (emb.source, emb.target) == (d.base, d.algebra)
+            assert emb.matrix == Mat.from_columns(ref_coords[:n], rows=d.dim)
 
 
 def test_column_kernel_and_nullspace_match_the_row_solve():
