@@ -8,8 +8,11 @@ failed (a mathematically negative verdict is still a successful run), 1 when
 a check failed or errored (a failed internal re-check is reported as an
 errored check), 2 on malformed input.
 
-A run builds only the parser of the command its first argument names, and
-every command's parser only for ``-h`` and usage errors that name no command.
+A run whose first argument names a command parses the rest with that
+command's parser alone, the one the full build hands them to, so ``-h`` and
+usage errors print the same bytes.  The full build, every command's parser
+under the ``lieideal`` root, parses an argv that names no command or leaves
+arguments over, and reports them with the root's usage line.
 """
 
 from __future__ import annotations
@@ -410,35 +413,50 @@ class Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def build_parser(command: str | None = None, argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of every command if it names none, cutting argv in errors."""
+def _fill(parser: Parser, name: str, argv: Sequence[str]) -> Parser:
+    """parser with name's arguments and defaults, cutting argv in its errors."""
+    parser.argv = argv
+    for flags, options in COMMANDS[name][2]:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(fn=COMMANDS[name][1], command=name)
+    return parser
+
+
+def command_parser(name: str, argv: Sequence[str] = ()) -> Parser:
+    """The parser the full build hands name's arguments to, built alone."""
+    return _fill(Parser(prog=f"lieideal {name}"), name, argv)
+
+
+def build_parser(argv: Sequence[str] = ()) -> Parser:
+    """The parser of every command under the lieideal root, cutting argv in errors."""
     parser = Parser(
         prog="lieideal",
         description="exact computations on Lie ideals: subideal chains, "
         "transitivity criteria, derivation towers",
     )
     parser.argv = argv
-    known = command in COMMANDS
-    # a lone subparser would print as {info} in the usage line of an error (an
-    # extra argument); the full build keeps "required: command" for no command
-    metavar = "{" + ",".join(COMMANDS) + "}" if known else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if known else COMMANDS:
-        help_text, fn, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.argv = argv
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(fn=fn)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name, argv)
     return parser
+
+
+def parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed by its command's own parser alone when that leaves nothing
+    over, else by the full build, which reports extra arguments and an argv
+    that names no command with the root's usage."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = command_parser(argv[0], argv).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser(argv).parse_args(argv)
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # built on every call, like the one parser a one-shot process builds
-    parser = build_parser(argv[0] if argv else None, argv)
     try:
-        args = parser.parse_args(argv)
+        # parsers are built on every call, as a one-shot process builds them
+        args = parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize other codes
         return 2 if exc.code not in (0,) else 0

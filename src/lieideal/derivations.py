@@ -42,15 +42,16 @@ named after the first of them to be solved, so D(g) is built and walked
 at most once per structure.
 
 The tower and the tower theorem reach ad: g -> D(g) only through
-adjoint_embedding, which reads its columns off DerivationAlgebra.ad and
-checks the map once.  derivation_tower embeds each stage that is not
-complete in the next, and theorem_derived_check takes g's image in D^2(g)
-through two of them.  Both raise HypothesisError when g has a center;
-theorem_derived_check, a criterion with transitivity's contract, raises
-TheoremViolationError when its two sides (D(g) complete, g an ideal of
-D^2(g)) disagree, and otherwise returns the side they agree on.  The
-constructions raise InternalCheckError when a re-check of what they built
-fails.
+adjoint_embedding, DerivationAlgebra.embedding, which reads its columns off
+DerivationAlgebra.ad and is checked once per structure, on first read.
+derivation_tower embeds each stage that is not complete in the next, and
+theorem_derived_check takes g's image in D^2(g) through two of them: the
+complete suite runs both on each algebra, and they share those maps.  Both
+raise HypothesisError when g has a center; theorem_derived_check, a
+criterion with transitivity's contract, raises TheoremViolationError when
+its two sides (D(g) complete, g an ideal of D^2(g)) disagree, and otherwise
+returns the side they agree on.  The constructions raise InternalCheckError
+when a re-check of what they built fails.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class DerivationAlgebra:
     over L^2, for the pairs of the span's RREF basis whose supports meet,
     each checked to stay in the span when the solve ran; every other pair's
     commutator is zero.  ``built`` is built from it on first read, and
-    ``algebra`` is that same object once validate has walked it.
+    ``algebra`` is that same object once validate has walked it;
+    ``embedding``, ad: base -> algebra, is checked on its first read.
     derivation_algebra hands one object to every algebra of a structure, so
     D(g) is built and walked once per structure, named after ``base``, the
     first of them to be solved.
@@ -127,6 +129,30 @@ class DerivationAlgebra:
     def algebra(self) -> LieAlgebra:
         """built, once validate has walked it."""
         return validate_or_raise(self.built)
+
+    @cached_property
+    def embedding(self) -> LinMap:
+        """ad: base -> algebra, x -> ad_x, for centerless base: column i is row i of ad over den.
+
+        Checked on first read, raising InternalCheckError on any failure: its
+        image has dimension dim base, so it is injective; the image is a
+        subalgebra and an ideal of D(base); and the map is a homomorphism.
+        """
+        d, den = self.algebra, self.base.integer_constants[0]
+        cols = [dense_vector(self.dim, ((r, Fraction(v, den)) for r, v in row)) for row in self.ad]
+        emb = LinMap(self.base, d, Mat.from_columns(cols, rows=self.dim))
+        space = emb.image()
+        if space.dim != self.base.dim:
+            raise InternalCheckError("adjoint embedding is not injective")
+        try:
+            image = Subalgebra(d, space)
+        except ValueError as exc:
+            raise InternalCheckError(f"adjoint embedding image: {exc}") from None
+        if not is_ideal(d, image):
+            raise InternalCheckError("adjoint embedding image is not an ideal")
+        if not is_homomorphism(emb):
+            raise InternalCheckError("adjoint embedding is not a homomorphism")
+        return emb
 
     def coordinates_of(self, endo: Mat) -> Vector:
         """Coordinates of an endomorphism in the derivation basis.
@@ -347,28 +373,9 @@ def derivation_tower(g: LieAlgebra, max_steps: int | None = None) -> TowerReport
 
 
 def adjoint_embedding(g: LieAlgebra) -> LinMap:
-    """ad: g -> D(g), x -> ad_x, for centerless g: column i is DerivationAlgebra.ad's row i over den.
-
-    Checked once, raising InternalCheckError on any failure: its image has
-    dimension dim g, so it is injective; the image is a subalgebra and an
-    ideal of D(g); and the map is a homomorphism.
-    """
-    da = derivation_algebra(g)
-    d, den = da.algebra, g.integer_constants[0]
-    cols = [dense_vector(da.dim, ((r, Fraction(v, den)) for r, v in row)) for row in da.ad]
-    emb = LinMap(g, d, Mat.from_columns(cols, rows=da.dim))
-    space = emb.image()
-    if space.dim != g.dim:
-        raise InternalCheckError("adjoint embedding is not injective")
-    try:
-        image = Subalgebra(d, space)
-    except ValueError as exc:
-        raise InternalCheckError(f"adjoint embedding image: {exc}") from None
-    if not is_ideal(d, image):
-        raise InternalCheckError("adjoint embedding image is not an ideal")
-    if not is_homomorphism(emb):
-        raise InternalCheckError("adjoint embedding is not a homomorphism")
-    return emb
+    """ad: g -> D(g) for centerless g, DerivationAlgebra.embedding: built and
+    checked once per structure, its source the structure's first-solved base."""
+    return derivation_algebra(g).embedding
 
 
 def theorem_derived_check(g: LieAlgebra) -> bool:

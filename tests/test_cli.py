@@ -14,7 +14,7 @@ import pytest
 import lieideal
 import reference
 from lieideal import catalog, cli, derivations, liealg
-from lieideal.cli import COMMANDS, build_parser, run
+from lieideal.cli import COMMANDS, build_parser, command_parser, parse, run
 from lieideal.exactlin import Subspace
 from lieideal.liealg import Subalgebra, sub_to_algebra
 
@@ -577,11 +577,17 @@ def test_long_outside_input_is_cut_in_every_error_line(capsys, argv, shown):
 def test_an_argument_that_fits_keeps_the_message_argparse_wrote(capsys):
     # 20 characters fit, 21 are cut, as quoted cuts a literal
     for value, shown in [("x" * 20, repr("x" * 20)), ("x" * 21, repr("x" * 20) + "... (21 characters)")]:
-        for argv in (["verify", "--suite", value], [value], ["info", "a", value]):
+        # each through the parser run takes for it: verify's own, and the
+        # full build for no command and for an extra argument
+        for argv, parser, args in (
+            (["verify", "--suite", value], command_parser("verify"), ["--suite", value]),
+            ([value], build_parser(), [value]),
+            (["info", "a", value], build_parser(), ["info", "a", value]),
+        ):
             assert run(argv) == 2
             err = capsys.readouterr().err
             with pytest.raises(SystemExit):  # given no argv, the parser cuts nothing
-                build_parser(argv[0]).parse_args(argv)
+                parser.parse_args(args)
             plain = capsys.readouterr().err
             if len(value) == 20:
                 assert err == plain
@@ -592,34 +598,57 @@ def test_an_argument_that_fits_keeps_the_message_argparse_wrote(capsys):
 
 
 def test_integer_options_keep_their_ascii_values():
-    assert build_parser("verify").parse_args(["verify", "--seed", "-1"]).seed == -1
-    assert build_parser("verify").parse_args(["verify", "--seed", "0"]).seed == 0
-    assert build_parser("verify").parse_args(["verify", "--random", "007"]).random == 7
-    assert build_parser("tower").parse_args(["tower", "s", "--max-steps", "0"]).max_steps == 0
+    assert command_parser("verify").parse_args(["--seed", "-1"]).seed == -1
+    assert command_parser("verify").parse_args(["--seed", "0"]).seed == 0
+    assert command_parser("verify").parse_args(["--random", "007"]).random == 7
+    assert command_parser("tower").parse_args(["s", "--max-steps", "0"]).max_steps == 0
 
 
 def _usage_cases(name):
-    """``name -h`` and its usage errors: a missing argument, one too many, a bad choice."""
+    """``name -h`` and its usage errors: a missing argument, one too many, an
+    unknown option, a bad choice or value, ``--`` before the source and an
+    abbreviated option followed by one too many."""
     if name == "catalog":
-        return [[name, "-h"], [name], [name, "list", "aff1", "extra"], [name, "frob"]]
+        return [[name, "-h"], [name], [name, "list", "aff1", "extra"], [name, "frob"],
+                [name, "list", "--bogus"], [name, "--", "show", "aff1", "extra"]]
     if name == "verify":
-        return [[name, "-h"], [name, "extra"], [name, "--suite", "nope"]]
+        return [[name, "-h"], [name, "extra"], [name, "--suite", "nope"], [name, "--bogus"],
+                [name, "--se", "1", "extra"], [name, "--seed", "x"]]
     sub = ["--sub", "1,0,0"] if name in ("subideal", "ideal", "normalizer-tower") else []
-    return [[name, "-h"], [name], [name, "catalog:sl2", *sub, "extra"]]
+    cases = [[name, "-h"], [name], [name, "catalog:sl2", *sub, "extra"],
+             [name, "catalog:sl2", *sub, "--bogus"], [name, *sub, "--", "catalog:sl2", "extra"]]
+    if sub:
+        cases.append([name, "catalog:sl2", "--su", "1,0,0", "extra"])
+    if name == "tower":
+        cases += [[name, "catalog:sl2", "--max", "1", "extra"], [name, "catalog:sl2", "--max-steps", "x"]]
+    return cases
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_one_commands_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")
     for argv in _usage_cases(name):
-        printed = []
-        for parser in (build_parser(name), build_parser()):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv)
-            printed.append((exc.value.code, capsys.readouterr()))
+        code = run(argv)
+        printed = [(code, capsys.readouterr())]
+        with pytest.raises(SystemExit) as exc:
+            build_parser(argv).parse_args(argv)
+        printed.append((exc.value.code, capsys.readouterr()))
         assert printed[0] == printed[1], argv
-        code, captured = printed[0]
+        captured = printed[0][1]
         assert (code, bool(captured.out), bool(captured.err)) in ((0, True, False), (2, False, True))
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--", "catalog:sl2"],
+    ["subideal", "catalog:sl2", "--su", "1,0,0"],
+    ["ideal", "--sub=1,0,0", "catalog:sl2"],
+    ["tower", "catalog:sl2", "--max-steps", "2"],
+    ["verify", "--suite", "forms", "--se", "-3"],
+    ["verify"],
+    ["catalog", "show", "--", "aff1"],
+])
+def test_a_command_line_parses_as_the_full_parser_parses_it(argv):
+    assert vars(parse(argv)) == vars(build_parser(argv).parse_args(argv))
 
 
 def _count_parsers(monkeypatch):
@@ -637,14 +666,20 @@ def _count_parsers(monkeypatch):
 def test_a_command_builds_its_own_parser_only(capsys, monkeypatch):
     built = _count_parsers(monkeypatch)
     assert invoke(capsys, "catalog", "list")[0] == 0
-    assert len(built) == 2
+    assert len(built) == 1
     # a one-shot process: the command comes from sys.argv
     monkeypatch.setattr(sys, "argv", ["lieideal", "info", "catalog:sl2"])
     built.clear()
     code = run()
     payload = json.loads(capsys.readouterr().out.partition("--- machine-readable ---")[2])
-    assert code == 0 and len(built) == 2
+    assert code == 0 and len(built) == 1
     assert payload["command"] == ["info", "catalog:sl2"] and payload["payload"]["dim"] == 3
+    # an extra argument: the command's parser leaves it over, and the full
+    # build reports it with the root's usage
+    built.clear()
+    assert run(["info", "catalog:sl2", "extra"]) == 2
+    assert len(built) == 1 + 1 + len(COMMANDS)
+    assert capsys.readouterr().err.startswith("usage: lieideal [-h]")
 
 
 @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["-x"], ["inf", "catalog:sl2"]])

@@ -300,6 +300,25 @@ def test_a_flipped_adjoint_column_is_an_internal_check_error(monkeypatch, g):
     assert messages == expected
 
 
+def test_each_adjoint_embedding_is_checked_once_per_structure(monkeypatch):
+    # the complete suite runs theorem_derived_check and then derivation_tower
+    # on each algebra: both embed g and D(g), and only the tower goes further
+    checked = []
+    monkeypatch.setattr(derivations, "is_homomorphism", lambda f: checked.append(f.source) or is_homomorphism(f))
+    derivation_algebra.cache_clear()
+    g = jordan(3)
+    theorem_derived_check(g)
+    tower = derivation_tower(g)
+    assert [s.dim for s in checked] == [4, 6, 8]
+    assert list(tower.embeddings) == [derivations.adjoint_embedding(s) for s in tower.stages[:-1]]
+    # an algebra of the same structure under another name shares the checked map
+    brackets = {(0, j): {j: 1, j - 1: 1} if j > 1 else {1: 1} for j in range(1, 4)}
+    unnamed = LieAlgebra.from_brackets(4, brackets)
+    assert unnamed == g and unnamed.name is None
+    assert derivations.adjoint_embedding(unnamed) is tower.embeddings[0]
+    assert tower.embeddings[0].source.name == "J_3(1)" and len(checked) == 3
+
+
 def test_derivations_of_derivation_algebra_vanishing_on_inner_are_zero():
     # consequence of the bracket identity when the base is centerless
     for name in ("sl2", "aff1", "sl2_rad2"):
